@@ -15,9 +15,10 @@ from statistics import mean, median
 
 import numpy as np
 
-from .completion import PartialSymMatrix, banded_pattern, logdet_completion_banded
+from .completion import banded_pattern, logdet_completion_banded
 from .maxcut import initial_point, maxcut_sdp, random_graph
 from .solver import SolverConfig, solve
+from .sparsemat import SparseSymMatrix
 
 
 def trial_seed(master, index):
@@ -144,7 +145,7 @@ def random_banded_partial(n, bandwidth, seed):
         else:
             for t, i in enumerate(range(d, n)):
                 off[pat.edge_index(i, i - d)] = acc[t]
-    return PartialSymMatrix(pat, diag, off)
+    return SparseSymMatrix(pat, diag, off)
 
 
 def time_banded_sweep(cases, reps, blocks=5, min_block_seconds=0.01):

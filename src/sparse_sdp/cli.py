@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from . import bench
-from .completion import PartialSymMatrix
 from .errors import (InfeasibleStart, IterationLimit, NotPositiveDefinite,
                      SdpaParseError, TooManyEdges)
 from .maxcut import (initial_point, random_graph, read_graph, solve_maxcut,
@@ -23,7 +22,7 @@ from .maxcut import (initial_point, random_graph, read_graph, solve_maxcut,
 from .problem import SdpProblem
 from .sdpa import read_sdpa
 from .solver import SolverConfig, solve
-from .sparsemat import cholesky_factorize
+from .sparsemat import SparseSymMatrix, cholesky_factorize
 
 
 def main(argv=None):
@@ -150,8 +149,8 @@ def _generic_initial_point(problem):
         return initial_point(problem)
     except ValueError:
         pass
-    x0 = PartialSymMatrix.identity(problem.fill)
-    resid = problem.apply_map(x0.as_sparse()) - problem.b
+    x0 = SparseSymMatrix.identity(problem.fill)
+    resid = problem.apply_map(x0) - problem.b
     if np.max(np.abs(resid)) > 1e-8:
         raise InfeasibleStart(
             "no built-in initial point: identity is not primal feasible")

@@ -1,11 +1,13 @@
-"""Partial symmetric matrices and their max-determinant PD completions.
+"""Max-determinant positive definite completions of partial matrices.
 
-A partial matrix carries values only on a chordal, elimination-ordered
-pattern (plus the diagonal).  Among all positive definite completions the
-determinant-maximizing one is singled out by having an inverse supported
-exactly on the pattern; everything here (log-determinant, inverse,
-Hessian products, factor form) works clique by clique against that
-completion without ever forming it densely.
+A partial matrix is a ``SparseSymMatrix`` on a chordal, elimination-ordered
+pattern read as specifying only its pattern entries (plus the diagonal);
+the entries off the pattern are free, not zero.  Among all positive
+definite completions the determinant-maximizing one is singled out by
+having an inverse supported exactly on the pattern; everything here
+(log-determinant, inverse, factor form) works clique by clique against
+that completion without ever forming it densely.  Its Hessian products
+are ``logdet.hess_vec`` on the factor of ``completion_inverse``.
 """
 
 from __future__ import annotations
@@ -17,64 +19,7 @@ import numpy as np
 
 from .chordal import CliqueSequence
 from .errors import NotCompletable
-from .logdet import hess_vec
-from .sparsemat import SparseSymMatrix, SparseSymPattern, cholesky_factorize
-
-
-class PartialSymMatrix:
-    """Values on a chordal pattern plus the diagonal; the rest unspecified."""
-
-    def __init__(self, pattern, diag, offdiag, check=True):
-        self.pattern = pattern
-        self.diag = np.asarray(diag, dtype=float)
-        self.offdiag = np.asarray(offdiag, dtype=float)
-        if check:
-            if self.diag.shape != (pattern.n,):
-                raise ValueError("diag length mismatch")
-            if self.offdiag.shape != (pattern.nnz,):
-                raise ValueError("offdiag length mismatch")
-            if not (np.all(np.isfinite(self.diag)) and np.all(np.isfinite(self.offdiag))):
-                raise ValueError("entries must be finite")
-
-    @property
-    def n(self):
-        return self.pattern.n
-
-    @classmethod
-    def identity(cls, pattern):
-        return cls(pattern, np.ones(pattern.n), np.zeros(pattern.nnz), check=False)
-
-    @classmethod
-    def from_dense(cls, pattern, dense):
-        dense = np.asarray(dense, dtype=float)
-        off = np.empty(pattern.nnz)
-        for i, j, k in pattern.edges():
-            off[k] = dense[i, j]
-        return cls(pattern, np.diagonal(dense).copy(), off)
-
-    def copy(self):
-        return PartialSymMatrix(self.pattern, self.diag.copy(), self.offdiag.copy(), check=False)
-
-    def as_sparse(self):
-        """View the specified entries as a sparse matrix (zeros elsewhere)."""
-        return SparseSymMatrix(self.pattern, self.diag, self.offdiag, check=False)
-
-    def block(self, verts):
-        """Dense submatrix over ``verts`` (all pairs must lie on the pattern)."""
-        k = len(verts)
-        out = np.empty((k, k))
-        pat = self.pattern
-        off = self.offdiag
-        for a in range(k):
-            va = verts[a]
-            out[a, a] = self.diag[va]
-            for b in range(a + 1, k):
-                v = off[pat.edge_index(va, verts[b])]
-                out[a, b] = out[b, a] = v
-        return out
-
-    def __repr__(self):
-        return f"PartialSymMatrix(n={self.n}, nnz={self.pattern.nnz})"
+from .sparsemat import SparseSymMatrix, SparseSymPattern
 
 
 @dataclass
@@ -97,22 +42,12 @@ class CompletionFactors:
         return self.cliques.n
 
 
-def clique_pd_check(xbar, cs):
-    """True iff every clique submatrix is positive definite.
-
-    For a chordal pattern this is exactly the condition for a positive
-    definite completion to exist.
-    """
-    for c in cs.cliques:
-        try:
-            np.linalg.cholesky(xbar.block(c))
-        except np.linalg.LinAlgError:
-            return False
-    return True
-
-
 def completion_factors(xbar, cs):
-    """Clique factorization of the max-determinant completion."""
+    """Clique factorization of the max-determinant completion of ``xbar``.
+
+    Raises NotCompletable when a separator or residual block is not
+    positive definite.
+    """
     couplings = []
     blocks = []
     logdet = 0.0
@@ -144,10 +79,13 @@ def completion_factors(xbar, cs):
 
 
 def logdet_completion(xbar, cs):
-    """ln det of the max-determinant completion.
+    """ln det of the max-determinant completion of the partial ``xbar``.
 
     Sum of clique-block log-determinants minus separator-block
-    log-determinants, each from a fresh dense factorization.
+    log-determinants, each from a fresh dense factorization.  Raises
+    NotCompletable unless every clique block is positive definite, which
+    on a chordal pattern is exactly when a positive definite completion
+    exists.
     """
     total = 0.0
     for r in range(len(cs)):
@@ -159,10 +97,10 @@ def logdet_completion(xbar, cs):
 
 
 def completion_inverse(xbar, cs):
-    """Inverse of the max-determinant completion, supported exactly on F.
+    """Inverse of the max-determinant completion of the partial ``xbar``.
 
-    Assembled as the clique-block inverses minus the separator-block
-    inverses scattered onto the pattern.
+    It is supported exactly on the pattern F: the clique-block inverses
+    minus the separator-block inverses, scattered onto the pattern.
     """
     pat = xbar.pattern
     diag = np.zeros(pat.n)
@@ -174,21 +112,6 @@ def completion_inverse(xbar, cs):
         if len(u):
             _scatter(diag, off, pat, u, _pd_inverse(xbar.block(u), f"separator {r}"), -1.0)
     return SparseSymMatrix(pat, diag, off, check=False)
-
-
-def completion_hess_apply(xbar, cs, z, inverse=None, inverse_factor=None):
-    """Entries on F of (completion) @ Z @ (completion).
-
-    Uses the fact that the completion is itself the inverse of an
-    F-sparse positive definite matrix: factorize that sparse inverse and
-    push Z through the selected-inverse tangent kernel.  ``inverse`` /
-    ``inverse_factor`` let callers reuse work across many applications.
-    """
-    if inverse_factor is None:
-        if inverse is None:
-            inverse = completion_inverse(xbar, cs)
-        inverse_factor = cholesky_factorize(inverse)
-    return hess_vec(inverse_factor, z)
 
 
 def completion_vectors(factors):
@@ -218,77 +141,6 @@ def reconstruct_dense(factors):
     return v.T @ v
 
 
-# ---------------------------------------------------------------------------
-# Cholesky-factor updates: drop rows, re-triangularize by Givens rotations,
-# append rows.  Plain-float row lists keep the per-operation cost uniform,
-# so measured time tracks the flop count.
-# ---------------------------------------------------------------------------
-
-def factor_drop_rows(rows, drop):
-    """Remove factor rows and restore lower-triangular form.
-
-    ``rows`` is a lower-triangular factor as a list of row lists (row i
-    has i+1 entries); ``drop`` the sorted row indices to remove.  The
-    survivors' Gram matrix is preserved, so the result is the factor of
-    the corresponding principal submatrix (rows keep their relative
-    order).
-    """
-    dropset = set(drop)
-    work = [list(rows[i]) for i in range(len(rows)) if i not in dropset]
-    k = len(work)
-    for t in range(k):
-        row = work[t]
-        for c in range(len(row) - 1, t, -1):
-            y = row[c]
-            if y == 0.0:
-                row.pop()
-                continue
-            x = row[c - 1]
-            r = math.hypot(x, y)
-            if r == 0.0:
-                raise NotCompletable("factor became singular after row removal")
-            co = x / r
-            si = y / r
-            row[c - 1] = r
-            row.pop()
-            for q in range(t + 1, k):
-                wq = work[q]
-                if len(wq) <= c:
-                    continue
-                a = wq[c - 1]
-                b = wq[c]
-                wq[c - 1] = co * a + si * b
-                wq[c] = co * b - si * a
-        if row[t] < 0.0:  # keep pivots positive (rotation sign freedom)
-            for q in range(t, k):
-                if len(work[q]) > t:
-                    work[q][t] = -work[q][t]
-    return work
-
-
-def factor_append_row(rows, off, diag):
-    """Grow a factor by one trailing row of the underlying matrix.
-
-    ``off`` holds the new matrix row against the existing vertices,
-    ``diag`` its diagonal entry.  Raises NotCompletable when the extended
-    matrix is not positive definite.
-    """
-    k = len(rows)
-    new = [0.0] * (k + 1)
-    for j in range(k):
-        s = off[j]
-        rj = rows[j]
-        for q in range(j):
-            s -= rj[q] * new[q]
-        new[j] = s / rj[j]
-    rem = diag - sum(x * x for x in new)
-    if rem <= 0.0:
-        raise NotCompletable("appended pivot is not positive")
-    new[k] = math.sqrt(rem)
-    rows.append(new)
-    return new[k]
-
-
 def banded_pattern(n, bandwidth):
     """Pattern with every entry 0 < i - j <= bandwidth present."""
     edges = [(i, j) for j in range(n) for i in range(j + 1, min(j + bandwidth + 1, n))]
@@ -296,7 +148,7 @@ def banded_pattern(n, bandwidth):
 
 
 def logdet_completion_banded(xbar, bandwidth=None):
-    """ln det of the completion for a banded partial matrix.
+    """ln det of the completion of a partial matrix on a full band.
 
     Walks the clique chain {r..r+p} reusing each clique's Cholesky
     factor: drop the departing leading row, re-triangularize with Givens

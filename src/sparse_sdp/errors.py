@@ -29,27 +29,8 @@ class NotCompletable(SparseSdpError):
     """A partial matrix has no positive definite completion."""
 
 
-class InfeasiblePoint(SparseSdpError):
-    """A point violates the positive definiteness required by the potential."""
-
-
 class InfeasibleStart(SparseSdpError):
     """The initial point handed to the solver is not strictly feasible."""
-
-
-class CgStall(SparseSdpError):
-    """Conjugate gradient hit its iteration cap before the tolerance.
-
-    Raised only in strict mode; the routine otherwise returns its best
-    iterate with ``converged=False``.  ``result`` carries that iterate.
-    """
-
-    def __init__(self, result):
-        self.result = result
-        super().__init__(
-            f"conjugate gradient stalled after {result.iterations} iterations "
-            f"(residual {result.residual_norm:.3e})"
-        )
 
 
 class NoDecrease(SparseSdpError):

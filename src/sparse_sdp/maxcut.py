@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .completion import PartialSymMatrix, completion_factors, completion_vectors
+from .completion import completion_factors, completion_vectors
 from .errors import NotPositiveDefinite, TooManyEdges
 from .problem import SdpProblem
 from .solver import SolverConfig, solve
@@ -107,7 +107,7 @@ def initial_point(problem):
     downward past the worst Gershgorin bound until the slack factorizes.
     """
     _require_diagonal_constraints(problem)
-    x0 = PartialSymMatrix.identity(problem.fill)
+    x0 = SparseSymMatrix.identity(problem.fill)
     y0 = np.ones(problem.n)
     while True:
         s = problem.dual_slack(y0)

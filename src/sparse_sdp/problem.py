@@ -122,7 +122,3 @@ class SdpProblem:
         return (f"SdpProblem(n={self.n}, m={self.m}, "
                 f"nnz_agg={self.aggregate.nnz}, nnz_fill={self.fill.nnz})")
 
-
-def apply_map_A(problem, w):
-    """Constraint-map evaluation (A_1.W, ..., A_m.W)."""
-    return problem.apply_map(w)

@@ -17,34 +17,44 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from io import StringIO
 
 import numpy as np
 
-from .completion import (PartialSymMatrix, completion_inverse,
-                         logdet_completion)
-from .errors import (CgStall, InfeasiblePoint, InfeasibleStart, IterationLimit,
-                     NoDecrease, NotCompletable, NotPositiveDefinite)
+from .completion import completion_inverse, logdet_completion
+from .errors import (InfeasibleStart, IterationLimit, NoDecrease,
+                     NotCompletable, NotPositiveDefinite)
 from .logdet import hess_vec, sparse_inverse
-from .sparsemat import SparseSymMatrix, cholesky_factorize
+from .sparsemat import SparseSymMatrix, cholesky_factorize, inner_product
 
 FEAS_TOL = 1e-8          # strict-feasibility residual bound at entry
 STALL_DECREASE = 1e-12   # potential decrease below this counts as stalled
 MAX_DAMPINGS = 60        # halvings applied to an infeasible start point
+MAX_DESCENT_STEPS = 20   # unit steps per start in the potential search
+EXTRA_ITERS = 3          # polishing iterations once the gap is below gap_tol
 
 
 @dataclass
 class SolverConfig:
-    """Solver knobs; ``gamma=None`` resolves to sqrt(n) at solve time."""
+    """Solver knobs.
+
+    ``gamma`` weights the potential, rho = n + gamma*sqrt(n); None
+    resolves to sqrt(n) at solve time.  The solve converges once the
+    duality gap S.X drops below ``gap_tol``.  Each Newton system is
+    solved by conjugate gradient to relative residual ``cg_rel_tol`` in
+    at most ``cg_max_iter`` iterations (None means m).
+    ``max_main_iters`` bounds the main loop.  ``direction_mode`` "four"
+    searches over both Newton directions and their companions, "two"
+    over the primal direction and its companion only.
+    """
 
     gamma: float | None = None
     gap_tol: float = 1e-3
-    extra_iters: int = 3
     cg_rel_tol: float = 1e-5
     cg_max_iter: int | None = None
     max_main_iters: int = 200
     direction_mode: str = "four"
-    potential_descent_max_steps: int = 20
 
     def __post_init__(self):
         if self.gamma is not None and self.gamma <= 0:
@@ -63,13 +73,12 @@ class CgResult:
     residual_norm: float
 
 
-def conjugate_gradient(apply_h, rhs, rel_tol=1e-5, max_iter=None, precond=None,
-                       strict=False):
+def conjugate_gradient(apply_h, rhs, rel_tol=1e-5, max_iter=None):
     """Solve H z = rhs for a symmetric positive definite operator.
 
     Stops when the residual 2-norm drops below ``rel_tol`` times the
-    2-norm of ``rhs``.  On hitting ``max_iter`` first, returns the best
-    iterate flagged ``converged=False`` (or raises CgStall when strict).
+    2-norm of ``rhs``.  On hitting ``max_iter`` (default len(rhs)) first,
+    returns the best iterate flagged ``converged=False``.
     """
     rhs = np.asarray(rhs, dtype=float)
     m = len(rhs)
@@ -80,9 +89,8 @@ def conjugate_gradient(apply_h, rhs, rel_tol=1e-5, max_iter=None, precond=None,
     if nb == 0.0:
         return CgResult(x, 0, True, 0.0)
     r = rhs.copy()
-    z = precond(r) if precond else r
-    p = z.copy()
-    rz = float(r @ z)
+    p = r.copy()
+    rz = float(r @ r)
     best_x = x.copy()
     best_res = nb
     iters = 0
@@ -101,55 +109,48 @@ def conjugate_gradient(apply_h, rhs, rel_tol=1e-5, max_iter=None, precond=None,
             best_x = x.copy()
         if rn <= rel_tol * nb:
             return CgResult(x, iters, True, rn)
-        z = precond(r) if precond else r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        rz_new = float(r @ r)
+        p = r + (rz_new / rz) * p
         rz = rz_new
-    result = CgResult(best_x, iters, False, best_res)
-    if strict:
-        raise CgStall(result)
-    return result
+    return CgResult(best_x, iters, False, best_res)
 
 
 class IterateState:
-    """Strictly feasible iterate with its factor and completion caches."""
+    """Iterate (X on F, y) with its dual slack, factor and potential.
 
-    def __init__(self, problem, xbar, y, s, s_factor, xhat_inv, gap,
-                 logdet_x, rho):
+    ``xbar`` is read as a partial matrix on the fill pattern F.
+    Construction factors S = C - sum y_p A_p and takes the completion
+    log-det, so it raises NotPositiveDefinite or NotCompletable outside
+    the cones.  The completion inverse, its factor and S^-1 on F are
+    computed on first use and kept.
+    """
+
+    def __init__(self, problem, xbar, y, rho):
         self.problem = problem
         self.xbar = xbar
         self.y = y
-        self.s = s
-        self.s_factor = s_factor
-        self.xhat_inv = xhat_inv
-        self.gap = gap
-        self.logdet_x = logdet_x
         self.rho = rho
-        self._sinv = None
-        self._xhat_inv_factor = None
+        self.s = problem.dual_slack(y)
+        self.s_factor = cholesky_factorize(self.s)
+        self.logdet_x = logdet_completion(xbar, problem.cliques)
+        self.gap = inner_product(self.s, xbar)
 
     @classmethod
     def create(cls, problem, xbar, y, rho, validate=False):
-        y = np.asarray(y, dtype=float)
-        s = problem.dual_slack(y)
+        """State at a start point; InfeasibleStart unless strictly feasible."""
         try:
-            s_factor = cholesky_factorize(s)
+            state = cls(problem, xbar, np.asarray(y, dtype=float), rho)
         except NotPositiveDefinite as exc:
             raise InfeasibleStart("dual slack is not positive definite") from exc
-        try:
-            logdet_x = logdet_completion(xbar, problem.cliques)
         except NotCompletable as exc:
             raise InfeasibleStart("primal partial matrix is not completable") from exc
-        gap = _dot(s, xbar)
-        if gap <= 0.0:
-            raise InfeasibleStart(f"duality gap {gap:.3e} is not positive")
+        if state.gap <= 0.0:
+            raise InfeasibleStart(f"duality gap {state.gap:.3e} is not positive")
         if validate:
-            pres = float(np.max(np.abs(problem.apply_map(xbar.as_sparse()) - problem.b))) \
-                if problem.m else 0.0
+            pres = state.primal_residual()
             if pres > FEAS_TOL:
                 raise InfeasibleStart(f"primal residual {pres:.3e} exceeds {FEAS_TOL}")
-        xhat_inv = completion_inverse(xbar, problem.cliques)
-        return cls(problem, xbar, y, s, s_factor, xhat_inv, gap, logdet_x, rho)
+        return state
 
     @property
     def logdet_s(self):
@@ -159,79 +160,55 @@ class IterateState:
     def phi(self):
         return self.rho * math.log(self.gap) - self.logdet_x - self.logdet_s
 
-    @property
-    def sinv(self):
-        """Entries on F of S^-1 (lazy, shared across direction builds)."""
-        if self._sinv is None:
-            self._sinv = sparse_inverse(self.s_factor)
-        return self._sinv
+    @cached_property
+    def xhat_inv(self):
+        """Inverse of the max-determinant completion, supported on F."""
+        return completion_inverse(self.xbar, self.problem.cliques)
 
-    @property
+    @cached_property
     def xhat_inv_factor(self):
-        if self._xhat_inv_factor is None:
-            self._xhat_inv_factor = cholesky_factorize(self.xhat_inv)
-        return self._xhat_inv_factor
+        return cholesky_factorize(self.xhat_inv)
+
+    @cached_property
+    def sinv(self):
+        """Entries on F of S^-1."""
+        return sparse_inverse(self.s_factor)
 
     def objective_primal(self):
-        return _dot(self.problem.c, self.xbar)
+        return inner_product(self.problem.c, self.xbar)
 
     def objective_dual(self):
         return float(self.problem.b @ self.y)
 
-    def residuals(self):
+    def primal_residual(self):
         prob = self.problem
-        pres = float(np.max(np.abs(prob.apply_map(self.xbar.as_sparse()) - prob.b))) \
+        return float(np.max(np.abs(prob.apply_map(self.xbar) - prob.b))) \
             if prob.m else 0.0
-        slack = prob.dual_slack(self.y)
+
+    def residuals(self):
+        pres = self.primal_residual()
+        slack = self.problem.dual_slack(self.y)
         dres = max(float(np.max(np.abs(slack.diag - self.s.diag))),
                    float(np.max(np.abs(slack.offdiag - self.s.offdiag)))
                    if len(slack.offdiag) else 0.0)
         return pres, dres
 
 
-def potential(state):
-    """Potential value at a state; InfeasiblePoint if the caches are bad."""
-    if state.gap <= 0.0:
-        raise InfeasiblePoint("nonpositive duality gap")
-    return state.phi
-
-
 @dataclass
-class DualStep:
-    ds2: SparseSymMatrix
-    dx2: PartialSymMatrix
-    lam_tilde: float
-    z: np.ndarray
-    dy2: np.ndarray
-    cg_iterations: int
-    cg_converged: bool
+class Direction:
+    """One projected Newton direction with its companion step.
 
+    From the primal slice: dx = dX1, ds = dS1, dy = dy1, ``lam`` the
+    Newton decrement and ``cg.x`` the multipliers lambda.  From the dual
+    slice: dx = dX2, ds = dS2, dy = dy2, ``lam`` = lam~ and ``cg.x`` the
+    coefficients z.
+    """
 
-@dataclass
-class PrimalStep:
-    dx1: PartialSymMatrix
-    ds1: SparseSymMatrix
+    dx: SparseSymMatrix
+    ds: SparseSymMatrix
+    dy: np.ndarray
     lam: float
-    lambda_mult: np.ndarray
-    dy1: np.ndarray
-    cg_iterations: int
-    cg_converged: bool
-
-
-@dataclass
-class Directions:
-    dx1: PartialSymMatrix
-    dx2: PartialSymMatrix | None
-    ds1: SparseSymMatrix
-    ds2: SparseSymMatrix | None
-    z: np.ndarray | None
-    lambda_mult: np.ndarray
-    lam: float
-    lam_tilde: float | None
-    dy1: np.ndarray
-    dy2: np.ndarray | None
-    cg_primal: int = 0
-    cg_dual: int = 0
+    cg: CgResult
 
 
 def dual_direction(state, cfg):
@@ -245,11 +222,10 @@ def dual_direction(state, cfg):
     feasibility is preserved exactly.
     """
     prob = state.problem
-    rho = state.rho
-    mu = state.gap / rho
+    mu = state.gap / state.rho
     sinv = state.sinv
-    xbar_sparse = state.xbar.as_sparse()
-    rhs = prob.apply_map(sinv) - prob.apply_map(xbar_sparse) / mu
+    xbar = state.xbar
+    rhs = prob.apply_map(sinv) - prob.apply_map(xbar) / mu
 
     def op(zv):
         return prob.apply_map(hess_vec(state.s_factor, prob.adjoint_map(zv),
@@ -259,16 +235,14 @@ def dual_direction(state, cfg):
                              max_iter=cfg.cg_max_iter or prob.m)
     ntilde = prob.adjoint_map(res.x)
     curved = hess_vec(state.s_factor, ntilde, sinv=sinv)
-    lam_tilde = math.sqrt(max(_dot(curved, ntilde), 0.0))
-    ds2 = ntilde.scaled(1.0 / (1.0 + lam_tilde))
-    dy2 = -res.x / (1.0 + lam_tilde)
+    lam_tilde = math.sqrt(max(inner_product(curved, ntilde), 0.0))
     raw = SparseSymMatrix(prob.fill,
-                          mu * (sinv.diag - curved.diag) - xbar_sparse.diag,
-                          mu * (sinv.offdiag - curved.offdiag) - xbar_sparse.offdiag,
+                          mu * (sinv.diag - curved.diag) - xbar.diag,
+                          mu * (sinv.offdiag - curved.offdiag) - xbar.offdiag,
                           check=False)
-    raw = prob.project_out_constraints(raw)
-    dx2 = PartialSymMatrix(prob.fill, raw.diag, raw.offdiag, check=False)
-    return DualStep(ds2, dx2, lam_tilde, res.x, dy2, res.iterations, res.converged)
+    return Direction(dx=prob.project_out_constraints(raw),
+                     ds=ntilde.scaled(1.0 / (1.0 + lam_tilde)),
+                     dy=-res.x / (1.0 + lam_tilde), lam=lam_tilde, cg=res)
 
 
 def primal_direction(state, cfg):
@@ -285,59 +259,34 @@ def primal_direction(state, cfg):
     N is projected onto the constraint null space before scaling.
     """
     prob = state.problem
-    rho = state.rho
-    mu = state.gap / rho
-    xbar_sparse = state.xbar.as_sparse()
+    mu = state.gap / state.rho
+    xbar = state.xbar
     y_factor = state.xhat_inv_factor
     m_mat = state.s.scaled(1.0 / mu)
-    xmx = hess_vec(y_factor, m_mat, sinv=xbar_sparse)
-    rhs = prob.apply_map(xmx) - prob.apply_map(xbar_sparse)
+    xmx = hess_vec(y_factor, m_mat, sinv=xbar)
+    rhs = prob.apply_map(xmx) - prob.apply_map(xbar)
 
     def op(lv):
         return prob.apply_map(hess_vec(y_factor, prob.adjoint_map(lv),
-                                       sinv=xbar_sparse))
+                                       sinv=xbar))
 
     res = conjugate_gradient(op, rhs, rel_tol=cfg.cg_rel_tol,
                              max_iter=cfg.cg_max_iter or prob.m)
-    lam_mult = res.x
-    xlx = hess_vec(y_factor, prob.adjoint_map(lam_mult), sinv=xbar_sparse)
+    lam_a = prob.adjoint_map(res.x)
+    xlx = hess_vec(y_factor, lam_a, sinv=xbar)
     n_mat = SparseSymMatrix(prob.fill,
-                            xbar_sparse.diag - xmx.diag + xlx.diag,
-                            xbar_sparse.offdiag - xmx.offdiag + xlx.offdiag,
+                            xbar.diag - xmx.diag + xlx.diag,
+                            xbar.offdiag - xmx.offdiag + xlx.offdiag,
                             check=False)
     n_mat = prob.project_out_constraints(n_mat)
-    lam_a = prob.adjoint_map(lam_mult)
+    xhat_inv = state.xhat_inv
     g_mat = SparseSymMatrix(prob.fill,
-                            state.xhat_inv.diag - m_mat.diag + lam_a.diag,
-                            state.xhat_inv.offdiag - m_mat.offdiag + lam_a.offdiag,
+                            xhat_inv.diag - m_mat.diag + lam_a.diag,
+                            xhat_inv.offdiag - m_mat.offdiag + lam_a.offdiag,
                             check=False)
-    lam = math.sqrt(max(_dot(g_mat, n_mat), 0.0))
-    scale = 1.0 / (1.0 + lam)
-    dx1 = PartialSymMatrix(prob.fill, scale * n_mat.diag, scale * n_mat.offdiag,
-                           check=False)
-    dy1 = mu * lam_mult
-    ds1 = lam_a.scaled(-mu)
-    return PrimalStep(dx1, ds1, lam, lam_mult, dy1, res.iterations, res.converged)
-
-
-class _Trial:
-    """One evaluated step-coefficient point of the potential search."""
-
-    __slots__ = ("coeffs", "xdiag", "xoff", "y", "s", "s_factor", "gap",
-                 "logdet_x", "phi", "_xinv", "_sinv")
-
-    def __init__(self, coeffs, xdiag, xoff, y, s, s_factor, gap, logdet_x, phi):
-        self.coeffs = coeffs
-        self.xdiag = xdiag
-        self.xoff = xoff
-        self.y = y
-        self.s = s
-        self.s_factor = s_factor
-        self.gap = gap
-        self.logdet_x = logdet_x
-        self.phi = phi
-        self._xinv = None
-        self._sinv = None
+    lam = math.sqrt(max(inner_product(g_mat, n_mat), 0.0))
+    return Direction(dx=n_mat.scaled(1.0 / (1.0 + lam)), ds=lam_a.scaled(-mu),
+                     dy=mu * res.x, lam=lam, cg=res)
 
 
 @dataclass
@@ -347,23 +296,7 @@ class StepChoice:
     coeffs: np.ndarray            # (h1, h2, k1, k2)
     phi: float
     steps_per_start: list
-    trial: object | None          # None means the all-zero point won
-
-    @property
-    def h1(self):
-        return self.coeffs[0]
-
-    @property
-    def h2(self):
-        return self.coeffs[1]
-
-    @property
-    def k1(self):
-        return self.coeffs[2]
-
-    @property
-    def k2(self):
-        return self.coeffs[3]
+    trial: IterateState | None    # None means the all-zero point won
 
     @property
     def mean_steps(self):
@@ -372,73 +305,60 @@ class StepChoice:
         return sum(self.steps_per_start) / len(self.steps_per_start)
 
 
-def potential_minimize(state, dirs, cfg):
+def potential_minimize(state, primal, dual):
     """Steepest descent on the potential over the step coefficients.
 
-    Starts from each unit coefficient point (damped by halving while the
-    point is infeasible), then repeatedly moves a fixed unit-length step
-    along the negative gradient while that keeps the point feasible and
-    decreases the potential; no line search.  Returns the best terminal
-    point against the all-zero point.  In two-direction mode only
-    (h1, k1) are searched.  Raises NoDecrease when no start can be made
-    feasible.
+    The point (h1, h2, k1, k2) moves X by h1 dX1 + h2 dX2 and y by
+    k1 dy1 + k2 dy2, with (dX1, dy1) from ``primal`` and (dX2, dy2) from
+    ``dual``.  Starts from each unit coefficient point (damped by
+    halving while the point is infeasible), then repeatedly moves a
+    fixed unit-length step along the negative gradient while that keeps
+    the point feasible and decreases the potential; no line search.
+    Returns the best terminal point against the all-zero point.  With
+    ``dual`` None (two-direction mode) only (h1, k1) are searched.
+    Raises NoDecrease when no start can be made feasible.
     """
     prob = state.problem
     rho = state.rho
-    active = [0, 2] if cfg.direction_mode == "two" else [0, 1, 2, 3]
-    dxs = [dirs.dx1, dirs.dx2]
-    dys = [dirs.dy1, dirs.dy2]
+    active = [0, 2] if dual is None else [0, 1, 2, 3]
+    dirs = (primal, dual)
     phi0 = state.phi
 
     def evaluate(q):
         xdiag = state.xbar.diag.copy()
         xoff = state.xbar.offdiag.copy()
         y = state.y.copy()
-        for t, h in ((0, q[0]), (1, q[1])):
-            if h != 0.0 and dxs[t] is not None:
-                xdiag += h * dxs[t].diag
-                xoff += h * dxs[t].offdiag
-        for t, k in ((0, q[2]), (1, q[3])):
-            if k != 0.0 and dys[t] is not None:
-                y += k * dys[t]
-        s = prob.dual_slack(y)
+        for d, h, k in ((primal, q[0], q[2]), (dual, q[1], q[3])):
+            if d is None:
+                continue
+            if h != 0.0:
+                xdiag += h * d.dx.diag
+                xoff += h * d.dx.offdiag
+            if k != 0.0:
+                y += k * d.dy
+        xbar = SparseSymMatrix(prob.fill, xdiag, xoff, check=False)
         try:
-            s_factor = cholesky_factorize(s)
-        except NotPositiveDefinite:
+            trial = IterateState(prob, xbar, y, rho)
+        except (NotPositiveDefinite, NotCompletable):
             return None
-        xbar_t = PartialSymMatrix(prob.fill, xdiag, xoff, check=False)
-        try:
-            logdet_x = logdet_completion(xbar_t, prob.cliques)
-        except NotCompletable:
-            return None
-        gap = _dot(s, xbar_t)
-        if gap <= 0.0:
-            return None
-        phi = rho * math.log(gap) - logdet_x - s_factor.logdet
-        return _Trial(q.copy(), xdiag, xoff, y, s, s_factor, gap, logdet_x, phi)
+        return trial if trial.gap > 0.0 else None
 
     def gradient(trial):
-        if trial._xinv is None:
-            xbar_t = PartialSymMatrix(prob.fill, trial.xdiag, trial.xoff, check=False)
-            trial._xinv = completion_inverse(xbar_t, prob.cliques)
-            trial._sinv = sparse_inverse(trial.s_factor)
         scale = rho / trial.gap
+        sinv = sparse_inverse(trial.s_factor)
         g = np.zeros(4)
-        for t, mat in enumerate(dxs):
-            if mat is not None:
-                g[t] = scale * _arr_dot(trial.s.diag, trial.s.offdiag, mat.diag, mat.offdiag) \
-                    - _arr_dot(trial._xinv.diag, trial._xinv.offdiag, mat.diag, mat.offdiag)
-        for t, mat in enumerate((dirs.ds1, dirs.ds2)):
-            if mat is not None:
-                g[2 + t] = scale * _arr_dot(trial.xdiag, trial.xoff, mat.diag, mat.offdiag) \
-                    - _arr_dot(trial._sinv.diag, trial._sinv.offdiag, mat.diag, mat.offdiag)
+        for t, d in enumerate(dirs):
+            if d is not None:
+                g[t] = scale * inner_product(trial.s, d.dx) \
+                    - inner_product(trial.xhat_inv, d.dx)
+                g[2 + t] = scale * inner_product(trial.xbar, d.ds) \
+                    - inner_product(sinv, d.ds)
         mask = np.zeros(4)
         mask[active] = 1.0
         return g * mask
 
     terminals = []
     steps_per_start = []
-    any_feasible = False
     for start in active:
         q = np.zeros(4)
         q[start] = 1.0
@@ -451,27 +371,27 @@ def potential_minimize(state, dirs, cfg):
         if trial is None:
             steps_per_start.append(0)
             continue
-        any_feasible = True
         steps = 0
-        while steps < cfg.potential_descent_max_steps:
+        while steps < MAX_DESCENT_STEPS:
             g = gradient(trial)
             norm = float(np.linalg.norm(g))
             if norm == 0.0:
                 break
-            cand = evaluate(trial.coeffs - g / norm)
+            cand_q = q - g / norm
+            cand = evaluate(cand_q)
             if cand is None or not cand.phi < trial.phi:
                 break
-            trial = cand
+            q, trial = cand_q, cand
             steps += 1
         steps_per_start.append(steps)
-        terminals.append((trial.phi, start, trial))
-    if not any_feasible:
+        terminals.append((trial.phi, start, q, trial))
+    if not terminals:
         raise NoDecrease("no feasible starting point for the potential search")
     terminals.sort(key=lambda t: (t[0], t[1]))
-    best_phi, _, best = terminals[0]
+    best_phi, _, best_q, best = terminals[0]
     if best_phi >= phi0:
         return StepChoice(np.zeros(4), phi0, steps_per_start, None)
-    return StepChoice(best.coeffs, best_phi, steps_per_start, best)
+    return StepChoice(best_q, best_phi, steps_per_start, best)
 
 
 @dataclass
@@ -554,15 +474,14 @@ def solve(problem, x0, y0, cfg=None, observer=None):
     """Run the main loop from a strictly feasible start.
 
     Iterates until the duality gap falls below ``cfg.gap_tol``, then runs
-    ``cfg.extra_iters`` polishing iterations.  Raises InfeasibleStart for
+    EXTRA_ITERS polishing iterations.  Raises InfeasibleStart for
     a bad initial point and IterationLimit (with the partial report
     attached) when the iteration budget runs out or progress stalls.
     """
     cfg = cfg or SolverConfig()
     gamma = cfg.gamma if cfg.gamma is not None else math.sqrt(problem.n)
     rho = problem.n + gamma * math.sqrt(problem.n)
-    state = IterateState.create(problem, x0, np.asarray(y0, dtype=float), rho,
-                                validate=True)
+    state = IterateState.create(problem, x0, y0, rho, validate=True)
     report = SolverReport(n=problem.n, m=problem.m,
                           direction_mode=cfg.direction_mode, gamma=gamma,
                           gap_tol=cfg.gap_tol, initial_gap=state.gap,
@@ -578,24 +497,10 @@ def solve(problem, x0, y0, cfg=None, observer=None):
 
     converged_at = None
     for it in range(1, cfg.max_main_iters + 1):
-        prim = primal_direction(state, cfg)
+        primal = primal_direction(state, cfg)
         dual = dual_direction(state, cfg) if cfg.direction_mode == "four" else None
-        dirs = Directions(
-            dx1=prim.dx1,
-            dx2=dual.dx2 if dual else None,
-            ds1=prim.ds1,
-            ds2=dual.ds2 if dual else None,
-            z=dual.z if dual else None,
-            lambda_mult=prim.lambda_mult,
-            lam=prim.lam,
-            lam_tilde=dual.lam_tilde if dual else None,
-            dy1=prim.dy1,
-            dy2=dual.dy2 if dual else None,
-            cg_primal=prim.cg_iterations,
-            cg_dual=dual.cg_iterations if dual else 0,
-        )
         try:
-            choice = potential_minimize(state, dirs, cfg)
+            choice = potential_minimize(state, primal, dual)
         except NoDecrease:
             if converged_at is not None or state.gap <= cfg.gap_tol:
                 return finish("converged")
@@ -607,40 +512,24 @@ def solve(problem, x0, y0, cfg=None, observer=None):
             raise IterationLimit(
                 f"potential decrease below {STALL_DECREASE} at gap "
                 f"{state.gap:.3e}", finish("stalled"))
-        trial = choice.trial
-        xbar = PartialSymMatrix(problem.fill, trial.xdiag, trial.xoff, check=False)
-        xhat_inv = trial._xinv if trial._xinv is not None \
-            else completion_inverse(xbar, problem.cliques)
-        state = IterateState(problem, xbar, trial.y, trial.s, trial.s_factor,
-                             xhat_inv, trial.gap, trial.logdet_x, rho)
+        state = choice.trial
         pres, dres = state.residuals()
-        record = IterationRecord(it, state.gap, state.phi, dirs.cg_primal,
-                                 dirs.cg_dual, choice.mean_steps, pres, dres)
+        record = IterationRecord(it, state.gap, state.phi, primal.cg.iterations,
+                                 dual.cg.iterations if dual else 0,
+                                 choice.mean_steps, pres, dres)
         report.records.append(record)
         if observer is not None:
             observer(record)
         if converged_at is None and state.gap <= cfg.gap_tol:
             converged_at = it
             report.converged_iteration = it
-        if converged_at is not None and it >= converged_at + cfg.extra_iters:
+        if converged_at is not None and it >= converged_at + EXTRA_ITERS:
             return finish("converged")
     if converged_at is not None:
         return finish("converged")
     raise IterationLimit(f"gap {state.gap:.3e} above {cfg.gap_tol} after "
                          f"{cfg.max_main_iters} iterations",
                          finish("iteration_limit"))
-
-
-def _dot(a, b):
-    """Inner product for same-pattern operands (arrays aligned)."""
-    return float(a.diag @ b.diag) + 2.0 * float(a.offdiag @ b.offdiag)
-
-
-def _arr_dot(diag_a, off_a, diag_b, off_b):
-    s = float(diag_a @ diag_b)
-    if len(off_a):
-        s += 2.0 * float(off_a @ off_b)
-    return s
 
 
 def _mean(values):

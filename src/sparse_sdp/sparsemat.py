@@ -139,7 +139,8 @@ class SparseSymMatrix:
 
     ``diag`` holds the n diagonal values, ``offdiag`` one value per pattern
     edge (in the pattern's storage order).  Entries off the pattern are
-    zero by convention.
+    zero by convention, except where the completion routines read the
+    matrix as a partial matrix and leave them unspecified.
     """
 
     def __init__(self, pattern, diag, offdiag, check=True):
@@ -189,6 +190,20 @@ class SparseSymMatrix:
         if self.pattern.has_edge(i, j):
             return self.offdiag[self.pattern.edge_index(i, j)]
         return 0.0
+
+    def block(self, verts):
+        """Dense submatrix over ``verts`` (all pairs must lie on the pattern)."""
+        k = len(verts)
+        out = np.empty((k, k))
+        pat = self.pattern
+        off = self.offdiag
+        for a in range(k):
+            va = verts[a]
+            out[a, a] = self.diag[va]
+            for b in range(a + 1, k):
+                v = off[pat.edge_index(va, verts[b])]
+                out[a, b] = out[b, a] = v
+        return out
 
     def embedded(self, superpattern):
         """Copy onto a larger pattern (zeros where this matrix is absent)."""

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from sparse_sdp import (PartialSymMatrix, SparseSymMatrix, SparseSymPattern,
-                        min_degree_ordering, symbolic_factorize)
+from sparse_sdp import (SparseSymMatrix, SparseSymPattern, min_degree_ordering,
+                        symbolic_factorize)
 from sparse_sdp.chordal import maximal_cliques, rip_order
 
 
@@ -42,7 +42,7 @@ def random_completable_partial(n, density, rng):
     g = rng.standard_normal((n, n)) / np.sqrt(n)
     dense = g @ g.T + np.eye(n)
     cs = rip_order(maximal_cliques(fill), n=n)
-    return PartialSymMatrix.from_dense(fill, dense), cs, dense
+    return SparseSymMatrix.from_dense(fill, dense), cs, dense
 
 
 def clique_cover_edges(cs):

@@ -3,40 +3,50 @@ import math
 import numpy as np
 import pytest
 
-from sparse_sdp import (NotCompletable, PartialSymMatrix, SparseSymMatrix,
-                        SparseSymPattern, banded_pattern, clique_pd_check,
-                        completion_factors, completion_hess_apply,
-                        completion_inverse, completion_vectors, inner_product,
-                        logdet_completion, logdet_completion_banded,
-                        maximal_cliques, reconstruct_dense, rip_order)
+from sparse_sdp import (NotCompletable, SparseSymMatrix, SparseSymPattern,
+                        banded_pattern, cholesky_factorize, completion_factors,
+                        completion_inverse, completion_vectors, hess_vec,
+                        inner_product, logdet_completion,
+                        logdet_completion_banded, maximal_cliques,
+                        reconstruct_dense, rip_order)
 from sparse_sdp.bench import random_banded_partial
-from sparse_sdp.completion import factor_append_row, factor_drop_rows
 
 from conftest import random_completable_partial, restrict_abs_error
 
 
 def tridiagonal_example():
     pat = SparseSymPattern(3, [(0, 1), (1, 2)])
-    xbar = PartialSymMatrix(pat, [2.0, 2.0, 2.0], [1.0, 1.0])
+    xbar = SparseSymMatrix(pat, [2.0, 2.0, 2.0], [1.0, 1.0])
     cs = rip_order(maximal_cliques(pat))
     return xbar, cs
 
 
+def completion_hess_product(xbar, cs, z):
+    """Entries on F of X^ Z X^, computed as the solver does it: the
+    Hessian product on the factor of the completion inverse."""
+    return hess_vec(cholesky_factorize(completion_inverse(xbar, cs)), z,
+                    sinv=xbar)
+
+
 class TestCliquePdCheck:
+    """A partial matrix is completable iff every clique block is PD;
+    logdet_completion checks exactly that."""
+
     def test_identity_partial(self):
         xbar, cs = tridiagonal_example()
-        eye = PartialSymMatrix.identity(xbar.pattern)
-        assert clique_pd_check(eye, cs)
+        eye = SparseSymMatrix.identity(xbar.pattern)
+        assert logdet_completion(eye, cs) == pytest.approx(0.0, abs=1e-14)
 
     def test_tridiagonal_pd(self):
         xbar, cs = tridiagonal_example()
-        assert clique_pd_check(xbar, cs)
+        assert math.isfinite(logdet_completion(xbar, cs))
 
     def test_indefinite_clique_block(self):
         pat = SparseSymPattern(3, [(0, 1), (1, 2)])
-        bad = PartialSymMatrix(pat, [2.0, 2.0, 2.0], [3.0, 1.0])
+        bad = SparseSymMatrix(pat, [2.0, 2.0, 2.0], [3.0, 1.0])
         cs = rip_order(maximal_cliques(pat))
-        assert not clique_pd_check(bad, cs)
+        with pytest.raises(NotCompletable):
+            logdet_completion(bad, cs)
 
 
 class TestCompletionFactors:
@@ -48,7 +58,7 @@ class TestCompletionFactors:
 
     def test_block_diagonal_has_no_couplings(self):
         pat = SparseSymPattern(4, [(0, 1), (2, 3)])
-        xbar = PartialSymMatrix(pat, [2.0, 2.0, 3.0, 3.0], [1.0, 1.0])
+        xbar = SparseSymMatrix(pat, [2.0, 2.0, 3.0, 3.0], [1.0, 1.0])
         cs = rip_order(maximal_cliques(pat))
         factors = completion_factors(xbar, cs)
         assert all(k.size == 0 for k in factors.couplings)
@@ -57,12 +67,12 @@ class TestCompletionFactors:
 
     def test_identity_partial(self):
         xbar, cs = tridiagonal_example()
-        eye = PartialSymMatrix.identity(xbar.pattern)
+        eye = SparseSymMatrix.identity(xbar.pattern)
         assert np.allclose(reconstruct_dense(completion_factors(eye, cs)), np.eye(3))
 
     def test_not_completable(self):
         pat = SparseSymPattern(3, [(0, 1), (1, 2)])
-        bad = PartialSymMatrix(pat, [2.0, 2.0, 2.0], [3.0, 1.0])
+        bad = SparseSymMatrix(pat, [2.0, 2.0, 2.0], [3.0, 1.0])
         cs = rip_order(maximal_cliques(pat))
         with pytest.raises(NotCompletable):
             completion_factors(bad, cs)
@@ -78,12 +88,12 @@ class TestLogdetCompletion:
 
     def test_identity(self):
         xbar, cs = tridiagonal_example()
-        eye = PartialSymMatrix.identity(xbar.pattern)
+        eye = SparseSymMatrix.identity(xbar.pattern)
         assert logdet_completion(eye, cs) == pytest.approx(0.0, abs=1e-14)
 
     def test_band_one_n4_against_dense_determinant(self):
         pat = banded_pattern(4, 1)
-        xbar = PartialSymMatrix(pat, [2.0] * 4, [1.0] * 3)
+        xbar = SparseSymMatrix(pat, [2.0] * 4, [1.0] * 3)
         cs = rip_order(maximal_cliques(pat))
         xhat = reconstruct_dense(completion_factors(xbar, cs))
         expected = np.linalg.slogdet(xhat)[1]
@@ -96,7 +106,7 @@ class TestLogdetCompletion:
 class TestCompletionInverse:
     def test_identity(self):
         xbar, cs = tridiagonal_example()
-        eye = PartialSymMatrix.identity(xbar.pattern)
+        eye = SparseSymMatrix.identity(xbar.pattern)
         inv = completion_inverse(eye, cs)
         assert np.allclose(inv.to_dense(), np.eye(3))
 
@@ -109,7 +119,7 @@ class TestCompletionInverse:
 
     def test_disjoint_blocks(self):
         pat = SparseSymPattern(4, [(0, 1), (2, 3)])
-        xbar = PartialSymMatrix(pat, [2.0, 2.0, 3.0, 3.0], [1.0, 1.0])
+        xbar = SparseSymMatrix(pat, [2.0, 2.0, 3.0, 3.0], [1.0, 1.0])
         cs = rip_order(maximal_cliques(pat))
         inv = completion_inverse(xbar, cs)
         top = np.linalg.inv([[2.0, 1.0], [1.0, 2.0]])
@@ -140,9 +150,9 @@ class TestCompletionInverse:
 class TestCompletionHessApply:
     def test_identity_returns_argument(self):
         xbar, cs = tridiagonal_example()
-        eye = PartialSymMatrix.identity(xbar.pattern)
+        eye = SparseSymMatrix.identity(xbar.pattern)
         z = SparseSymMatrix(xbar.pattern, [1.0, -2.0, 0.5], [0.3, -0.7])
-        out = completion_hess_apply(eye, cs, z)
+        out = completion_hess_product(eye, cs, z)
         assert np.allclose(out.diag, z.diag)
         assert np.allclose(out.offdiag, z.offdiag)
 
@@ -150,9 +160,9 @@ class TestCompletionHessApply:
         pat = SparseSymPattern(3, [(0, 1), (1, 2)])
         cs = rip_order(maximal_cliques(pat))
         d = np.array([2.0, 3.0, 0.5])
-        xbar = PartialSymMatrix(pat, d, [0.0, 0.0])
+        xbar = SparseSymMatrix(pat, d, [0.0, 0.0])
         z = SparseSymMatrix(pat, [1.0, 1.0, 1.0], [1.0, 1.0])
-        out = completion_hess_apply(xbar, cs, z)
+        out = completion_hess_product(xbar, cs, z)
         assert out.diag == pytest.approx(d * d)
         assert out.offdiag[pat.edge_index(0, 1)] == pytest.approx(d[0] * d[1])
 
@@ -161,7 +171,7 @@ class TestCompletionHessApply:
         z = SparseSymMatrix(xbar.pattern, [1.0, 0.0, 0.0], [0.0, 0.0])
         xhat = reconstruct_dense(completion_factors(xbar, cs))
         target = xhat @ z.to_dense() @ xhat
-        out = completion_hess_apply(xbar, cs, z)
+        out = completion_hess_product(xbar, cs, z)
         assert restrict_abs_error(target, out) < 1e-10
 
     def test_random_instances_against_dense(self):
@@ -173,7 +183,7 @@ class TestCompletionHessApply:
                                 rng.standard_normal(xbar.pattern.nnz))
             xhat = reconstruct_dense(completion_factors(xbar, cs))
             target = xhat @ z.to_dense() @ xhat
-            out = completion_hess_apply(xbar, cs, z)
+            out = completion_hess_product(xbar, cs, z)
             scale = max(np.abs(target).max(), 1.0)
             assert restrict_abs_error(target, out) < 1e-9 * scale
 
@@ -187,8 +197,8 @@ class TestCompletionHessApply:
                                  rng.standard_normal(nnz))
             z2 = SparseSymMatrix(xbar.pattern, rng.standard_normal(n),
                                  rng.standard_normal(nnz))
-            h1 = completion_hess_apply(xbar, cs, z1)
-            h2 = completion_hess_apply(xbar, cs, z2)
+            h1 = completion_hess_product(xbar, cs, z1)
+            h2 = completion_hess_product(xbar, cs, z2)
             lhs = inner_product(h1, z2)
             rhs = inner_product(z1, h2)
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
@@ -197,7 +207,7 @@ class TestCompletionHessApply:
 class TestCompletionVectors:
     def test_identity(self):
         xbar, cs = tridiagonal_example()
-        eye = PartialSymMatrix.identity(xbar.pattern)
+        eye = SparseSymMatrix.identity(xbar.pattern)
         v = completion_vectors(completion_factors(eye, cs))
         assert np.allclose(v, np.eye(3))
 
@@ -210,7 +220,7 @@ class TestCompletionVectors:
     def test_single_clique_is_dense_cholesky_transpose(self):
         pat = SparseSymPattern(3, [(0, 1), (0, 2), (1, 2)])
         dense = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
-        xbar = PartialSymMatrix.from_dense(pat, dense)
+        xbar = SparseSymMatrix.from_dense(pat, dense)
         cs = rip_order(maximal_cliques(pat))
         v = completion_vectors(completion_factors(xbar, cs))
         assert np.allclose(v, np.linalg.cholesky(dense).T)
@@ -269,13 +279,13 @@ class TestBandedLogdet:
 
     def test_rejects_non_band_pattern(self):
         pat = SparseSymPattern(4, [(0, 1), (2, 3)])
-        xbar = PartialSymMatrix(pat, [2.0] * 4, [0.5, 0.5])
+        xbar = SparseSymMatrix(pat, [2.0] * 4, [0.5, 0.5])
         with pytest.raises(ValueError):
             logdet_completion_banded(xbar, 1)
 
     def test_not_completable_detected(self):
         pat = banded_pattern(4, 1)
-        xbar = PartialSymMatrix(pat, [1.0] * 4, [2.0, 0.1, 0.1])
+        xbar = SparseSymMatrix(pat, [1.0] * 4, [2.0, 0.1, 0.1])
         with pytest.raises(NotCompletable):
             logdet_completion_banded(xbar, 1)
 
@@ -289,39 +299,3 @@ class TestBandedLogdet:
             assert logdet_completion_banded(xbar, p) == \
                 pytest.approx(logdet_completion(xbar, cs), abs=1e-9)
 
-
-class TestFactorUpdates:
-    def test_drop_rows_matches_fresh_factor(self):
-        rng = np.random.default_rng(26)
-        for _ in range(20):
-            k = int(rng.integers(2, 9))
-            g = rng.standard_normal((k, k)) * 0.5
-            dense = g @ g.T + k * np.eye(k)
-            rows = [list(r[: i + 1]) for i, r in
-                    enumerate(np.linalg.cholesky(dense))]
-            ndrop = int(rng.integers(1, k))
-            drop = sorted(rng.choice(k, size=ndrop, replace=False).tolist())
-            keep = [i for i in range(k) if i not in set(drop)]
-            updated = factor_drop_rows(rows, drop)
-            target = np.linalg.cholesky(dense[np.ix_(keep, keep)])
-            got = np.zeros_like(target)
-            for i, r in enumerate(updated):
-                got[i, : len(r)] = r
-            assert np.abs(got - target).max() < 1e-10
-
-    def test_append_row_matches_fresh_factor(self):
-        rng = np.random.default_rng(27)
-        k = 5
-        g = rng.standard_normal((k + 1, k + 1)) * 0.4
-        dense = g @ g.T + (k + 1) * np.eye(k + 1)
-        rows = [list(r[: i + 1]) for i, r in
-                enumerate(np.linalg.cholesky(dense[:k, :k]))]
-        factor_append_row(rows, dense[k, :k].tolist(), float(dense[k, k]))
-        target = np.linalg.cholesky(dense)
-        for i, r in enumerate(rows):
-            assert np.abs(np.array(r) - target[i, : len(r)]).max() < 1e-10
-
-    def test_append_rejects_indefinite_extension(self):
-        rows = [[1.0]]
-        with pytest.raises(NotCompletable):
-            factor_append_row(rows, [5.0], 1.0)

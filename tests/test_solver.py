@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from sparse_sdp import (CgStall, Directions, InfeasibleStart, IterateState,
-                        IterationLimit, PartialSymMatrix, SolverConfig,
-                        SparseSymMatrix, SparseSymPattern, apply_map_A,
-                        conjugate_gradient, dual_direction, inner_product,
-                        potential, potential_minimize, primal_direction, solve)
+from sparse_sdp import (CgResult, Direction, InfeasibleStart, IterateState,
+                        IterationLimit, SolverConfig, SparseSymMatrix,
+                        SparseSymPattern, conjugate_gradient, dual_direction,
+                        inner_product, potential_minimize, primal_direction,
+                        solve)
 from sparse_sdp.maxcut import Graph, initial_point, maxcut_sdp, random_graph
+from sparse_sdp.solver import EXTRA_ITERS
 
 from conftest import dense_reference_directions, problem_dense_data
 
@@ -21,12 +22,7 @@ def make_state(problem, gamma=None):
 
 
 def build_directions(state, cfg):
-    prim = primal_direction(state, cfg)
-    dual = dual_direction(state, cfg)
-    return Directions(dx1=prim.dx1, dx2=dual.dx2, ds1=prim.ds1, ds2=dual.ds2,
-                      z=dual.z, lambda_mult=prim.lambda_mult, lam=prim.lam,
-                      lam_tilde=dual.lam_tilde, dy1=prim.dy1, dy2=dual.dy2,
-                      cg_primal=prim.cg_iterations, cg_dual=dual.cg_iterations)
+    return primal_direction(state, cfg), dual_direction(state, cfg)
 
 
 class TestProblemInvariants:
@@ -44,12 +40,12 @@ class TestApplyMap:
     def test_zero_matrix(self):
         problem = maxcut_sdp(random_graph(5, 6, seed=0))
         w = SparseSymMatrix.zeros(problem.fill)
-        assert np.allclose(apply_map_A(problem, w), 0.0)
+        assert np.allclose(problem.apply_map(w), 0.0)
 
     def test_identity_on_unit_diagonal_constraints(self):
         problem = maxcut_sdp(random_graph(5, 6, seed=0))
         w = SparseSymMatrix.identity(problem.fill)
-        assert np.allclose(apply_map_A(problem, w), 1.0)
+        assert np.allclose(problem.apply_map(w), 1.0)
 
     def test_random_problem_against_dense(self):
         rng = np.random.default_rng(40)
@@ -59,7 +55,7 @@ class TestApplyMap:
                             rng.standard_normal(problem.fill.nnz))
         wd = w.to_dense()
         expected = [float(np.sum(a * wd)) for a in a_dense]
-        assert np.allclose(apply_map_A(problem, w), expected, atol=1e-12)
+        assert np.allclose(problem.apply_map(w), expected, atol=1e-12)
 
     def test_adjoint_consistency(self):
         rng = np.random.default_rng(41)
@@ -67,7 +63,7 @@ class TestApplyMap:
         z = rng.standard_normal(problem.m)
         w = SparseSymMatrix(problem.fill, rng.standard_normal(problem.n),
                             rng.standard_normal(problem.fill.nnz))
-        lhs = float(z @ apply_map_A(problem, w))
+        lhs = float(z @ problem.apply_map(w))
         rhs = inner_product(problem.adjoint_map(z), w)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -76,17 +72,17 @@ class TestPotential:
     def test_identity_pair(self):
         # X = S = I at n = 4, gamma = 1: rho = 6, gap = 4, log-dets vanish
         problem = maxcut_sdp(Graph(4, []))
-        x0 = PartialSymMatrix.identity(problem.fill)
+        x0 = SparseSymMatrix.identity(problem.fill)
         rho = 4 + 1.0 * 2.0
         state = IterateState.create(problem, x0, -np.ones(4), rho)
         assert np.allclose(state.s.diag, 1.0)
-        assert potential(state) == pytest.approx(6.0 * math.log(4.0), abs=1e-12)
+        assert state.phi == pytest.approx(6.0 * math.log(4.0), abs=1e-12)
 
     def test_single_vertex(self):
         problem = maxcut_sdp(Graph(1, []))
-        x0 = PartialSymMatrix.identity(problem.fill)
+        x0 = SparseSymMatrix.identity(problem.fill)
         state = IterateState.create(problem, x0, np.array([-1.0]), rho=2.0)
-        assert potential(state) == pytest.approx(0.0, abs=1e-12)
+        assert state.phi == pytest.approx(0.0, abs=1e-12)
 
     def test_tridiagonal_worked_value(self):
         # X tridiagonal (diag 2, offdiag 1) against S = I at gamma = 1:
@@ -101,12 +97,12 @@ class TestPotential:
             constraints.append(SparseSymMatrix(SparseSymPattern(3), d, np.zeros(0)))
         problem = SdpProblem(c, constraints, np.ones(3),
                              ordering=EliminationOrdering.identity(3))
-        xbar = PartialSymMatrix(problem.fill, [2.0, 2.0, 2.0], [1.0, 1.0])
+        xbar = SparseSymMatrix(problem.fill, [2.0, 2.0, 2.0], [1.0, 1.0])
         state = IterateState.create(problem, xbar, -np.ones(3),
                                     rho=3.0 + math.sqrt(3.0))
         expected = (3 + math.sqrt(3)) * math.log(6.0) \
             - (2 * math.log(3.0) - math.log(2.0))
-        assert potential(state) == pytest.approx(expected, abs=1e-12)
+        assert state.phi == pytest.approx(expected, abs=1e-12)
 
 
 class TestConjugateGradient:
@@ -135,16 +131,13 @@ class TestConjugateGradient:
         res = conjugate_gradient(lambda v: v, np.zeros(4))
         assert res.converged and res.iterations == 0
 
-    def test_stall_flag_and_strict_raise(self):
+    def test_stall_flag(self):
         rng = np.random.default_rng(43)
         g = rng.standard_normal((12, 12))
         h = g @ g.T + 1e-6 * np.eye(12)
         rhs = rng.standard_normal(12)
         res = conjugate_gradient(lambda v: h @ v, rhs, rel_tol=1e-14, max_iter=2)
         assert not res.converged
-        with pytest.raises(CgStall):
-            conjugate_gradient(lambda v: h @ v, rhs, rel_tol=1e-14, max_iter=2,
-                               strict=True)
 
 
 class TestDirectionsAgainstDenseReference:
@@ -157,7 +150,7 @@ class TestDirectionsAgainstDenseReference:
         problem = maxcut_sdp(graph)
         state = make_state(problem)
         cfg = SolverConfig(cg_rel_tol=1e-12, cg_max_iter=40 * problem.m)
-        dirs = build_directions(state, cfg)
+        prim, dual = build_directions(state, cfg)
 
         c_dense, a_dense, b = problem_dense_data(problem)
         # first iterate: the completion of the identity partial is exact
@@ -173,14 +166,14 @@ class TestDirectionsAgainstDenseReference:
                 err = max(err, abs(dense[i, j] - sparse_mat.offdiag[k]))
             return err / scale
 
-        assert rel(ref["dx1"], dirs.dx1.as_sparse()) < 1e-6
-        assert rel(ref["dx2"], dirs.dx2.as_sparse()) < 1e-6
-        assert rel(ref["ds1"], dirs.ds1) < 1e-6
-        assert rel(ref["ds2"], dirs.ds2) < 1e-6
-        assert dirs.lam == pytest.approx(ref["lam"], rel=1e-6)
-        assert dirs.lam_tilde == pytest.approx(ref["lam_tilde"], rel=1e-8)
-        assert np.allclose(dirs.lambda_mult, ref["lambda_mult"], rtol=1e-6)
-        assert np.allclose(dirs.z, ref["z"], rtol=1e-6, atol=1e-9)
+        assert rel(ref["dx1"], prim.dx) < 1e-6
+        assert rel(ref["dx2"], dual.dx) < 1e-6
+        assert rel(ref["ds1"], prim.ds) < 1e-6
+        assert rel(ref["ds2"], dual.ds) < 1e-6
+        assert prim.lam == pytest.approx(ref["lam"], rel=1e-6)
+        assert dual.lam == pytest.approx(ref["lam_tilde"], rel=1e-8)
+        assert np.allclose(prim.cg.x, ref["lambda_mult"], rtol=1e-6)
+        assert np.allclose(dual.cg.x, ref["z"], rtol=1e-6, atol=1e-9)
 
     def test_second_iterate_equivalence(self):
         # after one step the completion is no longer the identity; feed the
@@ -191,24 +184,21 @@ class TestDirectionsAgainstDenseReference:
         x0, y0 = initial_point(problem)
         rho = problem.n + math.sqrt(problem.n) * math.sqrt(problem.n)
         state = IterateState.create(problem, x0, y0, rho, validate=True)
-        dirs = build_directions(state, cfg)
-        choice = potential_minimize(state, dirs, cfg)
-        trial = choice.trial
-        xbar = PartialSymMatrix(problem.fill, trial.xdiag, trial.xoff)
-        state2 = IterateState.create(problem, xbar, trial.y, rho)
-        dirs2 = build_directions(state2, cfg)
+        choice = potential_minimize(state, *build_directions(state, cfg))
+        state2 = choice.trial
+        prim2, dual2 = build_directions(state2, cfg)
 
-        xhat = reconstruct_dense(completion_factors(xbar, problem.cliques))
+        xhat = reconstruct_dense(completion_factors(state2.xbar, problem.cliques))
         c_dense, a_dense, b = problem_dense_data(problem)
         ref = dense_reference_directions(c_dense, a_dense, b, xhat,
                                          state2.s.to_dense(), rho)
         scale = max(np.abs(ref["dx1"]).max(), 1.0)
-        err = np.abs(np.diagonal(ref["dx1"]) - dirs2.dx1.diag).max()
+        err = np.abs(np.diagonal(ref["dx1"]) - prim2.dx.diag).max()
         for i, j, k in problem.fill.edges():
-            err = max(err, abs(ref["dx1"][i, j] - dirs2.dx1.offdiag[k]))
+            err = max(err, abs(ref["dx1"][i, j] - prim2.dx.offdiag[k]))
         assert err / scale < 1e-6
-        assert dirs2.lam == pytest.approx(ref["lam"], rel=1e-6)
-        assert dirs2.lam_tilde == pytest.approx(ref["lam_tilde"], rel=1e-6)
+        assert prim2.lam == pytest.approx(ref["lam"], rel=1e-6)
+        assert dual2.lam == pytest.approx(ref["lam_tilde"], rel=1e-6)
 
     def test_equivalence_along_a_whole_run(self):
         # follow three accepted steps of a random instance; at every state
@@ -221,88 +211,76 @@ class TestDirectionsAgainstDenseReference:
         state = IterateState.create(problem, x0, y0, rho, validate=True)
         c_dense, a_dense, b = problem_dense_data(problem)
         for _ in range(3):
-            dirs = build_directions(state, cfg)
+            prim, dual = build_directions(state, cfg)
             xhat = reconstruct_dense(completion_factors(state.xbar,
                                                         problem.cliques))
             ref = dense_reference_directions(c_dense, a_dense, b, xhat,
                                              state.s.to_dense(), rho)
-            for dense, mat in ((ref["dx1"], dirs.dx1.as_sparse()),
-                               (ref["dx2"], dirs.dx2.as_sparse()),
-                               (ref["ds1"], dirs.ds1),
-                               (ref["ds2"], dirs.ds2)):
+            for dense, mat in ((ref["dx1"], prim.dx),
+                               (ref["dx2"], dual.dx),
+                               (ref["ds1"], prim.ds),
+                               (ref["ds2"], dual.ds)):
                 scale = max(np.abs(dense).max(), 1e-12)
                 err = np.abs(np.diagonal(dense) - mat.diag).max()
                 for i, j, k in problem.fill.edges():
                     err = max(err, abs(dense[i, j] - mat.offdiag[k]))
                 assert err / scale < 1e-6
-            choice = potential_minimize(state, dirs, cfg)
+            choice = potential_minimize(state, prim, dual)
             assert choice.trial is not None
-            trial = choice.trial
-            xbar = PartialSymMatrix(problem.fill, trial.xdiag, trial.xoff)
-            state = IterateState.create(problem, xbar, trial.y, rho)
+            state = choice.trial
 
     def test_direction_subspace_invariants(self):
         problem = maxcut_sdp(random_graph(8, 14, seed=12))
         state = make_state(problem)
-        dirs = build_directions(state, SolverConfig())
-        assert np.abs(apply_map_A(problem, dirs.dx1.as_sparse())).max() < 1e-7
-        assert np.abs(apply_map_A(problem, dirs.dx2.as_sparse())).max() < 1e-7
+        prim, dual = build_directions(state, SolverConfig())
+        assert np.abs(problem.apply_map(prim.dx)).max() < 1e-7
+        assert np.abs(problem.apply_map(dual.dx)).max() < 1e-7
         # dS1 and dS2 are adjoint images by construction; check dS1 matches
         # its defining formula mu * (Xinv - G) - S via the multiplier form
         mu = state.gap / state.rho
-        recon = problem.adjoint_map(-mu * dirs.lambda_mult)
-        assert np.abs(recon.diag - dirs.ds1.diag).max() < 1e-12
-        assert np.abs(recon.offdiag - dirs.ds1.offdiag).max() < 1e-12
-        assert dirs.lam >= 0.0 and dirs.lam_tilde >= 0.0
+        recon = problem.adjoint_map(-mu * prim.cg.x)
+        assert np.abs(recon.diag - prim.ds.diag).max() < 1e-12
+        assert np.abs(recon.offdiag - prim.ds.offdiag).max() < 1e-12
+        assert prim.lam >= 0.0 and dual.lam >= 0.0
 
     def test_newton_step_vanishes_at_dual_center(self):
         # with X = I and S = I the dual gradient rho/gap*X - S^-1 vanishes
         # when rho/gap = 1, i.e. at the scaled analytic center
         problem = maxcut_sdp(Graph(3, []))
-        x0 = PartialSymMatrix.identity(problem.fill)
+        x0 = SparseSymMatrix.identity(problem.fill)
         state = IterateState.create(problem, x0, -np.ones(3), rho=3.0)
         dual = dual_direction(state, SolverConfig())
-        assert np.abs(dual.z).max() < 1e-12
-        assert np.abs(dual.ds2.diag).max() < 1e-12
+        assert np.abs(dual.cg.x).max() < 1e-12
+        assert np.abs(dual.ds.diag).max() < 1e-12
 
     def test_primal_newton_vanishes_at_center(self):
         problem = maxcut_sdp(Graph(3, []))
-        x0 = PartialSymMatrix.identity(problem.fill)
+        x0 = SparseSymMatrix.identity(problem.fill)
         state = IterateState.create(problem, x0, -np.ones(3), rho=3.0)
         prim = primal_direction(state, SolverConfig())
-        assert np.abs(prim.dx1.diag).max() < 1e-10
-        assert np.abs(prim.dx1.offdiag).max() if len(prim.dx1.offdiag) else 0.0 < 1e-10
+        assert np.abs(prim.dx.diag).max() < 1e-10
+        assert (np.abs(prim.dx.offdiag).max() if len(prim.dx.offdiag) else 0.0) < 1e-10
 
 
 class TestPotentialMinimize:
     def test_zero_directions_return_zero_point(self):
         problem = maxcut_sdp(random_graph(5, 6, seed=13))
         state = make_state(problem)
-        zero_x = PartialSymMatrix(problem.fill, np.zeros(problem.n),
-                                  np.zeros(problem.fill.nnz))
-        zero_s = SparseSymMatrix.zeros(problem.fill)
-        dirs = Directions(dx1=zero_x, dx2=zero_x, ds1=zero_s, ds2=zero_s,
-                          z=np.zeros(problem.m), lambda_mult=np.zeros(problem.m),
-                          lam=0.0, lam_tilde=0.0, dy1=np.zeros(problem.m),
-                          dy2=np.zeros(problem.m))
-        choice = potential_minimize(state, dirs, SolverConfig())
+        zero = SparseSymMatrix.zeros(problem.fill)
+        still = Direction(dx=zero, ds=zero, dy=np.zeros(problem.m), lam=0.0,
+                          cg=CgResult(np.zeros(problem.m), 0, True, 0.0))
+        choice = potential_minimize(state, still, still)
         assert np.allclose(choice.coeffs, 0.0)
         assert choice.phi == pytest.approx(state.phi)
 
     def test_infeasible_start_is_damped(self):
         problem = maxcut_sdp(random_graph(5, 6, seed=14))
         state = make_state(problem)
-        # a dual step far past the cone boundary: -10 * S forces damping
-        huge = state.s.scaled(-10.0)
-        dy = -10.0 * np.ones(problem.m) * 0.0  # keep y fixed except via dy1
-        prim = primal_direction(state, SolverConfig())
-        dual = dual_direction(state, SolverConfig())
-        big_dy1 = prim.dy1 * 200.0
-        dirs = Directions(dx1=prim.dx1, dx2=dual.dx2, ds1=prim.ds1.scaled(200.0),
-                          ds2=dual.ds2, z=dual.z, lambda_mult=prim.lambda_mult,
-                          lam=prim.lam, lam_tilde=dual.lam_tilde,
-                          dy1=big_dy1, dy2=dual.dy2)
-        choice = potential_minimize(state, dirs, SolverConfig())
+        # a dual step far past the cone boundary: 200 * dy1 forces damping
+        prim, dual = build_directions(state, SolverConfig())
+        big = Direction(dx=prim.dx, ds=prim.ds.scaled(200.0),
+                        dy=prim.dy * 200.0, lam=prim.lam, cg=prim.cg)
+        choice = potential_minimize(state, big, dual)
         # the k1 start must have been halved into feasibility (0 < k1 < 1)
         # or rejected in favor of another start; either way phi decreases
         assert choice.phi < state.phi
@@ -311,25 +289,25 @@ class TestPotentialMinimize:
         problem = maxcut_sdp(random_graph(7, 11, seed=15))
         state = make_state(problem)
         cfg = SolverConfig()
-        dirs = build_directions(state, cfg)
-        choice = potential_minimize(state, dirs, cfg)
+        prim, dual = build_directions(state, cfg)
+        choice = potential_minimize(state, prim, dual)
         # evaluate phi at each raw unit start for comparison
         for start in range(4):
             q = np.zeros(4)
             q[start] = 1.0
-            mats = [dirs.dx1, dirs.dx2]
+            mats = [prim.dx, dual.dx]
             xdiag = state.xbar.diag + sum(q[t] * m.diag for t, m in enumerate(mats))
             xoff = state.xbar.offdiag + sum(q[t] * m.offdiag for t, m in enumerate(mats))
-            y = state.y + q[2] * dirs.dy1 + q[3] * dirs.dy2
+            y = state.y + q[2] * prim.dy + q[3] * dual.dy
             from sparse_sdp import cholesky_factorize, logdet_completion
             s = problem.dual_slack(y)
             try:
                 fac = cholesky_factorize(s)
-                xb = PartialSymMatrix(problem.fill, xdiag, xoff)
+                xb = SparseSymMatrix(problem.fill, xdiag, xoff)
                 ld = logdet_completion(xb, problem.cliques)
             except Exception:
                 continue
-            gap = inner_product(s, xb.as_sparse())
+            gap = inner_product(s, xb)
             if gap <= 0:
                 continue
             phi_start = state.rho * math.log(gap) - ld - fac.logdet
@@ -340,10 +318,7 @@ class TestPotentialMinimize:
         state = make_state(problem)
         cfg = SolverConfig(direction_mode="two")
         prim = primal_direction(state, cfg)
-        dirs = Directions(dx1=prim.dx1, dx2=None, ds1=prim.ds1, ds2=None,
-                          z=None, lambda_mult=prim.lambda_mult, lam=prim.lam,
-                          lam_tilde=None, dy1=prim.dy1, dy2=None)
-        choice = potential_minimize(state, dirs, cfg)
+        choice = potential_minimize(state, prim, None)
         assert choice.coeffs[1] == 0.0 and choice.coeffs[3] == 0.0
         assert choice.phi < state.phi
 
@@ -377,10 +352,10 @@ class TestSolve:
     def test_extra_iterations_after_convergence(self):
         problem = maxcut_sdp(random_graph(5, 7, seed=18))
         x0, y0 = initial_point(problem)
-        report = solve(problem, x0, y0, SolverConfig(extra_iters=3))
+        report = solve(problem, x0, y0, SolverConfig())
         assert report.converged_iteration is not None
         assert report.iterations >= report.converged_iteration + 1
-        assert report.iterations <= report.converged_iteration + 3
+        assert report.iterations <= report.converged_iteration + EXTRA_ITERS
 
     def test_infeasible_start_rejected(self):
         problem = maxcut_sdp(random_graph(4, 4, seed=19))

@@ -148,40 +148,39 @@ def random_banded_partial(n, bandwidth, seed):
     return SparseSymMatrix(pat, diag, off)
 
 
-def time_banded_sweep(cases, reps, blocks=5, min_block_seconds=0.01):
+def time_banded_sweep(cases, reps, blocks=20, min_block_seconds=0.0025):
     """Interleaved block timing for a family of (n, bandwidth, seed) cases.
 
     Each timing block averages enough calls to fill ``min_block_seconds``
     (at least reps/blocks of them); the blocks of all cases interleave so
-    machine-speed drift hits every case alike.  Returns one list of block
-    averages per case; the per-case minimum is the cleanest estimate.
+    machine-speed drift hits every case alike.  Times are process CPU
+    seconds, so other processes competing for the CPU do not inflate
+    them.  Returns one list of block averages per case; the per-case
+    minimum is the cleanest estimate.  Many short blocks make it likely
+    that every case is timed at least once while a shared host runs at
+    full speed.
     """
+    clock = time.process_time
     prepared = []
     counts = []
     reps = int(reps)
     blocks = max(1, min(int(blocks), reps))
     for n, bandwidth, seed in cases:
         xbar = random_banded_partial(n, bandwidth, seed)
-        t0 = time.perf_counter()
+        t0 = clock()
         logdet_completion_banded(xbar, bandwidth)  # warm path once
-        probe = max(time.perf_counter() - t0, 1e-9)
+        probe = max(clock() - t0, 1e-9)
         prepared.append((xbar, bandwidth))
         counts.append(max(max(1, reps // blocks),
                           math.ceil(min_block_seconds / probe)))
     samples = [[] for _ in prepared]
     for _ in range(blocks):
         for idx, (xbar, bandwidth) in enumerate(prepared):
-            t0 = time.perf_counter()
+            t0 = clock()
             for _ in range(counts[idx]):
                 logdet_completion_banded(xbar, bandwidth)
-            samples[idx].append((time.perf_counter() - t0) / counts[idx])
+            samples[idx].append((clock() - t0) / counts[idx])
     return samples
-
-
-def time_banded_logdet(n, bandwidth, reps, seed, blocks=3, min_block_seconds=0.02):
-    """Block-average call times for one banded instance."""
-    return time_banded_sweep([(n, bandwidth, seed)], reps, blocks=blocks,
-                             min_block_seconds=min_block_seconds)[0]
 
 
 def _stats(times):

@@ -7,7 +7,8 @@ definite completions the determinant-maximizing one is singled out by
 having an inverse supported exactly on the pattern; everything here
 (log-determinant, inverse, factor form) works clique by clique against
 that completion without ever forming it densely.  Its Hessian products
-are ``logdet.hess_vec`` on the factor of ``completion_inverse``.
+are ``logdet.hess_vec`` on the factor of ``completion_inverse``, with the
+partial matrix itself as the selected inverse.
 """
 
 from __future__ import annotations
@@ -27,15 +28,13 @@ class CompletionFactors:
     """Clique-wise factor form of the max-determinant completion.
 
     For each non-final clique, ``couplings[r]`` is the |U_r| x |S_r| block
-    inv(X_{U_r,U_r}) @ X_{U_r,S_r}; ``blocks[r]`` is the dense residual
-    (Schur-complement) block on S_r.  ``logdet`` is ln det of the
-    completion.
+    inv(X_{U_r,U_r}) @ X_{U_r,S_r}; ``chol_blocks[r]`` is the lower
+    Cholesky factor of the residual (Schur-complement) block on S_r.
     """
 
     cliques: CliqueSequence
     couplings: list
-    blocks: list
-    logdet: float
+    chol_blocks: list
 
     @property
     def n(self):
@@ -49,33 +48,31 @@ def completion_factors(xbar, cs):
     positive definite.
     """
     couplings = []
-    blocks = []
-    logdet = 0.0
-    l = len(cs)
-    for r in range(l):
-        s_r = cs.residuals[r]
-        u_r = cs.separators[r]
-        ss = xbar.block(s_r)
-        if len(u_r) == 0:
-            coup = np.zeros((0, len(s_r)))
+    chol_blocks = []
+    for r in range(len(cs)):
+        c_r = cs.cliques[r]
+        blk = xbar.block(c_r)
+        in_u = np.isin(c_r, cs.separators[r])
+        u_pos = np.flatnonzero(in_u)          # U_r and S_r are sorted, like C_r
+        s_pos = np.flatnonzero(~in_u)
+        ss = blk[np.ix_(s_pos, s_pos)]
+        if len(u_pos) == 0:
+            coup = np.zeros((0, len(s_pos)))
             d_block = ss
         else:
-            uu = xbar.block(u_r)
-            us = _cross_block(xbar, u_r, s_r)
+            us = blk[np.ix_(u_pos, s_pos)]
             try:
-                cu = np.linalg.cholesky(uu)
+                cu = np.linalg.cholesky(blk[np.ix_(u_pos, u_pos)])
             except np.linalg.LinAlgError as exc:
                 raise NotCompletable(f"clique {r}: separator block not PD") from exc
             coup = np.linalg.solve(cu.T, np.linalg.solve(cu, us))
             d_block = ss - us.T @ coup
         try:
-            cd = np.linalg.cholesky(d_block)
+            chol_blocks.append(np.linalg.cholesky(d_block))
         except np.linalg.LinAlgError as exc:
             raise NotCompletable(f"clique {r}: residual block not PD") from exc
         couplings.append(coup)
-        blocks.append(d_block)
-        logdet += 2.0 * float(np.sum(np.log(np.diagonal(cd))))
-    return CompletionFactors(cs, couplings, blocks, logdet)
+    return CompletionFactors(cs, couplings, chol_blocks)
 
 
 def logdet_completion(xbar, cs):
@@ -131,7 +128,7 @@ def completion_vectors(factors):
             v[u, :] += coup @ v[s, :]
     for r in range(len(cs)):
         s = cs.residuals[r]
-        v[s, :] = np.linalg.cholesky(factors.blocks[r]).T @ v[s, :]
+        v[s, :] = factors.chol_blocks[r].T @ v[s, :]
     return v
 
 
@@ -147,7 +144,7 @@ def banded_pattern(n, bandwidth):
     return SparseSymPattern(n, edges)
 
 
-def logdet_completion_banded(xbar, bandwidth=None):
+def logdet_completion_banded(xbar, bandwidth):
     """ln det of the completion of a partial matrix on a full band.
 
     Walks the clique chain {r..r+p} reusing each clique's Cholesky
@@ -158,7 +155,7 @@ def logdet_completion_banded(xbar, bandwidth=None):
     factorizations.
     """
     n = xbar.n
-    p = _bandwidth_of(xbar.pattern) if bandwidth is None else int(bandwidth)
+    p = int(bandwidth)
     _require_full_band(xbar.pattern, p)
     if p >= n - 1:  # single clique: one dense factorization
         rows = _dense_chol_rows(xbar.block(np.arange(n)))
@@ -223,16 +220,6 @@ def logdet_completion_banded(xbar, bandwidth=None):
 
 # -- helpers ----------------------------------------------------------------
 
-def _cross_block(xbar, rows, cols):
-    pat = xbar.pattern
-    off = xbar.offdiag
-    out = np.empty((len(rows), len(cols)))
-    for a, va in enumerate(rows):
-        for b, vb in enumerate(cols):
-            out[a, b] = off[pat.edge_index(va, vb)]
-    return out
-
-
 def _pd_inverse(block, what):
     try:
         c = np.linalg.cholesky(block)
@@ -292,14 +279,3 @@ def _require_full_band(pattern, p):
         expected = np.repeat(np.arange(n), counts) + within + 1
         if not np.array_equal(pattern.rows, expected):
             raise ValueError("pattern is not the full band of the stated bandwidth")
-
-
-def _bandwidth_of(pattern):
-    if pattern.nnz == 0:
-        return 0
-    width = 0
-    for j in range(pattern.n):
-        rows = pattern.column_rows(j)
-        if rows:
-            width = max(width, rows[-1] - j)
-    return width

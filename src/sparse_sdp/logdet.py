@@ -4,8 +4,9 @@
 pattern (the gradient of ln det S there) at factorization cost, via the
 selected-inverse recurrences that run backward over the factor columns.
 ``hess_vec`` pushes a direction Z through the tangent of that same
-computation, yielding the entries on the pattern of S^-1 Z S^-1 -- the
-log-det Hessian applied to Z, up to sign -- with the same time and space
+computation, starting from the selected inverse its caller already
+holds, yielding the entries on the pattern of S^-1 Z S^-1 -- the log-det
+Hessian applied to Z, up to sign -- with the same time and space
 footprint.  No dense intermediate is ever formed.
 """
 
@@ -64,21 +65,23 @@ def sparse_inverse(factor):
     return SparseSymMatrix(pat, wdiag, woff, check=False)
 
 
-def hess_vec(factor, z, sinv=None):
-    """Entries on the fill pattern of S^-1 Z S^-1 for pattern-supported Z.
+def hess_vec(factor, z, sinv):
+    """Entries on the fill pattern of S^-1 Z S^-1 for Z on that pattern.
 
-    Differentiates the factorization and the selected-inverse recurrences
-    along the direction Z; intermediates are overwritten in place, so the
-    auxiliary storage stays proportional to the factor's.  ``sinv`` may
-    pass a precomputed ``sparse_inverse(factor)`` to share work across
-    repeated calls.
+    ``sinv`` is the selected inverse the product differentiates: the
+    entries on the pattern of the inverse of the factored matrix, e.g.
+    ``sparse_inverse(factor)``.  For the factor of the completion inverse
+    X^-1 that is the partial matrix X itself.  Differentiates the
+    factorization and the selected-inverse recurrences along Z; the
+    intermediates are overwritten in place, so the auxiliary storage
+    stays proportional to the factor's.  Raises ValueError when Z or
+    ``sinv`` lies on another pattern than the factor.
     """
     pat = factor.pattern
     n = pat.n
-    if z.pattern is not pat and not z.pattern.is_subset_of(pat):
-        raise ValueError("Z must be supported on the factor's pattern")
-    if z.pattern is not pat and z.pattern != pat:
-        z = z.embedded(pat)
+    for arg, what in ((z, "Z"), (sinv, "sinv")):
+        if arg.pattern is not pat and arg.pattern != pat:
+            raise ValueError(f"{what} must lie on the factor's pattern")
     cols = pat._cols
     row_cols = pat.row_columns()
     eindex = pat._index
@@ -124,22 +127,15 @@ def hess_vec(factor, z, sinv=None):
         for k in range(start[j], start[j + 1]):
             ltd[k] = (ldo[k] - lt[k] * ldd[j]) / root
 
-    # Base and tangent selected-inverse sweeps, interleaved per column.
-    if sinv is not None:
-        wdiag = sinv.diag.tolist()
-        woff = sinv.offdiag.tolist()
-        have_base = True
-    else:
-        wdiag = [0.0] * n
-        woff = [0.0] * pat.nnz
-        have_base = False
+    # Tangent of the selected-inverse sweep, against the given base sinv.
+    wdiag = sinv.diag.tolist()
+    woff = sinv.offdiag.tolist()
     vdiag = [0.0] * n
     voff = [0.0] * pat.nnz
     for j in range(n - 1, -1, -1):
         rows_j = cols[j]
         base = start[j]
         for t, i in enumerate(rows_j):
-            s = 0.0
             sv = 0.0
             for u, k in enumerate(rows_j):
                 if k == i:
@@ -153,18 +149,11 @@ def hess_vec(factor, z, sinv=None):
                     e = eindex[(i, k)]
                     wk = woff[e]
                     vk = voff[e]
-                s -= lt[base + u] * wk
                 sv -= ltd[base + u] * wk + lt[base + u] * vk
-            if not have_base:
-                woff[base + t] = s
             voff[base + t] = sv
-        s = 1.0 / d[j]
         sv = -dd[j] / (d[j] * d[j])
         for u in range(len(rows_j)):
-            s -= lt[base + u] * woff[base + u]
             sv -= ltd[base + u] * woff[base + u] + lt[base + u] * voff[base + u]
-        if not have_base:
-            wdiag[j] = s
         vdiag[j] = sv
 
     # W(t) = entries of (S + tZ)^-1, so the Hessian product is -W'.

@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .chordal import maximal_cliques, rip_order
-from .sparsemat import (SparseSymMatrix, inner_product, min_degree_ordering,
-                        symbolic_factorize)
+from .sparsemat import (SparseSymMatrix, SparseSymPattern, inner_product,
+                        min_degree_ordering, symbolic_factorize)
 
 
 class SdpProblem:
@@ -29,9 +29,8 @@ class SdpProblem:
             if a.n != n:
                 raise ValueError("constraint dimension mismatch")
 
-        agg = c.pattern
-        for a in constraints:
-            agg = agg.union(a.pattern)
+        agg = SparseSymPattern(n, [(i, j) for mat in (c, *constraints)
+                                   for i, j, _ in mat.pattern.edges()])
         if ordering is None:
             ordering = min_degree_ordering(agg)
         fill = symbolic_factorize(agg, ordering)
@@ -50,11 +49,10 @@ class SdpProblem:
         d_idx, d_val, d_own = [], [], []
         e_idx, e_val, e_own = [], [], []
         for p, a in enumerate(self.constraints):
-            for v in range(n):
-                if a.diag[v] != 0.0:
-                    d_idx.append(v)
-                    d_val.append(a.diag[v])
-                    d_own.append(p)
+            nz = np.flatnonzero(a.diag)
+            d_idx.extend(nz.tolist())
+            d_val.extend(a.diag[nz].tolist())
+            d_own.extend([p] * len(nz))
             for i, j, k in a.pattern.edges():
                 if a.offdiag[k] != 0.0:
                     e_idx.append(fill.edge_index(i, j))

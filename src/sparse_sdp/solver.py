@@ -136,8 +136,9 @@ class IterateState:
         self.gap = inner_product(self.s, xbar)
 
     @classmethod
-    def create(cls, problem, xbar, y, rho, validate=False):
-        """State at a start point; InfeasibleStart unless strictly feasible."""
+    def create(cls, problem, xbar, y, rho):
+        """State at a start point; InfeasibleStart unless strictly feasible
+        and primal feasible to FEAS_TOL."""
         try:
             state = cls(problem, xbar, np.asarray(y, dtype=float), rho)
         except NotPositiveDefinite as exc:
@@ -146,10 +147,9 @@ class IterateState:
             raise InfeasibleStart("primal partial matrix is not completable") from exc
         if state.gap <= 0.0:
             raise InfeasibleStart(f"duality gap {state.gap:.3e} is not positive")
-        if validate:
-            pres = state.primal_residual()
-            if pres > FEAS_TOL:
-                raise InfeasibleStart(f"primal residual {pres:.3e} exceeds {FEAS_TOL}")
+        pres = state.primal_residual()
+        if pres > FEAS_TOL:
+            raise InfeasibleStart(f"primal residual {pres:.3e} exceeds {FEAS_TOL}")
         return state
 
     @property
@@ -211,6 +211,21 @@ class Direction:
     cg: CgResult
 
 
+def _newton_system(prob, cfg, factor, sinv, rhs):
+    """Solve A(H(sum v_p A_p)) = rhs for v by conjugate gradient.
+
+    H is the Hessian product on ``factor`` about its selected inverse
+    ``sinv``.  Returns the CG result, sum v_p A_p and its image under H.
+    """
+    def op(v):
+        return prob.apply_map(hess_vec(factor, prob.adjoint_map(v), sinv=sinv))
+
+    res = conjugate_gradient(op, rhs, rel_tol=cfg.cg_rel_tol,
+                             max_iter=cfg.cg_max_iter or prob.m)
+    combo = prob.adjoint_map(res.x)
+    return res, combo, hess_vec(factor, combo, sinv=sinv)
+
+
 def dual_direction(state, cfg):
     """Projected Newton direction across the dual slice and its companion.
 
@@ -226,15 +241,7 @@ def dual_direction(state, cfg):
     sinv = state.sinv
     xbar = state.xbar
     rhs = prob.apply_map(sinv) - prob.apply_map(xbar) / mu
-
-    def op(zv):
-        return prob.apply_map(hess_vec(state.s_factor, prob.adjoint_map(zv),
-                                       sinv=sinv))
-
-    res = conjugate_gradient(op, rhs, rel_tol=cfg.cg_rel_tol,
-                             max_iter=cfg.cg_max_iter or prob.m)
-    ntilde = prob.adjoint_map(res.x)
-    curved = hess_vec(state.s_factor, ntilde, sinv=sinv)
+    res, ntilde, curved = _newton_system(prob, cfg, state.s_factor, sinv, rhs)
     lam_tilde = math.sqrt(max(inner_product(curved, ntilde), 0.0))
     raw = SparseSymMatrix(prob.fill,
                           mu * (sinv.diag - curved.diag) - xbar.diag,
@@ -251,7 +258,8 @@ def primal_direction(state, cfg):
     Works against the completion X^ through its sparse inverse Y: with
     M = (rho/gap) S, solve A(sum lam_p X^ A_p X^) = A(X^ M X^ - X) for
     the multipliers by conjugate gradient, where every product
-    (X^ Z X^)|_F is one Hessian sweep on Y's factor.  Then
+    (X^ Z X^)|_F is one Hessian sweep on Y's factor about X, the
+    selected inverse of Y.  Then
       N|_F = X - (X^ M X^)|_F + sum lam_p (X^ A_p X^)|_F,
       dX1 = N / (1 + lam),   lam = [G . N]^(1/2),
       G = Y - M + sum lam_p A_p  (equals X^-1 N X^-1 on F),
@@ -265,15 +273,7 @@ def primal_direction(state, cfg):
     m_mat = state.s.scaled(1.0 / mu)
     xmx = hess_vec(y_factor, m_mat, sinv=xbar)
     rhs = prob.apply_map(xmx) - prob.apply_map(xbar)
-
-    def op(lv):
-        return prob.apply_map(hess_vec(y_factor, prob.adjoint_map(lv),
-                                       sinv=xbar))
-
-    res = conjugate_gradient(op, rhs, rel_tol=cfg.cg_rel_tol,
-                             max_iter=cfg.cg_max_iter or prob.m)
-    lam_a = prob.adjoint_map(res.x)
-    xlx = hess_vec(y_factor, lam_a, sinv=xbar)
+    res, lam_a, xlx = _newton_system(prob, cfg, y_factor, xbar, rhs)
     n_mat = SparseSymMatrix(prob.fill,
                             xbar.diag - xmx.diag + xlx.diag,
                             xbar.offdiag - xmx.offdiag + xlx.offdiag,
@@ -344,8 +344,10 @@ def potential_minimize(state, primal, dual):
         return trial if trial.gap > 0.0 else None
 
     def gradient(trial):
+        # S^-1 stays cached on the trial, so the iterate that ``solve``
+        # adopts brings it into the next dual_direction.
         scale = rho / trial.gap
-        sinv = sparse_inverse(trial.s_factor)
+        sinv = trial.sinv
         g = np.zeros(4)
         for t, d in enumerate(dirs):
             if d is not None:
@@ -481,7 +483,7 @@ def solve(problem, x0, y0, cfg=None, observer=None):
     cfg = cfg or SolverConfig()
     gamma = cfg.gamma if cfg.gamma is not None else math.sqrt(problem.n)
     rho = problem.n + gamma * math.sqrt(problem.n)
-    state = IterateState.create(problem, x0, y0, rho, validate=True)
+    state = IterateState.create(problem, x0, y0, rho)
     report = SolverReport(n=problem.n, m=problem.m,
                           direction_mode=cfg.direction_mode, gamma=gamma,
                           gap_tol=cfg.gap_tol, initial_gap=state.gap,

@@ -107,11 +107,6 @@ class SparseSymPattern:
     def is_subset_of(self, other):
         return self.n == other.n and all(key in other._index for key in self._index)
 
-    def union(self, other):
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return SparseSymPattern(self.n, list(self._index) + list(other._index))
-
     def permuted(self, ordering):
         perm = ordering.perm
         return SparseSymPattern(self.n, [(perm[i], perm[j]) for (i, j) in self._index])
@@ -377,11 +372,7 @@ def cholesky_factorize(matrix):
     eindex = pat._index
     mdiag = matrix.diag.tolist()
     moff = matrix.offdiag.tolist()
-    col_of = [0] * pat.nnz
     col_start = pat.col_ptr.tolist()
-    for j in range(n):
-        for k in range(col_start[j], col_start[j + 1]):
-            col_of[k] = j
 
     maxdiag = max(mdiag) if n else 0.0
     tol = PIVOT_RTOL * max(maxdiag, 0.0)

@@ -115,7 +115,7 @@ def test_criterion_2_derivative_checks():
         zmat = SparseSymMatrix(agg,
                                sum(zp * a.diag for zp, a in zip(z, a_list)),
                                sum(zp * a.offdiag for zp, a in zip(z, a_list)))
-        hz = np.array([-a_dot(a, hess_vec(fac, zmat)) for a in a_list])
+        hz = np.array([-a_dot(a, hess_vec(fac, zmat, sinv=w)) for a in a_list])
         fd = (grad_at(u0 + step * z) - grad_at(u0 - step * z)) / (2 * step)
         worst_hess = max(worst_hess,
                          np.abs(fd - hz).max() / max(np.abs(fd).max(), 1e-6))
@@ -191,7 +191,7 @@ def test_criterion_4_dense_oracle_directions():
         problem = maxcut_sdp(graph)
         x0, y0 = initial_point(problem)
         rho = problem.n + math.sqrt(problem.n) * math.sqrt(problem.n)
-        state = IterateState.create(problem, x0, y0, rho, validate=True)
+        state = IterateState.create(problem, x0, y0, rho)
         cfg = SolverConfig(cg_rel_tol=1e-12, cg_max_iter=50 * problem.m)
         prim = primal_direction(state, cfg)
         dual = dual_direction(state, cfg)

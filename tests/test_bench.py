@@ -4,7 +4,7 @@ import pytest
 from sparse_sdp import logdet_completion, maximal_cliques, rip_order
 from sparse_sdp.bench import (parse_sizes, random_banded_partial,
                               run_direction_comparison,
-                              run_table_of_iterations, time_banded_logdet,
+                              run_table_of_iterations, time_banded_sweep,
                               trial_seed)
 
 
@@ -64,5 +64,6 @@ class TestSolverTables:
 
 class TestTiming:
     def test_block_averages_positive(self):
-        times = time_banded_logdet(30, 3, reps=6, seed=2)
+        times = time_banded_sweep([(30, 3, 2)], reps=6, blocks=3,
+                                  min_block_seconds=0.02)[0]
         assert times and all(t > 0 for t in times)

@@ -56,7 +56,7 @@ class TestHessVec:
         pat = SparseSymPattern(3, [(0, 1), (1, 2)])
         fac = cholesky_factorize(SparseSymMatrix.identity(pat))
         z = SparseSymMatrix(pat, [1.0, -1.0, 2.0], [0.5, -0.25])
-        out = hess_vec(fac, z)
+        out = hess_vec(fac, z, sinv=sparse_inverse(fac))
         assert np.allclose(out.diag, z.diag)
         assert np.allclose(out.offdiag, z.offdiag)
 
@@ -65,7 +65,7 @@ class TestHessVec:
         d = np.array([2.0, 5.0, 0.25])
         fac = cholesky_factorize(SparseSymMatrix(pat, d, np.zeros(2)))
         z = SparseSymMatrix(pat, [1.0, 1.0, 1.0], [1.0, 1.0])
-        out = hess_vec(fac, z)
+        out = hess_vec(fac, z, sinv=sparse_inverse(fac))
         assert out.diag == pytest.approx(1.0 / d ** 2)
         assert out.offdiag[pat.edge_index(0, 1)] == pytest.approx(1 / (d[0] * d[1]))
 
@@ -78,7 +78,7 @@ class TestHessVec:
             z = SparseSymMatrix(fill, rng.standard_normal(6),
                                 rng.standard_normal(fill.nnz))
             target = np.linalg.inv(dense) @ z.to_dense() @ np.linalg.inv(dense)
-            out = hess_vec(fac, z)
+            out = hess_vec(fac, z, sinv=sparse_inverse(fac))
             assert restrict_abs_error(target, out) < 1e-9 * max(np.abs(target).max(), 1.0)
 
     def test_linearity(self):
@@ -86,14 +86,15 @@ class TestHessVec:
         fill = random_filled_pattern(9, 0.4, rng)
         mat, _ = random_pd_on_pattern(fill, rng)
         fac = cholesky_factorize(mat)
+        w = sparse_inverse(fac)
         z1 = SparseSymMatrix(fill, rng.standard_normal(9), rng.standard_normal(fill.nnz))
         z2 = SparseSymMatrix(fill, rng.standard_normal(9), rng.standard_normal(fill.nnz))
         a, b = 0.3, -1.7
         combo = SparseSymMatrix(fill, a * z1.diag + b * z2.diag,
                                 a * z1.offdiag + b * z2.offdiag)
-        lhs = hess_vec(fac, combo)
-        h1 = hess_vec(fac, z1)
-        h2 = hess_vec(fac, z2)
+        lhs = hess_vec(fac, combo, sinv=w)
+        h1 = hess_vec(fac, z1, sinv=w)
+        h2 = hess_vec(fac, z2, sinv=w)
         assert np.abs(lhs.diag - (a * h1.diag + b * h2.diag)).max() < 1e-10
         assert np.abs(lhs.offdiag - (a * h1.offdiag + b * h2.offdiag)).max() < 1e-10
 
@@ -104,8 +105,21 @@ class TestHessVec:
         sub = SparseSymPattern(3, [(0, 1)])
         z = SparseSymMatrix(sub, [0.0, 0.0, 0.0], [1.0])
         dense = np.linalg.inv(mat.to_dense()) @ z.to_dense() @ np.linalg.inv(mat.to_dense())
-        out = hess_vec(fac, z)
+        out = hess_vec(fac, z.embedded(fill), sinv=sparse_inverse(fac))
         assert restrict_abs_error(dense, out) < 1e-12
+
+    def test_arguments_off_the_factor_pattern_raise(self):
+        fill = SparseSymPattern(3, [(0, 1), (1, 2)])
+        fac = cholesky_factorize(SparseSymMatrix(fill, [3.0, 3.0, 3.0], [1.0, -1.0]))
+        w = sparse_inverse(fac)
+        on = SparseSymMatrix(fill, [1.0, 0.0, 0.0], [1.0, 0.0])
+        for pat in (SparseSymPattern(3, [(0, 1)]),
+                    SparseSymPattern(3, [(0, 1), (1, 2), (0, 2)])):
+            off = SparseSymMatrix.zeros(pat)
+            with pytest.raises(ValueError):
+                hess_vec(fac, off, sinv=w)
+            with pytest.raises(ValueError):
+                hess_vec(fac, on, sinv=off)
 
 
 class TestDerivativeChecks:
@@ -168,7 +182,8 @@ class TestDerivativeChecks:
             fac = cholesky_factorize(self.slack(base, a_list, u0))
             zdiag = sum(zp * a.diag for zp, a in zip(z, a_list))
             zoff = sum(zp * a.offdiag for zp, a in zip(z, a_list))
-            hv = hess_vec(fac, SparseSymMatrix(agg, zdiag, zoff))
+            hv = hess_vec(fac, SparseSymMatrix(agg, zdiag, zoff),
+                          sinv=sparse_inverse(fac))
             # d/dt grad(u0 + t z)_p = -A_p . (S^-1 Z S^-1)
             hz = np.array([-float(np.sum(a.diag * hv.diag))
                            - 2.0 * float(np.sum(a.offdiag * hv.offdiag))
@@ -193,11 +208,11 @@ class TestMemoryFootprint:
         budget = 40 * factor_bytes + 262144
         tracemalloc.start()
         try:
-            sparse_inverse(fac)
+            w = sparse_inverse(fac)
             _, peak = tracemalloc.get_traced_memory()
             assert peak <= budget, f"sparse_inverse peak {peak} over {budget}"
             tracemalloc.reset_peak()
-            hess_vec(fac, z)
+            hess_vec(fac, z, sinv=w)
             _, peak = tracemalloc.get_traced_memory()
             assert peak <= budget, f"hess_vec peak {peak} over {budget}"
         finally:

@@ -90,7 +90,7 @@ class TestInitialPoint:
     def test_single_edge_slack_is_pd_and_feasible(self):
         problem = maxcut_sdp(Graph(2, [(0, 1, 1.0)]))
         x0, y0 = initial_point(problem)
-        state = IterateState.create(problem, x0, y0, rho=4.0, validate=True)
+        state = IterateState.create(problem, x0, y0, rho=4.0)
         assert state.gap > 0
 
     def test_empty_graph_gives_identity_slack(self):
@@ -102,7 +102,7 @@ class TestInitialPoint:
     def test_random_instance_invariants(self):
         problem = maxcut_sdp(random_graph(10, 16, seed=6))
         x0, y0 = initial_point(problem)
-        state = IterateState.create(problem, x0, y0, rho=20.0, validate=True)
+        state = IterateState.create(problem, x0, y0, rho=20.0)
         pres, dres = state.residuals()
         assert pres <= 1e-12 and dres <= 1e-12
 

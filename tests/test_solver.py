@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sparse_sdp import solver
 from sparse_sdp import (CgResult, Direction, InfeasibleStart, IterateState,
                         IterationLimit, SolverConfig, SparseSymMatrix,
                         SparseSymPattern, conjugate_gradient, dual_direction,
@@ -18,7 +19,7 @@ def make_state(problem, gamma=None):
     x0, y0 = initial_point(problem)
     gamma = math.sqrt(problem.n) if gamma is None else gamma
     rho = problem.n + gamma * math.sqrt(problem.n)
-    return IterateState.create(problem, x0, y0, rho, validate=True)
+    return IterateState.create(problem, x0, y0, rho)
 
 
 def build_directions(state, cfg):
@@ -98,8 +99,9 @@ class TestPotential:
         problem = SdpProblem(c, constraints, np.ones(3),
                              ordering=EliminationOrdering.identity(3))
         xbar = SparseSymMatrix(problem.fill, [2.0, 2.0, 2.0], [1.0, 1.0])
-        state = IterateState.create(problem, xbar, -np.ones(3),
-                                    rho=3.0 + math.sqrt(3.0))
+        # X is not primal feasible for b = 1, so build the state directly
+        # rather than through the validating IterateState.create
+        state = IterateState(problem, xbar, -np.ones(3), rho=3.0 + math.sqrt(3.0))
         expected = (3 + math.sqrt(3)) * math.log(6.0) \
             - (2 * math.log(3.0) - math.log(2.0))
         assert state.phi == pytest.approx(expected, abs=1e-12)
@@ -183,7 +185,7 @@ class TestDirectionsAgainstDenseReference:
         cfg = SolverConfig(cg_rel_tol=1e-12, cg_max_iter=40 * problem.m)
         x0, y0 = initial_point(problem)
         rho = problem.n + math.sqrt(problem.n) * math.sqrt(problem.n)
-        state = IterateState.create(problem, x0, y0, rho, validate=True)
+        state = IterateState.create(problem, x0, y0, rho)
         choice = potential_minimize(state, *build_directions(state, cfg))
         state2 = choice.trial
         prim2, dual2 = build_directions(state2, cfg)
@@ -208,7 +210,7 @@ class TestDirectionsAgainstDenseReference:
         cfg = SolverConfig(cg_rel_tol=1e-12, cg_max_iter=40 * problem.m)
         x0, y0 = initial_point(problem)
         rho = 2.0 * problem.n
-        state = IterateState.create(problem, x0, y0, rho, validate=True)
+        state = IterateState.create(problem, x0, y0, rho)
         c_dense, a_dense, b = problem_dense_data(problem)
         for _ in range(3):
             prim, dual = build_directions(state, cfg)
@@ -321,6 +323,22 @@ class TestPotentialMinimize:
         choice = potential_minimize(state, prim, None)
         assert choice.coeffs[1] == 0.0 and choice.coeffs[3] == 0.0
         assert choice.phi < state.phi
+
+    def test_adopted_trial_brings_its_slack_inverse(self, monkeypatch):
+        # the step search needs S^-1 at every trial it takes a gradient
+        # at; the trial it returns keeps it, so the next dual direction
+        # computes none
+        problem = maxcut_sdp(random_graph(7, 11, seed=15))
+        state = make_state(problem)
+        cfg = SolverConfig()
+        choice = potential_minimize(state, *build_directions(state, cfg))
+        assert choice.trial is not None
+        calls = []
+        original = solver.sparse_inverse
+        monkeypatch.setattr(solver, "sparse_inverse",
+                            lambda factor: calls.append(factor) or original(factor))
+        dual_direction(choice.trial, cfg)
+        assert calls == []
 
 
 class TestSolve:

@@ -4,8 +4,7 @@ reduction over partial primal matrices with max-determinant completions."""
 from .chordal import CliqueSequence, maximal_cliques, rip_order, verify_peo
 from .completion import (CompletionFactors, banded_pattern, completion_factors,
                          completion_inverse, completion_vectors,
-                         logdet_completion, logdet_completion_banded,
-                         reconstruct_dense)
+                         logdet_completion, logdet_completion_banded)
 from .errors import (InfeasibleStart, IterationLimit, NoDecrease, NotChordal,
                      NotCompletable, NotPositiveDefinite, RipFailure,
                      SdpaParseError, SparseSdpError, TooManyEdges)

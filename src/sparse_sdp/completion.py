@@ -4,17 +4,20 @@ A partial matrix is a ``SparseSymMatrix`` on a chordal, elimination-ordered
 pattern read as specifying only its pattern entries (plus the diagonal);
 the entries off the pattern are free, not zero.  Among all positive
 definite completions the determinant-maximizing one is singled out by
-having an inverse supported exactly on the pattern; everything here
-(log-determinant, inverse, factor form) works clique by clique against
-that completion without ever forming it densely.  Its Hessian products
-are ``logdet.hess_vec`` on the factor of ``completion_inverse``, with the
-partial matrix itself as the selected inverse.
+having an inverse supported exactly on the pattern.  One sweep,
+``completion_factors``, gathers each clique block once and factors each
+clique and separator block once; the log-determinant, the inverse on the
+pattern and the Gram vectors all read that sweep, so the completion is
+never formed densely.  Its Hessian products are ``logdet.hess_vec`` on the
+factor of ``completion_inverse``, with the partial matrix itself as the
+selected inverse.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,119 +26,135 @@ from .errors import NotCompletable
 from .sparsemat import SparseSymMatrix, SparseSymPattern
 
 
+class _CliqueSlots:
+    """Where each clique block of a partial matrix on ``pattern`` sits in
+    its concatenated [diag | offdiag] storage.
+
+    ``gather[r]`` holds the slot of every entry of the block on C_r, and
+    ``sep_pos[r]`` and ``res_pos[r]`` the positions of U_r and S_r in C_r.
+    ``scatter`` lists the slots of the upper triangle of clique block r,
+    then of separator block r, for r = 0, 1, ...
+    """
+
+    def __init__(self, cs, pattern):
+        n = pattern.n
+        self.pattern = pattern
+        self.gather, self.sep_pos, self.res_pos = [], [], []
+        scatter = []
+        for c, u in zip(cs.cliques, cs.separators):
+            k = len(c)
+            idx = np.empty((k, k), dtype=np.int64)
+            for a in range(k):
+                idx[a, a] = c[a]
+                for b in range(a + 1, k):
+                    idx[a, b] = idx[b, a] = n + pattern.edge_index(c[a], c[b])
+            in_u = np.isin(c, u)
+            u_pos = np.flatnonzero(in_u)          # U_r and S_r are sorted, like C_r
+            self.gather.append(idx)
+            self.sep_pos.append(u_pos)
+            self.res_pos.append(np.flatnonzero(~in_u))
+            scatter.append(idx[_upper(k)])
+            if len(u_pos):
+                scatter.append(idx[np.ix_(u_pos, u_pos)][_upper(len(u_pos))])
+        self.scatter = np.concatenate(scatter)
+
+
 @dataclass
 class CompletionFactors:
-    """Clique-wise factor form of the max-determinant completion.
+    """One factor sweep over the clique blocks of a partial matrix.
 
-    For each non-final clique, ``couplings[r]`` is the |U_r| x |S_r| block
-    inv(X_{U_r,U_r}) @ X_{U_r,S_r}; ``chol_blocks[r]`` is the lower
-    Cholesky factor of the residual (Schur-complement) block on S_r.
+    ``blocks[r]`` is the dense clique block X_{C_r,C_r} and
+    ``clique_chol[r]`` its lower Cholesky factor; ``sep_chol[r]`` is the
+    lower Cholesky factor of the separator block X_{U_r,U_r}, sliced out of
+    ``blocks[r]`` (None when U_r is empty).  ``slots`` says where the
+    blocks sit in the partial matrix's storage.
     """
 
     cliques: CliqueSequence
-    couplings: list
-    chol_blocks: list
-
-    @property
-    def n(self):
-        return self.cliques.n
+    slots: _CliqueSlots
+    blocks: list
+    clique_chol: list
+    sep_chol: list
 
 
 def completion_factors(xbar, cs):
-    """Clique factorization of the max-determinant completion of ``xbar``.
+    """Gather and factor each clique block of the partial ``xbar`` once.
 
-    Raises NotCompletable when a separator or residual block is not
-    positive definite.
-    """
-    couplings = []
-    chol_blocks = []
-    for r in range(len(cs)):
-        c_r = cs.cliques[r]
-        blk = xbar.block(c_r)
-        in_u = np.isin(c_r, cs.separators[r])
-        u_pos = np.flatnonzero(in_u)          # U_r and S_r are sorted, like C_r
-        s_pos = np.flatnonzero(~in_u)
-        ss = blk[np.ix_(s_pos, s_pos)]
-        if len(u_pos) == 0:
-            coup = np.zeros((0, len(s_pos)))
-            d_block = ss
-        else:
-            us = blk[np.ix_(u_pos, s_pos)]
-            try:
-                cu = np.linalg.cholesky(blk[np.ix_(u_pos, u_pos)])
-            except np.linalg.LinAlgError as exc:
-                raise NotCompletable(f"clique {r}: separator block not PD") from exc
-            coup = np.linalg.solve(cu.T, np.linalg.solve(cu, us))
-            d_block = ss - us.T @ coup
-        try:
-            chol_blocks.append(np.linalg.cholesky(d_block))
-        except np.linalg.LinAlgError as exc:
-            raise NotCompletable(f"clique {r}: residual block not PD") from exc
-        couplings.append(coup)
-    return CompletionFactors(cs, couplings, chol_blocks)
-
-
-def logdet_completion(xbar, cs):
-    """ln det of the max-determinant completion of the partial ``xbar``.
-
-    Sum of clique-block log-determinants minus separator-block
-    log-determinants, each from a fresh dense factorization.  Raises
+    Each clique block and each nonempty separator block (sliced out of its
+    clique block) gets one dense Cholesky factorization.  Raises
     NotCompletable unless every clique block is positive definite, which
     on a chordal pattern is exactly when a positive definite completion
     exists.
     """
+    slots = cs.slots
+    if slots is None or slots.pattern is not xbar.pattern:   # first use: build, cache
+        slots = cs.slots = _CliqueSlots(cs, xbar.pattern)
+    values = np.concatenate((xbar.diag, xbar.offdiag))
+    blocks, clique_chol, sep_chol = [], [], []
+    for r, (idx, u_pos) in enumerate(zip(slots.gather, slots.sep_pos)):
+        blk = values[idx]
+        blocks.append(blk)
+        clique_chol.append(_cholesky(blk, f"clique {r}"))
+        sep_chol.append(_cholesky(blk[np.ix_(u_pos, u_pos)], f"separator {r}")
+                        if len(u_pos) else None)
+    return CompletionFactors(cs, slots, blocks, clique_chol, sep_chol)
+
+
+def logdet_completion(factors):
+    """ln det of the max-determinant completion, from its clique factors.
+
+    Sum of clique-block log-determinants minus separator-block
+    log-determinants.
+    """
     total = 0.0
-    for r in range(len(cs)):
-        total += _dense_logdet(xbar.block(cs.cliques[r]), f"clique {r}")
-        u_r = cs.separators[r]
-        if len(u_r):
-            total -= _dense_logdet(xbar.block(u_r), f"separator {r}")
+    for cc, cu in zip(factors.clique_chol, factors.sep_chol):
+        total += _logdet(cc)
+        if cu is not None:
+            total -= _logdet(cu)
     return total
 
 
-def completion_inverse(xbar, cs):
-    """Inverse of the max-determinant completion of the partial ``xbar``.
+def completion_inverse(factors):
+    """Inverse of the max-determinant completion, from its clique factors.
 
     It is supported exactly on the pattern F: the clique-block inverses
     minus the separator-block inverses, scattered onto the pattern.
     """
-    pat = xbar.pattern
-    diag = np.zeros(pat.n)
-    off = np.zeros(pat.nnz)
-    for r in range(len(cs)):
-        c = cs.cliques[r]
-        _scatter(diag, off, pat, c, _pd_inverse(xbar.block(c), f"clique {r}"), +1.0)
-        u = cs.separators[r]
-        if len(u):
-            _scatter(diag, off, pat, u, _pd_inverse(xbar.block(u), f"separator {r}"), -1.0)
-    return SparseSymMatrix(pat, diag, off, check=False)
+    parts = []
+    for cc, cu in zip(factors.clique_chol, factors.sep_chol):
+        parts.append(_inverse(cc)[_upper(len(cc))])
+        if cu is not None:
+            parts.append(-_inverse(cu)[_upper(len(cu))])
+    n = factors.cliques.n
+    pat = factors.slots.pattern
+    acc = np.zeros(n + pat.nnz)
+    np.add.at(acc, factors.slots.scatter, np.concatenate(parts))
+    return SparseSymMatrix(pat, acc[:n], acc[n:], check=False)
 
 
 def completion_vectors(factors):
     """Dense V with V^T V equal to the max-determinant completion.
 
     Rows of V live in the same (elimination) labels as the partial
-    matrix; column i is the Gram vector of vertex i.
+    matrix; column i is the Gram vector of vertex i.  One pass suffices:
+    the rows S_r are final once clique r is reached, because no later
+    separator meets S_r.
     """
     cs = factors.cliques
-    n = cs.n
-    v = np.eye(n)
-    for r in range(len(cs) - 1):
-        coup = factors.couplings[r]
-        if coup.size:
-            u = cs.separators[r]
-            s = cs.residuals[r]
-            v[u, :] += coup @ v[s, :]
-    for r in range(len(cs)):
+    slots = factors.slots
+    v = np.eye(cs.n)
+    for r, blk in enumerate(factors.blocks):
+        u_pos, s_pos = slots.sep_pos[r], slots.res_pos[r]
         s = cs.residuals[r]
-        v[s, :] = factors.chol_blocks[r].T @ v[s, :]
+        d_block = blk[np.ix_(s_pos, s_pos)]       # residual (Schur-complement) block
+        if len(u_pos):
+            cu = factors.sep_chol[r]
+            us = blk[np.ix_(u_pos, s_pos)]
+            coupling = np.linalg.solve(cu.T, np.linalg.solve(cu, us))
+            v[cs.separators[r], :] += coupling @ v[s, :]
+            d_block = d_block - us.T @ coupling
+        v[s, :] = _cholesky(d_block, f"clique {r} residual").T @ v[s, :]
     return v
-
-
-def reconstruct_dense(factors):
-    """Dense max-determinant completion (small-n checks and rounding)."""
-    v = completion_vectors(factors)
-    return v.T @ v
 
 
 def banded_pattern(n, bandwidth):
@@ -158,7 +177,7 @@ def logdet_completion_banded(xbar, bandwidth):
     p = int(bandwidth)
     _require_full_band(xbar.pattern, p)
     if p >= n - 1:  # single clique: one dense factorization
-        rows = _dense_chol_rows(xbar.block(np.arange(n)))
+        rows = _dense_chol_rows(xbar.to_dense())
         return 2.0 * sum(math.log(r[t]) for t, r in enumerate(rows))
 
     col_start = xbar.pattern.col_ptr.tolist()
@@ -220,30 +239,29 @@ def logdet_completion_banded(xbar, bandwidth):
 
 # -- helpers ----------------------------------------------------------------
 
-def _pd_inverse(block, what):
+@lru_cache(maxsize=None)
+def _upper(k):
+    """Row and column indices of the upper triangle of a k x k block
+    (shared between callers, so read-only)."""
+    rows, cols = np.triu_indices(k)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+def _cholesky(block, what):
     try:
-        c = np.linalg.cholesky(block)
+        return np.linalg.cholesky(block)
     except np.linalg.LinAlgError as exc:
         raise NotCompletable(f"{what}: block not PD") from exc
-    ci = np.linalg.inv(c)
+
+
+def _logdet(chol):
+    return 2.0 * float(np.sum(np.log(np.diagonal(chol))))
+
+
+def _inverse(chol):
+    ci = np.linalg.inv(chol)
     return ci.T @ ci
-
-
-def _dense_logdet(block, what):
-    try:
-        c = np.linalg.cholesky(block)
-    except np.linalg.LinAlgError as exc:
-        raise NotCompletable(f"{what}: block not PD") from exc
-    return 2.0 * float(np.sum(np.log(np.diagonal(c))))
-
-
-def _scatter(diag, off, pat, verts, block, sign):
-    k = len(verts)
-    for a in range(k):
-        va = verts[a]
-        diag[va] += sign * block[a, a]
-        for b in range(a + 1, k):
-            off[pat.edge_index(va, verts[b])] += sign * block[a, b]
 
 
 def _dense_chol_rows(a):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .completion import completion_factors, completion_vectors
+from .completion import completion_vectors
 from .errors import NotPositiveDefinite, TooManyEdges
 from .problem import SdpProblem
 from .solver import SolverConfig, solve
@@ -164,8 +164,7 @@ def hyperplane_rounding(vectors, graph, trials=100, seed=0, sdp_bound=None):
 
 def gram_vectors(problem, state):
     """Columns of V (one per original vertex) with V^T V the completion."""
-    factors = completion_factors(state.xbar, problem.cliques)
-    v = completion_vectors(factors)
+    v = completion_vectors(state.x_factors)
     return v[:, problem.ordering.perm]
 
 

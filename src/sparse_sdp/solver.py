@@ -22,7 +22,7 @@ from io import StringIO
 
 import numpy as np
 
-from .completion import completion_inverse, logdet_completion
+from .completion import completion_factors, completion_inverse, logdet_completion
 from .errors import (InfeasibleStart, IterationLimit, NoDecrease,
                      NotCompletable, NotPositiveDefinite)
 from .logdet import hess_vec, sparse_inverse
@@ -119,9 +119,10 @@ class IterateState:
     """Iterate (X on F, y) with its dual slack, factor and potential.
 
     ``xbar`` is read as a partial matrix on the fill pattern F.
-    Construction factors S = C - sum y_p A_p and takes the completion
-    log-det, so it raises NotPositiveDefinite or NotCompletable outside
-    the cones.  The completion inverse, its factor and S^-1 on F are
+    Construction factors S = C - sum y_p A_p and the clique blocks of X
+    (``x_factors``) and takes the completion log-det from them, so it
+    raises NotPositiveDefinite or NotCompletable outside the cones.  The
+    completion inverse (from ``x_factors``), its factor and S^-1 on F are
     computed on first use and kept.
     """
 
@@ -132,7 +133,8 @@ class IterateState:
         self.rho = rho
         self.s = problem.dual_slack(y)
         self.s_factor = cholesky_factorize(self.s)
-        self.logdet_x = logdet_completion(xbar, problem.cliques)
+        self.x_factors = completion_factors(xbar, problem.cliques)
+        self.logdet_x = logdet_completion(self.x_factors)
         self.gap = inner_product(self.s, xbar)
 
     @classmethod
@@ -163,7 +165,7 @@ class IterateState:
     @cached_property
     def xhat_inv(self):
         """Inverse of the max-determinant completion, supported on F."""
-        return completion_inverse(self.xbar, self.problem.cliques)
+        return completion_inverse(self.x_factors)
 
     @cached_property
     def xhat_inv_factor(self):
@@ -186,12 +188,11 @@ class IterateState:
             if prob.m else 0.0
 
     def residuals(self):
-        pres = self.primal_residual()
-        slack = self.problem.dual_slack(self.y)
-        dres = max(float(np.max(np.abs(slack.diag - self.s.diag))),
-                   float(np.max(np.abs(slack.offdiag - self.s.offdiag)))
-                   if len(slack.offdiag) else 0.0)
-        return pres, dres
+        """max |A(X) - b|, and max |S - L L^T| over F relative to max |S|
+        over F, with L the factor ``s_factor``."""
+        s = np.concatenate((self.s.diag, self.s.offdiag))
+        dres = float(np.max(np.abs(s - self.s_factor.product())) / np.max(np.abs(s)))
+        return self.primal_residual(), dres
 
 
 @dataclass

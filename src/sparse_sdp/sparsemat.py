@@ -59,6 +59,7 @@ class SparseSymPattern:
         self._cols = [tuple(c) for c in cols]
         self._adj = None
         self._row_cols = None
+        self._pairs = None
 
     @property
     def nnz(self):
@@ -104,18 +105,31 @@ class SparseSymPattern:
             self._row_cols = [tuple(r) for r in rc]
         return self._row_cols
 
+    def column_pairs(self):
+        """Index arrays (a, b, slot) into [diag | offdiag] storage: for each
+        column k and rows i >= j of {k} + column_rows(k), entry (i, k) times
+        entry (j, k) is one term of entry (i, j) of L L^T.  Cached; raises
+        KeyError unless the pattern is elimination-closed."""
+        if self._pairs is None:
+            n = self.n
+            a, b, slot = [], [], []
+            for k in range(n):
+                base = n + int(self.col_ptr[k])
+                ent = [(k, k)] + [(i, base + t) for t, i in enumerate(self._cols[k])]
+                for p, (i, si) in enumerate(ent):
+                    for j, sj in ent[:p + 1]:
+                        a.append(si)
+                        b.append(sj)
+                        slot.append(i if i == j else n + self._index[(i, j)])
+            self._pairs = tuple(np.asarray(x, dtype=np.int64) for x in (a, b, slot))
+        return self._pairs
+
     def is_subset_of(self, other):
         return self.n == other.n and all(key in other._index for key in self._index)
 
     def permuted(self, ordering):
         perm = ordering.perm
         return SparseSymPattern(self.n, [(perm[i], perm[j]) for (i, j) in self._index])
-
-    def to_dense_mask(self):
-        mask = np.eye(self.n, dtype=bool)
-        for (i, j) in self._index:
-            mask[i, j] = mask[j, i] = True
-        return mask
 
     def __eq__(self, other):
         if not isinstance(other, SparseSymPattern):
@@ -162,14 +176,6 @@ class SparseSymMatrix:
     def identity(cls, pattern):
         return cls(pattern, np.ones(pattern.n), np.zeros(pattern.nnz), check=False)
 
-    @classmethod
-    def from_dense(cls, pattern, dense):
-        dense = np.asarray(dense, dtype=float)
-        off = np.empty(pattern.nnz)
-        for i, j, k in pattern.edges():
-            off[k] = dense[i, j]
-        return cls(pattern, np.diagonal(dense).copy(), off)
-
     def to_dense(self):
         out = np.diag(self.diag)
         for i, j, k in self.pattern.edges():
@@ -178,27 +184,6 @@ class SparseSymMatrix:
 
     def copy(self):
         return SparseSymMatrix(self.pattern, self.diag.copy(), self.offdiag.copy(), check=False)
-
-    def entry(self, i, j):
-        if i == j:
-            return self.diag[i]
-        if self.pattern.has_edge(i, j):
-            return self.offdiag[self.pattern.edge_index(i, j)]
-        return 0.0
-
-    def block(self, verts):
-        """Dense submatrix over ``verts`` (all pairs must lie on the pattern)."""
-        k = len(verts)
-        out = np.empty((k, k))
-        pat = self.pattern
-        off = self.offdiag
-        for a in range(k):
-            va = verts[a]
-            out[a, a] = self.diag[va]
-            for b in range(a + 1, k):
-                v = off[pat.edge_index(va, verts[b])]
-                out[a, b] = out[b, a] = v
-        return out
 
     def embedded(self, superpattern):
         """Copy onto a larger pattern (zeros where this matrix is absent)."""
@@ -221,20 +206,6 @@ class SparseSymMatrix:
 
     def scaled(self, alpha):
         return SparseSymMatrix(self.pattern, alpha * self.diag, alpha * self.offdiag, check=False)
-
-    def __add__(self, other):
-        self._require_same_pattern(other)
-        return SparseSymMatrix(self.pattern, self.diag + other.diag,
-                               self.offdiag + other.offdiag, check=False)
-
-    def __sub__(self, other):
-        self._require_same_pattern(other)
-        return SparseSymMatrix(self.pattern, self.diag - other.diag,
-                               self.offdiag - other.offdiag, check=False)
-
-    def _require_same_pattern(self, other):
-        if self.pattern is not other.pattern and self.pattern != other.pattern:
-            raise ValueError("patterns differ")
 
     def __repr__(self):
         return f"SparseSymMatrix(n={self.n}, nnz={self.pattern.nnz})"
@@ -268,10 +239,6 @@ class EliminationOrdering:
         perm[seq] = np.arange(len(seq), dtype=np.int64)
         return cls(perm)
 
-    @property
-    def sequence(self):
-        return self.inverse
-
     def __eq__(self, other):
         if not isinstance(other, EliminationOrdering):
             return NotImplemented
@@ -298,11 +265,11 @@ class CholeskyFactor:
     def n(self):
         return self.pattern.n
 
-    def to_dense(self):
-        out = np.diag(self.diag)
-        for i, j, k in self.pattern.edges():
-            out[i, j] = self.offdiag[k]
-        return out
+    def product(self):
+        """Entries of L L^T on the factor's own pattern, as [diag | offdiag]."""
+        a, b, slot = self.pattern.column_pairs()
+        vals = np.concatenate((self.diag, self.offdiag))
+        return np.bincount(slot, weights=vals[a] * vals[b], minlength=len(vals))
 
     def __repr__(self):
         return f"CholeskyFactor(n={self.n}, nnz={self.pattern.nnz})"

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from sparse_sdp import (SparseSymMatrix, SparseSymPattern, min_degree_ordering,
-                        symbolic_factorize)
+from sparse_sdp import (SparseSymMatrix, SparseSymPattern, completion_vectors,
+                        min_degree_ordering, symbolic_factorize)
 from sparse_sdp.chordal import maximal_cliques, rip_order
 
 
@@ -33,7 +33,7 @@ def random_pd_on_pattern(pattern, rng, shift=0.0):
         ldense[i, j] = rng.standard_normal() * 0.4
     np.fill_diagonal(ldense, rng.random(n) + 0.7)
     dense = ldense @ ldense.T + shift * np.eye(n)
-    return SparseSymMatrix.from_dense(pattern, dense), dense
+    return sparse_from_dense(pattern, dense), dense
 
 
 def random_completable_partial(n, density, rng):
@@ -42,7 +42,7 @@ def random_completable_partial(n, density, rng):
     g = rng.standard_normal((n, n)) / np.sqrt(n)
     dense = g @ g.T + np.eye(n)
     cs = rip_order(maximal_cliques(fill), n=n)
-    return SparseSymMatrix.from_dense(fill, dense), cs, dense
+    return sparse_from_dense(fill, dense), cs, dense
 
 
 def clique_cover_edges(cs):
@@ -57,6 +57,51 @@ def clique_cover_edges(cs):
 
 def dense_from_sparse(mat):
     return mat.to_dense()
+
+
+def sparse_from_dense(pattern, dense):
+    """The entries of ``dense`` on ``pattern`` (plus the diagonal)."""
+    dense = np.asarray(dense, dtype=float)
+    off = np.empty(pattern.nnz)
+    for i, j, k in pattern.edges():
+        off[k] = dense[i, j]
+    return SparseSymMatrix(pattern, np.diagonal(dense).copy(), off)
+
+
+def entry(mat, i, j):
+    """Entry (i, j) of a sparse matrix; zero off its pattern."""
+    if i == j:
+        return mat.diag[i]
+    if mat.pattern.has_edge(i, j):
+        return mat.offdiag[mat.pattern.edge_index(i, j)]
+    return 0.0
+
+
+def dense_mask(pattern):
+    """Boolean n x n mask of the pattern plus the diagonal."""
+    mask = np.eye(pattern.n, dtype=bool)
+    for i, j, _ in pattern.edges():
+        mask[i, j] = mask[j, i] = True
+    return mask
+
+
+def factor_to_dense(factor):
+    """Dense lower-triangular copy of a CholeskyFactor."""
+    out = np.diag(factor.diag)
+    for i, j, k in factor.pattern.edges():
+        out[i, j] = factor.offdiag[k]
+    return out
+
+
+def elimination_sequence(ordering):
+    """Old labels in elimination order."""
+    return ordering.inverse
+
+
+def reconstruct_dense(factors):
+    """Dense max-determinant completion from its clique factors."""
+    v = completion_vectors(factors)
+    return v.T @ v
 
 
 def restrict_abs_error(dense, sparse_mat):

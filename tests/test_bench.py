@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparse_sdp import logdet_completion, maximal_cliques, rip_order
+from sparse_sdp import completion_factors, logdet_completion, maximal_cliques, rip_order
 from sparse_sdp.bench import (parse_sizes, random_banded_partial,
                               run_direction_comparison,
                               run_table_of_iterations, time_banded_sweep,
@@ -29,14 +29,14 @@ class TestRandomBandedPartial:
     def test_matches_dense_gram_construction(self):
         xb = random_banded_partial(9, 3, seed=4)
         cs = rip_order(maximal_cliques(xb.pattern))
-        logdet_completion(xb, cs)   # raises NotCompletable otherwise
+        logdet_completion(completion_factors(xb, cs))   # raises NotCompletable otherwise
 
     @pytest.mark.parametrize("n,p", [(6, 1), (10, 4), (7, 6)])
     def test_always_completable(self, n, p):
         for seed in range(5):
             xb = random_banded_partial(n, p, seed=seed)
             cs = rip_order(maximal_cliques(xb.pattern))
-            logdet_completion(xb, cs)   # raises NotCompletable otherwise
+            logdet_completion(completion_factors(xb, cs))   # raises NotCompletable otherwise
 
     def test_deterministic(self):
         a = random_banded_partial(12, 3, seed=9)

@@ -7,11 +7,11 @@ from sparse_sdp import (NotCompletable, SparseSymMatrix, SparseSymPattern,
                         banded_pattern, cholesky_factorize, completion_factors,
                         completion_inverse, completion_vectors, hess_vec,
                         inner_product, logdet_completion,
-                        logdet_completion_banded, maximal_cliques,
-                        reconstruct_dense, rip_order)
+                        logdet_completion_banded, maximal_cliques, rip_order)
 from sparse_sdp.bench import random_banded_partial
 
-from conftest import random_completable_partial, restrict_abs_error
+from conftest import (dense_mask, random_completable_partial, reconstruct_dense,
+                      restrict_abs_error, sparse_from_dense)
 
 
 def tridiagonal_example():
@@ -24,7 +24,7 @@ def tridiagonal_example():
 def completion_hess_product(xbar, cs, z):
     """Entries on F of X^ Z X^, computed as the solver does it: the
     Hessian product on the factor of the completion inverse."""
-    return hess_vec(cholesky_factorize(completion_inverse(xbar, cs)), z,
+    return hess_vec(cholesky_factorize(completion_inverse(completion_factors(xbar, cs))), z,
                     sinv=xbar)
 
 
@@ -35,18 +35,18 @@ class TestCliquePdCheck:
     def test_identity_partial(self):
         xbar, cs = tridiagonal_example()
         eye = SparseSymMatrix.identity(xbar.pattern)
-        assert logdet_completion(eye, cs) == pytest.approx(0.0, abs=1e-14)
+        assert logdet_completion(completion_factors(eye, cs)) == pytest.approx(0.0, abs=1e-14)
 
     def test_tridiagonal_pd(self):
         xbar, cs = tridiagonal_example()
-        assert math.isfinite(logdet_completion(xbar, cs))
+        assert math.isfinite(logdet_completion(completion_factors(xbar, cs)))
 
     def test_indefinite_clique_block(self):
         pat = SparseSymPattern(3, [(0, 1), (1, 2)])
         bad = SparseSymMatrix(pat, [2.0, 2.0, 2.0], [3.0, 1.0])
         cs = rip_order(maximal_cliques(pat))
         with pytest.raises(NotCompletable):
-            logdet_completion(bad, cs)
+            logdet_completion(completion_factors(bad, cs))
 
 
 class TestCompletionFactors:
@@ -61,7 +61,7 @@ class TestCompletionFactors:
         xbar = SparseSymMatrix(pat, [2.0, 2.0, 3.0, 3.0], [1.0, 1.0])
         cs = rip_order(maximal_cliques(pat))
         factors = completion_factors(xbar, cs)
-        assert all(k.size == 0 for k in factors.couplings)
+        assert all(c is None for c in factors.sep_chol)
         dense = reconstruct_dense(factors)
         assert dense[0, 2] == dense[0, 3] == dense[1, 2] == dense[1, 3] == 0.0
 
@@ -82,14 +82,14 @@ class TestLogdetCompletion:
     def test_tridiagonal_value(self):
         xbar, cs = tridiagonal_example()
         expected = 2.0 * math.log(3.0) - math.log(2.0)
-        assert logdet_completion(xbar, cs) == pytest.approx(expected, abs=1e-12)
+        assert logdet_completion(completion_factors(xbar, cs)) == pytest.approx(expected, abs=1e-12)
         dense = reconstruct_dense(completion_factors(xbar, cs))
         assert np.linalg.slogdet(dense)[1] == pytest.approx(expected, abs=1e-12)
 
     def test_identity(self):
         xbar, cs = tridiagonal_example()
         eye = SparseSymMatrix.identity(xbar.pattern)
-        assert logdet_completion(eye, cs) == pytest.approx(0.0, abs=1e-14)
+        assert logdet_completion(completion_factors(eye, cs)) == pytest.approx(0.0, abs=1e-14)
 
     def test_band_one_n4_against_dense_determinant(self):
         pat = banded_pattern(4, 1)
@@ -97,7 +97,7 @@ class TestLogdetCompletion:
         cs = rip_order(maximal_cliques(pat))
         xhat = reconstruct_dense(completion_factors(xbar, cs))
         expected = np.linalg.slogdet(xhat)[1]
-        got = logdet_completion(xbar, cs)
+        got = logdet_completion(completion_factors(xbar, cs))
         assert got == pytest.approx(expected, abs=1e-12)
         # strictly beats the zero-filled tridiagonal (det 5) by maximality
         assert got > math.log(5.0)
@@ -107,42 +107,42 @@ class TestCompletionInverse:
     def test_identity(self):
         xbar, cs = tridiagonal_example()
         eye = SparseSymMatrix.identity(xbar.pattern)
-        inv = completion_inverse(eye, cs)
+        inv = completion_inverse(completion_factors(eye, cs))
         assert np.allclose(inv.to_dense(), np.eye(3))
 
     def test_tridiagonal_against_dense(self):
         xbar, cs = tridiagonal_example()
         dense_inv = np.linalg.inv(np.array([[2, 1, 0.5], [1, 2, 1], [0.5, 1, 2]]))
         assert dense_inv[0, 2] == pytest.approx(0.0, abs=1e-12)
-        inv = completion_inverse(xbar, cs)
+        inv = completion_inverse(completion_factors(xbar, cs))
         assert restrict_abs_error(dense_inv, inv) < 1e-12
 
     def test_disjoint_blocks(self):
         pat = SparseSymPattern(4, [(0, 1), (2, 3)])
         xbar = SparseSymMatrix(pat, [2.0, 2.0, 3.0, 3.0], [1.0, 1.0])
         cs = rip_order(maximal_cliques(pat))
-        inv = completion_inverse(xbar, cs)
+        inv = completion_inverse(completion_factors(xbar, cs))
         top = np.linalg.inv([[2.0, 1.0], [1.0, 2.0]])
         assert inv.to_dense()[:2, :2] == pytest.approx(top)
 
     def test_matches_gradient_of_logdet(self):
         rng = np.random.default_rng(21)
         xbar, cs, _ = random_completable_partial(8, 0.35, rng)
-        inv = completion_inverse(xbar, cs)
+        inv = completion_inverse(completion_factors(xbar, cs))
         step = 1e-6
         for v in range(xbar.n):
             plus = xbar.copy()
             plus.diag[v] += step
             minus = xbar.copy()
             minus.diag[v] -= step
-            fd = (logdet_completion(plus, cs) - logdet_completion(minus, cs)) / (2 * step)
+            fd = (logdet_completion(completion_factors(plus, cs)) - logdet_completion(completion_factors(minus, cs))) / (2 * step)
             assert fd == pytest.approx(inv.diag[v], rel=1e-4, abs=1e-7)
         for i, j, k in xbar.pattern.edges():
             plus = xbar.copy()
             plus.offdiag[k] += step
             minus = xbar.copy()
             minus.offdiag[k] -= step
-            fd = (logdet_completion(plus, cs) - logdet_completion(minus, cs)) / (2 * step)
+            fd = (logdet_completion(completion_factors(plus, cs)) - logdet_completion(completion_factors(minus, cs))) / (2 * step)
             # symmetric perturbation counts the entry twice
             assert fd == pytest.approx(2.0 * inv.offdiag[k], rel=1e-4, abs=1e-7)
 
@@ -220,7 +220,7 @@ class TestCompletionVectors:
     def test_single_clique_is_dense_cholesky_transpose(self):
         pat = SparseSymPattern(3, [(0, 1), (0, 2), (1, 2)])
         dense = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
-        xbar = SparseSymMatrix.from_dense(pat, dense)
+        xbar = sparse_from_dense(pat, dense)
         cs = rip_order(maximal_cliques(pat))
         v = completion_vectors(completion_factors(xbar, cs))
         assert np.allclose(v, np.linalg.cholesky(dense).T)
@@ -234,7 +234,7 @@ class TestMaxDeterminantProperties:
             xbar, cs, _ = random_completable_partial(n, 0.3, rng)
             xhat = reconstruct_dense(completion_factors(xbar, cs))
             inv = np.linalg.inv(xhat)
-            mask = xbar.pattern.to_dense_mask()
+            mask = dense_mask(xbar.pattern)
             off = np.abs(inv[~mask]).max() if (~mask).any() else 0.0
             assert off <= 1e-10
             # perturb unspecified entries; determinant must not improve
@@ -265,7 +265,7 @@ class TestBandedLogdet:
         for n, p in [(6, 1), (12, 3), (9, 8), (25, 4), (40, 2)]:
             xbar = random_banded_partial(n, p, seed=int(rng.integers(1 << 30)))
             cs = rip_order(maximal_cliques(xbar.pattern))
-            a = logdet_completion(xbar, cs)
+            a = logdet_completion(completion_factors(xbar, cs))
             b = logdet_completion_banded(xbar, p)
             assert b == pytest.approx(a, abs=1e-9)
 
@@ -275,7 +275,7 @@ class TestBandedLogdet:
         cs = rip_order(maximal_cliques(xbar.pattern))
         assert len(cs) == 1
         assert logdet_completion_banded(xbar, n - 1) == \
-            pytest.approx(logdet_completion(xbar, cs), abs=1e-9)
+            pytest.approx(logdet_completion(completion_factors(xbar, cs)), abs=1e-9)
 
     def test_rejects_non_band_pattern(self):
         pat = SparseSymPattern(4, [(0, 1), (2, 3)])
@@ -297,5 +297,5 @@ class TestBandedLogdet:
             xbar = random_banded_partial(10 + p, p, seed=p)
             cs = rip_order(maximal_cliques(xbar.pattern))
             assert logdet_completion_banded(xbar, p) == \
-                pytest.approx(logdet_completion(xbar, cs), abs=1e-9)
+                pytest.approx(logdet_completion(completion_factors(xbar, cs)), abs=1e-9)
 

@@ -5,6 +5,8 @@ from sparse_sdp import SdpaParseError, read_sdpa, write_sdpa
 from sparse_sdp.maxcut import random_graph
 from sparse_sdp.sparsemat import SparseSymMatrix, SparseSymPattern
 
+from conftest import entry
+
 
 def maxcut_file(tmp_path, graph, name="instance.dat-s"):
     """Write the MAX-CUT relaxation data (original labels) as SDPA sparse."""
@@ -49,7 +51,7 @@ class TestRoundtrip:
         c, a, b = read_sdpa(path)
         assert c.n == 3
         assert b.tolist() == [1.0, 2.0]
-        assert c.entry(0, 1) == 0.25
+        assert entry(c, 0, 1) == 0.25
         assert a[0].diag[0] == 1.0 and a[1].diag[1] == 1.0
 
 

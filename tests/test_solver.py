@@ -12,7 +12,7 @@ from sparse_sdp import (CgResult, Direction, InfeasibleStart, IterateState,
 from sparse_sdp.maxcut import Graph, initial_point, maxcut_sdp, random_graph
 from sparse_sdp.solver import EXTRA_ITERS
 
-from conftest import dense_reference_directions, problem_dense_data
+from conftest import dense_reference_directions, problem_dense_data, reconstruct_dense
 
 
 def make_state(problem, gamma=None):
@@ -180,7 +180,7 @@ class TestDirectionsAgainstDenseReference:
     def test_second_iterate_equivalence(self):
         # after one step the completion is no longer the identity; feed the
         # dense reference the reconstructed completion and compare again
-        from sparse_sdp import completion_factors, reconstruct_dense
+        from sparse_sdp import completion_factors
         problem = maxcut_sdp(random_graph(6, 8, seed=11))
         cfg = SolverConfig(cg_rel_tol=1e-12, cg_max_iter=40 * problem.m)
         x0, y0 = initial_point(problem)
@@ -205,7 +205,7 @@ class TestDirectionsAgainstDenseReference:
     def test_equivalence_along_a_whole_run(self):
         # follow three accepted steps of a random instance; at every state
         # the sparse directions must match the dense reference
-        from sparse_sdp import completion_factors, reconstruct_dense
+        from sparse_sdp import completion_factors
         problem = maxcut_sdp(random_graph(5, 7, seed=25))
         cfg = SolverConfig(cg_rel_tol=1e-12, cg_max_iter=40 * problem.m)
         x0, y0 = initial_point(problem)
@@ -301,12 +301,12 @@ class TestPotentialMinimize:
             xdiag = state.xbar.diag + sum(q[t] * m.diag for t, m in enumerate(mats))
             xoff = state.xbar.offdiag + sum(q[t] * m.offdiag for t, m in enumerate(mats))
             y = state.y + q[2] * prim.dy + q[3] * dual.dy
-            from sparse_sdp import cholesky_factorize, logdet_completion
+            from sparse_sdp import cholesky_factorize, completion_factors, logdet_completion
             s = problem.dual_slack(y)
             try:
                 fac = cholesky_factorize(s)
                 xb = SparseSymMatrix(problem.fill, xdiag, xoff)
-                ld = logdet_completion(xb, problem.cliques)
+                ld = logdet_completion(completion_factors(xb, problem.cliques))
             except Exception:
                 continue
             gap = inner_product(s, xb)
@@ -339,6 +339,21 @@ class TestPotentialMinimize:
                             lambda factor: calls.append(factor) or original(factor))
         dual_direction(choice.trial, cfg)
         assert calls == []
+
+
+class TestCompletionSweep:
+    def test_each_clique_and_separator_block_is_factored_once(self, monkeypatch):
+        problem = maxcut_sdp(random_graph(20, 40, seed=3))
+        x0, y0 = initial_point(problem)
+        cs = problem.cliques
+        separators = sum(1 for u in cs.separators if len(u))
+        assert separators > 0
+        calls = []
+        real = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or real(a))
+        state = IterateState(problem, x0, y0, rho=40.0)
+        assert state.xhat_inv is not None
+        assert len(calls) == len(cs) + separators
 
 
 class TestSolve:
@@ -405,6 +420,14 @@ class TestSolve:
         assert max(r.primal_residual for r in report.records) <= 1e-7
         assert max(r.dual_residual for r in report.records) <= 1e-7
         assert all(r.gap > 0 for r in report.records)
+
+    def test_dual_residual_sees_a_corrupted_factor(self):
+        problem = maxcut_sdp(random_graph(10, 16, seed=22))
+        x0, y0 = initial_point(problem)
+        state = IterateState.create(problem, x0, y0, rho=20.0)
+        assert state.residuals()[1] <= 1e-12
+        state.s_factor.diag[0] *= 1.001
+        assert state.residuals()[1] > 1e-8
 
     def test_csv_and_summary_roundtrip(self, tmp_path):
         problem = maxcut_sdp(random_graph(5, 7, seed=23))

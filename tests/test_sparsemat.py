@@ -8,7 +8,8 @@ from sparse_sdp import (EliminationOrdering, NotPositiveDefinite,
                         inner_product, min_degree_ordering, symbolic_factorize,
                         verify_peo)
 
-from conftest import random_filled_pattern, random_pattern, random_pd_on_pattern
+from conftest import (elimination_sequence, factor_to_dense, random_filled_pattern,
+                      random_pattern, random_pd_on_pattern)
 
 
 class TestPattern:
@@ -42,25 +43,25 @@ class TestMinDegree:
     def test_path_eliminates_endpoint_first(self):
         # path 0-1-2: endpoint 0 wins the tie, then 1 drops to degree one
         pat = SparseSymPattern(3, [(0, 1), (1, 2)])
-        assert min_degree_ordering(pat).sequence.tolist() == [0, 1, 2]
+        assert elimination_sequence(min_degree_ordering(pat)).tolist() == [0, 1, 2]
 
     def test_complete_graph_breaks_ties_ascending(self):
         pat = SparseSymPattern(3, [(0, 1), (0, 2), (1, 2)])
-        assert min_degree_ordering(pat).sequence.tolist() == [0, 1, 2]
+        assert elimination_sequence(min_degree_ordering(pat)).tolist() == [0, 1, 2]
 
     def test_star_eliminates_leaves_while_degrees_differ(self):
         # center 0, leaves 1..3: after leaves 1 and 2 go, the center ties
         # with leaf 3 at degree one and wins by the smaller-index rule
         pat = SparseSymPattern(4, [(0, 1), (0, 2), (0, 3)])
-        assert min_degree_ordering(pat).sequence.tolist() == [1, 2, 0, 3]
+        assert elimination_sequence(min_degree_ordering(pat)).tolist() == [1, 2, 0, 3]
 
     def test_wider_star_defers_center_until_tie(self):
         pat = SparseSymPattern(6, [(0, j) for j in range(1, 6)])
-        assert min_degree_ordering(pat).sequence.tolist() == [1, 2, 3, 4, 0, 5]
+        assert elimination_sequence(min_degree_ordering(pat)).tolist() == [1, 2, 3, 4, 0, 5]
 
     def test_empty_graph_identity(self):
         pat = SparseSymPattern(4)
-        assert min_degree_ordering(pat).sequence.tolist() == [0, 1, 2, 3]
+        assert elimination_sequence(min_degree_ordering(pat)).tolist() == [0, 1, 2, 3]
 
 
 class TestSymbolicFactorize:
@@ -95,7 +96,7 @@ class TestCholesky:
     def test_two_by_two_by_hand(self):
         pat = SparseSymPattern(2, [(0, 1)])
         factor = cholesky_factorize(SparseSymMatrix(pat, [4.0, 5.0], [2.0]))
-        assert np.allclose(factor.to_dense(), [[2.0, 0.0], [1.0, 2.0]])
+        assert np.allclose(factor_to_dense(factor), [[2.0, 0.0], [1.0, 2.0]])
         assert factor.logdet == pytest.approx(math.log(16.0), abs=1e-12)
 
     def test_identity(self):
@@ -125,7 +126,7 @@ class TestCholesky:
             fill = random_filled_pattern(n, rng.random() * 0.6, rng)
             mat, dense = random_pd_on_pattern(fill, rng)
             factor = cholesky_factorize(mat)
-            ldense = factor.to_dense()
+            ldense = factor_to_dense(factor)
             err = np.abs(ldense @ ldense.T - dense).max()
             assert err <= 1e-10 * max(np.abs(dense).max(), 1.0)
 

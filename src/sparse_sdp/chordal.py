@@ -63,9 +63,7 @@ class CliqueSequence:
     ``cliques[r]`` = C_r (sorted), ``separators[r]`` = U_r = C_r
     intersected with the union of all later cliques, ``residuals[r]`` =
     S_r = C_r minus U_r.  ``parents[r]`` indexes a later clique containing
-    U_r (None for cliques with empty separator).  ``slots`` caches where
-    the clique blocks sit in a partial matrix's storage; the completion
-    routines build it on first use.
+    U_r (None for cliques with empty separator).
     """
 
     n: int
@@ -73,7 +71,6 @@ class CliqueSequence:
     residuals: list = field(default_factory=list)
     separators: list = field(default_factory=list)
     parents: list = field(default_factory=list)
-    slots: object = field(default=None, repr=False, compare=False)
 
     def __len__(self):
         return len(self.cliques)

@@ -84,11 +84,12 @@ def completion_factors(xbar, cs):
     clique block) gets one dense Cholesky factorization.  Raises
     NotCompletable unless every clique block is positive definite, which
     on a chordal pattern is exactly when a positive definite completion
-    exists.
+    exists.  The slot arrays are built on the first call for a clique
+    sequence and pattern and kept on ``cs`` as a private attribute.
     """
-    slots = cs.slots
+    slots = getattr(cs, "_slots", None)
     if slots is None or slots.pattern is not xbar.pattern:   # first use: build, cache
-        slots = cs.slots = _CliqueSlots(cs, xbar.pattern)
+        slots = cs._slots = _CliqueSlots(cs, xbar.pattern)
     values = np.concatenate((xbar.diag, xbar.offdiag))
     blocks, clique_chol, sep_chol = [], [], []
     for r, (idx, u_pos) in enumerate(zip(slots.gather, slots.sep_pos)):

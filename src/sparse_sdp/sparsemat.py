@@ -59,7 +59,6 @@ class SparseSymPattern:
         self._cols = [tuple(c) for c in cols]
         self._adj = None
         self._row_cols = None
-        self._pairs = None
 
     @property
     def nnz(self):
@@ -104,25 +103,6 @@ class SparseSymPattern:
                     rc[i].append(j)
             self._row_cols = [tuple(r) for r in rc]
         return self._row_cols
-
-    def column_pairs(self):
-        """Index arrays (a, b, slot) into [diag | offdiag] storage: for each
-        column k and rows i >= j of {k} + column_rows(k), entry (i, k) times
-        entry (j, k) is one term of entry (i, j) of L L^T.  Cached; raises
-        KeyError unless the pattern is elimination-closed."""
-        if self._pairs is None:
-            n = self.n
-            a, b, slot = [], [], []
-            for k in range(n):
-                base = n + int(self.col_ptr[k])
-                ent = [(k, k)] + [(i, base + t) for t, i in enumerate(self._cols[k])]
-                for p, (i, si) in enumerate(ent):
-                    for j, sj in ent[:p + 1]:
-                        a.append(si)
-                        b.append(sj)
-                        slot.append(i if i == j else n + self._index[(i, j)])
-            self._pairs = tuple(np.asarray(x, dtype=np.int64) for x in (a, b, slot))
-        return self._pairs
 
     def is_subset_of(self, other):
         return self.n == other.n and all(key in other._index for key in self._index)
@@ -266,10 +246,38 @@ class CholeskyFactor:
         return self.pattern.n
 
     def product(self):
-        """Entries of L L^T on the factor's own pattern, as [diag | offdiag]."""
-        a, b, slot = self.pattern.column_pairs()
-        vals = np.concatenate((self.diag, self.offdiag))
-        return np.bincount(slot, weights=vals[a] * vals[b], minlength=len(vals))
+        """Entries of L L^T on the factor's own pattern, as [diag | offdiag].
+
+        Left-looking like ``cholesky_factorize``: entry (i, j), i >= j, sums
+        L_ik L_jk over k = j and the columns k < j of row j, so it costs one
+        factorization and O(nnz) memory.
+        """
+        pat = self.pattern
+        cols = pat._cols
+        row_cols = pat.row_columns()
+        eindex = pat._index
+        col_start = pat.col_ptr.tolist()
+        ldiag = self.diag.tolist()
+        loff = self.offdiag.tolist()
+        work = [0.0] * pat.n
+        pdiag = [0.0] * pat.n
+        poff = [0.0] * pat.nnz
+        for j in range(pat.n):
+            ljj = ldiag[j]
+            base = col_start[j]
+            work[j] = ljj * ljj
+            for t, i in enumerate(cols[j]):
+                work[i] = loff[base + t] * ljj
+            for k in row_cols[j]:
+                ljk = loff[eindex[(j, k)]]
+                kbase = col_start[k]
+                for t, i in enumerate(cols[k]):
+                    if i >= j:
+                        work[i] += ljk * loff[kbase + t]
+            pdiag[j] = work[j]
+            for t, i in enumerate(cols[j]):
+                poff[base + t] = work[i]
+        return np.array(pdiag + poff)
 
     def __repr__(self):
         return f"CholeskyFactor(n={self.n}, nnz={self.pattern.nnz})"

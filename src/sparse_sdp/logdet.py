@@ -7,10 +7,14 @@ selected-inverse recurrences that run backward over the factor columns.
 computation, starting from the selected inverse its caller already
 holds, yielding the entries on the pattern of S^-1 Z S^-1 -- the log-det
 Hessian applied to Z, up to sign -- with the same time and space
-footprint.  No dense intermediate is ever formed.
+footprint.  No dense intermediate is ever formed.  ``inverse_columns``
+gives selected columns of the inverse in full, by batched forward and
+back solves on the factor.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .sparsemat import SparseSymMatrix
 
@@ -63,6 +67,35 @@ def sparse_inverse(factor):
             s -= lt[base + u] * woff[base + u]
         wdiag[j] = s
     return SparseSymMatrix(pat, wdiag, woff, check=False)
+
+
+def inverse_columns(factor, cols):
+    """Columns ``cols`` of the inverse of the factored matrix L L^T.
+
+    Solves L L^T W = I[:, cols] for all right-hand sides at once: one
+    numpy row update per factor column in the forward solve and one in
+    the back solve, so the work is O(nnz(L) k) for k columns and the
+    result, a dense n x k array, is the only storage beyond the factor's.
+    """
+    pat = factor.pattern
+    cols = np.asarray(cols, dtype=np.int64)
+    ldiag = factor.diag.tolist()
+    loff = factor.offdiag
+    rows = pat.rows
+    start = pat.col_ptr.tolist()
+    w = np.zeros((pat.n, len(cols)))
+    w[cols, np.arange(len(cols))] = 1.0
+    for j in range(pat.n):
+        w[j] /= ldiag[j]
+        lo, hi = start[j], start[j + 1]
+        if hi > lo:
+            w[rows[lo:hi]] -= np.outer(loff[lo:hi], w[j])
+    for j in range(pat.n - 1, -1, -1):
+        lo, hi = start[j], start[j + 1]
+        if hi > lo:
+            w[j] -= loff[lo:hi] @ w[rows[lo:hi]]
+        w[j] /= ldiag[j]
+    return w
 
 
 def hess_vec(factor, z, sinv):

@@ -2,9 +2,10 @@
 
 An `SdpProblem` owns the standard-form data (C, A_1..A_m, b), the
 aggregate pattern of all data matrices, a fill-reducing ordering, and the
-chordal extension produced by symbolic factorization.  All stored
-matrices live in the permuted (elimination) labels; `ordering` maps
-original labels to them.
+chordal extension produced by symbolic factorization, and assembles
+the m x m matrix A_p . (W A_q W) of a Newton system from W's entries on
+the constraint vertices.  All stored matrices live in the permuted
+(elimination) labels; `ordering` maps original labels to them.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class SdpProblem:
 
         # Flattened scatter/gather index arrays against the fill pattern.
         d_idx, d_val, d_own = [], [], []
-        e_idx, e_val, e_own = [], [], []
+        e_idx, e_val, e_own, e_ends = [], [], [], []
         for p, a in enumerate(self.constraints):
             nz = np.flatnonzero(a.diag)
             d_idx.extend(nz.tolist())
@@ -58,6 +59,7 @@ class SdpProblem:
                     e_idx.append(fill.edge_index(i, j))
                     e_val.append(a.offdiag[k])
                     e_own.append(p)
+                    e_ends.append((i, j))
         self._d_idx = np.asarray(d_idx, dtype=np.int64)
         self._d_val = np.asarray(d_val, dtype=float)
         self._d_own = np.asarray(d_own, dtype=np.int64)
@@ -65,6 +67,22 @@ class SdpProblem:
         self._e_val = np.asarray(e_val, dtype=float)
         self._e_own = np.asarray(e_own, dtype=np.int64)
         self._gram_chol = None
+
+        # The same entries as (r, s, c), each standing for
+        # c (e_r e_s^T + e_s e_r^T), grouped by constraint, with r and s
+        # given as positions in ``constraint_vertices`` (for newton_matrix).
+        ends = np.asarray(e_ends, dtype=np.int64).reshape(-1, 2)
+        r = np.concatenate((self._d_idx, ends[:, 0]))
+        s = np.concatenate((self._d_idx, ends[:, 1]))
+        own = np.concatenate((self._d_own, self._e_own))
+        order = np.argsort(own, kind="stable")
+        self.constraint_vertices = np.unique(np.concatenate((r, s)))
+        self._ent_r = np.searchsorted(self.constraint_vertices, r[order])
+        self._ent_s = np.searchsorted(self.constraint_vertices, s[order])
+        self._ent_c = np.concatenate((0.5 * self._d_val, self._e_val))[order]
+        own = own[order]
+        self._ent_start = np.flatnonzero(np.diff(own, prepend=-1))
+        self._ent_owner = own[self._ent_start]
 
     def apply_map(self, w):
         """(A_1.W, ..., A_m.W) for W supported on the fill pattern."""
@@ -83,6 +101,28 @@ class SdpProblem:
         if len(self._e_idx):
             np.add.at(off, self._e_idx, z[self._e_own] * self._e_val)
         return SparseSymMatrix(self.fill, diag, off, check=False)
+
+    def newton_matrix(self, w):
+        """The m x m matrix M_pq = A_p . (W A_q W) for a symmetric W.
+
+        ``w`` holds W on ``constraint_vertices`` x ``constraint_vertices``,
+        the only entries M reads.  With every constraint entry written as
+        c (e_r e_s^T + e_s e_r^T),
+          M = P^T K P,
+          K_ef = 2 c_e c_f (W_{s_e r_f} W_{s_f r_e} + W_{s_e s_f} W_{r_e r_f}),
+        where P sums the entries into their constraints.  For
+        unit-diagonal constraints (MAX-CUT) this is M = W o W.
+        """
+        r, s = self._ent_r, self._ent_s
+        wsr = w[np.ix_(s, r)]
+        k = wsr * wsr.T + w[np.ix_(s, s)] * w[np.ix_(r, r)]
+        k *= np.outer(2.0 * self._ent_c, self._ent_c)
+        out = np.zeros((self.m, self.m))
+        start, own = self._ent_start, self._ent_owner
+        if len(start):
+            out[np.ix_(own, own)] = np.add.reduceat(
+                np.add.reduceat(k, start, axis=0), start, axis=1)
+        return out
 
     def _gram(self):
         if self._gram_chol is None:

@@ -8,14 +8,19 @@ reduce the potential
 
     rho * ln(S.X) - ln det X - ln det S,    rho = n + gamma*sqrt(n).
 
-Both Newton systems are solved matrix-free by conjugate gradient; each
-operator application is one Hessian-product sweep over the fill pattern.
+Both Newton systems are solved by conjugate gradient on their m x m
+matrix, assembled once per system from the columns of W (S^-1 on the
+dual side, the completion X^ on the primal side) that batched forward
+and back solves on the sparse factor give; each CG application is then
+one m x m product.  One Hessian-product sweep over the fill pattern per
+system turns the solution back into a matrix.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from io import StringIO
@@ -25,7 +30,7 @@ import numpy as np
 from .completion import completion_factors, completion_inverse, logdet_completion
 from .errors import (InfeasibleStart, IterationLimit, NoDecrease,
                      NotCompletable, NotPositiveDefinite)
-from .logdet import hess_vec, sparse_inverse
+from .logdet import hess_vec, inverse_columns, sparse_inverse
 from .sparsemat import SparseSymMatrix, cholesky_factorize, inner_product
 
 FEAS_TOL = 1e-8          # strict-feasibility residual bound at entry
@@ -42,8 +47,9 @@ class SolverConfig:
     ``gamma`` weights the potential, rho = n + gamma*sqrt(n); None
     resolves to sqrt(n) at solve time.  The solve converges once the
     duality gap S.X drops below ``gap_tol``.  Each Newton system is
-    solved by conjugate gradient to relative residual ``cg_rel_tol`` in
-    at most ``cg_max_iter`` iterations (None means m).
+    solved by conjugate gradient on its assembled m x m matrix to
+    relative residual ``cg_rel_tol`` in at most ``cg_max_iter``
+    iterations (None means m; otherwise an int of at least 1).
     ``max_main_iters`` bounds the main loop.  ``direction_mode`` "four"
     searches over both Newton directions and their companions, "two"
     over the primal direction and its companion only.
@@ -61,6 +67,11 @@ class SolverConfig:
             raise ValueError("gamma must be positive")
         if self.gap_tol <= 0 or self.cg_rel_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if self.cg_max_iter is not None and not (
+                isinstance(self.cg_max_iter, numbers.Integral)
+                and not isinstance(self.cg_max_iter, bool)
+                and self.cg_max_iter >= 1):
+            raise ValueError("cg_max_iter must be None or an int >= 1")
         if self.direction_mode not in ("four", "two"):
             raise ValueError("direction_mode must be 'four' or 'two'")
 
@@ -215,14 +226,21 @@ class Direction:
 def _newton_system(prob, cfg, factor, sinv, rhs):
     """Solve A(H(sum v_p A_p)) = rhs for v by conjugate gradient.
 
-    H is the Hessian product on ``factor`` about its selected inverse
-    ``sinv``.  Returns the CG result, sum v_p A_p and its image under H.
+    H(Z) = W Z W, with W the inverse of the matrix ``factor`` factors.
+    The matrix of v -> A(H(sum v_p A_p)) is assembled once: the columns
+    of W at the constraint vertices come from batched solves on
+    ``factor`` (O(nnz(L)) work per column, no dense inverse), and
+    ``newton_matrix`` forms M_pq = A_p . (W A_q W) from them, so each CG
+    application costs one m x m product.  Returns the CG result,
+    sum v_p A_p and its image under H on the fill pattern, from one
+    Hessian-product sweep on ``factor`` about its selected inverse
+    ``sinv``.
     """
-    def op(v):
-        return prob.apply_map(hess_vec(factor, prob.adjoint_map(v), sinv=sinv))
-
-    res = conjugate_gradient(op, rhs, rel_tol=cfg.cg_rel_tol,
-                             max_iter=cfg.cg_max_iter or prob.m)
+    verts = prob.constraint_vertices
+    mat = prob.newton_matrix(inverse_columns(factor, verts)[verts])
+    max_iter = prob.m if cfg.cg_max_iter is None else cfg.cg_max_iter
+    res = conjugate_gradient(lambda v: mat @ v, rhs, rel_tol=cfg.cg_rel_tol,
+                             max_iter=max_iter)
     combo = prob.adjoint_map(res.x)
     return res, combo, hess_vec(factor, combo, sinv=sinv)
 
@@ -258,9 +276,11 @@ def primal_direction(state, cfg):
 
     Works against the completion X^ through its sparse inverse Y: with
     M = (rho/gap) S, solve A(sum lam_p X^ A_p X^) = A(X^ M X^ - X) for
-    the multipliers by conjugate gradient, where every product
-    (X^ Z X^)|_F is one Hessian sweep on Y's factor about X, the
-    selected inverse of Y.  Then
+    the multipliers by conjugate gradient.  The system's matrix comes
+    from the columns of X^ = Y^-1 that batched solves on Y's factor
+    give; the products (X^ M X^)|_F and (sum lam_p X^ A_p X^)|_F are each
+    one Hessian sweep on Y's factor about X, the selected inverse of Y.
+    Then
       N|_F = X - (X^ M X^)|_F + sum lam_p (X^ A_p X^)|_F,
       dX1 = N / (1 + lam),   lam = [G . N]^(1/2),
       G = Y - M + sum lam_p A_p  (equals X^-1 N X^-1 on F),

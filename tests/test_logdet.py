@@ -2,9 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparse_sdp import (SparseSymMatrix, SparseSymPattern, cholesky_factorize,
-                        hess_vec, sparse_inverse)
+                        hess_vec, inverse_columns, sparse_inverse)
 from sparse_sdp.bench import random_banded_partial
 
 from conftest import (random_filled_pattern, random_pd_on_pattern,
@@ -49,6 +51,36 @@ class TestSparseInverse:
             err = restrict_abs_error(dinv, w) / max(np.abs(dinv).max(), 1.0)
             worst = max(worst, err)
         assert worst <= 1e-10
+
+
+class TestInverseColumns:
+    def test_tridiagonal_hand_values(self):
+        pat = SparseSymPattern(3, [(0, 1), (1, 2)])
+        fac = cholesky_factorize(SparseSymMatrix(pat, [2.0, 2.0, 2.0], [1.0, 1.0]))
+        w = inverse_columns(fac, [2, 0])
+        assert w == pytest.approx(np.array([[0.25, 0.75], [-0.5, -0.5],
+                                            [0.75, 0.25]]), abs=1e-14)
+
+    def test_no_columns(self):
+        pat = SparseSymPattern(3, [(0, 1)])
+        fac = cholesky_factorize(SparseSymMatrix.identity(pat))
+        assert inverse_columns(fac, []).shape == (3, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 24), density=st.floats(0.0, 0.7),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_random_chordal_patterns_match_dense_inverse(self, n, density, seed,
+                                                         data):
+        rng = np.random.default_rng(seed)
+        fill = random_filled_pattern(n, density, rng)
+        mat, dense = random_pd_on_pattern(fill, rng)
+        cols = data.draw(st.lists(st.integers(0, n - 1), unique=True,
+                                  max_size=n))
+        w = inverse_columns(cholesky_factorize(mat), cols)
+        ref = np.linalg.inv(dense)[:, cols]
+        assert w.shape == (n, len(cols))
+        assert np.abs(w - ref).max(initial=0.0) \
+            <= 1e-10 * max(np.abs(ref).max(initial=0.0), 1.0)
 
 
 class TestHessVec:

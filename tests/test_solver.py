@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from sparse_sdp import solver
-from sparse_sdp import (CgResult, Direction, InfeasibleStart, IterateState,
-                        IterationLimit, SolverConfig, SparseSymMatrix,
-                        SparseSymPattern, conjugate_gradient, dual_direction,
-                        inner_product, potential_minimize, primal_direction,
+from sparse_sdp import (CgResult, Direction, EliminationOrdering, InfeasibleStart,
+                        IterateState, IterationLimit, SdpProblem, SolverConfig,
+                        SparseSymMatrix, SparseSymPattern, conjugate_gradient,
+                        dual_direction, hess_vec, inner_product,
+                        inverse_columns, potential_minimize, primal_direction,
                         solve)
 from sparse_sdp.maxcut import Graph, initial_point, maxcut_sdp, random_graph
 from sparse_sdp.solver import EXTRA_ITERS
@@ -107,6 +108,18 @@ class TestPotential:
         assert state.phi == pytest.approx(expected, abs=1e-12)
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("cg_max_iter", [0, -1, 2.5, True])
+    def test_cg_max_iter_must_be_a_positive_int(self, cg_max_iter):
+        # 0 used to be read as m, and a negative cap returned x = 0 at once
+        with pytest.raises(ValueError, match="cg_max_iter"):
+            SolverConfig(cg_max_iter=cg_max_iter)
+
+    @pytest.mark.parametrize("cg_max_iter", [None, 1, np.int64(7)])
+    def test_cg_max_iter_accepts_none_and_positive_ints(self, cg_max_iter):
+        assert SolverConfig(cg_max_iter=cg_max_iter).cg_max_iter == cg_max_iter
+
+
 class TestConjugateGradient:
     def test_identity_one_iteration(self):
         rhs = np.array([1.0, -2.0, 3.0])
@@ -140,6 +153,114 @@ class TestConjugateGradient:
         rhs = rng.standard_normal(12)
         res = conjugate_gradient(lambda v: h @ v, rhs, rel_tol=1e-14, max_iter=2)
         assert not res.converged
+
+
+def hess_vec_columns(problem, factor, sinv):
+    """The m columns A(hess_vec(factor, A*(e_q), sinv)) of the Newton
+    operator that CG once applied matrix-free."""
+    cols = [problem.apply_map(hess_vec(factor, problem.adjoint_map(e), sinv=sinv))
+            for e in np.eye(problem.m)]
+    return np.array(cols).T.reshape(problem.m, problem.m)
+
+
+def assembled(problem, factor):
+    verts = problem.constraint_vertices
+    return problem.newton_matrix(inverse_columns(factor, verts)[verts])
+
+
+def generic_problem(rng):
+    """12 x 12 problem whose constraints carry off-diagonal entries, some
+    shared between constraints, with a state that is strictly inside both
+    cones but neither feasible nor at X = I."""
+    n = 12
+    pat = SparseSymPattern(n, [(i, i - 1) for i in range(1, n)])
+    c = SparseSymMatrix(pat, np.full(n, 6.0), np.full(n - 1, 0.5))
+    constraints = []
+    off_entries = 0
+    for p in range(7):
+        edges = [tuple(rng.choice(n, 2, replace=False)) for _ in range(5)]
+        apat = SparseSymPattern(n, edges)
+        diag = np.zeros(n)
+        diag[rng.choice(n, 2, replace=False)] = rng.standard_normal(2)
+        constraints.append(SparseSymMatrix(apat, diag,
+                                           rng.standard_normal(apat.nnz)))
+        off_entries += apat.nnz
+    problem = SdpProblem(c, constraints, np.ones(7))
+    xbar = SparseSymMatrix(problem.fill, 1.0 + rng.random(n),
+                           0.05 * rng.standard_normal(problem.fill.nnz))
+    state = IterateState(problem, xbar, 0.05 * rng.standard_normal(7), rho=20.0)
+    return state, off_entries
+
+
+class TestNewtonMatrix:
+    def check(self, state, rel=1e-12):
+        problem = state.problem
+        for factor, sinv in ((state.s_factor, state.sinv),
+                             (state.xhat_inv_factor, state.xbar)):
+            want = hess_vec_columns(problem, factor, sinv)
+            got = assembled(problem, factor)
+            assert got.shape == (problem.m, problem.m)
+            assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+    def test_maxcut_iterate_mid_solve_both_sides(self):
+        problem = maxcut_sdp(random_graph(20, 40, seed=3))
+        x0, y0 = initial_point(problem)
+        with pytest.raises(IterationLimit) as info:
+            solve(problem, x0, y0, SolverConfig(max_main_iters=4))
+        state = info.value.report.state
+        # away from X = I, where X^ A_p X^ would hide primal-side errors
+        assert np.abs(state.xbar.offdiag).max() > 1e-2
+        self.check(state)
+
+    def test_maxcut_is_the_hadamard_square(self):
+        # constraint p is e_v e_v^T for v = perm[p] in the elimination labels
+        state = make_state(maxcut_sdp(random_graph(9, 14, seed=4)))
+        problem = state.problem
+        w = inverse_columns(state.s_factor, problem.constraint_vertices)
+        w = w[problem.constraint_vertices]
+        v = problem.ordering.perm
+        want = (w * w)[np.ix_(v, v)]
+        assert np.abs(problem.newton_matrix(w) - want).max() \
+            <= 1e-14 * np.abs(want).max()
+
+    def test_generic_constraints_with_off_diagonal_entries(self):
+        state, off_entries = generic_problem(np.random.default_rng(44))
+        assert off_entries >= 29
+        self.check(state)
+
+    def test_no_constraints(self):
+        pat = SparseSymPattern(4, [(0, 1), (2, 3)])
+        c = SparseSymMatrix(pat, np.full(4, 2.0), np.full(2, 0.5))
+        problem = SdpProblem(c, [], np.zeros(0),
+                             ordering=EliminationOrdering.identity(4))
+        state = IterateState(problem, SparseSymMatrix.identity(problem.fill),
+                             np.zeros(0), rho=6.0)
+        for factor in (state.s_factor, state.xhat_inv_factor):
+            assert assembled(problem, factor).shape == (0, 0)
+        res, combo, image = solver._newton_system(
+            problem, SolverConfig(), state.s_factor, state.sinv, np.zeros(0))
+        assert res.converged and res.iterations == 0
+        assert not combo.diag.any() and not image.diag.any()
+
+    def test_one_iteration_makes_three_hessian_products(self, monkeypatch):
+        # X^ M X^ and the two Newton combinations; CG itself makes none,
+        # however many iterations it runs
+        problem = maxcut_sdp(random_graph(20, 40, seed=3))
+        x0, y0 = initial_point(problem)
+        with pytest.raises(IterationLimit) as info:
+            solve(problem, x0, y0, SolverConfig(max_main_iters=4))
+        state = info.value.report.state
+        original = solver.hess_vec
+        cg_iterations = []
+        for cg_max_iter in (1, None):
+            calls = []
+            monkeypatch.setattr(solver, "hess_vec",
+                                lambda *a, **k: calls.append(1) or original(*a, **k))
+            cfg = SolverConfig(direction_mode="four", cg_max_iter=cg_max_iter)
+            prim, dual = build_directions(state, cfg)
+            cg_iterations.append(prim.cg.iterations + dual.cg.iterations)
+            assert len(calls) == 3
+        assert cg_iterations[0] == 2 and cg_iterations[1] > 10
 
 
 class TestDirectionsAgainstDenseReference:

@@ -72,13 +72,17 @@ class SdpProblem:
         # c (e_r e_s^T + e_s e_r^T), grouped by constraint, with r and s
         # given as positions in ``constraint_vertices`` (for newton_matrix).
         ends = np.asarray(e_ends, dtype=np.int64).reshape(-1, 2)
-        r = np.concatenate((self._d_idx, ends[:, 0]))
-        s = np.concatenate((self._d_idx, ends[:, 1]))
         own = np.concatenate((self._d_own, self._e_own))
         order = np.argsort(own, kind="stable")
-        self.constraint_vertices = np.unique(np.concatenate((r, s)))
-        self._ent_r = np.searchsorted(self.constraint_vertices, r[order])
-        self._ent_s = np.searchsorted(self.constraint_vertices, s[order])
+        r = np.concatenate((self._d_idx, ends[:, 0]))[order]
+        s = np.concatenate((self._d_idx, ends[:, 1]))[order]
+        used = np.zeros(n, dtype=bool)
+        used[r] = True
+        used[s] = True
+        self.constraint_vertices = np.flatnonzero(used)
+        position = np.cumsum(used) - 1
+        self._ent_r = position[r]
+        self._ent_s = position[s]
         self._ent_c = np.concatenate((0.5 * self._d_val, self._e_val))[order]
         own = own[order]
         self._ent_start = np.flatnonzero(np.diff(own, prepend=-1))

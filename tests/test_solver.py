@@ -158,9 +158,9 @@ class TestConjugateGradient:
 def hess_vec_columns(problem, factor, sinv):
     """The m columns A(hess_vec(factor, A*(e_q), sinv)) of the Newton
     operator that CG once applied matrix-free."""
-    cols = [problem.apply_map(hess_vec(factor, problem.adjoint_map(e), sinv=sinv))
-            for e in np.eye(problem.m)]
-    return np.array(cols).T.reshape(problem.m, problem.m)
+    return np.array([
+        problem.apply_map(hess_vec(factor, problem.adjoint_map(e), sinv=sinv))
+        for e in np.eye(problem.m)]).T
 
 
 def assembled(problem, factor):
@@ -168,10 +168,19 @@ def assembled(problem, factor):
     return problem.newton_matrix(inverse_columns(factor, verts)[verts])
 
 
+def mid_solve_state():
+    """The iterate after four iterations on a 20-vertex MAX-CUT problem."""
+    problem = maxcut_sdp(random_graph(20, 40, seed=3))
+    x0, y0 = initial_point(problem)
+    with pytest.raises(IterationLimit) as info:
+        solve(problem, x0, y0, SolverConfig(max_main_iters=4))
+    return info.value.report.state
+
+
 def generic_problem(rng):
-    """12 x 12 problem whose constraints carry off-diagonal entries, some
-    shared between constraints, with a state that is strictly inside both
-    cones but neither feasible nor at X = I."""
+    """12 x 12 problem whose constraints carry off-diagonal entries on
+    random edges, with a state that is strictly inside both cones but
+    neither feasible nor at X = I."""
     n = 12
     pat = SparseSymPattern(n, [(i, i - 1) for i in range(1, n)])
     c = SparseSymMatrix(pat, np.full(n, 6.0), np.full(n - 1, 0.5))
@@ -203,11 +212,7 @@ class TestNewtonMatrix:
             assert np.abs(got - want).max() <= rel * np.abs(want).max()
 
     def test_maxcut_iterate_mid_solve_both_sides(self):
-        problem = maxcut_sdp(random_graph(20, 40, seed=3))
-        x0, y0 = initial_point(problem)
-        with pytest.raises(IterationLimit) as info:
-            solve(problem, x0, y0, SolverConfig(max_main_iters=4))
-        state = info.value.report.state
+        state = mid_solve_state()
         # away from X = I, where X^ A_p X^ would hide primal-side errors
         assert np.abs(state.xbar.offdiag).max() > 1e-2
         self.check(state)
@@ -245,11 +250,7 @@ class TestNewtonMatrix:
     def test_one_iteration_makes_three_hessian_products(self, monkeypatch):
         # X^ M X^ and the two Newton combinations; CG itself makes none,
         # however many iterations it runs
-        problem = maxcut_sdp(random_graph(20, 40, seed=3))
-        x0, y0 = initial_point(problem)
-        with pytest.raises(IterationLimit) as info:
-            solve(problem, x0, y0, SolverConfig(max_main_iters=4))
-        state = info.value.report.state
+        state = mid_solve_state()
         original = solver.hess_vec
         cg_iterations = []
         for cg_max_iter in (1, None):

@@ -68,6 +68,7 @@ def read_sdpa(path):
 
     diags = [np.zeros(n) for _ in range(m + 1)]
     offs = [dict() for _ in range(m + 1)]
+    seen_diag = set()              # (matrix, i): a zero value also counts as given
     for no, ln in body[4:]:
         parts = ln.split()
         if len(parts) != 5:
@@ -87,8 +88,9 @@ def read_sdpa(path):
         if not (1 <= i <= n and 1 <= j <= n):
             raise SdpaParseError(no, f"entry ({i},{j}) outside block of size {n}")
         if i == j:
-            if diags[mat][i - 1] != 0.0:
+            if (mat, i) in seen_diag:
                 raise SdpaParseError(no, f"duplicate diagonal entry ({i},{i})")
+            seen_diag.add((mat, i))
             diags[mat][i - 1] = val
         else:
             key = (max(i, j) - 1, min(i, j) - 1)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparse_sdp import (NotCompletable, SparseSymMatrix, SparseSymPattern,
                         banded_pattern, cholesky_factorize, completion_factors,
@@ -26,6 +28,22 @@ def completion_hess_product(xbar, cs, z):
     Hessian product on the factor of the completion inverse."""
     return hess_vec(cholesky_factorize(completion_inverse(completion_factors(xbar, cs))), z,
                     sinv=xbar)
+
+
+def per_clique_completion(xbar, cs):
+    """Log-det and dense inverse of the max-determinant completion, block
+    by block in the order clique r, separator r, r = 0, 1, ... (Vandenberghe
+    and Andersen, Chordal Graphs and Semidefinite Optimization, 2015)."""
+    dense = xbar.to_dense()
+    logdet, inv = 0.0, np.zeros_like(dense)
+    for c, u in zip(cs.cliques, cs.separators):
+        for verts, sign in ((c, 1.0), (u, -1.0)):
+            if len(verts):
+                chol = np.linalg.cholesky(dense[np.ix_(verts, verts)])
+                logdet += sign * 2.0 * float(np.sum(np.log(np.diagonal(chol))))
+                ci = np.linalg.inv(chol)
+                inv[np.ix_(verts, verts)] += sign * (ci.T @ ci)
+    return logdet, inv
 
 
 class TestCliquePdCheck:
@@ -61,7 +79,7 @@ class TestCompletionFactors:
         xbar = SparseSymMatrix(pat, [2.0, 2.0, 3.0, 3.0], [1.0, 1.0])
         cs = rip_order(maximal_cliques(pat))
         factors = completion_factors(xbar, cs)
-        assert all(c is None for c in factors.sep_chol)
+        assert factors.slots.separators == [] and factors.sep_chol == []
         dense = reconstruct_dense(factors)
         assert dense[0, 2] == dense[0, 3] == dense[1, 2] == dense[1, 3] == 0.0
 
@@ -257,6 +275,48 @@ class TestMaxDeterminantProperties:
                     continue
                 accepted += 1
                 assert np.linalg.slogdet(cand)[1] <= base + 1e-12
+
+
+class TestBatchedSweep:
+    """The sweep batches its blocks by size; on random chordal patterns
+    with several clique and separator sizes it must still agree with
+    dense oracles, and one bad block in a batch must still be caught."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 20), density=st.floats(0.0, 0.6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_chordal_patterns_match_dense_oracles(self, n, density, seed):
+        rng = np.random.default_rng(seed)
+        xbar, cs, _ = random_completable_partial(n, density, rng)
+        factors = completion_factors(xbar, cs)
+        xhat = reconstruct_dense(factors)
+        # V^T V from completion_vectors reproduces X-bar on F ...
+        assert restrict_abs_error(xhat, xbar) <= 1e-10 * max(np.abs(xhat).max(), 1.0)
+        # ... and is the max-determinant completion: its inverse vanishes off F.
+        inv = np.linalg.inv(xhat)
+        scale = max(np.abs(inv).max(), 1.0)
+        assert np.abs(inv[~dense_mask(xbar.pattern)]).max(initial=0.0) <= 1e-10 * scale
+        sign, logdet = np.linalg.slogdet(xhat)
+        assert sign > 0
+        assert logdet_completion(factors) == pytest.approx(logdet, abs=1e-9)
+        assert restrict_abs_error(inv, completion_inverse(factors)) <= 1e-10 * scale
+        # Batching changes only the schedule, so the bits match the
+        # clique-by-clique formulas.
+        loop_logdet, loop_inv = per_clique_completion(xbar, cs)
+        assert logdet_completion(factors) == loop_logdet
+        assert np.array_equal(completion_inverse(factors).to_dense(), loop_inv)
+
+    @pytest.mark.parametrize("bad", range(5))
+    def test_one_indefinite_block_in_a_size_group_is_caught(self, bad):
+        n = 7
+        pat = banded_pattern(n, 2)                 # five 3-vertex cliques
+        xbar = SparseSymMatrix.identity(pat)
+        xbar.offdiag[pat.edge_index(bad + 2, bad)] = 2.0   # only in clique {bad..bad+2}
+        cs = rip_order(maximal_cliques(pat))
+        groups = completion_factors(SparseSymMatrix.identity(pat), cs).slots.cliques
+        assert [len(members) for members, _ in groups] == [n - 2]
+        with pytest.raises(NotCompletable):
+            completion_factors(xbar, cs)
 
 
 class TestBandedLogdet:

@@ -91,6 +91,13 @@ class TestParseErrors:
             read_sdpa(path)
         assert info.value.line == 6
 
+    def test_duplicate_diagonal_entry_after_zero(self, tmp_path):
+        path = tmp_path / "dupdiag.dat-s"
+        path.write_text("1\n1\n2\n1.0\n1 1 1 1 0.0\n1 1 1 1 1.0\n")
+        with pytest.raises(SdpaParseError) as info:
+            read_sdpa(path)
+        assert info.value.line == 6
+
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "short.dat-s"
         path.write_text("2\n1\n")

@@ -475,7 +475,12 @@ class TestCompletionSweep:
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or real(a))
         state = IterateState(problem, x0, y0, rho=40.0)
         assert state.xhat_inv is not None
-        assert len(calls) == len(cs) + separators
+        factors = state.x_factors
+        factored = factors.clique_chol + factors.sep_chol
+        assert sum(len(chol) for chol in factored) == len(cs) + separators
+        clique_sizes = {len(c) for c in cs.cliques}
+        separator_sizes = {len(u) for u in cs.separators if len(u)}
+        assert len(calls) == len(clique_sizes) + len(separator_sizes) == len(factored)
 
 
 class TestSolve:

@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .chordal import maximal_cliques, rip_order
-from .sparsemat import (SparseSymMatrix, SparseSymPattern, inner_product,
-                        min_degree_ordering, symbolic_factorize)
+from .sparsemat import (SparseSymMatrix, SparseSymPattern, min_degree_ordering,
+                        symbolic_factorize)
 
 
 class SdpProblem:
@@ -66,7 +66,7 @@ class SdpProblem:
         self._e_idx = np.asarray(e_idx, dtype=np.int64)
         self._e_val = np.asarray(e_val, dtype=float)
         self._e_own = np.asarray(e_own, dtype=np.int64)
-        self._gram_chol = None
+        self._gram_inv = None
 
         # The same entries as (r, s, c), each standing for
         # c (e_r e_s^T + e_s e_r^T), grouped by constraint, with r and s
@@ -128,29 +128,52 @@ class SdpProblem:
                 np.add.reduceat(k, start, axis=0), start, axis=1)
         return out
 
-    def _gram(self):
-        if self._gram_chol is None:
-            g = np.empty((self.m, self.m))
-            for p in range(self.m):
-                for q in range(p, self.m):
-                    g[p, q] = g[q, p] = inner_product(self.constraints[p],
-                                                      self.constraints[q])
+    def _gram_inverse(self):
+        """G^-1 for the Gram matrix G_pq = A_p . A_q, built on first use.
+
+        G comes from the flattened scatter arrays in one pass: every two
+        constraint entries on the same slot of the fill pattern add their
+        product, twice for an off-diagonal slot.
+        """
+        if self._gram_inv is None:
+            slot = np.concatenate((self._d_idx, self.n + self._e_idx))
+            order = np.argsort(slot, kind="stable")
+            slot = slot[order]
+            own = np.concatenate((self._d_own, self._e_own))[order]
+            val = np.concatenate((self._d_val, self._e_val))[order]
+            weighted = np.where(slot < self.n, 1.0, 2.0) * val
+            # entry e in a run of c entries on one slot, starting at s,
+            # pairs with s, ..., s + c - 1
+            start = np.flatnonzero(np.diff(slot, prepend=-1))
+            size = np.diff(np.append(start, len(slot)))
+            run = np.repeat(size, size)
+            a = np.repeat(np.arange(len(slot)), run)
+            first = np.repeat(np.repeat(start, size), run)
+            b = first + np.arange(len(a)) - np.repeat(np.cumsum(run) - run, run)
+            g = np.zeros((self.m, self.m))
+            np.add.at(g, (own[a], own[b]), weighted[a] * val[b])
             try:
-                self._gram_chol = np.linalg.cholesky(g)
+                chol = np.linalg.cholesky(g)
+                # rounding can leave a dependent A_p a pivot of about
+                # (m + 1) eps G_pp in place of 0
+                tol = 4 * (self.m + 1) * np.finfo(float).eps
+                if np.any(np.diagonal(chol) ** 2 <= tol * np.diagonal(g)):
+                    raise np.linalg.LinAlgError
             except np.linalg.LinAlgError as exc:
                 raise ValueError("constraint matrices are linearly dependent") from exc
-        return self._gram_chol
+            chol_inv = np.linalg.inv(chol)
+            self._gram_inv = chol_inv.T @ chol_inv
+        return self._gram_inv
 
     def project_out_constraints(self, w):
         """Remove W's component in span{A_p} so A_p.W = 0 exactly.
 
         Search directions built from inexact linear solves carry a small
         constraint-space component; stripping it keeps iterates feasible
-        to machine precision.
+        to machine precision.  After the first call, which builds G^-1,
+        each costs one m x m product on top of the two constraint maps.
         """
-        ch = self._gram()
-        coef = np.linalg.solve(ch.T, np.linalg.solve(ch, self.apply_map(w)))
-        corr = self.adjoint_map(coef)
+        corr = self.adjoint_map(self._gram_inverse() @ self.apply_map(w))
         return SparseSymMatrix(self.fill, w.diag - corr.diag,
                                w.offdiag - corr.offdiag, check=False)
 

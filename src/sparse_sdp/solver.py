@@ -14,6 +14,13 @@ dual side, the completion X^ on the primal side) that batched forward
 and back solves on the sparse factor give; each CG application is then
 one m x m product.  One Hessian-product sweep over the fill pattern per
 system turns the solution back into a matrix.
+
+An iterate composes a dual half (y, S, the factor of S and, once needed,
+S^-1 on F) and a primal half (X on F, its completion sweep and log-det
+and, once needed, the completion inverse and its factor).  A step-search
+trial that leaves y unchanged (k1 = k2 = 0) shares the iterate's dual
+half, and one that leaves X unchanged (h1 = h2 = 0) its primal half, so
+neither refactors nor re-inverts what the iterate already holds.
 """
 
 from __future__ import annotations
@@ -49,10 +56,11 @@ class SolverConfig:
     duality gap S.X drops below ``gap_tol``.  Each Newton system is
     solved by conjugate gradient on its assembled m x m matrix to
     relative residual ``cg_rel_tol`` in at most ``cg_max_iter``
-    iterations (None means m; otherwise an int of at least 1).
-    ``max_main_iters`` bounds the main loop.  ``direction_mode`` "four"
-    searches over both Newton directions and their companions, "two"
-    over the primal direction and its companion only.
+    iterations (None means m).  ``max_main_iters`` bounds the main loop.
+    ``gamma`` and both tolerances must be positive and finite, and
+    either iteration bound an int of at least 1.  ``direction_mode``
+    "four" searches over both Newton directions and their companions,
+    "two" over the primal direction and its companion only.
     """
 
     gamma: float | None = None
@@ -63,17 +71,25 @@ class SolverConfig:
     direction_mode: str = "four"
 
     def __post_init__(self):
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.gap_tol <= 0 or self.cg_rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.cg_max_iter is not None and not (
-                isinstance(self.cg_max_iter, numbers.Integral)
-                and not isinstance(self.cg_max_iter, bool)
-                and self.cg_max_iter >= 1):
+        if self.gamma is not None and not _positive_finite(self.gamma):
+            raise ValueError("gamma must be positive and finite")
+        if not (_positive_finite(self.gap_tol) and _positive_finite(self.cg_rel_tol)):
+            raise ValueError("tolerances must be positive and finite")
+        if self.cg_max_iter is not None and not _positive_int(self.cg_max_iter):
             raise ValueError("cg_max_iter must be None or an int >= 1")
+        if not _positive_int(self.max_main_iters):
+            raise ValueError("max_main_iters must be an int >= 1")
         if self.direction_mode not in ("four", "two"):
             raise ValueError("direction_mode must be 'four' or 'two'")
+
+
+def _positive_finite(value):
+    return math.isfinite(value) and value > 0
+
+
+def _positive_int(value):
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= 1)
 
 
 @dataclass
@@ -126,27 +142,89 @@ def conjugate_gradient(apply_h, rhs, rel_tol=1e-5, max_iter=None):
     return CgResult(best_x, iters, False, best_res)
 
 
-class IterateState:
-    """Iterate (X on F, y) with its dual slack, factor and potential.
+class DualHalf:
+    """The dual half of an iterate: y, S = C - sum y_p A_p and its factor.
+
+    Construction raises NotPositiveDefinite outside the cone.  S^-1 on F
+    is computed on first use and kept.
+    """
+
+    def __init__(self, problem, y):
+        self.y = y
+        self.s = problem.dual_slack(y)
+        self.s_factor = cholesky_factorize(self.s)
+
+    @cached_property
+    def sinv(self):
+        """Entries on F of S^-1."""
+        return sparse_inverse(self.s_factor)
+
+
+class PrimalHalf:
+    """The primal half of an iterate: X on F and its completion sweep.
 
     ``xbar`` is read as a partial matrix on the fill pattern F.
-    Construction factors S = C - sum y_p A_p and the clique blocks of X
-    (``x_factors``) and takes the completion log-det from them, so it
-    raises NotPositiveDefinite or NotCompletable outside the cones.  The
-    completion inverse (from ``x_factors``), its factor and S^-1 on F are
+    Construction factors its clique blocks (``x_factors``) and takes the
+    completion log-det from them, so it raises NotCompletable outside the
+    cone.  The completion inverse (from ``x_factors``) and its factor are
     computed on first use and kept.
     """
 
-    def __init__(self, problem, xbar, y, rho):
-        self.problem = problem
+    def __init__(self, problem, xbar):
         self.xbar = xbar
-        self.y = y
-        self.rho = rho
-        self.s = problem.dual_slack(y)
-        self.s_factor = cholesky_factorize(self.s)
         self.x_factors = completion_factors(xbar, problem.cliques)
         self.logdet_x = logdet_completion(self.x_factors)
-        self.gap = inner_product(self.s, xbar)
+
+    @cached_property
+    def xhat_inv(self):
+        """Inverse of the max-determinant completion, supported on F."""
+        return completion_inverse(self.x_factors)
+
+    @cached_property
+    def xhat_inv_factor(self):
+        return cholesky_factorize(self.xhat_inv)
+
+
+def _from_half(half, name):
+    return property(lambda self: getattr(getattr(self, half), name))
+
+
+class IterateState:
+    """Iterate (X on F, y): one dual half, one primal half, gap and potential.
+
+    ``IterateState(problem, xbar, y, rho)`` builds both halves, so it
+    raises NotPositiveDefinite or NotCompletable outside the cones.
+    ``compose`` joins halves that already exist; two states may share
+    one, and with it its factors and the inverses it has computed.  The
+    halves' attributes read through the state.
+    """
+
+    def __init__(self, problem, xbar, y, rho):
+        self._compose(problem, DualHalf(problem, y), PrimalHalf(problem, xbar), rho)
+
+    @classmethod
+    def compose(cls, problem, dual, primal, rho):
+        """State from a ``DualHalf`` and a ``PrimalHalf`` already built."""
+        state = cls.__new__(cls)
+        state._compose(problem, dual, primal, rho)
+        return state
+
+    def _compose(self, problem, dual, primal, rho):
+        self.problem = problem
+        self.dual = dual
+        self.primal = primal
+        self.rho = rho
+        self.gap = inner_product(dual.s, primal.xbar)
+
+    y = _from_half("dual", "y")
+    s = _from_half("dual", "s")
+    s_factor = _from_half("dual", "s_factor")
+    sinv = _from_half("dual", "sinv")
+    xbar = _from_half("primal", "xbar")
+    x_factors = _from_half("primal", "x_factors")
+    logdet_x = _from_half("primal", "logdet_x")
+    xhat_inv = _from_half("primal", "xhat_inv")
+    xhat_inv_factor = _from_half("primal", "xhat_inv_factor")
 
     @classmethod
     def create(cls, problem, xbar, y, rho):
@@ -172,20 +250,6 @@ class IterateState:
     @property
     def phi(self):
         return self.rho * math.log(self.gap) - self.logdet_x - self.logdet_s
-
-    @cached_property
-    def xhat_inv(self):
-        """Inverse of the max-determinant completion, supported on F."""
-        return completion_inverse(self.x_factors)
-
-    @cached_property
-    def xhat_inv_factor(self):
-        return cholesky_factorize(self.xhat_inv)
-
-    @cached_property
-    def sinv(self):
-        """Entries on F of S^-1."""
-        return sparse_inverse(self.s_factor)
 
     def objective_primal(self):
         return inner_product(self.problem.c, self.xbar)
@@ -326,6 +390,38 @@ class StepChoice:
         return sum(self.steps_per_start) / len(self.steps_per_start)
 
 
+def _trial(state, dirs, q):
+    """The iterate moved by q = (h1, h2, k1, k2) along ``dirs`` = (primal,
+    dual), or None outside the cones or at a gap that is not positive.
+
+    Only the halves the step moves are built: with k1 = k2 = 0 the trial
+    shares ``state.dual``, with h1 = h2 = 0 ``state.primal``.
+    """
+    prob = state.problem
+    moves = [(d, q[t], q[2 + t]) for t, d in enumerate(dirs) if d is not None]
+    dual_half, primal_half = state.dual, state.primal
+    try:
+        if any(k != 0.0 for _, _, k in moves):
+            y = state.y.copy()
+            for d, _, k in moves:
+                if k != 0.0:
+                    y += k * d.dy
+            dual_half = DualHalf(prob, y)
+        if any(h != 0.0 for _, h, _ in moves):
+            xdiag = state.xbar.diag.copy()
+            xoff = state.xbar.offdiag.copy()
+            for d, h, _ in moves:
+                if h != 0.0:
+                    xdiag += h * d.dx.diag
+                    xoff += h * d.dx.offdiag
+            primal_half = PrimalHalf(
+                prob, SparseSymMatrix(prob.fill, xdiag, xoff, check=False))
+    except (NotPositiveDefinite, NotCompletable):
+        return None
+    trial = IterateState.compose(prob, dual_half, primal_half, state.rho)
+    return trial if trial.gap > 0.0 else None
+
+
 def potential_minimize(state, primal, dual):
     """Steepest descent on the potential over the step coefficients.
 
@@ -338,35 +434,21 @@ def potential_minimize(state, primal, dual):
     Returns the best terminal point against the all-zero point.  With
     ``dual`` None (two-direction mode) only (h1, k1) are searched.
     Raises NoDecrease when no start can be made feasible.
+
+    Each trial builds only the halves its step moves: with k1 = k2 = 0
+    it shares the iterate's dual half (no new S, factor or S^-1), with
+    h1 = h2 = 0 its primal half (no new completion, log-det or inverse).
     """
-    prob = state.problem
     rho = state.rho
     active = [0, 2] if dual is None else [0, 1, 2, 3]
     dirs = (primal, dual)
     phi0 = state.phi
 
-    def evaluate(q):
-        xdiag = state.xbar.diag.copy()
-        xoff = state.xbar.offdiag.copy()
-        y = state.y.copy()
-        for d, h, k in ((primal, q[0], q[2]), (dual, q[1], q[3])):
-            if d is None:
-                continue
-            if h != 0.0:
-                xdiag += h * d.dx.diag
-                xoff += h * d.dx.offdiag
-            if k != 0.0:
-                y += k * d.dy
-        xbar = SparseSymMatrix(prob.fill, xdiag, xoff, check=False)
-        try:
-            trial = IterateState(prob, xbar, y, rho)
-        except (NotPositiveDefinite, NotCompletable):
-            return None
-        return trial if trial.gap > 0.0 else None
-
     def gradient(trial):
-        # S^-1 stays cached on the trial, so the iterate that ``solve``
-        # adopts brings it into the next dual_direction.
+        # S^-1 and the completion inverse stay cached on the trial's
+        # halves: a trial that shares a half with the iterate reuses the
+        # iterate's, and the one ``solve`` adopts brings its own into the
+        # next directions.
         scale = rho / trial.gap
         sinv = trial.sinv
         g = np.zeros(4)
@@ -385,11 +467,11 @@ def potential_minimize(state, primal, dual):
     for start in active:
         q = np.zeros(4)
         q[start] = 1.0
-        trial = evaluate(q)
+        trial = _trial(state, dirs, q)
         dampings = 0
         while trial is None and dampings < MAX_DAMPINGS:
             q[start] *= 0.5
-            trial = evaluate(q)
+            trial = _trial(state, dirs, q)
             dampings += 1
         if trial is None:
             steps_per_start.append(0)
@@ -401,7 +483,7 @@ def potential_minimize(state, primal, dual):
             if norm == 0.0:
                 break
             cand_q = q - g / norm
-            cand = evaluate(cand_q)
+            cand = _trial(state, dirs, cand_q)
             if cand is None or not cand.phi < trial.phi:
                 break
             q, trial = cand_q, cand

@@ -59,6 +59,14 @@ class TestSolveCommand:
         assert code == 2
         assert "converge" in err
 
+    def test_max_iters_zero_exit_one(self, tmp_path, capsys, monkeypatch):
+        # an input error, not a solve that did not converge (exit 2)
+        monkeypatch.chdir(tmp_path)
+        path, _, _ = maxcut_file(tmp_path, random_graph(6, 9, seed=3))
+        code, _, err = run_cli(["solve", str(path), "--max-iters", "0"], capsys)
+        assert code == 1
+        assert "max_main_iters" in err
+
     def test_missing_file_exit_one(self, tmp_path, capsys):
         code, _, err = run_cli(["solve", str(tmp_path / "absent.dat-s")], capsys)
         assert code == 1

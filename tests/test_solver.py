@@ -119,6 +119,25 @@ class TestSolverConfig:
     def test_cg_max_iter_accepts_none_and_positive_ints(self, cg_max_iter):
         assert SolverConfig(cg_max_iter=cg_max_iter).cg_max_iter == cg_max_iter
 
+    @pytest.mark.parametrize("field", ["gamma", "gap_tol", "cg_rel_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_gamma_and_tolerances_must_be_positive_and_finite(self, field, value):
+        # gamma=nan ran all 200 iterations and gap_tol=nan stalled; with
+        # cg_rel_tol=nan every CG ran silently to its cap
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(**{field: value})
+
+    @pytest.mark.parametrize("max_main_iters", [0, -1, 2.5, True])
+    def test_max_main_iters_must_be_a_positive_int(self, max_main_iters):
+        # 0 and -1 used to raise IterationLimit "after -1 iterations"
+        with pytest.raises(ValueError, match="max_main_iters"):
+            SolverConfig(max_main_iters=max_main_iters)
+
+    @pytest.mark.parametrize("max_main_iters", [1, np.int64(7)])
+    def test_max_main_iters_accepts_positive_ints(self, max_main_iters):
+        assert SolverConfig(max_main_iters=max_main_iters).max_main_iters \
+            == max_main_iters
+
 
 class TestConjugateGradient:
     def test_identity_one_iteration(self):
@@ -262,6 +281,37 @@ class TestNewtonMatrix:
             cg_iterations.append(prim.cg.iterations + dual.cg.iterations)
             assert len(calls) == 3
         assert cg_iterations[0] == 2 and cg_iterations[1] > 10
+
+
+class TestProjection:
+    def test_generic_constraints_against_dense_least_squares(self):
+        state, _ = generic_problem(np.random.default_rng(44))
+        problem = state.problem
+        rng = np.random.default_rng(45)
+        w = SparseSymMatrix(problem.fill, rng.standard_normal(problem.n),
+                            rng.standard_normal(problem.fill.nnz))
+        pw = problem.project_out_constraints(w)
+        assert np.abs(problem.apply_map(pw)).max() <= 1e-12
+        ppw = problem.project_out_constraints(pw)
+        assert np.abs(ppw.diag - pw.diag).max() <= 1e-12
+        assert np.abs(ppw.offdiag - pw.offdiag).max() <= 1e-12
+        # W - P(W) is the Frobenius least-squares fit of W in span{A_p}
+        _, a_dense, _ = problem_dense_data(problem)
+        basis = np.array([a.ravel() for a in a_dense]).T
+        wd = w.to_dense().ravel()
+        fit = basis @ np.linalg.lstsq(basis, wd, rcond=None)[0]
+        removed = (w.to_dense() - pw.to_dense()).ravel()
+        assert np.abs(removed - fit).max() <= 1e-12 * np.abs(wd).max()
+
+    def test_equal_constraints_are_linearly_dependent(self):
+        pat = SparseSymPattern(3, [(0, 1), (1, 2)])
+        c = SparseSymMatrix(pat, np.full(3, 2.0), np.full(2, 0.5))
+        a = SparseSymMatrix(SparseSymPattern(3, [(0, 1)]), np.array([1.0, 0.0, 2.0]),
+                            np.array([0.5]))
+        problem = SdpProblem(c, [a, a], np.ones(2),
+                             ordering=EliminationOrdering.identity(3))
+        with pytest.raises(ValueError, match="linearly dependent"):
+            problem.project_out_constraints(SparseSymMatrix.identity(problem.fill))
 
 
 class TestDirectionsAgainstDenseReference:
@@ -460,6 +510,83 @@ class TestPotentialMinimize:
         monkeypatch.setattr(solver, "sparse_inverse",
                             lambda factor: calls.append(factor) or original(factor))
         dual_direction(choice.trial, cfg)
+        assert calls == []
+
+
+class TestTrialReuse:
+    """A step-search trial builds only the halves its step moves."""
+
+    COUNTED = ("cholesky_factorize", "completion_factors", "sparse_inverse",
+               "completion_inverse")
+
+    def search(self, monkeypatch, state, primal, dual):
+        """Run one step search; return the (q, trial) of every trial it
+        evaluates and, per counted kernel, the first argument of each call
+        with whether the call returned."""
+        calls = {name: [] for name in self.COUNTED}
+
+        def counted(original, log):
+            def call(*args):
+                log.append([args[0], False])
+                out = original(*args)
+                log[-1][1] = True
+                return out
+            return call
+
+        for name in self.COUNTED:
+            monkeypatch.setattr(solver, name, counted(getattr(solver, name), calls[name]))
+        trials = []
+        original_trial = solver._trial
+        monkeypatch.setattr(solver, "_trial", lambda st, dirs, q: trials.append(
+            (q.copy(), original_trial(st, dirs, q))) or trials[-1][1])
+        potential_minimize(state, primal, dual)
+        monkeypatch.undo()
+        return trials, calls
+
+    @pytest.mark.parametrize("mode", ["four", "two"])
+    def test_trials_share_the_halves_they_leave_unchanged(self, monkeypatch, mode):
+        state = mid_solve_state()
+        cfg = SolverConfig(direction_mode=mode)
+        primal = primal_direction(state, cfg)
+        dual = dual_direction(state, cfg) if mode == "four" else None
+        # the iterate's inverses are known before the search, as in solve
+        state.sinv, state.xhat_inv
+        trials, calls = self.search(monkeypatch, state, primal, dual)
+        moves_y = [q[2] != 0.0 or q[3] != 0.0 for q, _ in trials]
+        moves_x = [q[0] != 0.0 or q[1] != 0.0 for q, _ in trials]
+        assert 0 < sum(moves_y) < len(trials) and 0 < sum(moves_x) < len(trials)
+        # one factorization per trial that moves y, in trial order; a
+        # trial whose S is not positive definite builds no primal half
+        factored = iter(calls["cholesky_factorize"])
+        dual_ok = [next(factored)[1] if new_y else True for new_y in moves_y]
+        assert next(factored, None) is None
+        assert len(calls["completion_factors"]) == sum(
+            new_x and ok for new_x, ok in zip(moves_x, dual_ok))
+        assert not all(dual_ok)
+        for (q, trial), new_y, new_x in zip(trials, moves_y, moves_x):
+            if trial is None:
+                continue
+            assert (trial.s_factor is state.s_factor) == (not new_y)
+            assert (trial.x_factors is state.x_factors) == (not new_x)
+        # gradients invert only halves the search built, each at most once
+        for name, mine in (("sparse_inverse", state.s_factor),
+                           ("completion_inverse", state.x_factors)):
+            ids = [id(arg) for arg, _ in calls[name]]
+            assert id(mine) not in ids and len(set(ids)) == len(ids)
+
+    def test_shared_primal_half_brings_its_completion_inverse_factor(
+            self, monkeypatch):
+        state = mid_solve_state()
+        cfg = SolverConfig()
+        primal_direction(state, cfg)
+        moved = IterateState.compose(state.problem,
+                                     solver.DualHalf(state.problem, state.y.copy()),
+                                     state.primal, state.rho)
+        calls = []
+        original = solver.cholesky_factorize
+        monkeypatch.setattr(solver, "cholesky_factorize",
+                            lambda a: calls.append(a) or original(a))
+        primal_direction(moved, cfg)
         assert calls == []
 
 

@@ -563,7 +563,7 @@ class TestTrialReuse:
         assert len(calls["completion_factors"]) == sum(
             new_x and ok for new_x, ok in zip(moves_x, dual_ok))
         assert not all(dual_ok)
-        for (q, trial), new_y, new_x in zip(trials, moves_y, moves_x):
+        for (_, trial), new_y, new_x in zip(trials, moves_y, moves_x):
             if trial is None:
                 continue
             assert (trial.s_factor is state.s_factor) == (not new_y)

@@ -1,16 +1,14 @@
 """Benchmark harnesses: solver statistics and banded log-det timing.
 
 Per-trial seeds derive deterministically from the master seed, so runs
-are reproducible no matter how the trial pool is sized (the
-SPARSE_SDP_THREADS environment variable caps the worker processes).
+are reproducible; trials run one after another in this process, so each
+trial's time is not skewed by concurrent ones.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from statistics import mean, median
 
 import numpy as np
@@ -25,14 +23,6 @@ def trial_seed(master, index):
     """Stable per-trial seed derived from the master seed."""
     return int(np.random.SeedSequence(entropy=[int(master), int(index)])
                .generate_state(1)[0])
-
-
-def worker_count():
-    raw = os.environ.get("SPARSE_SDP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def run_solver_trial(args):
@@ -55,14 +45,6 @@ def run_solver_trial(args):
     }
 
 
-def _run_trials(jobs):
-    workers = worker_count()
-    if workers == 1:
-        return [run_solver_trial(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_solver_trial, jobs))
-
-
 def parse_sizes(text):
     """'5:7,10:16' -> [(5, 7), (10, 16)]."""
     pairs = []
@@ -83,7 +65,7 @@ def run_table_of_iterations(sizes, trials, seed, gamma=None, gap_tol=1e-3):
     for n, m in sizes:
         jobs = [(n, m, trial_seed(seed, 1_000_000 * n + 1_000 * m + t), "four",
                  gamma, gap_tol) for t in range(trials)]
-        stats = _run_trials(jobs)
+        stats = [run_solver_trial(j) for j in jobs]
         rows.append({
             "n": n,
             "m": m,
@@ -106,7 +88,7 @@ def run_direction_comparison(sizes, trials, seed, gamma=None, gap_tol=1e-3):
                  for t in range(trials)]
         for mode in ("four", "two"):
             jobs = [(n, m, s, mode, gamma, gap_tol) for s in seeds]
-            stats = _run_trials(jobs)
+            stats = [run_solver_trial(j) for j in jobs]
             rows.append({
                 "mode": mode,
                 "n": n,

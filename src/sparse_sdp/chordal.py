@@ -1,13 +1,15 @@
-"""Chordal-graph machinery: elimination orderings, cliques, clique order.
+"""Chordal-graph machinery: maximal cliques in running-intersection order.
 
 Everything here assumes patterns whose natural order (0..n-1) is meant to
 be a perfect elimination ordering (the output of symbolic factorization
-already is).
+already is).  The cliques and their order come from the elimination
+tree, as in Vandenberghe & Andersen, *Chordal Graphs and Semidefinite
+Optimization* (2015), section 4: with higher(v) the neighbours of v above
+v, the parent of v is the lowest vertex of higher(v).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,45 +17,53 @@ import numpy as np
 from .errors import NotChordal, RipFailure
 
 
-def verify_peo(pattern):
-    """True iff (0..n-1) is a perfect elimination ordering of the pattern.
-
-    Checks that each vertex's higher-numbered neighborhood is a clique.
-    """
-    adj = pattern.adjacency()
-    for v in range(pattern.n):
-        hi = pattern.column_rows(v)
-        for t, a in enumerate(hi):
-            nbrs = adj[a]
-            for b in hi[t + 1:]:
-                if b not in nbrs:
-                    return False
-    return True
+def _all_in(keys, probe):
+    """True iff every value of ``probe`` occurs in the ascending ``keys``."""
+    at = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
+    return np.array_equal(keys[at], probe)
 
 
 def maximal_cliques(pattern):
-    """Maximal cliques of a chordal, elimination-ordered pattern.
+    """Maximal cliques of a chordal, elimination-ordered pattern, RIP-ordered.
 
-    For each vertex v the candidate set is {v} union its higher
-    neighborhood; the maximal candidates are exactly the maximal cliques.
-    Returned sorted by their smallest vertex.  Raises NotChordal if
-    (0..n-1) is not a perfect elimination ordering.
+    (0..n-1) is a perfect elimination ordering iff higher(v) minus parent(v)
+    lies in higher(parent(v)) for every v (Tarjan & Yannakakis); otherwise
+    NotChordal is raised.  A vertex v whose child w has higher(w) =
+    {v} ∪ higher(v), that is |higher(w)| = |higher(v)| + 1, continues w's
+    supernode; every other vertex starts one, and {first} ∪ higher(first)
+    is a maximal clique.  The clique is its supernode plus higher(last),
+    where last is the supernode's highest vertex.  Cliques are returned as
+    sorted lists, ordered by that last vertex: the supernode holding
+    parent(last) comes later, and its clique contains higher(last), so
+    the order has the running intersection property.
     """
-    if not verify_peo(pattern):
+    n = pattern.n
+    ptr, rows = pattern.col_ptr, pattern.rows
+    size = np.diff(ptr)
+    col = np.repeat(np.arange(n, dtype=np.int64), size)
+    parent = np.full(n, -1, dtype=np.int64)
+    has = size > 0
+    parent[has] = rows[ptr[:-1][has]]
+
+    # edge (i, j), i > j, has key j n + i; the storage order sorts the keys
+    up = parent[col]
+    if not _all_in(col * n + rows, (up * n + rows)[rows != up]):
         raise NotChordal("(0..n-1) is not a perfect elimination ordering")
-    adj = pattern.adjacency()
-    higher = [set(pattern.column_rows(v)) for v in range(pattern.n)]
-    out = []
-    for v in range(pattern.n):
-        # dominated iff some lower neighbor u has {v} ∪ higher(v) ⊆ K_u
-        dominated = False
-        for u in adj[v]:
-            if u < v and higher[v] <= higher[u]:
-                dominated = True
-                break
-        if not dominated:
-            out.append(sorted(higher[v] | {v}))
-    return out
+
+    # prev[v]: a child w with higher(w) = {v} ∪ higher(v), whose supernode
+    # v continues (any such child will do; the last one is taken)
+    child = np.flatnonzero(has)
+    prev = [-1] * n
+    for w in child[size[child] == size[parent[child]] + 1].tolist():
+        prev[int(parent[w])] = w
+    first = list(range(n))
+    last = list(range(n))
+    for v in range(n):
+        if prev[v] >= 0:
+            first[v] = first[prev[v]]
+            last[first[v]] = v
+    reps = sorted((v for v in range(n) if prev[v] < 0), key=last.__getitem__)
+    return [[v, *pattern.column_rows(v)] for v in reps]
 
 
 @dataclass
@@ -62,130 +72,58 @@ class CliqueSequence:
 
     ``cliques[r]`` = C_r (sorted), ``separators[r]`` = U_r = C_r
     intersected with the union of all later cliques, ``residuals[r]`` =
-    S_r = C_r minus U_r.  ``parents[r]`` indexes a later clique containing
-    U_r (None for cliques with empty separator).
+    S_r = C_r minus U_r.
     """
 
     n: int
     cliques: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
     separators: list = field(default_factory=list)
-    parents: list = field(default_factory=list)
 
     def __len__(self):
         return len(self.cliques)
 
 
 def rip_order(cliques, n=None):
-    """Order maximal cliques so the running intersection property holds.
+    """Split cliques given in running-intersection order into S_r and U_r.
 
-    Builds a maximum-intersection-weight spanning tree of the clique
-    graph (a junction tree for chordal inputs), then emits cliques
-    children-before-parents so every separator is contained in a later
-    clique.  Deterministic: representatives are the smallest member
-    vertices, ties resolve toward smaller representatives.  Raises
-    RipFailure if the result does not verify (non-chordal input).
+    Orders nothing: it verifies that the given order has the running
+    intersection property and raises RipFailure if not.  Every residual
+    must be nonempty, the residuals must cover 0..n-1, and each separator
+    must lie in a later clique.  The cliques holding one vertex form a
+    subtree of a clique tree, rooted at the clique whose residual holds
+    the vertex; so U_r lies in some later clique iff it lies in C_t for
+    the lowest such root t over U_r.  That makes the check linear in the
+    clique sizes.
     """
-    cliques = [sorted(int(v) for v in c) for c in cliques]
+    cliques = [np.unique(np.asarray(c, dtype=np.int64)) for c in cliques]
     if not cliques:
         return CliqueSequence(n=0)
+    sizes = [len(c) for c in cliques]
+    flat = np.concatenate(cliques)
     if n is None:
-        n = 1 + max(max(c) for c in cliques)
-    reps = [c[0] for c in cliques]
-    if len(set(reps)) != len(reps):
-        raise RipFailure("duplicate clique representatives")
-    order_idx = sorted(range(len(cliques)), key=lambda t: reps[t])
-    cl = [set(cliques[t]) for t in order_idx]
-    l = len(cl)
-
-    # Prim from the largest-representative clique, maximizing |C_a ∩ C_b|.
-    # Only clique pairs that share a vertex carry weight, so the candidate
-    # edges come from per-vertex membership lists; cliques in other
-    # components attach to the root with an empty separator.
-    member = [[] for _ in range(n)]
-    for t in range(l):
-        for v in cl[t]:
-            member[v].append(t)
-    parent = [-1] * l
-    in_tree = [False] * l
-    in_tree[l - 1] = True
-    heap = []
-
-    def push_edges(t):
-        seen = set()
-        for v in cl[t]:
-            for u in member[v]:
-                if not in_tree[u] and u not in seen:
-                    seen.add(u)
-                    heapq.heappush(heap, (-len(cl[u] & cl[t]), u, t))
-
-    push_edges(l - 1)
-    remaining = l - 1
-    while remaining:
-        while heap and in_tree[heap[0][1]]:
-            heapq.heappop(heap)
-        if heap:
-            _, nxt, par = heapq.heappop(heap)
-        else:
-            nxt = min(t for t in range(l) if not in_tree[t])
-            par = l - 1
-        in_tree[nxt] = True
-        parent[nxt] = par
-        remaining -= 1
-        push_edges(nxt)
-
-    # Children before parents; among the emittable cliques pick the
-    # smallest representative first.
-    children_left = [0] * l
-    for t in range(l):
-        if parent[t] >= 0:
-            children_left[parent[t]] += 1
-    ready = sorted(t for t in range(l) if children_left[t] == 0)
-    emitted = []
-    while ready:
-        t = ready.pop(0)
-        emitted.append(t)
-        p = parent[t]
-        if p >= 0:
-            children_left[p] -= 1
-            if children_left[p] == 0:
-                # keep `ready` sorted by representative (== tree index order)
-                lo = 0
-                while lo < len(ready) and ready[lo] < p:
-                    lo += 1
-                ready.insert(lo, p)
-    if len(emitted) != l:
-        raise RipFailure("clique tree emission did not cover all cliques")
-
-    ordered = [sorted(cl[t]) for t in emitted]
-    seq = CliqueSequence(n=n)
-    later = set()
-    seps = []
-    for c in reversed(ordered):
-        seps.append(set(c) & later)
-        later |= set(c)
-    seps.reverse()
-    covered = set()
-    for r, c in enumerate(ordered):
-        u = seps[r]
-        s = sorted(set(c) - u)
-        if not s:
-            raise RipFailure(f"clique {c} has an empty residual")
-        par = None
-        if u:
-            for t in range(r + 1, l):
-                if u <= set(ordered[t]):
-                    par = t
-                    break
-            if par is None:
-                raise RipFailure(f"separator {sorted(u)} lies in no later clique")
-        covered |= set(s)
-        seq.cliques.append(np.asarray(c, dtype=np.int64))
-        seq.residuals.append(np.asarray(s, dtype=np.int64))
-        seq.separators.append(np.asarray(sorted(u), dtype=np.int64))
-        seq.parents.append(par)
-    if len(covered) != sum(len(s) for s in seq.residuals):
-        raise RipFailure("residuals are not disjoint")
-    if len(covered) != seq.n:
+        n = 1 + int(flat.max()) if len(flat) else 0
+    if len(flat) and (flat.min() < 0 or flat.max() >= n):
+        raise RipFailure(f"a clique vertex lies outside 0..{n - 1}")
+    owner = np.repeat(np.arange(len(cliques), dtype=np.int64), sizes)
+    home = np.full(n, -1, dtype=np.int64)       # the clique whose residual holds v
+    np.maximum.at(home, flat, owner)
+    if np.any(home < 0):
         raise RipFailure("cliques do not cover every vertex")
-    return seq
+    in_residual = home[flat] == owner
+    residual_sizes = np.bincount(owner[in_residual], minlength=len(cliques))
+    if np.any(residual_sizes == 0):
+        raise RipFailure(f"clique {int(np.argmin(residual_sizes))} has an empty residual")
+
+    sep, sep_owner = flat[~in_residual], owner[~in_residual]
+    target = np.full(len(cliques), len(cliques), dtype=np.int64)
+    np.minimum.at(target, sep_owner, home[sep])
+    if not _all_in(owner * n + flat, target[sep_owner] * n + sep):
+        raise RipFailure("a separator lies in no later clique")
+
+    residual_ends = np.cumsum(residual_sizes)[:-1]
+    return CliqueSequence(
+        n=n,
+        cliques=cliques,
+        residuals=np.split(flat[in_residual], residual_ends),
+        separators=np.split(sep, np.cumsum(np.subtract(sizes, residual_sizes))[:-1]))

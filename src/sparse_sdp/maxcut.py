@@ -124,11 +124,14 @@ def initial_point(problem):
 
 
 def _require_diagonal_constraints(problem):
+    """Raise ValueError unless each A_p has one nonzero entry, on the diagonal,
+    and there is one A_p per vertex (read from the problem's scatter arrays)."""
     if problem.m != problem.n:
         raise ValueError("expected one unit-diagonal constraint per vertex")
-    for p, a in enumerate(problem.constraints):
-        if a.pattern.nnz != 0 or np.count_nonzero(a.diag) != 1:
-            raise ValueError(f"constraint {p} is not a unit diagonal indicator")
+    bad = np.bincount(problem._d_own, minlength=problem.m) != 1
+    bad[problem._e_own] = True
+    if np.any(bad):
+        raise ValueError(f"constraint {int(np.argmax(bad))} is not a unit diagonal indicator")
 
 
 def cut_value(graph, sides):

@@ -1,20 +1,28 @@
 """Problem container: data matrices, chordal fill, and constraint maps.
 
-An `SdpProblem` owns the standard-form data (C, A_1..A_m, b), the
-aggregate pattern of all data matrices, a fill-reducing ordering, and the
-chordal extension produced by symbolic factorization, and assembles
-the m x m matrix A_p . (W A_q W) of a Newton system from W's entries on
-the constraint vertices.  All stored matrices live in the permuted
+An `SdpProblem` owns the standard-form data (C, A_1..A_m, b), a
+fill-reducing ordering of the aggregate pattern of all data matrices, the
+chordal extension produced by symbolic factorization with its cliques,
+and the constraints flattened into scatter arrays on that extension.  It
+assembles the m x m matrix A_p . (W A_q W) of a Newton system from W's
+entries on the constraint vertices.  All stored matrices live in the permuted
 (elimination) labels; `ordering` maps original labels to them.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
 from .chordal import maximal_cliques, rip_order
 from .sparsemat import (SparseSymMatrix, SparseSymPattern, min_degree_ordering,
                         symbolic_factorize)
+
+
+def _edge_cols(pattern):
+    """Column of each stored edge, in storage order."""
+    return np.repeat(np.arange(pattern.n, dtype=np.int64), np.diff(pattern.col_ptr))
 
 
 class SdpProblem:
@@ -40,53 +48,71 @@ class SdpProblem:
         self.m = m
         self.b = b
         self.ordering = ordering
-        self.aggregate = agg.permuted(ordering)
         self.fill = fill
         self.cliques = rip_order(maximal_cliques(fill), n=n)
-        self.c = c.permuted(ordering).embedded(fill)
-        self.constraints = [a.permuted(ordering) for a in constraints]
+        self._data = constraints
+        perm = ordering.perm
+        fill_keys = _edge_cols(fill) * n + fill.rows
+
+        def permuted(rows, cols):
+            """Permuted ends (r, s), r >= s, and the fill slot of r > s."""
+            rows, cols = perm[rows], perm[cols]
+            r, s = np.maximum(rows, cols), np.minimum(rows, cols)
+            return r, s, np.searchsorted(fill_keys, s * n + r)
+
+        diag = np.empty(n)
+        diag[perm] = c.diag
+        off = np.zeros(fill.nnz)
+        off[permuted(c.pattern.rows, _edge_cols(c.pattern))[2]] = c.offdiag
+        self.c = SparseSymMatrix(fill, diag, off, check=False)
+
+        # Every nonzero constraint entry as (owner, row, col, value) in the
+        # caller's labels; a diagonal entry has row == col.
+        none = np.zeros(0, dtype=np.int64)
+        parts = [(none, none, none, np.zeros(0))]
+        for p, a in enumerate(constraints):
+            nz = np.flatnonzero(a.diag)
+            parts.append((np.full(len(nz), p), nz, nz, a.diag[nz]))
+            if a.pattern.nnz:
+                nz = np.flatnonzero(a.offdiag)
+                parts.append((np.full(len(nz), p), a.pattern.rows[nz],
+                              _edge_cols(a.pattern)[nz], a.offdiag[nz]))
+        own, rows, cols, val = (np.concatenate(x) for x in zip(*parts))
+        r, s, slot = permuted(rows, cols)
+        on_diag = r == s
+        slot[on_diag] = r[on_diag]          # a diagonal entry's slot is its vertex
+        # by constraint; in each, the diagonal entries first, then by slot
+        order = np.lexsort((slot, ~on_diag, own))
+        d, e = order[on_diag[order]], order[~on_diag[order]]
 
         # Flattened scatter/gather index arrays against the fill pattern.
-        d_idx, d_val, d_own = [], [], []
-        e_idx, e_val, e_own, e_ends = [], [], [], []
-        for p, a in enumerate(self.constraints):
-            nz = np.flatnonzero(a.diag)
-            d_idx.extend(nz.tolist())
-            d_val.extend(a.diag[nz].tolist())
-            d_own.extend([p] * len(nz))
-            for i, j, k in a.pattern.edges():
-                if a.offdiag[k] != 0.0:
-                    e_idx.append(fill.edge_index(i, j))
-                    e_val.append(a.offdiag[k])
-                    e_own.append(p)
-                    e_ends.append((i, j))
-        self._d_idx = np.asarray(d_idx, dtype=np.int64)
-        self._d_val = np.asarray(d_val, dtype=float)
-        self._d_own = np.asarray(d_own, dtype=np.int64)
-        self._e_idx = np.asarray(e_idx, dtype=np.int64)
-        self._e_val = np.asarray(e_val, dtype=float)
-        self._e_own = np.asarray(e_own, dtype=np.int64)
+        self._d_idx, self._d_val, self._d_own = slot[d], val[d], own[d]
+        self._e_idx, self._e_val, self._e_own = slot[e], val[e], own[e]
         self._gram_inv = None
 
         # The same entries as (r, s, c), each standing for
         # c (e_r e_s^T + e_s e_r^T), grouped by constraint, with r and s
         # given as positions in ``constraint_vertices`` (for newton_matrix).
-        ends = np.asarray(e_ends, dtype=np.int64).reshape(-1, 2)
-        own = np.concatenate((self._d_own, self._e_own))
-        order = np.argsort(own, kind="stable")
-        r = np.concatenate((self._d_idx, ends[:, 0]))[order]
-        s = np.concatenate((self._d_idx, ends[:, 1]))[order]
         used = np.zeros(n, dtype=bool)
         used[r] = True
         used[s] = True
         self.constraint_vertices = np.flatnonzero(used)
         position = np.cumsum(used) - 1
-        self._ent_r = position[r]
-        self._ent_s = position[s]
-        self._ent_c = np.concatenate((0.5 * self._d_val, self._e_val))[order]
+        self._ent_r = position[r[order]]
+        self._ent_s = position[s[order]]
+        self._ent_c = np.where(on_diag, 0.5, 1.0)[order] * val[order]
         own = own[order]
         self._ent_start = np.flatnonzero(np.diff(own, prepend=-1))
         self._ent_owner = own[self._ent_start]
+
+    @cached_property
+    def constraints(self):
+        """A_1..A_m in the permuted labels, built on first read.
+
+        The maps and the Newton matrix read only the flattened arrays, so
+        a solve never builds these copies.
+        """
+        return [a.permuted(self.ordering) for a in self._data]
 
     def apply_map(self, w):
         """(A_1.W, ..., A_m.W) for W supported on the fill pattern."""
@@ -184,6 +210,5 @@ class SdpProblem:
                                self.c.offdiag - a.offdiag, check=False)
 
     def __repr__(self):
-        return (f"SdpProblem(n={self.n}, m={self.m}, "
-                f"nnz_agg={self.aggregate.nnz}, nnz_fill={self.fill.nnz})")
+        return f"SdpProblem(n={self.n}, m={self.m}, nnz_fill={self.fill.nnz})"
 

@@ -45,6 +45,23 @@ def random_completable_partial(n, density, rng):
     return sparse_from_dense(fill, dense), cs, dense
 
 
+def brute_force_cliques(pattern):
+    """Maximal cliques of an elimination-ordered pattern by domination.
+
+    Each candidate {v} ∪ higher(v) is kept unless a lower neighbour u has
+    {v} ∪ higher(v) inside {u} ∪ higher(u).  Returns None when (0..n-1)
+    is not a perfect elimination ordering (some higher(v) is not a
+    clique), else the cliques as sorted lists, by their smallest vertex.
+    """
+    adj = pattern.adjacency()
+    higher = [set(pattern.column_rows(v)) for v in range(pattern.n)]
+    for v in range(pattern.n):
+        if any(b not in adj[a] for a in higher[v] for b in higher[v] if a != b):
+            return None
+    return [sorted(higher[v] | {v}) for v in range(pattern.n)
+            if not any(u < v and higher[v] <= higher[u] for u in adj[v])]
+
+
 def clique_cover_edges(cs):
     covered = set()
     for c in cs.cliques:

@@ -1,30 +1,44 @@
 import numpy as np
 import pytest
 
-from sparse_sdp import (NotChordal, RipFailure, SparseSymPattern,
-                        maximal_cliques, rip_order, verify_peo)
+from sparse_sdp import (EliminationOrdering, NotChordal, RipFailure,
+                        SparseSymPattern, maximal_cliques, rip_order,
+                        symbolic_factorize)
 
-from conftest import clique_cover_edges, random_filled_pattern
+from conftest import (brute_force_cliques, clique_cover_edges,
+                      random_filled_pattern, random_pattern)
 
 
 FILLED_4CYCLE = [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)]
+# hub {0, 3, 4} with leaves {1, 3} and {2, 4}: every order that puts the
+# hub before both leaves splits its separator {3, 4} across them
+STAR_OF_CLIQUES = [(0, 3), (0, 4), (3, 4), (1, 3), (2, 4)]
 
 
 class TestVerifyPeo:
+    """The perfect-elimination-order check inside ``maximal_cliques``."""
+
     def test_filled_four_cycle(self):
-        assert verify_peo(SparseSymPattern(4, FILLED_4CYCLE))
+        maximal_cliques(SparseSymPattern(4, FILLED_4CYCLE))
 
     def test_raw_four_cycle_fails(self):
         # vertex 0's higher neighbors {1, 3} are not adjacent
-        assert not verify_peo(SparseSymPattern(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
+        with pytest.raises(NotChordal):
+            maximal_cliques(SparseSymPattern(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
 
     def test_complete_graph(self):
         n = 5
         pat = SparseSymPattern(n, [(i, j) for i in range(n) for j in range(i)])
-        assert verify_peo(pat)
+        assert maximal_cliques(pat) == [list(range(n))]
 
     def test_edgeless(self):
-        assert verify_peo(SparseSymPattern(6))
+        assert maximal_cliques(SparseSymPattern(6)) == [[v] for v in range(6)]
+
+    def test_chordal_graph_in_a_wrong_order_fails(self):
+        # the path 1 - 0 - 2 is chordal, but eliminating its middle vertex
+        # 0 first would join the non-adjacent 1 and 2
+        with pytest.raises(NotChordal):
+            maximal_cliques(SparseSymPattern(3, [(0, 1), (0, 2)]))
 
 
 class TestMaximalCliques:
@@ -48,6 +62,13 @@ class TestMaximalCliques:
         cliques = maximal_cliques(SparseSymPattern(4, [(1, 2)]))
         assert cliques == [[0], [1, 2], [3]]
 
+    def test_star_of_cliques_puts_the_hub_last(self):
+        pat = SparseSymPattern(5, STAR_OF_CLIQUES)
+        cliques = maximal_cliques(pat)
+        assert cliques == [[1, 3], [2, 4], [0, 3, 4]]
+        cs = rip_order(cliques, n=5)
+        assert [u.tolist() for u in cs.separators] == [[3], [4], []]
+
 
 class TestRipOrder:
     def test_path_split(self):
@@ -55,7 +76,6 @@ class TestRipOrder:
         assert [c.tolist() for c in cs.cliques] == [[0, 1], [1, 2]]
         assert [s.tolist() for s in cs.residuals] == [[0], [1, 2]]
         assert [u.tolist() for u in cs.separators] == [[1], []]
-        assert cs.parents == [1, None]
 
     def test_single_clique(self):
         cs = rip_order([[0, 1, 2]])
@@ -70,14 +90,16 @@ class TestRipOrder:
     def test_needs_reordering_beyond_representative_sort(self):
         # ascending-representative order breaks running intersection for
         # this star of cliques ({3,4} splits across the two late cliques);
-        # the junction-tree emission must avoid putting the hub first
-        cliques = [[0, 3, 4], [1, 3], [2, 4]]
-        cs = rip_order(cliques)
-        assert tuple(cs.cliques[0].tolist()) != (0, 3, 4)
-        for r in range(len(cs) - 1):
-            u = set(cs.separators[r].tolist())
-            assert any(u <= set(cs.cliques[s].tolist())
-                       for s in range(r + 1, len(cs)))
+        # rip_order verifies the order it is given and does not reorder
+        with pytest.raises(RipFailure):
+            rip_order([[0, 3, 4], [1, 3], [2, 4]])
+        cs = rip_order([[1, 3], [2, 4], [0, 3, 4]])
+        assert [u.tolist() for u in cs.separators] == [[3], [4], []]
+
+    def test_separator_inside_a_non_adjacent_later_clique(self):
+        # U_0 = {0, 1} lies in C_3 only; C_1 and C_2 each hold one of it
+        cs = rip_order([[0, 1, 2], [0, 3], [1, 4], [0, 1, 5]])
+        assert [u.tolist() for u in cs.separators] == [[0, 1], [0], [1], []]
 
     def test_disconnected_components(self):
         cs = rip_order([[0, 1], [2, 3]])
@@ -87,20 +109,33 @@ class TestRipOrder:
         with pytest.raises(RipFailure):
             rip_order([[0, 1]], n=3)
 
+    def test_nested_clique_rejected(self):
+        # [0, 1] lies inside a later clique, so its residual is empty
+        with pytest.raises(RipFailure):
+            rip_order([[0, 1], [0, 1, 2]])
+
+
+def chordal_patterns():
+    """Random fills under minimum degree and, sparser, under the natural
+    order (whose elimination trees branch more), then the star of cliques."""
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        n = int(rng.integers(2, 41))
+        yield random_filled_pattern(n, rng.random() * 0.5, rng)
+    for _ in range(100):
+        n = int(rng.integers(2, 41))
+        pat = random_pattern(n, rng.random() * 0.2, rng)
+        yield symbolic_factorize(pat, EliminationOrdering.identity(n))
+    yield SparseSymPattern(5, STAR_OF_CLIQUES)
+
 
 class TestRandomChordalInvariants:
     def test_cover_rip_and_partition(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            n = int(rng.integers(2, 41))
-            fill = random_filled_pattern(n, rng.random() * 0.5, rng)
+        for fill in chordal_patterns():
+            n = fill.n
             cliques = maximal_cliques(fill)
-            # pairwise non-nested
-            sets = [set(c) for c in cliques]
-            for a in range(len(sets)):
-                for b in range(len(sets)):
-                    if a != b:
-                        assert not sets[a] <= sets[b]
+            # the same clique sets as the domination-based enumeration
+            assert sorted(cliques) == brute_force_cliques(fill)
             cs = rip_order(cliques, n=n)
             # union covers all vertices
             assert set().union(*(set(c.tolist()) for c in cs.cliques)) == set(range(n))
@@ -117,9 +152,28 @@ class TestRandomChordalInvariants:
                 assert not (u & s)
                 assert not (s & seen)
                 seen |= s
-                if r < len(cs) - 1 and u:
-                    parent = cs.parents[r]
-                    assert parent is not None and parent > r
-                    assert u <= set(cs.cliques[parent].tolist())
+                assert any(u <= set(cs.cliques[t].tolist())
+                           for t in range(r + 1, len(cs))) or not u
+                # the separator is higher(last residual vertex), and the
+                # cliques ascend by that vertex
+                assert cs.separators[r].tolist() == list(fill.column_rows(max(s)))
+                assert r == 0 or max(s) > cs.residuals[r - 1].max()
             assert len(cs.separators[-1]) == 0
             assert sum(len(s) for s in cs.residuals) == n
+
+    def test_raw_patterns_agree_with_the_oracle(self):
+        rng = np.random.default_rng(12)
+        rejected = 0
+        for _ in range(100):
+            n = int(rng.integers(3, 16))
+            edges = [(i, j) for i in range(n) for j in range(i)
+                     if rng.random() < 0.3]
+            pat = SparseSymPattern(n, edges)
+            expected = brute_force_cliques(pat)
+            if expected is None:
+                rejected += 1
+                with pytest.raises(NotChordal):
+                    maximal_cliques(pat)
+            else:
+                assert sorted(maximal_cliques(pat)) == expected
+        assert rejected > 20

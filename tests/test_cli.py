@@ -198,26 +198,6 @@ class TestBenchCommands:
         assert all(float(r["mean_time"]) > 0 for r in rows)
 
 
-class TestWorkerPoolDeterminism:
-    def test_thread_cap_does_not_change_results(self, tmp_path, capsys,
-                                                monkeypatch):
-        out1 = tmp_path / "seq.csv"
-        out2 = tmp_path / "par.csv"
-        monkeypatch.setenv("SPARSE_SDP_THREADS", "1")
-        run_cli(["bench-directions", "--sizes", "5:6", "--trials", "2",
-                 "--seed", "12", "-o", str(out1)], capsys)
-        monkeypatch.setenv("SPARSE_SDP_THREADS", "2")
-        run_cli(["bench-directions", "--sizes", "5:6", "--trials", "2",
-                 "--seed", "12", "-o", str(out2)], capsys)
-
-        def stable(path):
-            with open(path) as fh:
-                return [(r["mode"], r["n"], r["m"], r["mean_iters"])
-                        for r in csv.DictReader(fh)]
-
-        assert stable(out1) == stable(out2)
-
-
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         env = dict(os.environ)

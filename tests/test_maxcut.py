@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sparse_sdp import (Graph, SolverConfig, TooManyEdges, cut_value,
+from sparse_sdp import (Graph, SdpProblem, SolverConfig, SparseSymMatrix,
+                        SparseSymPattern, TooManyEdges, cut_value,
                         hyperplane_rounding, initial_point, maxcut_sdp,
                         random_graph, read_graph, solve_maxcut, write_graph)
 from sparse_sdp.maxcut import gram_vectors
@@ -65,12 +66,14 @@ class TestMaxcutSdp:
         assert problem.c.to_dense() == pytest.approx(np.zeros((3, 3)))
 
     def test_aggregate_pattern_is_graph(self):
+        # C's nonzero off-diagonal entries are the graph's edges, relabelled
         g = random_graph(7, 9, seed=5)
         problem = maxcut_sdp(g)
         perm = problem.ordering.perm
         edges = {(max(perm[i], perm[j]), min(perm[i], perm[j]))
                  for i, j, _ in g.edges}
-        assert {(i, j) for i, j, _ in problem.aggregate.edges()} == edges
+        c = problem.c
+        assert {(i, j) for i, j, k in c.pattern.edges() if c.offdiag[k] != 0.0} == edges
 
     def test_triangle_against_reference_solver(self):
         cvxpy = pytest.importorskip("cvxpy")
@@ -98,6 +101,28 @@ class TestInitialPoint:
         x0, y0 = initial_point(problem)
         assert np.allclose(y0, -1.0)
         assert np.allclose(problem.dual_slack(y0).diag, 1.0)
+
+    @pytest.mark.parametrize("case", ["off-diagonal entry", "two diagonal entries",
+                                      "m != n"])
+    def test_non_diagonal_constraints_rejected(self, case):
+        n = 3
+        c = SparseSymMatrix.identity(SparseSymPattern(n))
+        constraints = []
+        for p in range(n):
+            d = np.zeros(n)
+            d[p] = 1.0
+            constraints.append(SparseSymMatrix(SparseSymPattern(n), d, np.zeros(0)))
+        if case == "off-diagonal entry":
+            constraints[1] = SparseSymMatrix(SparseSymPattern(n, [(0, 2)]),
+                                             [0.0, 1.0, 0.0], [0.5])
+        elif case == "two diagonal entries":
+            constraints[2] = SparseSymMatrix(SparseSymPattern(n), [0.0, 1.0, 1.0],
+                                             np.zeros(0))
+        else:
+            constraints = constraints[:2]
+        problem = SdpProblem(c, constraints, np.ones(len(constraints)))
+        with pytest.raises(ValueError, match="unit.diagonal"):
+            initial_point(problem)
 
     def test_random_instance_invariants(self):
         problem = maxcut_sdp(random_graph(10, 16, seed=6))

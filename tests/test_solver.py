@@ -8,8 +8,8 @@ from sparse_sdp import (CgResult, Direction, EliminationOrdering, InfeasibleStar
                         IterateState, IterationLimit, SdpProblem, SolverConfig,
                         SparseSymMatrix, SparseSymPattern, conjugate_gradient,
                         dual_direction, hess_vec, inner_product,
-                        inverse_columns, potential_minimize, primal_direction,
-                        solve)
+                        inverse_columns, maximal_cliques, potential_minimize,
+                        primal_direction, solve)
 from sparse_sdp.maxcut import Graph, initial_point, maxcut_sdp, random_graph
 from sparse_sdp.solver import EXTRA_ITERS
 
@@ -29,13 +29,42 @@ def build_directions(state, cfg):
 
 class TestProblemInvariants:
     def test_pattern_chain_and_peo(self):
-        from sparse_sdp import verify_peo
         problem = maxcut_sdp(random_graph(9, 14, seed=39))
-        assert problem.aggregate.is_subset_of(problem.fill)
-        assert verify_peo(problem.fill)
+        c = problem.c
+        assert all(problem.fill.has_edge(i, j) for i, j, k in c.pattern.edges()
+                   if c.offdiag[k] != 0.0)
+        maximal_cliques(problem.fill)  # raises NotChordal unless a PEO
         for a in problem.constraints:
             assert a.pattern.is_subset_of(problem.fill)
         assert sum(len(s) for s in problem.cliques.residuals) == problem.n
+
+    def test_scatter_arrays_match_the_permuted_constraints(self):
+        # the arrays come from the caller's matrices through the ordering;
+        # rebuilding them from the permuted copies must give the same
+        # entries in the same order: by constraint, diagonal first, then
+        # ascending by fill slot, with the larger label first in (r, s)
+        state, _ = generic_problem(np.random.default_rng(7))
+        problem = state.problem
+        fill = problem.fill
+        d, e = [], []
+        for p, a in enumerate(problem.constraints):
+            d += [(p, int(v), a.diag[v]) for v in np.flatnonzero(a.diag)]
+            e += sorted((p, fill.edge_index(i, j), a.offdiag[k], i, j)
+                        for i, j, k in a.pattern.edges() if a.offdiag[k] != 0.0)
+        own, idx, val = map(np.array, zip(*d))
+        assert np.array_equal(problem._d_own, own)
+        assert np.array_equal(problem._d_idx, idx)
+        assert np.array_equal(problem._d_val, val)
+        own, idx, val = map(np.array, list(zip(*e))[:3])
+        assert np.array_equal(problem._e_own, own)
+        assert np.array_equal(problem._e_idx, idx)
+        assert np.array_equal(problem._e_val, val)
+        verts = problem.constraint_vertices
+        ent = [(p, i, i, 0.5 * v) for p, i, v in d] + [(p, i, j, v) for p, _, v, i, j in e]
+        ent.sort(key=lambda t: t[0])          # stable: diagonal entries first
+        assert np.array_equal(verts[problem._ent_r], [t[1] for t in ent])
+        assert np.array_equal(verts[problem._ent_s], [t[2] for t in ent])
+        assert np.array_equal(problem._ent_c, [t[3] for t in ent])
 
 
 class TestApplyMap:

@@ -115,19 +115,18 @@ def random_banded_partial(n, bandwidth, seed):
     for k in range(1, p + 1):
         gband[:k, k] = 0.0
     pat = banded_pattern(n, bandwidth)
-    diag = np.zeros(n)
-    off = np.zeros(pat.nnz)
+    out = SparseSymMatrix.zeros(pat)
     # M[i, i-d] = sum_{k>=d} G[i, i-k] G[i-d, (i-d)-(k-d)]
     for d in range(p + 1):
         acc = np.zeros(n - d)
         for k in range(d, p + 1):
             acc += gband[d:, k] * gband[: n - d, k - d]
         if d == 0:
-            diag[:] = acc
+            out.diag[:] = acc
         else:
             for t, i in enumerate(range(d, n)):
-                off[pat.edge_index(i, i - d)] = acc[t]
-    return SparseSymMatrix(pat, diag, off)
+                out.offdiag[pat.edge_index(i, i - d)] = acc[t]
+    return out
 
 
 def time_banded_sweep(cases, reps, blocks=20, min_block_seconds=0.0025):

@@ -35,8 +35,8 @@ from .sparsemat import SparseSymMatrix, SparseSymPattern
 
 class _CliqueSlots:
     """Where the clique and separator blocks of a partial matrix on
-    ``pattern`` sit in its concatenated [diag | offdiag] storage, grouped
-    by block size.
+    ``pattern`` sit in its ``values`` = [diag | offdiag], grouped by block
+    size.
 
     ``cliques`` and ``separators`` list one ``(members, gather)`` pair per
     block size k, by increasing k: ``members`` are the indices r, in
@@ -125,10 +125,10 @@ def completion_factors(xbar, cs):
     slots = getattr(cs, "_slots", None)
     if slots is None or slots.pattern is not xbar.pattern:   # first use: build, cache
         slots = cs._slots = _CliqueSlots(cs, xbar.pattern)
-    values = np.concatenate((xbar.diag, xbar.offdiag))
-    blocks = [values[gather] for _, gather in slots.cliques]
+    blocks = [xbar.values[gather] for _, gather in slots.cliques]
     clique_chol = [_cholesky(blk, "clique") for blk in blocks]
-    sep_chol = [_cholesky(values[gather], "separator") for _, gather in slots.separators]
+    sep_chol = [_cholesky(xbar.values[gather], "separator")
+                for _, gather in slots.separators]
     return CompletionFactors(cs, slots, blocks, clique_chol, sep_chol)
 
 
@@ -155,11 +155,10 @@ def completion_inverse(factors):
         rows, cols = _upper(chol.shape[1])
         parts.append(sign * (np.swapaxes(ci, 1, 2) @ ci)[:, rows, cols].ravel())
     slots = factors.slots
-    n = factors.cliques.n
     pat = slots.pattern
     acc = np.bincount(slots.scatter, weights=np.concatenate(parts)[slots.entry_order],
-                      minlength=n + pat.nnz)
-    return SparseSymMatrix(pat, acc[:n], acc[n:], check=False)
+                      minlength=pat.n + pat.nnz)
+    return SparseSymMatrix(pat, acc, check=False)
 
 
 def completion_vectors(factors):

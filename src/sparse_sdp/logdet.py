@@ -66,7 +66,7 @@ def sparse_inverse(factor):
         for u in range(len(rows_j)):
             s -= lt[base + u] * woff[base + u]
         wdiag[j] = s
-    return SparseSymMatrix(pat, wdiag, woff, check=False)
+    return SparseSymMatrix(pat, wdiag + woff, check=False)
 
 
 def inverse_columns(factor, cols):
@@ -190,6 +190,4 @@ def hess_vec(factor, z, sinv):
         vdiag[j] = sv
 
     # W(t) = entries of (S + tZ)^-1, so the Hessian product is -W'.
-    return SparseSymMatrix(
-        pat, [-v for v in vdiag], [-v for v in voff], check=False
-    )
+    return SparseSymMatrix(pat, [-v for v in vdiag + voff], check=False)

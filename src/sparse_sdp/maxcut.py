@@ -49,9 +49,6 @@ class Graph:
     def m(self):
         return len(self.edges)
 
-    def total_weight(self):
-        return sum(w for _, _, w in self.edges)
-
 
 @dataclass
 class CutResult:
@@ -83,19 +80,14 @@ def maxcut_sdp(graph):
     """Standard-form relaxation: C = -Laplacian/4, unit diagonal constraints."""
     n = graph.n
     pat = SparseSymPattern(n, [(i, j) for i, j, _ in graph.edges])
-    diag = np.zeros(n)
-    off = np.zeros(pat.nnz)
+    values = np.zeros(n + pat.nnz)
     for i, j, w in graph.edges:
-        off[pat.edge_index(i, j)] = w / 4.0
-        diag[i] -= w / 4.0
-        diag[j] -= w / 4.0
-    c = SparseSymMatrix(pat, diag, off)
+        values[n + pat.edge_index(i, j)] = w / 4.0
+        values[i] -= w / 4.0
+        values[j] -= w / 4.0
+    c = SparseSymMatrix(pat, values)
     empty = SparseSymPattern(n)
-    constraints = []
-    for p in range(n):
-        d = np.zeros(n)
-        d[p] = 1.0
-        constraints.append(SparseSymMatrix(empty, d, np.zeros(0), check=False))
+    constraints = [SparseSymMatrix(empty, row, check=False) for row in np.eye(n)]
     return SdpProblem(c, constraints, np.ones(n))
 
 
@@ -125,11 +117,13 @@ def initial_point(problem):
 
 def _require_diagonal_constraints(problem):
     """Raise ValueError unless each A_p has one nonzero entry, on the diagonal,
-    and there is one A_p per vertex (read from the problem's scatter arrays)."""
+    and there is one A_p per vertex (read from the problem's entry table)."""
     if problem.m != problem.n:
         raise ValueError("expected one unit-diagonal constraint per vertex")
-    bad = np.bincount(problem._d_own, minlength=problem.m) != 1
-    bad[problem._e_own] = True
+    own = problem._ent_own
+    on_diag = problem._ent_slot < problem.n
+    bad = np.bincount(own[on_diag], minlength=problem.m) != 1
+    bad[own[~on_diag]] = True
     if np.any(bad):
         raise ValueError(f"constraint {int(np.argmax(bad))} is not a unit diagonal indicator")
 

@@ -3,7 +3,7 @@
 An `SdpProblem` owns the standard-form data (C, A_1..A_m, b), a
 fill-reducing ordering of the aggregate pattern of all data matrices, the
 chordal extension produced by symbolic factorization with its cliques,
-and the constraints flattened into scatter arrays on that extension.  It
+and one table of the constraint entries on that extension.  It
 assembles the m x m matrix A_p . (W A_q W) of a Newton system from W's
 entries on the constraint vertices.  All stored matrices live in the permuted
 (elimination) labels; `ordering` maps original labels to them.
@@ -60,11 +60,9 @@ class SdpProblem:
             r, s = np.maximum(rows, cols), np.minimum(rows, cols)
             return r, s, np.searchsorted(fill_keys, s * n + r)
 
-        diag = np.empty(n)
-        diag[perm] = c.diag
-        off = np.zeros(fill.nnz)
-        off[permuted(c.pattern.rows, _edge_cols(c.pattern))[2]] = c.offdiag
-        self.c = SparseSymMatrix(fill, diag, off, check=False)
+        self.c = SparseSymMatrix.zeros(fill)
+        self.c.diag[perm] = c.diag
+        self.c.offdiag[permuted(c.pattern.rows, _edge_cols(c.pattern))[2]] = c.offdiag
 
         # Every nonzero constraint entry as (owner, row, col, value) in the
         # caller's labels; a diagonal entry has row == col.
@@ -80,64 +78,56 @@ class SdpProblem:
         own, rows, cols, val = (np.concatenate(x) for x in zip(*parts))
         r, s, slot = permuted(rows, cols)
         on_diag = r == s
-        slot[on_diag] = r[on_diag]          # a diagonal entry's slot is its vertex
-        # by constraint; in each, the diagonal entries first, then by slot
-        order = np.lexsort((slot, ~on_diag, own))
-        d, e = order[on_diag[order]], order[~on_diag[order]]
+        slot = np.where(on_diag, r, n + slot)   # the entry's place in [diag | offdiag]
+        # by constraint, then by slot, so each constraint's diagonal entries
+        # come first
+        order = np.lexsort((slot, own))
 
-        # Flattened scatter/gather index arrays against the fill pattern.
-        self._d_idx, self._d_val, self._d_own = slot[d], val[d], own[d]
-        self._e_idx, self._e_val, self._e_own = slot[e], val[e], own[e]
-        self._gram_inv = None
-
-        # The same entries as (r, s, c), each standing for
-        # c (e_r e_s^T + e_s e_r^T), grouped by constraint, with r and s
-        # given as positions in ``constraint_vertices`` (for newton_matrix).
+        # The one table of constraint entries (r, s), r >= s: owner, slot,
+        # value, weight in A(.) (the value on the diagonal, twice it off
+        # it) and r, s as positions in ``constraint_vertices``.
         used = np.zeros(n, dtype=bool)
         used[r] = True
         used[s] = True
         self.constraint_vertices = np.flatnonzero(used)
         position = np.cumsum(used) - 1
+        self._ent_own = own[order]
+        self._ent_slot = slot[order]
+        self._ent_val = val[order]
+        self._ent_weight = np.where(on_diag, 1.0, 2.0)[order] * self._ent_val
         self._ent_r = position[r[order]]
         self._ent_s = position[s[order]]
-        self._ent_c = np.where(on_diag, 0.5, 1.0)[order] * val[order]
-        own = own[order]
-        self._ent_start = np.flatnonzero(np.diff(own, prepend=-1))
-        self._ent_owner = own[self._ent_start]
+        self._ent_start = np.flatnonzero(np.diff(self._ent_own, prepend=-1))
+        self._gram_inv = None
 
     @cached_property
     def constraints(self):
         """A_1..A_m in the permuted labels, built on first read.
 
-        The maps and the Newton matrix read only the flattened arrays, so
-        a solve never builds these copies.
+        The maps, the Gram matrix and the Newton matrix read only the
+        entry table, so a solve never builds these copies.
         """
         return [a.permuted(self.ordering) for a in self._data]
 
     def apply_map(self, w):
         """(A_1.W, ..., A_m.W) for W supported on the fill pattern."""
         out = np.zeros(self.m)
-        np.add.at(out, self._d_own, w.diag[self._d_idx] * self._d_val)
-        if len(self._e_idx):
-            np.add.at(out, self._e_own, 2.0 * w.offdiag[self._e_idx] * self._e_val)
+        np.add.at(out, self._ent_own, w.values[self._ent_slot] * self._ent_weight)
         return out
 
     def adjoint_map(self, z):
         """sum_p z_p A_p scattered onto the fill pattern."""
         z = np.asarray(z, dtype=float)
-        diag = np.zeros(self.n)
-        off = np.zeros(self.fill.nnz)
-        np.add.at(diag, self._d_idx, z[self._d_own] * self._d_val)
-        if len(self._e_idx):
-            np.add.at(off, self._e_idx, z[self._e_own] * self._e_val)
-        return SparseSymMatrix(self.fill, diag, off, check=False)
+        out = SparseSymMatrix.zeros(self.fill)
+        np.add.at(out.values, self._ent_slot, z[self._ent_own] * self._ent_val)
+        return out
 
     def newton_matrix(self, w):
         """The m x m matrix M_pq = A_p . (W A_q W) for a symmetric W.
 
         ``w`` holds W on ``constraint_vertices`` x ``constraint_vertices``,
         the only entries M reads.  With every constraint entry written as
-        c (e_r e_s^T + e_s e_r^T),
+        c (e_r e_s^T + e_s e_r^T), c half the entry's weight,
           M = P^T K P,
           K_ef = 2 c_e c_f (W_{s_e r_f} W_{s_f r_e} + W_{s_e s_f} W_{r_e r_f}),
         where P sums the entries into their constraints.  For
@@ -146,10 +136,11 @@ class SdpProblem:
         r, s = self._ent_r, self._ent_s
         wsr = w[np.ix_(s, r)]
         k = wsr * wsr.T + w[np.ix_(s, s)] * w[np.ix_(r, r)]
-        k *= np.outer(2.0 * self._ent_c, self._ent_c)
+        k *= np.outer(self._ent_weight, 0.5 * self._ent_weight)
         out = np.zeros((self.m, self.m))
-        start, own = self._ent_start, self._ent_owner
+        start = self._ent_start
         if len(start):
+            own = self._ent_own[start]
             out[np.ix_(own, own)] = np.add.reduceat(
                 np.add.reduceat(k, start, axis=0), start, axis=1)
         return out
@@ -157,17 +148,16 @@ class SdpProblem:
     def _gram_inverse(self):
         """G^-1 for the Gram matrix G_pq = A_p . A_q, built on first use.
 
-        G comes from the flattened scatter arrays in one pass: every two
-        constraint entries on the same slot of the fill pattern add their
-        product, twice for an off-diagonal slot.
+        G comes from the entry table in one pass: every two constraint
+        entries on the same slot of the fill pattern add their product,
+        twice for an off-diagonal slot.
         """
         if self._gram_inv is None:
-            slot = np.concatenate((self._d_idx, self.n + self._e_idx))
-            order = np.argsort(slot, kind="stable")
-            slot = slot[order]
-            own = np.concatenate((self._d_own, self._e_own))[order]
-            val = np.concatenate((self._d_val, self._e_val))[order]
-            weighted = np.where(slot < self.n, 1.0, 2.0) * val
+            order = np.argsort(self._ent_slot, kind="stable")
+            slot = self._ent_slot[order]
+            own = self._ent_own[order]
+            val = self._ent_val[order]
+            weighted = self._ent_weight[order]
             # entry e in a run of c entries on one slot, starting at s,
             # pairs with s, ..., s + c - 1
             start = np.flatnonzero(np.diff(slot, prepend=-1))
@@ -200,14 +190,12 @@ class SdpProblem:
         each costs one m x m product on top of the two constraint maps.
         """
         corr = self.adjoint_map(self._gram_inverse() @ self.apply_map(w))
-        return SparseSymMatrix(self.fill, w.diag - corr.diag,
-                               w.offdiag - corr.offdiag, check=False)
+        return SparseSymMatrix(self.fill, w.values - corr.values, check=False)
 
     def dual_slack(self, y):
         """S = C - sum_p y_p A_p on the fill pattern."""
         a = self.adjoint_map(y)
-        return SparseSymMatrix(self.fill, self.c.diag - a.diag,
-                               self.c.offdiag - a.offdiag, check=False)
+        return SparseSymMatrix(self.fill, self.c.values - a.values, check=False)
 
     def __repr__(self):
         return f"SdpProblem(n={self.n}, m={self.m}, nnz_fill={self.fill.nnz})"

@@ -98,12 +98,14 @@ def read_sdpa(path):
                 raise SdpaParseError(no, f"duplicate entry ({i},{j})")
             offs[mat][key] = val
 
+    empty = SparseSymPattern(n)     # shared by every matrix without off-diagonal entries
+
     def build(t):
-        pat = SparseSymPattern(n, list(offs[t]))
+        pat = SparseSymPattern(n, list(offs[t])) if offs[t] else empty
         off = np.zeros(pat.nnz)
         for key, val in offs[t].items():
             off[pat.edge_index(*key)] = val
-        return SparseSymMatrix(pat, diags[t], off)
+        return SparseSymMatrix(pat, np.append(diags[t], off))
 
     return build(0), [build(p) for p in range(1, m + 1)], b
 

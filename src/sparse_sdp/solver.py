@@ -265,7 +265,7 @@ class IterateState:
     def residuals(self):
         """max |A(X) - b|, and max |S - L L^T| over F relative to max |S|
         over F, with L the factor ``s_factor``."""
-        s = np.concatenate((self.s.diag, self.s.offdiag))
+        s = self.s.values
         dres = float(np.max(np.abs(s - self.s_factor.product())) / np.max(np.abs(s)))
         return self.primal_residual(), dres
 
@@ -326,9 +326,7 @@ def dual_direction(state, cfg):
     rhs = prob.apply_map(sinv) - prob.apply_map(xbar) / mu
     res, ntilde, curved = _newton_system(prob, cfg, state.s_factor, sinv, rhs)
     lam_tilde = math.sqrt(max(inner_product(curved, ntilde), 0.0))
-    raw = SparseSymMatrix(prob.fill,
-                          mu * (sinv.diag - curved.diag) - xbar.diag,
-                          mu * (sinv.offdiag - curved.offdiag) - xbar.offdiag,
+    raw = SparseSymMatrix(prob.fill, mu * (sinv.values - curved.values) - xbar.values,
                           check=False)
     return Direction(dx=prob.project_out_constraints(raw),
                      ds=ntilde.scaled(1.0 / (1.0 + lam_tilde)),
@@ -359,15 +357,10 @@ def primal_direction(state, cfg):
     xmx = hess_vec(y_factor, m_mat, sinv=xbar)
     rhs = prob.apply_map(xmx) - prob.apply_map(xbar)
     res, lam_a, xlx = _newton_system(prob, cfg, y_factor, xbar, rhs)
-    n_mat = SparseSymMatrix(prob.fill,
-                            xbar.diag - xmx.diag + xlx.diag,
-                            xbar.offdiag - xmx.offdiag + xlx.offdiag,
-                            check=False)
-    n_mat = prob.project_out_constraints(n_mat)
-    xhat_inv = state.xhat_inv
+    n_mat = prob.project_out_constraints(SparseSymMatrix(
+        prob.fill, xbar.values - xmx.values + xlx.values, check=False))
     g_mat = SparseSymMatrix(prob.fill,
-                            xhat_inv.diag - m_mat.diag + lam_a.diag,
-                            xhat_inv.offdiag - m_mat.offdiag + lam_a.offdiag,
+                            state.xhat_inv.values - m_mat.values + lam_a.values,
                             check=False)
     lam = math.sqrt(max(inner_product(g_mat, n_mat), 0.0))
     return Direction(dx=n_mat.scaled(1.0 / (1.0 + lam)), ds=lam_a.scaled(-mu),
@@ -408,14 +401,11 @@ def _trial(state, dirs, q):
                     y += k * d.dy
             dual_half = DualHalf(prob, y)
         if any(h != 0.0 for _, h, _ in moves):
-            xdiag = state.xbar.diag.copy()
-            xoff = state.xbar.offdiag.copy()
+            x = state.xbar.values.copy()
             for d, h, _ in moves:
                 if h != 0.0:
-                    xdiag += h * d.dx.diag
-                    xoff += h * d.dx.offdiag
-            primal_half = PrimalHalf(
-                prob, SparseSymMatrix(prob.fill, xdiag, xoff, check=False))
+                    x += h * d.dx.values
+            primal_half = PrimalHalf(prob, SparseSymMatrix(prob.fill, x, check=False))
     except (NotPositiveDefinite, NotCompletable):
         return None
     trial = IterateState.compose(prob, dual_half, primal_half, state.rho)

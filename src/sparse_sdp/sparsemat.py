@@ -6,6 +6,7 @@ diagonal, compressed-column style.  All indices are 0-based.
 
 from __future__ import annotations
 
+import heapq
 import math
 from itertools import combinations
 
@@ -104,9 +105,6 @@ class SparseSymPattern:
             self._row_cols = [tuple(r) for r in rc]
         return self._row_cols
 
-    def is_subset_of(self, other):
-        return self.n == other.n and all(key in other._index for key in self._index)
-
     def permuted(self, ordering):
         perm = ordering.perm
         return SparseSymPattern(self.n, [(perm[i], perm[j]) for (i, j) in self._index])
@@ -126,23 +124,23 @@ class SparseSymPattern:
 class SparseSymMatrix:
     """Numeric symmetric matrix on a fixed pattern.
 
-    ``diag`` holds the n diagonal values, ``offdiag`` one value per pattern
-    edge (in the pattern's storage order).  Entries off the pattern are
+    ``values`` holds the n diagonal values followed by one value per
+    pattern edge (in the pattern's storage order); ``diag`` and
+    ``offdiag`` are views of its two parts.  Entries off the pattern are
     zero by convention, except where the completion routines read the
     matrix as a partial matrix and leave them unspecified.
     """
 
-    def __init__(self, pattern, diag, offdiag, check=True):
+    def __init__(self, pattern, values, check=True):
         self.pattern = pattern
-        self.diag = np.asarray(diag, dtype=float)
-        self.offdiag = np.asarray(offdiag, dtype=float)
+        self.values = np.asarray(values, dtype=float)
         if check:
-            if self.diag.shape != (pattern.n,):
-                raise ValueError("diag length mismatch")
-            if self.offdiag.shape != (pattern.nnz,):
-                raise ValueError("offdiag length mismatch")
-            if not (np.all(np.isfinite(self.diag)) and np.all(np.isfinite(self.offdiag))):
+            if self.values.shape != (pattern.n + pattern.nnz,):
+                raise ValueError("values length is not n + nnz")
+            if not np.all(np.isfinite(self.values)):
                 raise ValueError("entries must be finite")
+        self.diag = self.values[:pattern.n]
+        self.offdiag = self.values[pattern.n:]
 
     @property
     def n(self):
@@ -150,11 +148,13 @@ class SparseSymMatrix:
 
     @classmethod
     def zeros(cls, pattern):
-        return cls(pattern, np.zeros(pattern.n), np.zeros(pattern.nnz), check=False)
+        return cls(pattern, np.zeros(pattern.n + pattern.nnz), check=False)
 
     @classmethod
     def identity(cls, pattern):
-        return cls(pattern, np.ones(pattern.n), np.zeros(pattern.nnz), check=False)
+        out = cls.zeros(pattern)
+        out.diag[:] = 1.0
+        return out
 
     def to_dense(self):
         out = np.diag(self.diag)
@@ -163,29 +163,19 @@ class SparseSymMatrix:
         return out
 
     def copy(self):
-        return SparseSymMatrix(self.pattern, self.diag.copy(), self.offdiag.copy(), check=False)
-
-    def embedded(self, superpattern):
-        """Copy onto a larger pattern (zeros where this matrix is absent)."""
-        if not self.pattern.is_subset_of(superpattern):
-            raise ValueError("pattern is not a subset of the target pattern")
-        off = np.zeros(superpattern.nnz)
-        for i, j, k in self.pattern.edges():
-            off[superpattern.edge_index(i, j)] = self.offdiag[k]
-        return SparseSymMatrix(superpattern, self.diag.copy(), off, check=False)
+        return SparseSymMatrix(self.pattern, self.values.copy(), check=False)
 
     def permuted(self, ordering):
         perm = ordering.perm
         newpat = self.pattern.permuted(ordering)
-        diag = np.empty(self.n)
-        diag[perm] = self.diag
-        off = np.empty(self.pattern.nnz)
+        out = SparseSymMatrix.zeros(newpat)
+        out.diag[perm] = self.diag
         for i, j, k in self.pattern.edges():
-            off[newpat.edge_index(perm[i], perm[j])] = self.offdiag[k]
-        return SparseSymMatrix(newpat, diag, off, check=False)
+            out.offdiag[newpat.edge_index(perm[i], perm[j])] = self.offdiag[k]
+        return out
 
     def scaled(self, alpha):
-        return SparseSymMatrix(self.pattern, alpha * self.diag, alpha * self.offdiag, check=False)
+        return SparseSymMatrix(self.pattern, alpha * self.values, check=False)
 
     def __repr__(self):
         return f"SparseSymMatrix(n={self.n}, nnz={self.pattern.nnz})"
@@ -288,23 +278,30 @@ def min_degree_ordering(pattern):
 
     Plain (non-multiple, non-approximate) minimum degree on the
     elimination graph; ties break toward the smallest original index so
-    the result is deterministic.
+    the result is deterministic.  A heap of (degree, vertex) picks each
+    pivot: a vertex is pushed again whenever elimination changes its
+    neighbourhood, and entries whose degree is stale are skipped.
     """
     n = pattern.n
     adj = [set(s) for s in pattern.adjacency()]
-    alive = set(range(n))
+    heap = [(len(a), v) for v, a in enumerate(adj)]
+    heapq.heapify(heap)
+    done = [False] * n
     seq = []
-    for _ in range(n):
-        v = min(alive, key=lambda u: (len(adj[u]), u))
+    while heap:
+        degree, v = heapq.heappop(heap)
+        if done[v] or degree != len(adj[v]):
+            continue
         seq.append(v)
-        alive.remove(v)
+        done[v] = True
         nbrs = adj[v]
         for u in nbrs:
             adj[u].discard(v)
         for a, b in combinations(sorted(nbrs), 2):
             adj[a].add(b)
             adj[b].add(a)
-        adj[v] = set()
+        for u in nbrs:
+            heapq.heappush(heap, (len(adj[u]), u))
     return EliminationOrdering.from_sequence(seq)
 
 
@@ -392,16 +389,8 @@ def cholesky_factorize(matrix):
 
 
 def inner_product(a, b):
-    """Frobenius inner product sum_ij A_ij B_ij (off-diagonals count twice)."""
-    if a.n != b.n:
-        raise ValueError("dimension mismatch")
-    d = float(a.diag @ b.diag)
-    if a.pattern is b.pattern or a.pattern == b.pattern:
-        return d + 2.0 * float(a.offdiag @ b.offdiag)
-    small, big = (a, b) if a.pattern.nnz <= b.pattern.nnz else (b, a)
-    bigpat = big.pattern
-    s = 0.0
-    for i, j, k in small.pattern.edges():
-        if bigpat.has_edge(i, j):
-            s += small.offdiag[k] * big.offdiag[bigpat.edge_index(i, j)]
-    return d + 2.0 * s
+    """Frobenius inner product sum_ij A_ij B_ij (off-diagonals count twice)
+    of two matrices on one pattern; ValueError on different patterns."""
+    if a.pattern is not b.pattern and a.pattern != b.pattern:
+        raise ValueError("matrices lie on different patterns")
+    return float(a.diag @ b.diag) + 2.0 * float(a.offdiag @ b.offdiag)

@@ -1,5 +1,7 @@
 """Shared generators and dense reference implementations for the tests."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,25 @@ def random_pattern(n, density, rng):
     edges = [(i, j) for i in range(n) for j in range(i)
              if rng.random() < density]
     return SparseSymPattern(n, edges)
+
+
+def min_degree_sequence(pattern):
+    """Plain minimum-degree elimination sequence by a scan of every live
+    vertex at each step (smallest degree, then smallest label): the
+    reference for ``min_degree_ordering``."""
+    adj = [set(s) for s in pattern.adjacency()]
+    alive = set(range(pattern.n))
+    seq = []
+    for _ in range(pattern.n):
+        v = min(alive, key=lambda u: (len(adj[u]), u))
+        seq.append(v)
+        alive.remove(v)
+        for u in adj[v]:
+            adj[u].discard(v)
+        for a, b in combinations(sorted(adj[v]), 2):
+            adj[a].add(b)
+            adj[b].add(a)
+    return seq
 
 
 def random_filled_pattern(n, density, rng):
@@ -43,6 +64,30 @@ def random_completable_partial(n, density, rng):
     dense = g @ g.T + np.eye(n)
     cs = rip_order(maximal_cliques(fill), n=n)
     return sparse_from_dense(fill, dense), cs, dense
+
+
+def random_generic_sdp(n, m, rng):
+    """SDP data (C, [A_1..A_m], b) with off-diagonal constraint entries.
+
+    C is positive definite on a random chordal pattern and b = A(I), so
+    X = I with y = 0 is a strictly feasible start.  Each A_p has one
+    positive diagonal entry and up to two random off-diagonal ones.
+    """
+    fill = random_filled_pattern(n, 0.3, rng)
+    c, _ = random_pd_on_pattern(fill, rng)
+    constraints, b = [], []
+    for _ in range(m):
+        dense = np.zeros((n, n))
+        edges = []
+        for _ in range(2):
+            i, j = rng.choice(n, 2, replace=False)
+            dense[i, j] = dense[j, i] = rng.standard_normal()
+            edges.append((i, j))
+        v = rng.choice(n)
+        dense[v, v] = 1.0 + rng.random()
+        constraints.append(sparse_from_dense(SparseSymPattern(n, edges), dense))
+        b.append(np.trace(dense))
+    return c, constraints, np.array(b)
 
 
 def brute_force_cliques(pattern):
@@ -82,7 +127,7 @@ def sparse_from_dense(pattern, dense):
     off = np.empty(pattern.nnz)
     for i, j, k in pattern.edges():
         off[k] = dense[i, j]
-    return SparseSymMatrix(pattern, np.diagonal(dense).copy(), off)
+    return SparseSymMatrix(pattern, np.append(np.diagonal(dense), off))
 
 
 def entry(mat, i, j):
@@ -185,7 +230,7 @@ def dense_reference_directions(c, a_list, b, xhat, s, rho):
 def problem_dense_data(problem):
     """Dense copies of a problem's (permuted) data matrices."""
     c = problem.c.to_dense()
-    a_list = [a.embedded(problem.fill).to_dense() for a in problem.constraints]
+    a_list = [a.to_dense() for a in problem.constraints]
     return c, a_list, problem.b.copy()
 
 

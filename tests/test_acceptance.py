@@ -76,15 +76,13 @@ def test_criterion_2_derivative_checks():
             diag = np.where(rng.random(n) < 0.4, rng.standard_normal(n), 0.0)
             off = np.where(rng.random(agg.nnz) < 0.4,
                            rng.standard_normal(agg.nnz), 0.0)
-            a_list.append(SparseSymMatrix(agg, diag, off))
-        mt = SparseSymMatrix(agg, rng.standard_normal(n) * 0.3,
-                             rng.standard_normal(agg.nnz) * 0.3)
+            a_list.append(SparseSymMatrix(agg, np.append(diag, off)))
+        mt = SparseSymMatrix(agg, rng.standard_normal(n + agg.nnz) * 0.3)
         u0 = rng.standard_normal(m) * 0.05
 
         def slack(u):
-            diag = base.diag - sum(ui * a.diag for ui, a in zip(u, a_list))
-            off = base.offdiag - sum(ui * a.offdiag for ui, a in zip(u, a_list))
-            return SparseSymMatrix(agg, diag, off)
+            return SparseSymMatrix(
+                agg, base.values - sum(ui * a.values for ui, a in zip(u, a_list)))
 
         def h(u):
             s = slack(u)
@@ -112,9 +110,7 @@ def test_criterion_2_derivative_checks():
             return np.array([-a_dot(a, wv) - a_dot(a, mt) for a in a_list])
 
         z = rng.standard_normal(m)
-        zmat = SparseSymMatrix(agg,
-                               sum(zp * a.diag for zp, a in zip(z, a_list)),
-                               sum(zp * a.offdiag for zp, a in zip(z, a_list)))
+        zmat = SparseSymMatrix(agg, sum(zp * a.values for zp, a in zip(z, a_list)))
         hz = np.array([-a_dot(a, hess_vec(fac, zmat, sinv=w)) for a in a_list])
         fd = (grad_at(u0 + step * z) - grad_at(u0 - step * z)) / (2 * step)
         worst_hess = max(worst_hess,
@@ -169,7 +165,7 @@ def test_criterion_3_completion_correctness():
     # the worked tridiagonal value, exactly
     from sparse_sdp import SparseSymPattern
     pat = SparseSymPattern(3, [(0, 1), (1, 2)])
-    tri = SparseSymMatrix(pat, [2.0, 2.0, 2.0], [1.0, 1.0])
+    tri = SparseSymMatrix(pat, [2.0, 2.0, 2.0, 1.0, 1.0])
     tri_cs = rip_order(maximal_cliques(pat))
     tri_err = abs(logdet_completion(completion_factors(tri, tri_cs))
                   - (2.0 * math.log(3.0) - math.log(2.0)))

@@ -79,9 +79,9 @@ class TestSolveCommand:
         from sparse_sdp.sparsemat import SparseSymMatrix, SparseSymPattern
         monkeypatch.chdir(tmp_path)
         pat = SparseSymPattern(3, [(0, 1), (1, 2)])
-        c = SparseSymMatrix(pat, [3.0, 3.0, 3.0], [1.0, -0.5])
-        a1 = SparseSymMatrix(SparseSymPattern(3, [(0, 1)]), np.zeros(3), [1.0])
-        a2 = SparseSymMatrix(SparseSymPattern(3), np.ones(3), [])
+        c = SparseSymMatrix(pat, [3.0, 3.0, 3.0, 1.0, -0.5])
+        a1 = SparseSymMatrix(SparseSymPattern(3, [(0, 1)]), [0.0, 0.0, 0.0, 1.0])
+        a2 = SparseSymMatrix(SparseSymPattern(3), np.ones(3))
         path = tmp_path / "generic.dat-s"
         write_sdpa(path, c, [a1, a2], [0.0, 3.0])
         code, out, _ = run_cli(["solve", str(path)], capsys)

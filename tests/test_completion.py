@@ -18,7 +18,7 @@ from conftest import (dense_mask, random_completable_partial, reconstruct_dense,
 
 def tridiagonal_example():
     pat = SparseSymPattern(3, [(0, 1), (1, 2)])
-    xbar = SparseSymMatrix(pat, [2.0, 2.0, 2.0], [1.0, 1.0])
+    xbar = SparseSymMatrix(pat, [2.0, 2.0, 2.0, 1.0, 1.0])
     cs = rip_order(maximal_cliques(pat))
     return xbar, cs
 
@@ -61,7 +61,7 @@ class TestCliquePdCheck:
 
     def test_indefinite_clique_block(self):
         pat = SparseSymPattern(3, [(0, 1), (1, 2)])
-        bad = SparseSymMatrix(pat, [2.0, 2.0, 2.0], [3.0, 1.0])
+        bad = SparseSymMatrix(pat, [2.0, 2.0, 2.0, 3.0, 1.0])
         cs = rip_order(maximal_cliques(pat))
         with pytest.raises(NotCompletable):
             logdet_completion(completion_factors(bad, cs))
@@ -76,7 +76,7 @@ class TestCompletionFactors:
 
     def test_block_diagonal_has_no_couplings(self):
         pat = SparseSymPattern(4, [(0, 1), (2, 3)])
-        xbar = SparseSymMatrix(pat, [2.0, 2.0, 3.0, 3.0], [1.0, 1.0])
+        xbar = SparseSymMatrix(pat, [2.0, 2.0, 3.0, 3.0, 1.0, 1.0])
         cs = rip_order(maximal_cliques(pat))
         factors = completion_factors(xbar, cs)
         assert factors.slots.separators == [] and factors.sep_chol == []
@@ -90,7 +90,7 @@ class TestCompletionFactors:
 
     def test_not_completable(self):
         pat = SparseSymPattern(3, [(0, 1), (1, 2)])
-        bad = SparseSymMatrix(pat, [2.0, 2.0, 2.0], [3.0, 1.0])
+        bad = SparseSymMatrix(pat, [2.0, 2.0, 2.0, 3.0, 1.0])
         cs = rip_order(maximal_cliques(pat))
         with pytest.raises(NotCompletable):
             completion_factors(bad, cs)
@@ -111,7 +111,7 @@ class TestLogdetCompletion:
 
     def test_band_one_n4_against_dense_determinant(self):
         pat = banded_pattern(4, 1)
-        xbar = SparseSymMatrix(pat, [2.0] * 4, [1.0] * 3)
+        xbar = SparseSymMatrix(pat, [2.0] * 4 + [1.0] * 3)
         cs = rip_order(maximal_cliques(pat))
         xhat = reconstruct_dense(completion_factors(xbar, cs))
         expected = np.linalg.slogdet(xhat)[1]
@@ -137,7 +137,7 @@ class TestCompletionInverse:
 
     def test_disjoint_blocks(self):
         pat = SparseSymPattern(4, [(0, 1), (2, 3)])
-        xbar = SparseSymMatrix(pat, [2.0, 2.0, 3.0, 3.0], [1.0, 1.0])
+        xbar = SparseSymMatrix(pat, [2.0, 2.0, 3.0, 3.0, 1.0, 1.0])
         cs = rip_order(maximal_cliques(pat))
         inv = completion_inverse(completion_factors(xbar, cs))
         top = np.linalg.inv([[2.0, 1.0], [1.0, 2.0]])
@@ -169,7 +169,7 @@ class TestCompletionHessApply:
     def test_identity_returns_argument(self):
         xbar, cs = tridiagonal_example()
         eye = SparseSymMatrix.identity(xbar.pattern)
-        z = SparseSymMatrix(xbar.pattern, [1.0, -2.0, 0.5], [0.3, -0.7])
+        z = SparseSymMatrix(xbar.pattern, [1.0, -2.0, 0.5, 0.3, -0.7])
         out = completion_hess_product(eye, cs, z)
         assert np.allclose(out.diag, z.diag)
         assert np.allclose(out.offdiag, z.offdiag)
@@ -178,15 +178,15 @@ class TestCompletionHessApply:
         pat = SparseSymPattern(3, [(0, 1), (1, 2)])
         cs = rip_order(maximal_cliques(pat))
         d = np.array([2.0, 3.0, 0.5])
-        xbar = SparseSymMatrix(pat, d, [0.0, 0.0])
-        z = SparseSymMatrix(pat, [1.0, 1.0, 1.0], [1.0, 1.0])
+        xbar = SparseSymMatrix(pat, np.append(d, [0.0, 0.0]))
+        z = SparseSymMatrix(pat, [1.0, 1.0, 1.0, 1.0, 1.0])
         out = completion_hess_product(xbar, cs, z)
         assert out.diag == pytest.approx(d * d)
         assert out.offdiag[pat.edge_index(0, 1)] == pytest.approx(d[0] * d[1])
 
     def test_rank_one_probe_against_dense(self):
         xbar, cs = tridiagonal_example()
-        z = SparseSymMatrix(xbar.pattern, [1.0, 0.0, 0.0], [0.0, 0.0])
+        z = SparseSymMatrix(xbar.pattern, [1.0, 0.0, 0.0, 0.0, 0.0])
         xhat = reconstruct_dense(completion_factors(xbar, cs))
         target = xhat @ z.to_dense() @ xhat
         out = completion_hess_product(xbar, cs, z)
@@ -197,8 +197,7 @@ class TestCompletionHessApply:
         for _ in range(20):
             n = int(rng.integers(2, 13))
             xbar, cs, _ = random_completable_partial(n, 0.4, rng)
-            z = SparseSymMatrix(xbar.pattern, rng.standard_normal(n),
-                                rng.standard_normal(xbar.pattern.nnz))
+            z = SparseSymMatrix(xbar.pattern, rng.standard_normal(n + xbar.pattern.nnz))
             xhat = reconstruct_dense(completion_factors(xbar, cs))
             target = xhat @ z.to_dense() @ xhat
             out = completion_hess_product(xbar, cs, z)
@@ -211,10 +210,8 @@ class TestCompletionHessApply:
             n = int(rng.integers(2, 12))
             xbar, cs, _ = random_completable_partial(n, 0.4, rng)
             nnz = xbar.pattern.nnz
-            z1 = SparseSymMatrix(xbar.pattern, rng.standard_normal(n),
-                                 rng.standard_normal(nnz))
-            z2 = SparseSymMatrix(xbar.pattern, rng.standard_normal(n),
-                                 rng.standard_normal(nnz))
+            z1 = SparseSymMatrix(xbar.pattern, rng.standard_normal(n + nnz))
+            z2 = SparseSymMatrix(xbar.pattern, rng.standard_normal(n + nnz))
             h1 = completion_hess_product(xbar, cs, z1)
             h2 = completion_hess_product(xbar, cs, z2)
             lhs = inner_product(h1, z2)
@@ -339,13 +336,13 @@ class TestBandedLogdet:
 
     def test_rejects_non_band_pattern(self):
         pat = SparseSymPattern(4, [(0, 1), (2, 3)])
-        xbar = SparseSymMatrix(pat, [2.0] * 4, [0.5, 0.5])
+        xbar = SparseSymMatrix(pat, [2.0] * 4 + [0.5, 0.5])
         with pytest.raises(ValueError):
             logdet_completion_banded(xbar, 1)
 
     def test_not_completable_detected(self):
         pat = banded_pattern(4, 1)
-        xbar = SparseSymMatrix(pat, [1.0] * 4, [2.0, 0.1, 0.1])
+        xbar = SparseSymMatrix(pat, [1.0] * 4 + [2.0, 0.1, 0.1])
         with pytest.raises(NotCompletable):
             logdet_completion_banded(xbar, 1)
 

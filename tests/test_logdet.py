@@ -22,20 +22,20 @@ class TestSparseInverse:
 
     def test_tridiagonal_hand_values(self):
         pat = SparseSymPattern(3, [(0, 1), (1, 2)])
-        s = SparseSymMatrix(pat, [2.0, 2.0, 2.0], [1.0, 1.0])
+        s = SparseSymMatrix(pat, [2.0, 2.0, 2.0, 1.0, 1.0])
         w = sparse_inverse(cholesky_factorize(s))
         assert w.diag == pytest.approx([0.75, 1.0, 0.75], abs=1e-12)
         assert w.offdiag == pytest.approx([-0.5, -0.5], abs=1e-12)
 
     def test_two_by_two_hand_values(self):
         pat = SparseSymPattern(2, [(0, 1)])
-        w = sparse_inverse(cholesky_factorize(SparseSymMatrix(pat, [4.0, 5.0], [2.0])))
+        w = sparse_inverse(cholesky_factorize(SparseSymMatrix(pat, [4.0, 5.0, 2.0])))
         assert w.diag == pytest.approx([5 / 16, 4 / 16], abs=1e-12)
         assert w.offdiag == pytest.approx([-2 / 16], abs=1e-12)
 
     def test_isolated_vertex_diagonal_produced(self):
         pat = SparseSymPattern(3, [(1, 2)])
-        s = SparseSymMatrix(pat, [4.0, 2.0, 2.0], [1.0])
+        s = SparseSymMatrix(pat, [4.0, 2.0, 2.0, 1.0])
         w = sparse_inverse(cholesky_factorize(s))
         assert w.diag[0] == pytest.approx(0.25, abs=1e-14)
 
@@ -56,7 +56,7 @@ class TestSparseInverse:
 class TestInverseColumns:
     def test_tridiagonal_hand_values(self):
         pat = SparseSymPattern(3, [(0, 1), (1, 2)])
-        fac = cholesky_factorize(SparseSymMatrix(pat, [2.0, 2.0, 2.0], [1.0, 1.0]))
+        fac = cholesky_factorize(SparseSymMatrix(pat, [2.0, 2.0, 2.0, 1.0, 1.0]))
         w = inverse_columns(fac, [2, 0])
         assert w == pytest.approx(np.array([[0.25, 0.75], [-0.5, -0.5],
                                             [0.75, 0.25]]), abs=1e-14)
@@ -87,7 +87,7 @@ class TestHessVec:
     def test_identity_returns_argument(self):
         pat = SparseSymPattern(3, [(0, 1), (1, 2)])
         fac = cholesky_factorize(SparseSymMatrix.identity(pat))
-        z = SparseSymMatrix(pat, [1.0, -1.0, 2.0], [0.5, -0.25])
+        z = SparseSymMatrix(pat, [1.0, -1.0, 2.0, 0.5, -0.25])
         out = hess_vec(fac, z, sinv=sparse_inverse(fac))
         assert np.allclose(out.diag, z.diag)
         assert np.allclose(out.offdiag, z.offdiag)
@@ -95,8 +95,8 @@ class TestHessVec:
     def test_diagonal_matrix_scales_entries(self):
         pat = SparseSymPattern(3, [(0, 1), (1, 2)])
         d = np.array([2.0, 5.0, 0.25])
-        fac = cholesky_factorize(SparseSymMatrix(pat, d, np.zeros(2)))
-        z = SparseSymMatrix(pat, [1.0, 1.0, 1.0], [1.0, 1.0])
+        fac = cholesky_factorize(SparseSymMatrix(pat, np.append(d, np.zeros(2))))
+        z = SparseSymMatrix(pat, [1.0, 1.0, 1.0, 1.0, 1.0])
         out = hess_vec(fac, z, sinv=sparse_inverse(fac))
         assert out.diag == pytest.approx(1.0 / d ** 2)
         assert out.offdiag[pat.edge_index(0, 1)] == pytest.approx(1 / (d[0] * d[1]))
@@ -107,8 +107,7 @@ class TestHessVec:
             fill = random_filled_pattern(6, 0.5, rng)
             mat, dense = random_pd_on_pattern(fill, rng)
             fac = cholesky_factorize(mat)
-            z = SparseSymMatrix(fill, rng.standard_normal(6),
-                                rng.standard_normal(fill.nnz))
+            z = SparseSymMatrix(fill, rng.standard_normal(6 + fill.nnz))
             target = np.linalg.inv(dense) @ z.to_dense() @ np.linalg.inv(dense)
             out = hess_vec(fac, z, sinv=sparse_inverse(fac))
             assert restrict_abs_error(target, out) < 1e-9 * max(np.abs(target).max(), 1.0)
@@ -119,11 +118,10 @@ class TestHessVec:
         mat, _ = random_pd_on_pattern(fill, rng)
         fac = cholesky_factorize(mat)
         w = sparse_inverse(fac)
-        z1 = SparseSymMatrix(fill, rng.standard_normal(9), rng.standard_normal(fill.nnz))
-        z2 = SparseSymMatrix(fill, rng.standard_normal(9), rng.standard_normal(fill.nnz))
+        z1 = SparseSymMatrix(fill, rng.standard_normal(9 + fill.nnz))
+        z2 = SparseSymMatrix(fill, rng.standard_normal(9 + fill.nnz))
         a, b = 0.3, -1.7
-        combo = SparseSymMatrix(fill, a * z1.diag + b * z2.diag,
-                                a * z1.offdiag + b * z2.offdiag)
+        combo = SparseSymMatrix(fill, a * z1.values + b * z2.values)
         lhs = hess_vec(fac, combo, sinv=w)
         h1 = hess_vec(fac, z1, sinv=w)
         h2 = hess_vec(fac, z2, sinv=w)
@@ -131,20 +129,21 @@ class TestHessVec:
         assert np.abs(lhs.offdiag - (a * h1.offdiag + b * h2.offdiag)).max() < 1e-10
 
     def test_subset_pattern_argument(self):
+        # Z supported on a subset of the fill, stored on the fill itself
         fill = SparseSymPattern(3, [(0, 1), (1, 2)])
-        mat = SparseSymMatrix(fill, [3.0, 3.0, 3.0], [1.0, -1.0])
+        mat = SparseSymMatrix(fill, [3.0, 3.0, 3.0, 1.0, -1.0])
         fac = cholesky_factorize(mat)
-        sub = SparseSymPattern(3, [(0, 1)])
-        z = SparseSymMatrix(sub, [0.0, 0.0, 0.0], [1.0])
+        z = SparseSymMatrix.zeros(fill)
+        z.offdiag[fill.edge_index(0, 1)] = 1.0
         dense = np.linalg.inv(mat.to_dense()) @ z.to_dense() @ np.linalg.inv(mat.to_dense())
-        out = hess_vec(fac, z.embedded(fill), sinv=sparse_inverse(fac))
+        out = hess_vec(fac, z, sinv=sparse_inverse(fac))
         assert restrict_abs_error(dense, out) < 1e-12
 
     def test_arguments_off_the_factor_pattern_raise(self):
         fill = SparseSymPattern(3, [(0, 1), (1, 2)])
-        fac = cholesky_factorize(SparseSymMatrix(fill, [3.0, 3.0, 3.0], [1.0, -1.0]))
+        fac = cholesky_factorize(SparseSymMatrix(fill, [3.0, 3.0, 3.0, 1.0, -1.0]))
         w = sparse_inverse(fac)
-        on = SparseSymMatrix(fill, [1.0, 0.0, 0.0], [1.0, 0.0])
+        on = SparseSymMatrix(fill, [1.0, 0.0, 0.0, 1.0, 0.0])
         for pat in (SparseSymPattern(3, [(0, 1)]),
                     SparseSymPattern(3, [(0, 1), (1, 2), (0, 2)])):
             off = SparseSymMatrix.zeros(pat)
@@ -164,14 +163,13 @@ class TestDerivativeChecks:
             diag = np.where(rng.random(n) < 0.4, rng.standard_normal(n), 0.0)
             off = np.where(rng.random(agg.nnz) < 0.4,
                            rng.standard_normal(agg.nnz), 0.0)
-            a_list.append(SparseSymMatrix(agg, diag, off))
+            a_list.append(SparseSymMatrix(agg, np.append(diag, off)))
         return agg, base, base_dense, a_list
 
     @staticmethod
     def slack(base, a_list, u):
-        diag = base.diag - sum(ui * a.diag for ui, a in zip(u, a_list))
-        off = base.offdiag - sum(ui * a.offdiag for ui, a in zip(u, a_list))
-        return SparseSymMatrix(base.pattern, diag, off)
+        return SparseSymMatrix(
+            base.pattern, base.values - sum(ui * a.values for ui, a in zip(u, a_list)))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(34)
@@ -212,10 +210,8 @@ class TestDerivativeChecks:
                                  for a in a_list])
 
             fac = cholesky_factorize(self.slack(base, a_list, u0))
-            zdiag = sum(zp * a.diag for zp, a in zip(z, a_list))
-            zoff = sum(zp * a.offdiag for zp, a in zip(z, a_list))
-            hv = hess_vec(fac, SparseSymMatrix(agg, zdiag, zoff),
-                          sinv=sparse_inverse(fac))
+            zmat = SparseSymMatrix(agg, sum(zp * a.values for zp, a in zip(z, a_list)))
+            hv = hess_vec(fac, zmat, sinv=sparse_inverse(fac))
             # d/dt grad(u0 + t z)_p = -A_p . (S^-1 Z S^-1)
             hz = np.array([-float(np.sum(a.diag * hv.diag))
                            - 2.0 * float(np.sum(a.offdiag * hv.offdiag))
@@ -232,9 +228,10 @@ class TestMemoryFootprint:
         # single dense n x n intermediate would take 2.9 MB; the generous
         # multiplier absorbs Python float-object overhead in the kernels
         xbar = random_banded_partial(600, 3, seed=1)
-        mat = SparseSymMatrix(xbar.pattern, xbar.diag + 3.0, xbar.offdiag)
+        mat = xbar.copy()
+        mat.diag[:] += 3.0
         fac = cholesky_factorize(mat)
-        z = SparseSymMatrix(xbar.pattern, np.ones(600), np.ones(xbar.pattern.nnz))
+        z = SparseSymMatrix(xbar.pattern, np.ones(600 + xbar.pattern.nnz))
         factor_bytes = (fac.diag.nbytes + fac.offdiag.nbytes
                         + fac.pattern.rows.nbytes + fac.pattern.col_ptr.nbytes)
         budget = 40 * factor_bytes + 262144

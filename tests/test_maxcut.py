@@ -111,13 +111,12 @@ class TestInitialPoint:
         for p in range(n):
             d = np.zeros(n)
             d[p] = 1.0
-            constraints.append(SparseSymMatrix(SparseSymPattern(n), d, np.zeros(0)))
+            constraints.append(SparseSymMatrix(SparseSymPattern(n), d))
         if case == "off-diagonal entry":
             constraints[1] = SparseSymMatrix(SparseSymPattern(n, [(0, 2)]),
-                                             [0.0, 1.0, 0.0], [0.5])
+                                             [0.0, 1.0, 0.0, 0.5])
         elif case == "two diagonal entries":
-            constraints[2] = SparseSymMatrix(SparseSymPattern(n), [0.0, 1.0, 1.0],
-                                             np.zeros(0))
+            constraints[2] = SparseSymMatrix(SparseSymPattern(n), [0.0, 1.0, 1.0])
         else:
             constraints = constraints[:2]
         problem = SdpProblem(c, constraints, np.ones(len(constraints)))

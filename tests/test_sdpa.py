@@ -18,13 +18,13 @@ def maxcut_file(tmp_path, graph, name="instance.dat-s"):
         off[pat.edge_index(i, j)] = w / 4.0
         diag[i] -= w / 4.0
         diag[j] -= w / 4.0
-    c = SparseSymMatrix(pat, diag, off)
+    c = SparseSymMatrix(pat, np.append(diag, off))
     empty = SparseSymPattern(n)
     constraints = []
     for p in range(n):
         d = np.zeros(n)
         d[p] = 1.0
-        constraints.append(SparseSymMatrix(empty, d, np.zeros(0)))
+        constraints.append(SparseSymMatrix(empty, d))
     path = tmp_path / name
     write_sdpa(path, c, constraints, np.ones(n))
     return path, c, constraints
@@ -53,6 +53,13 @@ class TestRoundtrip:
         assert b.tolist() == [1.0, 2.0]
         assert entry(c, 0, 1) == 0.25
         assert a[0].diag[0] == 1.0 and a[1].diag[1] == 1.0
+
+    def test_matrices_without_off_diagonal_entries_share_one_pattern(self, tmp_path):
+        path, _, _ = maxcut_file(tmp_path, random_graph(6, 9, seed=31))
+        c, a, _ = read_sdpa(path)
+        assert c.pattern.nnz == 9
+        assert all(ai.pattern is a[0].pattern for ai in a)
+        assert a[0].pattern == SparseSymPattern(6)
 
 
 class TestParseErrors:

@@ -35,36 +35,32 @@ class TestProblemInvariants:
                    if c.offdiag[k] != 0.0)
         maximal_cliques(problem.fill)  # raises NotChordal unless a PEO
         for a in problem.constraints:
-            assert a.pattern.is_subset_of(problem.fill)
+            assert all(problem.fill.has_edge(i, j) for i, j, _ in a.pattern.edges())
         assert sum(len(s) for s in problem.cliques.residuals) == problem.n
 
-    def test_scatter_arrays_match_the_permuted_constraints(self):
-        # the arrays come from the caller's matrices through the ordering;
-        # rebuilding them from the permuted copies must give the same
+    def test_entry_table_matches_the_permuted_constraints(self):
+        # the table comes from the caller's matrices through the ordering;
+        # rebuilding it from the permuted copies must give the same
         # entries in the same order: by constraint, diagonal first, then
-        # ascending by fill slot, with the larger label first in (r, s)
+        # ascending by slot in [diag | offdiag], with the larger label
+        # first in (r, s)
         state, _ = generic_problem(np.random.default_rng(7))
         problem = state.problem
-        fill = problem.fill
-        d, e = [], []
+        fill, n = problem.fill, problem.n
+        ent = []
         for p, a in enumerate(problem.constraints):
-            d += [(p, int(v), a.diag[v]) for v in np.flatnonzero(a.diag)]
-            e += sorted((p, fill.edge_index(i, j), a.offdiag[k], i, j)
-                        for i, j, k in a.pattern.edges() if a.offdiag[k] != 0.0)
-        own, idx, val = map(np.array, zip(*d))
-        assert np.array_equal(problem._d_own, own)
-        assert np.array_equal(problem._d_idx, idx)
-        assert np.array_equal(problem._d_val, val)
-        own, idx, val = map(np.array, list(zip(*e))[:3])
-        assert np.array_equal(problem._e_own, own)
-        assert np.array_equal(problem._e_idx, idx)
-        assert np.array_equal(problem._e_val, val)
+            ent += [(p, v, a.diag[v], 1.0, v, v) for v in np.flatnonzero(a.diag)]
+            ent += sorted((p, n + fill.edge_index(i, j), a.offdiag[k], 2.0, i, j)
+                          for i, j, k in a.pattern.edges() if a.offdiag[k] != 0.0)
+        own, slot, val, times, r, s = map(np.array, zip(*ent))
+        assert np.array_equal(problem._ent_own, own)
+        assert np.array_equal(problem._ent_slot, slot)
+        assert np.array_equal(problem._ent_val, val)
+        assert np.array_equal(problem._ent_weight, times * val)
         verts = problem.constraint_vertices
-        ent = [(p, i, i, 0.5 * v) for p, i, v in d] + [(p, i, j, v) for p, _, v, i, j in e]
-        ent.sort(key=lambda t: t[0])          # stable: diagonal entries first
-        assert np.array_equal(verts[problem._ent_r], [t[1] for t in ent])
-        assert np.array_equal(verts[problem._ent_s], [t[2] for t in ent])
-        assert np.array_equal(problem._ent_c, [t[3] for t in ent])
+        assert np.array_equal(verts[problem._ent_r], r)
+        assert np.array_equal(verts[problem._ent_s], s)
+        assert np.array_equal(own[problem._ent_start], np.arange(problem.m))
 
 
 class TestApplyMap:
@@ -82,8 +78,7 @@ class TestApplyMap:
         rng = np.random.default_rng(40)
         problem = maxcut_sdp(random_graph(6, 9, seed=3))
         c_dense, a_dense, _ = problem_dense_data(problem)
-        w = SparseSymMatrix(problem.fill, rng.standard_normal(problem.n),
-                            rng.standard_normal(problem.fill.nnz))
+        w = SparseSymMatrix(problem.fill, rng.standard_normal(problem.n + problem.fill.nnz))
         wd = w.to_dense()
         expected = [float(np.sum(a * wd)) for a in a_dense]
         assert np.allclose(problem.apply_map(w), expected, atol=1e-12)
@@ -92,8 +87,7 @@ class TestApplyMap:
         rng = np.random.default_rng(41)
         problem = maxcut_sdp(random_graph(7, 10, seed=5))
         z = rng.standard_normal(problem.m)
-        w = SparseSymMatrix(problem.fill, rng.standard_normal(problem.n),
-                            rng.standard_normal(problem.fill.nnz))
+        w = SparseSymMatrix(problem.fill, rng.standard_normal(problem.n + problem.fill.nnz))
         lhs = float(z @ problem.apply_map(w))
         rhs = inner_product(problem.adjoint_map(z), w)
         assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -120,15 +114,15 @@ class TestPotential:
         # gap = trace = 6 and the completion log-det is 2 ln 3 - ln 2
         from sparse_sdp import EliminationOrdering, SdpProblem
         pat = SparseSymPattern(3, [(0, 1), (1, 2)])
-        c = SparseSymMatrix(pat, np.zeros(3), np.zeros(2))
+        c = SparseSymMatrix.zeros(pat)
         constraints = []
         for p in range(3):
             d = np.zeros(3)
             d[p] = 1.0
-            constraints.append(SparseSymMatrix(SparseSymPattern(3), d, np.zeros(0)))
+            constraints.append(SparseSymMatrix(SparseSymPattern(3), d))
         problem = SdpProblem(c, constraints, np.ones(3),
                              ordering=EliminationOrdering.identity(3))
-        xbar = SparseSymMatrix(problem.fill, [2.0, 2.0, 2.0], [1.0, 1.0])
+        xbar = SparseSymMatrix(problem.fill, [2.0, 2.0, 2.0, 1.0, 1.0])
         # X is not primal feasible for b = 1, so build the state directly
         # rather than through the validating IterateState.create
         state = IterateState(problem, xbar, -np.ones(3), rho=3.0 + math.sqrt(3.0))
@@ -231,7 +225,7 @@ def generic_problem(rng):
     neither feasible nor at X = I."""
     n = 12
     pat = SparseSymPattern(n, [(i, i - 1) for i in range(1, n)])
-    c = SparseSymMatrix(pat, np.full(n, 6.0), np.full(n - 1, 0.5))
+    c = SparseSymMatrix(pat, np.append(np.full(n, 6.0), np.full(n - 1, 0.5)))
     constraints = []
     off_entries = 0
     for p in range(7):
@@ -239,12 +233,12 @@ def generic_problem(rng):
         apat = SparseSymPattern(n, edges)
         diag = np.zeros(n)
         diag[rng.choice(n, 2, replace=False)] = rng.standard_normal(2)
-        constraints.append(SparseSymMatrix(apat, diag,
-                                           rng.standard_normal(apat.nnz)))
+        constraints.append(SparseSymMatrix(
+            apat, np.append(diag, rng.standard_normal(apat.nnz))))
         off_entries += apat.nnz
     problem = SdpProblem(c, constraints, np.ones(7))
-    xbar = SparseSymMatrix(problem.fill, 1.0 + rng.random(n),
-                           0.05 * rng.standard_normal(problem.fill.nnz))
+    xbar = SparseSymMatrix(problem.fill, np.append(
+        1.0 + rng.random(n), 0.05 * rng.standard_normal(problem.fill.nnz)))
     state = IterateState(problem, xbar, 0.05 * rng.standard_normal(7), rho=20.0)
     return state, off_entries
 
@@ -283,7 +277,7 @@ class TestNewtonMatrix:
 
     def test_no_constraints(self):
         pat = SparseSymPattern(4, [(0, 1), (2, 3)])
-        c = SparseSymMatrix(pat, np.full(4, 2.0), np.full(2, 0.5))
+        c = SparseSymMatrix(pat, [2.0] * 4 + [0.5] * 2)
         problem = SdpProblem(c, [], np.zeros(0),
                              ordering=EliminationOrdering.identity(4))
         state = IterateState(problem, SparseSymMatrix.identity(problem.fill),
@@ -317,8 +311,7 @@ class TestProjection:
         state, _ = generic_problem(np.random.default_rng(44))
         problem = state.problem
         rng = np.random.default_rng(45)
-        w = SparseSymMatrix(problem.fill, rng.standard_normal(problem.n),
-                            rng.standard_normal(problem.fill.nnz))
+        w = SparseSymMatrix(problem.fill, rng.standard_normal(problem.n + problem.fill.nnz))
         pw = problem.project_out_constraints(w)
         assert np.abs(problem.apply_map(pw)).max() <= 1e-12
         ppw = problem.project_out_constraints(pw)
@@ -334,9 +327,8 @@ class TestProjection:
 
     def test_equal_constraints_are_linearly_dependent(self):
         pat = SparseSymPattern(3, [(0, 1), (1, 2)])
-        c = SparseSymMatrix(pat, np.full(3, 2.0), np.full(2, 0.5))
-        a = SparseSymMatrix(SparseSymPattern(3, [(0, 1)]), np.array([1.0, 0.0, 2.0]),
-                            np.array([0.5]))
+        c = SparseSymMatrix(pat, [2.0] * 3 + [0.5] * 2)
+        a = SparseSymMatrix(SparseSymPattern(3, [(0, 1)]), [1.0, 0.0, 2.0, 0.5])
         problem = SdpProblem(c, [a, a], np.ones(2),
                              ordering=EliminationOrdering.identity(3))
         with pytest.raises(ValueError, match="linearly dependent"):
@@ -499,14 +491,13 @@ class TestPotentialMinimize:
             q = np.zeros(4)
             q[start] = 1.0
             mats = [prim.dx, dual.dx]
-            xdiag = state.xbar.diag + sum(q[t] * m.diag for t, m in enumerate(mats))
-            xoff = state.xbar.offdiag + sum(q[t] * m.offdiag for t, m in enumerate(mats))
+            x = state.xbar.values + sum(q[t] * m.values for t, m in enumerate(mats))
             y = state.y + q[2] * prim.dy + q[3] * dual.dy
             from sparse_sdp import cholesky_factorize, completion_factors, logdet_completion
             s = problem.dual_slack(y)
             try:
                 fac = cholesky_factorize(s)
-                xb = SparseSymMatrix(problem.fill, xdiag, xoff)
+                xb = SparseSymMatrix(problem.fill, x)
                 ld = logdet_completion(completion_factors(xb, problem.cliques))
             except Exception:
                 continue

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparse_sdp import (EliminationOrdering, NotPositiveDefinite,
                         SparseSymMatrix, SparseSymPattern, cholesky_factorize,
                         inner_product, maximal_cliques, min_degree_ordering,
                         symbolic_factorize)
 
-from conftest import (elimination_sequence, factor_to_dense, random_filled_pattern,
-                      random_pattern, random_pd_on_pattern)
+from conftest import (elimination_sequence, factor_to_dense, min_degree_sequence,
+                      random_filled_pattern, random_pattern, random_pd_on_pattern)
 
 
 class TestPattern:
@@ -63,6 +65,37 @@ class TestMinDegree:
         pat = SparseSymPattern(4)
         assert elimination_sequence(min_degree_ordering(pat)).tolist() == [0, 1, 2, 3]
 
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(0, 30), density=st.floats(0.0, 0.8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_scan_oracle(self, n, density, seed):
+        pat = random_pattern(n, density, np.random.default_rng(seed))
+        assert elimination_sequence(min_degree_ordering(pat)).tolist() \
+            == min_degree_sequence(pat)
+
+
+class TestMatrix:
+    def test_diag_and_offdiag_view_values(self):
+        a = SparseSymMatrix(SparseSymPattern(3, [(0, 1)]), [1.0, 2.0, 3.0, 4.0])
+        assert a.diag.tolist() == [1.0, 2.0, 3.0] and a.offdiag.tolist() == [4.0]
+        a.offdiag[0] = 5.0
+        a.diag[2] = 6.0
+        assert a.values.tolist() == [1.0, 2.0, 6.0, 5.0]
+
+    @pytest.mark.parametrize("values", [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0, 5.0],
+                                        [[1.0, 2.0], [3.0, 4.0]]])
+    def test_wrong_values_length_raises(self, values):
+        with pytest.raises(ValueError):
+            SparseSymMatrix(SparseSymPattern(3, [(0, 1)]), values)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", [0, 3])
+    def test_non_finite_entry_raises(self, bad, slot):
+        values = [1.0, 2.0, 3.0, 4.0]
+        values[slot] = bad
+        with pytest.raises(ValueError):
+            SparseSymMatrix(SparseSymPattern(3, [(0, 1)]), values)
+
 
 class TestSymbolicFactorize:
     def test_tridiagonal_no_fill(self):
@@ -89,13 +122,14 @@ class TestSymbolicFactorize:
             pat = random_pattern(n, rng.random() * 0.5, rng)
             filled = symbolic_factorize(pat, min_degree_ordering(pat))
             maximal_cliques(filled)  # raises NotChordal unless a PEO
-            assert pat.permuted(min_degree_ordering(pat)).is_subset_of(filled)
+            assert all(filled.has_edge(i, j) for i, j, _ in
+                       pat.permuted(min_degree_ordering(pat)).edges())
 
 
 class TestCholesky:
     def test_two_by_two_by_hand(self):
         pat = SparseSymPattern(2, [(0, 1)])
-        factor = cholesky_factorize(SparseSymMatrix(pat, [4.0, 5.0], [2.0]))
+        factor = cholesky_factorize(SparseSymMatrix(pat, [4.0, 5.0, 2.0]))
         assert np.allclose(factor_to_dense(factor), [[2.0, 0.0], [1.0, 2.0]])
         assert factor.logdet == pytest.approx(math.log(16.0), abs=1e-12)
 
@@ -109,13 +143,13 @@ class TestCholesky:
     def test_indefinite_reports_failing_pivot(self):
         pat = SparseSymPattern(2, [(0, 1)])
         with pytest.raises(NotPositiveDefinite) as info:
-            cholesky_factorize(SparseSymMatrix(pat, [1.0, 1.0], [2.0]))
+            cholesky_factorize(SparseSymMatrix(pat, [1.0, 1.0, 2.0]))
         assert info.value.pivot == 1
 
     def test_missing_fill_slot_rejected(self):
         # 0-1, 0-2 without the 1-2 fill edge is not elimination-closed
         pat = SparseSymPattern(3, [(0, 1), (0, 2)])
-        mat = SparseSymMatrix(pat, [4.0, 4.0, 4.0], [1.0, 1.0])
+        mat = SparseSymMatrix(pat, [4.0, 4.0, 4.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="elimination-closed"):
             cholesky_factorize(mat)
 
@@ -149,26 +183,28 @@ class TestInnerProduct:
 
     def test_offdiagonal_counts_twice(self):
         pat = SparseSymPattern(2, [(0, 1)])
-        a = SparseSymMatrix(pat, [0.0, 0.0], [1.0])
-        b = SparseSymMatrix(pat, [0.0, 0.0], [2.0])
+        a = SparseSymMatrix(pat, [0.0, 0.0, 1.0])
+        b = SparseSymMatrix(pat, [0.0, 0.0, 2.0])
         assert inner_product(a, b) == 4.0
 
-    def test_mixed_patterns_against_dense_oracle(self):
-        pat_a = SparseSymPattern(2, [(0, 1)])
-        a = SparseSymMatrix(pat_a, [1.0, 3.0], [2.0])
-        b = SparseSymMatrix(SparseSymPattern(2), [4.0, 5.0], [])
-        expected = float(np.sum(a.to_dense() * b.to_dense()))
-        assert inner_product(a, b) == pytest.approx(expected)
-        assert expected == 19.0
+    def test_different_patterns_raise(self):
+        a = SparseSymMatrix(SparseSymPattern(2, [(0, 1)]), [1.0, 3.0, 2.0])
+        b = SparseSymMatrix(SparseSymPattern(2), [4.0, 5.0])
+        with pytest.raises(ValueError):
+            inner_product(a, b)
+        with pytest.raises(ValueError):
+            inner_product(b, a)
+        # an equal pattern built separately is the same pattern
+        c = SparseSymMatrix(SparseSymPattern(2, [(1, 0)]), [4.0, 5.0, 1.0])
+        assert inner_product(a, c) == 19.0 + 4.0
 
     def test_symmetry_and_nonnegativity(self):
         rng = np.random.default_rng(9)
         for _ in range(30):
             n = int(rng.integers(1, 12))
-            pa = random_pattern(n, 0.4, rng)
-            pb = random_pattern(n, 0.4, rng)
-            a = SparseSymMatrix(pa, rng.standard_normal(n), rng.standard_normal(pa.nnz))
-            b = SparseSymMatrix(pb, rng.standard_normal(n), rng.standard_normal(pb.nnz))
+            pat = random_pattern(n, 0.4, rng)
+            a = SparseSymMatrix(pat, rng.standard_normal(n + pat.nnz))
+            b = SparseSymMatrix(pat, rng.standard_normal(n + pat.nnz))
             assert inner_product(a, b) == pytest.approx(inner_product(b, a), rel=1e-12)
             assert inner_product(a, a) >= 0.0
             dense = float(np.sum(a.to_dense() * b.to_dense()))

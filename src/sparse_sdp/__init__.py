@@ -8,7 +8,7 @@ from .completion import (CompletionFactors, banded_pattern, completion_factors,
 from .errors import (InfeasibleStart, IterationLimit, NoDecrease, NotChordal,
                      NotCompletable, NotPositiveDefinite, RipFailure,
                      SdpaParseError, SparseSdpError, TooManyEdges)
-from .logdet import hess_vec, inverse_columns, sparse_inverse
+from .logdet import hess_from_columns, hess_vec, inverse_columns, sparse_inverse
 from .maxcut import (CutResult, Graph, cut_value, hyperplane_rounding,
                      initial_point, maxcut_sdp, random_graph, read_graph,
                      solve_maxcut, write_graph)

@@ -9,7 +9,11 @@ holds, yielding the entries on the pattern of S^-1 Z S^-1 -- the log-det
 Hessian applied to Z, up to sign -- with the same time and space
 footprint.  No dense intermediate is ever formed.  ``inverse_columns``
 gives selected columns of the inverse in full, by batched forward and
-back solves on the factor.
+back solves on the factor.  When those columns W[:, V] are in hand and
+Z is supported on V x V, ``hess_from_columns`` gives the same product
+W Z W on the pattern from them by dense row dots, with no sweep over
+the factor (the Newton systems' columns, as in Fujisawa, Kojima and
+Nakata, Math. Prog. 79, 1997).
 """
 
 from __future__ import annotations
@@ -96,6 +100,62 @@ def inverse_columns(factor, cols):
             w[j] -= loff[lo:hi] @ w[rows[lo:hi]]
         w[j] /= ldiag[j]
     return w
+
+
+def hess_from_columns(w, verts, z):
+    """Entries on Z's pattern of W Z W, from the columns W[:, V] alone.
+
+    ``w`` is the n x |V| array of the columns of a symmetric W at the
+    vertices V = ``verts``, e.g. ``inverse_columns(factor, verts)``.
+    Every nonzero entry of Z must lie in V x V; one outside raises
+    ValueError.  First T = W[:, V] Z_VV, summed from Z's nonzero
+    entries (O(n nnz(Z)) work, no dense Z); then
+    (W Z W)_ij = W[i, V] . T[j, :] for each diagonal and off-diagonal
+    slot.  Both steps run in blocks of at most max(n |V|, 2^15)
+    products, so the storage beyond the result and Z's entry lists is
+    O(n |V|), the size of ``w`` itself, and small problems take one
+    block.
+    """
+    pat = z.pattern
+    n = pat.n
+    verts = np.asarray(verts, dtype=np.int64)
+    k = len(verts)
+    position = np.full(n, -1, dtype=np.int64)
+    position[verts] = np.arange(k)
+    # ends of every slot of [diag | offdiag]
+    rows = np.concatenate((np.arange(n), pat.rows))
+    cols = np.concatenate((np.arange(n),
+                           np.repeat(np.arange(n), np.diff(pat.col_ptr))))
+    nz = np.flatnonzero(z.values)
+    a, b = position[rows[nz]], position[cols[nz]]
+    if np.any(a < 0) or np.any(b < 0):
+        raise ValueError("Z has a nonzero entry outside V x V")
+
+    # rows of T^T: T^T[dst] += z W[src, :]^T over both orientations of
+    # each entry, grouped by dst so each block adds one sum per row
+    off = a != b
+    dst = np.concatenate((a, b[off]))
+    order = np.argsort(dst, kind="stable")
+    dst = dst[order]
+    src = np.concatenate((b, a[off]))[order]
+    val = np.concatenate((z.values[nz], z.values[nz][off]))[order]
+    block = max(n * k, 1 << 15)
+    tt = np.zeros((k, n))
+    step = block // max(n, 1)
+    for lo in range(0, len(dst), step):
+        d = dst[lo:lo + step]
+        first = np.ones(len(d), dtype=bool)
+        np.not_equal(d[1:], d[:-1], out=first[1:])
+        first = np.flatnonzero(first)
+        tt[d[first]] += np.add.reduceat(w.T[src[lo:lo + step]] * val[lo:lo + step, None],
+                                        first, axis=0)
+
+    out = np.empty(n + pat.nnz)
+    step = block // max(k, 1)
+    for lo in range(0, len(out), step):
+        out[lo:lo + step] = np.einsum("ij,ji->i", w[rows[lo:lo + step]],
+                                      tt[:, cols[lo:lo + step]])
+    return SparseSymMatrix(pat, out, check=False)
 
 
 def hess_vec(factor, z, sinv):

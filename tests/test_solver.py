@@ -10,10 +10,13 @@ from sparse_sdp import (CgResult, Direction, EliminationOrdering, InfeasibleStar
                         dual_direction, hess_vec, inner_product,
                         inverse_columns, maximal_cliques, potential_minimize,
                         primal_direction, solve)
+from sparse_sdp.cli import _generic_initial_point
 from sparse_sdp.maxcut import Graph, initial_point, maxcut_sdp, random_graph
 from sparse_sdp.solver import EXTRA_ITERS
 
-from conftest import dense_reference_directions, problem_dense_data, reconstruct_dense
+from conftest import (dense_mask, dense_reference_directions,
+                      problem_dense_data, random_generic_sdp, reconstruct_dense,
+                      restrict_abs_error)
 
 
 def make_state(problem, gamma=None):
@@ -91,6 +94,42 @@ class TestApplyMap:
         lhs = float(z @ problem.apply_map(w))
         rhs = inner_product(problem.adjoint_map(z), w)
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+class TestDualSlack:
+    @staticmethod
+    def check(problem, c, a_list, rng):
+        # C - sum y_p A_p from the caller's unpermuted dense data, moved
+        # to the elimination labels through the ordering
+        y = rng.standard_normal(problem.m)
+        dense = c - sum(yp * a for yp, a in zip(y, a_list))
+        perm = problem.ordering.perm
+        permuted = np.zeros_like(dense)
+        permuted[np.ix_(perm, perm)] = dense
+        assert not np.any(permuted[~dense_mask(problem.fill)])
+        s = problem.dual_slack(y)
+        assert restrict_abs_error(permuted, s) <= 1e-14 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_maxcut_against_the_graph(self, seed):
+        graph = random_graph(12, 24, seed=seed)
+        problem = maxcut_sdp(graph)
+        assert not np.array_equal(problem.ordering.perm, np.arange(graph.n))
+        c = np.zeros((graph.n, graph.n))
+        for i, j, w in graph.edges:
+            c[i, j] = c[j, i] = w / 4.0
+            c[i, i] -= w / 4.0
+            c[j, j] -= w / 4.0
+        self.check(problem, c, [np.diag(e) for e in np.eye(graph.n)],
+                   np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_generic_against_the_callers_matrices(self, seed):
+        rng = np.random.default_rng(seed)
+        c, constraints, b = random_generic_sdp(12, 6, rng)
+        problem = SdpProblem(c, constraints, b)
+        assert not np.array_equal(problem.ordering.perm, np.arange(12))
+        self.check(problem, c.to_dense(), [a.to_dense() for a in constraints], rng)
 
 
 class TestPotential:
@@ -219,6 +258,16 @@ def mid_solve_state():
     return info.value.report.state
 
 
+def generic_mid_solve_state(n, m, seed, iters=4):
+    """The iterate after ``iters`` iterations on ``random_generic_sdp(n,
+    m)``, started from the CLI's generic initial point."""
+    problem = SdpProblem(*random_generic_sdp(n, m, np.random.default_rng(seed)))
+    x0, y0 = _generic_initial_point(problem)
+    with pytest.raises(IterationLimit) as info:
+        solve(problem, x0, y0, SolverConfig(max_main_iters=iters))
+    return info.value.report.state
+
+
 def generic_problem(rng):
     """12 x 12 problem whose constraints carry off-diagonal entries on
     random edges, with a state that is strictly inside both cones but
@@ -284,26 +333,36 @@ class TestNewtonMatrix:
                              np.zeros(0), rho=6.0)
         for factor in (state.s_factor, state.xhat_inv_factor):
             assert assembled(problem, factor).shape == (0, 0)
-        res, combo, image = solver._newton_system(
-            problem, SolverConfig(), state.s_factor, state.sinv, np.zeros(0))
+        w = inverse_columns(state.s_factor, problem.constraint_vertices)
+        assert w.shape == (4, 0)
+        res, combo, image = solver._newton_system(problem, SolverConfig(), w,
+                                                  np.zeros(0))
         assert res.converged and res.iterations == 0
-        assert not combo.diag.any() and not image.diag.any()
+        assert not combo.values.any() and not image.values.any()
 
-    def test_one_iteration_makes_three_hessian_products(self, monkeypatch):
-        # X^ M X^ and the two Newton combinations; CG itself makes none,
-        # however many iterations it runs
-        state = mid_solve_state()
+    def test_hessian_sweeps_only_for_x_m_x_off_the_constraint_vertices(
+            self, monkeypatch):
+        # the Newton combinations' images come from the W columns, and so
+        # does X^ M X^ when every vertex is a constraint vertex (MAX-CUT);
+        # CG makes no product, however many iterations it runs
         original = solver.hess_vec
+        calls = []
+        monkeypatch.setattr(solver, "hess_vec",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+        state = mid_solve_state()
         cg_iterations = []
         for cg_max_iter in (1, None):
-            calls = []
-            monkeypatch.setattr(solver, "hess_vec",
-                                lambda *a, **k: calls.append(1) or original(*a, **k))
             cfg = SolverConfig(direction_mode="four", cg_max_iter=cg_max_iter)
             prim, dual = build_directions(state, cfg)
             cg_iterations.append(prim.cg.iterations + dual.cg.iterations)
-            assert len(calls) == 3
+        assert calls == []
         assert cg_iterations[0] == 2 and cg_iterations[1] > 10
+        # one vertex outside V: X^ M X^ is the one sweep per iteration
+        state = generic_mid_solve_state(12, 6, 0, iters=4)
+        assert len(state.problem.constraint_vertices) == 11
+        assert len(calls) == 4
+        build_directions(state, SolverConfig(direction_mode="four"))
+        assert len(calls) == 5
 
 
 class TestProjection:
@@ -423,6 +482,31 @@ class TestDirectionsAgainstDenseReference:
             choice = potential_minimize(state, prim, dual)
             assert choice.trial is not None
             state = choice.trial
+
+    @pytest.mark.parametrize("n, m, seed, covered", [
+        (12, 6, 0, 11),
+        (9, 5, 5, 7),
+        (10, 8, 2, 10),
+    ])
+    def test_generic_mid_solve_equivalence(self, n, m, seed, covered):
+        # off-diagonal constraint entries, a Gram matrix that is not the
+        # identity, X away from I and, with covered < n, vertices outside
+        # the constraints, where X^ M X^ is a Hessian sweep
+        state = generic_mid_solve_state(n, m, seed)
+        problem = state.problem
+        assert len(problem.constraint_vertices) == covered
+        assert np.abs(state.xbar.offdiag).max() > 1e-2
+        cfg = SolverConfig(cg_rel_tol=1e-12, cg_max_iter=50 * problem.m)
+        prim, dual = build_directions(state, cfg)
+        ref = dense_reference_directions(*problem_dense_data(problem),
+                                         reconstruct_dense(state.x_factors),
+                                         state.s.to_dense(), state.rho)
+        for dense, mat in ((ref["dx1"], prim.dx), (ref["dx2"], dual.dx),
+                           (ref["ds1"], prim.ds), (ref["ds2"], dual.ds)):
+            scale = max(np.abs(dense).max(), 1e-12)
+            assert restrict_abs_error(dense, mat) / scale < 1e-10
+        assert prim.lam == pytest.approx(ref["lam"], rel=1e-10)
+        assert dual.lam == pytest.approx(ref["lam_tilde"], rel=1e-10)
 
     def test_direction_subspace_invariants(self):
         problem = maxcut_sdp(random_graph(8, 14, seed=12))

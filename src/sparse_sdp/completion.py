@@ -15,11 +15,12 @@ one batched numpy call.  Per-block results are put back in the order
 clique r, separator r, r = 0, 1, ... before they are summed, so each sum
 is the clique-by-clique formula of Vandenberghe and Andersen (Chordal
 Graphs and Semidefinite Optimization, 2015) with the same rounding.  Its
-Hessian products X^ Z X^ come from the columns of X^ that
+Hessian products X^ Z X^ come from X^ in full, which
 ``logdet.inverse_columns`` solves for on the factor of
-``completion_inverse`` (``logdet.hess_from_columns``, for Z supported
-on those columns' vertices), or else from ``logdet.hess_vec`` on that
-factor, with the partial matrix itself as the selected inverse.
+``completion_inverse`` (``logdet.hess_from_columns``).
+``logdet.hess_vec`` on that factor, with the partial matrix itself as
+the selected inverse, gives the same entries within the factor's
+storage.
 """
 
 from __future__ import annotations

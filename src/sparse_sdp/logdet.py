@@ -9,11 +9,12 @@ holds, yielding the entries on the pattern of S^-1 Z S^-1 -- the log-det
 Hessian applied to Z, up to sign -- with the same time and space
 footprint.  No dense intermediate is ever formed.  ``inverse_columns``
 gives selected columns of the inverse in full, by batched forward and
-back solves on the factor.  When those columns W[:, V] are in hand and
-Z is supported on V x V, ``hess_from_columns`` gives the same product
-W Z W on the pattern from them by dense row dots, with no sweep over
-the factor (the Newton systems' columns, as in Fujisawa, Kojima and
-Nakata, Math. Prog. 79, 1997).
+back solves on the factor.  With all n columns in hand,
+``hess_from_columns`` gives the same product W Z W on the pattern from
+them by dense row dots, with no sweep over the factor; the solver takes
+every product it needs that way (the Newton systems' columns, as in
+Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997), and ``hess_vec``
+is the sweep that needs no more than the factor's storage.
 """
 
 from __future__ import annotations
@@ -102,34 +103,28 @@ def inverse_columns(factor, cols):
     return w
 
 
-def hess_from_columns(w, verts, z):
-    """Entries on Z's pattern of W Z W, from the columns W[:, V] alone.
+def hess_from_columns(w, z):
+    """Entries on Z's pattern of W Z W, from W held in full.
 
-    ``w`` is the n x |V| array of the columns of a symmetric W at the
-    vertices V = ``verts``, e.g. ``inverse_columns(factor, verts)``.
-    Every nonzero entry of Z must lie in V x V; one outside raises
-    ValueError.  First T = W[:, V] Z_VV, summed from Z's nonzero
-    entries (O(n nnz(Z)) work, no dense Z); then
-    (W Z W)_ij = W[i, V] . T[j, :] for each diagonal and off-diagonal
-    slot.  Both steps run in blocks of at most max(n |V|, 2^15)
-    products, so the storage beyond the result and Z's entry lists is
-    O(n |V|), the size of ``w`` itself, and small problems take one
-    block.
+    ``w`` is the n x n symmetric W, e.g. ``inverse_columns(factor,
+    np.arange(n))``; any other shape raises ValueError.  First
+    T = W Z, summed from Z's nonzero entries (O(n nnz(Z)) work, no dense
+    Z); then (W Z W)_ij = W[i, :] . T[j, :] for each diagonal and
+    off-diagonal slot.  Both steps run in blocks of at most
+    max(n^2, 2^15) products, so the storage beyond the result and Z's
+    entry lists is O(n^2), the size of ``w`` itself, and small problems
+    take one block.
     """
     pat = z.pattern
     n = pat.n
-    verts = np.asarray(verts, dtype=np.int64)
-    k = len(verts)
-    position = np.full(n, -1, dtype=np.int64)
-    position[verts] = np.arange(k)
+    if w.shape != (n, n):
+        raise ValueError(f"W must be {n} x {n}, not {w.shape}")
     # ends of every slot of [diag | offdiag]
     rows = np.concatenate((np.arange(n), pat.rows))
     cols = np.concatenate((np.arange(n),
                            np.repeat(np.arange(n), np.diff(pat.col_ptr))))
     nz = np.flatnonzero(z.values)
-    a, b = position[rows[nz]], position[cols[nz]]
-    if np.any(a < 0) or np.any(b < 0):
-        raise ValueError("Z has a nonzero entry outside V x V")
+    a, b = rows[nz], cols[nz]
 
     # rows of T^T: T^T[dst] += z W[src, :]^T over both orientations of
     # each entry, grouped by dst so each block adds one sum per row
@@ -139,8 +134,8 @@ def hess_from_columns(w, verts, z):
     dst = dst[order]
     src = np.concatenate((b, a[off]))[order]
     val = np.concatenate((z.values[nz], z.values[nz][off]))[order]
-    block = max(n * k, 1 << 15)
-    tt = np.zeros((k, n))
+    block = max(n * n, 1 << 15)
+    tt = np.zeros((n, n))
     step = block // max(n, 1)
     for lo in range(0, len(dst), step):
         d = dst[lo:lo + step]
@@ -151,7 +146,6 @@ def hess_from_columns(w, verts, z):
                                         first, axis=0)
 
     out = np.empty(n + pat.nnz)
-    step = block // max(k, 1)
     for lo in range(0, len(out), step):
         out[lo:lo + step] = np.einsum("ij,ji->i", w[rows[lo:lo + step]],
                                       tt[:, cols[lo:lo + step]])

@@ -4,9 +4,10 @@ An `SdpProblem` owns the standard-form data (C, A_1..A_m, b), a
 fill-reducing ordering of the aggregate pattern of all data matrices, the
 chordal extension produced by symbolic factorization with its cliques,
 and one table of the constraint entries on that extension.  It
-assembles the m x m matrix A_p . (W A_q W) of a Newton system from W's
-entries on the constraint vertices.  All stored matrices live in the permuted
-(elimination) labels; `ordering` maps original labels to them.
+assembles the m x m matrix A_p . (W A_q W) of a Newton system from W
+held in full, and the Gram matrix A_p . A_q as that matrix at W = I.
+All stored matrices live in the permuted (elimination) labels;
+`ordering` maps original labels to them.
 """
 
 from __future__ import annotations
@@ -85,18 +86,13 @@ class SdpProblem:
 
         # The one table of constraint entries (r, s), r >= s: owner, slot,
         # value, weight in A(.) (the value on the diagonal, twice it off
-        # it) and r, s as positions in ``constraint_vertices``.
-        used = np.zeros(n, dtype=bool)
-        used[r] = True
-        used[s] = True
-        self.constraint_vertices = np.flatnonzero(used)
-        position = np.cumsum(used) - 1
+        # it) and the ends r, s.
         self._ent_own = own[order]
         self._ent_slot = slot[order]
         self._ent_val = val[order]
         self._ent_weight = np.where(on_diag, 1.0, 2.0)[order] * self._ent_val
-        self._ent_r = position[r[order]]
-        self._ent_s = position[s[order]]
+        self._ent_r = r[order]
+        self._ent_s = s[order]
         self._ent_start = np.flatnonzero(np.diff(self._ent_own, prepend=-1))
         self._gram_inv = None
 
@@ -125,8 +121,7 @@ class SdpProblem:
     def newton_matrix(self, w):
         """The m x m matrix M_pq = A_p . (W A_q W) for a symmetric W.
 
-        ``w`` holds W on ``constraint_vertices`` x ``constraint_vertices``,
-        the only entries M reads.  With every constraint entry written as
+        ``w`` is W in full, n x n.  With every constraint entry written as
         c (e_r e_s^T + e_s e_r^T), c half the entry's weight,
           M = P^T K P,
           K_ef = 2 c_e c_f (W_{s_e r_f} W_{s_f r_e} + W_{s_e s_f} W_{r_e r_f}),
@@ -148,26 +143,10 @@ class SdpProblem:
     def _gram_inverse(self):
         """G^-1 for the Gram matrix G_pq = A_p . A_q, built on first use.
 
-        G comes from the entry table in one pass: every two constraint
-        entries on the same slot of the fill pattern add their product,
-        twice for an off-diagonal slot.
+        G is the Newton matrix at W = I.
         """
         if self._gram_inv is None:
-            order = np.argsort(self._ent_slot, kind="stable")
-            slot = self._ent_slot[order]
-            own = self._ent_own[order]
-            val = self._ent_val[order]
-            weighted = self._ent_weight[order]
-            # entry e in a run of c entries on one slot, starting at s,
-            # pairs with s, ..., s + c - 1
-            start = np.flatnonzero(np.diff(slot, prepend=-1))
-            size = np.diff(np.append(start, len(slot)))
-            run = np.repeat(size, size)
-            a = np.repeat(np.arange(len(slot)), run)
-            first = np.repeat(np.repeat(start, size), run)
-            b = first + np.arange(len(a)) - np.repeat(np.cumsum(run) - run, run)
-            g = np.zeros((self.m, self.m))
-            np.add.at(g, (own[a], own[b]), weighted[a] * val[b])
+            g = self.newton_matrix(np.eye(self.n))
             try:
                 chol = np.linalg.cholesky(g)
                 # rounding can leave a dependent A_p a pivot of about

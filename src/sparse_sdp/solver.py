@@ -9,15 +9,12 @@ reduce the potential
     rho * ln(S.X) - ln det X - ln det S,    rho = n + gamma*sqrt(n).
 
 Both Newton systems are solved by conjugate gradient on their m x m
-matrix, assembled once per system from the columns W[:, V] of W (S^-1
-on the dual side, the completion X^ on the primal side) at the
-constraint vertices V, which batched forward and back solves on the
-sparse factor give; each CG application is then one m x m product.  The
-same columns turn the solution back into a matrix: the image
-W (sum v_p A_p) W on the fill pattern is dense row dots of W[:, V], with
-no sweep over the factor.  When V is every vertex (MAX-CUT), X^ M X^
-comes from them too; otherwise that one product is a Hessian-product
-sweep on the factor of X^-1.
+matrix, assembled once per system from W (S^-1 on the dual side, the
+completion X^ on the primal side) held in full, which batched forward
+and back solves on the sparse factor give; each CG application is then
+one m x m product.  The same W turns the solution back into a matrix:
+the image W (sum v_p A_p) W on the fill pattern is dense row dots of W,
+with no sweep over the factor, and so is X^ M X^.
 
 An iterate composes a dual half (y, S, the factor of S and, once needed,
 S^-1 on F) and a primal half (X on F, its completion sweep and log-det
@@ -41,7 +38,7 @@ import numpy as np
 from .completion import completion_factors, completion_inverse, logdet_completion
 from .errors import (InfeasibleStart, IterationLimit, NoDecrease,
                      NotCompletable, NotPositiveDefinite)
-from .logdet import hess_from_columns, hess_vec, inverse_columns, sparse_inverse
+from .logdet import hess_from_columns, inverse_columns, sparse_inverse
 from .sparsemat import SparseSymMatrix, cholesky_factorize, inner_product
 
 FEAS_TOL = 1e-8          # strict-feasibility residual bound at entry
@@ -294,21 +291,19 @@ class Direction:
 def _newton_system(prob, cfg, w, rhs):
     """Solve A(W (sum v_p A_p) W) = rhs for v by conjugate gradient.
 
-    ``w`` holds the columns W[:, V] of a symmetric W at the constraint
-    vertices V, from batched solves on W^-1's sparse factor
-    (``inverse_columns``).  ``newton_matrix`` assembles the system's
-    matrix M_pq = A_p . (W A_q W) once from their rows at V, so each CG
+    ``w`` is the symmetric W in full, from batched solves on W^-1's
+    sparse factor (``inverse_columns``).  ``newton_matrix`` assembles
+    the system's matrix M_pq = A_p . (W A_q W) once from it, so each CG
     application costs one m x m product.  Returns the CG result,
     Z = sum v_p A_p and its image W Z W on the fill pattern, taken from
-    the same columns (``hess_from_columns``: Z lies on V x V).
+    the same W (``hess_from_columns``).
     """
-    verts = prob.constraint_vertices
-    mat = prob.newton_matrix(w[verts])
+    mat = prob.newton_matrix(w)
     max_iter = prob.m if cfg.cg_max_iter is None else cfg.cg_max_iter
     res = conjugate_gradient(lambda v: mat @ v, rhs, rel_tol=cfg.cg_rel_tol,
                              max_iter=max_iter)
     combo = prob.adjoint_map(res.x)
-    return res, combo, hess_from_columns(w, verts, combo)
+    return res, combo, hess_from_columns(w, combo)
 
 
 def dual_direction(state, cfg):
@@ -326,7 +321,7 @@ def dual_direction(state, cfg):
     sinv = state.sinv
     xbar = state.xbar
     rhs = prob.apply_map(sinv) - prob.apply_map(xbar) / mu
-    w = inverse_columns(state.s_factor, prob.constraint_vertices)
+    w = inverse_columns(state.s_factor, np.arange(prob.n))
     res, ntilde, curved = _newton_system(prob, cfg, w, rhs)
     lam_tilde = math.sqrt(max(inner_product(curved, ntilde), 0.0))
     raw = SparseSymMatrix(prob.fill, mu * (sinv.values - curved.values) - xbar.values,
@@ -341,13 +336,9 @@ def primal_direction(state, cfg):
 
     Works against the completion X^ through its sparse inverse Y: with
     M = (rho/gap) S, solve A(sum lam_p X^ A_p X^) = A(X^ M X^ - X) for
-    the multipliers by conjugate gradient.  The columns X^[:, V] at the
-    constraint vertices V come once from batched solves on Y's factor;
-    the system's matrix and (sum lam_p X^ A_p X^)|_F are built from
-    them.  So is (X^ M X^)|_F when V is every vertex (MAX-CUT); when
-    some vertex lies outside V, M's entries there put X^ M X^ beyond
-    those columns, and it is one Hessian sweep on Y's factor about X,
-    the selected inverse of Y.
+    the multipliers by conjugate gradient.  X^ comes in full once from
+    batched solves on Y's factor; the system's matrix, (X^ M X^)|_F and
+    (sum lam_p X^ A_p X^)|_F are all built from it.
     Then
       N|_F = X - (X^ M X^)|_F + sum lam_p (X^ A_p X^)|_F,
       dX1 = N / (1 + lam),   lam = [G . N]^(1/2),
@@ -358,14 +349,9 @@ def primal_direction(state, cfg):
     prob = state.problem
     mu = state.gap / state.rho
     xbar = state.xbar
-    y_factor = state.xhat_inv_factor
-    verts = prob.constraint_vertices
-    w = inverse_columns(y_factor, verts)
+    w = inverse_columns(state.xhat_inv_factor, np.arange(prob.n))
     m_mat = state.s.scaled(1.0 / mu)
-    if len(verts) == prob.n:
-        xmx = hess_from_columns(w, verts, m_mat)
-    else:
-        xmx = hess_vec(y_factor, m_mat, sinv=xbar)
+    xmx = hess_from_columns(w, m_mat)
     rhs = prob.apply_map(xmx) - prob.apply_map(xbar)
     res, lam_a, xlx = _newton_system(prob, cfg, w, rhs)
     n_mat = prob.project_out_constraints(SparseSymMatrix(

@@ -75,11 +75,6 @@ class SparseSymPattern:
             i, j = j, i
         return self._index[(i, j)]
 
-    def has_edge(self, i, j):
-        if i < j:
-            i, j = j, i
-        return (i, j) in self._index
-
     def edges(self):
         """Iterate (row, col, slot) with row > col."""
         for (i, j), k in self._index.items():
@@ -162,9 +157,6 @@ class SparseSymMatrix:
             out[i, j] = out[j, i] = self.offdiag[k]
         return out
 
-    def copy(self):
-        return SparseSymMatrix(self.pattern, self.values.copy(), check=False)
-
     def permuted(self, ordering):
         perm = ordering.perm
         newpat = self.pattern.permuted(ordering)
@@ -196,10 +188,6 @@ class EliminationOrdering:
     @property
     def n(self):
         return len(self.perm)
-
-    @classmethod
-    def identity(cls, n):
-        return cls(np.arange(n, dtype=np.int64))
 
     @classmethod
     def from_sequence(cls, seq):

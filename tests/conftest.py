@@ -134,9 +134,10 @@ def entry(mat, i, j):
     """Entry (i, j) of a sparse matrix; zero off its pattern."""
     if i == j:
         return mat.diag[i]
-    if mat.pattern.has_edge(i, j):
+    try:
         return mat.offdiag[mat.pattern.edge_index(i, j)]
-    return 0.0
+    except KeyError:
+        return 0.0
 
 
 def dense_mask(pattern):

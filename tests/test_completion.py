@@ -149,16 +149,16 @@ class TestCompletionInverse:
         inv = completion_inverse(completion_factors(xbar, cs))
         step = 1e-6
         for v in range(xbar.n):
-            plus = xbar.copy()
+            plus = SparseSymMatrix(xbar.pattern, xbar.values.copy())
             plus.diag[v] += step
-            minus = xbar.copy()
+            minus = SparseSymMatrix(xbar.pattern, xbar.values.copy())
             minus.diag[v] -= step
             fd = (logdet_completion(completion_factors(plus, cs)) - logdet_completion(completion_factors(minus, cs))) / (2 * step)
             assert fd == pytest.approx(inv.diag[v], rel=1e-4, abs=1e-7)
         for i, j, k in xbar.pattern.edges():
-            plus = xbar.copy()
+            plus = SparseSymMatrix(xbar.pattern, xbar.values.copy())
             plus.offdiag[k] += step
-            minus = xbar.copy()
+            minus = SparseSymMatrix(xbar.pattern, xbar.values.copy())
             minus.offdiag[k] -= step
             fd = (logdet_completion(completion_factors(plus, cs)) - logdet_completion(completion_factors(minus, cs))) / (2 * step)
             # symmetric perturbation counts the entry twice

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sparse_sdp import solver
+from sparse_sdp import logdet, solver
 from sparse_sdp import (CgResult, Direction, EliminationOrdering, InfeasibleStart,
                         IterateState, IterationLimit, SdpProblem, SolverConfig,
                         SparseSymMatrix, SparseSymPattern, conjugate_gradient,
@@ -34,11 +34,14 @@ class TestProblemInvariants:
     def test_pattern_chain_and_peo(self):
         problem = maxcut_sdp(random_graph(9, 14, seed=39))
         c = problem.c
-        assert all(problem.fill.has_edge(i, j) for i, j, k in c.pattern.edges()
-                   if c.offdiag[k] != 0.0)
+        # edge_index raises KeyError for an edge off the fill
+        for i, j, k in c.pattern.edges():
+            if c.offdiag[k] != 0.0:
+                problem.fill.edge_index(i, j)
         maximal_cliques(problem.fill)  # raises NotChordal unless a PEO
         for a in problem.constraints:
-            assert all(problem.fill.has_edge(i, j) for i, j, _ in a.pattern.edges())
+            for i, j, _ in a.pattern.edges():
+                problem.fill.edge_index(i, j)
         assert sum(len(s) for s in problem.cliques.residuals) == problem.n
 
     def test_entry_table_matches_the_permuted_constraints(self):
@@ -60,9 +63,8 @@ class TestProblemInvariants:
         assert np.array_equal(problem._ent_slot, slot)
         assert np.array_equal(problem._ent_val, val)
         assert np.array_equal(problem._ent_weight, times * val)
-        verts = problem.constraint_vertices
-        assert np.array_equal(verts[problem._ent_r], r)
-        assert np.array_equal(verts[problem._ent_s], s)
+        assert np.array_equal(problem._ent_r, r)
+        assert np.array_equal(problem._ent_s, s)
         assert np.array_equal(own[problem._ent_start], np.arange(problem.m))
 
 
@@ -160,7 +162,7 @@ class TestPotential:
             d[p] = 1.0
             constraints.append(SparseSymMatrix(SparseSymPattern(3), d))
         problem = SdpProblem(c, constraints, np.ones(3),
-                             ordering=EliminationOrdering.identity(3))
+                             ordering=EliminationOrdering(np.arange(3)))
         xbar = SparseSymMatrix(problem.fill, [2.0, 2.0, 2.0, 1.0, 1.0])
         # X is not primal feasible for b = 1, so build the state directly
         # rather than through the validating IterateState.create
@@ -245,8 +247,7 @@ def hess_vec_columns(problem, factor, sinv):
 
 
 def assembled(problem, factor):
-    verts = problem.constraint_vertices
-    return problem.newton_matrix(inverse_columns(factor, verts)[verts])
+    return problem.newton_matrix(inverse_columns(factor, np.arange(problem.n)))
 
 
 def mid_solve_state():
@@ -312,8 +313,7 @@ class TestNewtonMatrix:
         # constraint p is e_v e_v^T for v = perm[p] in the elimination labels
         state = make_state(maxcut_sdp(random_graph(9, 14, seed=4)))
         problem = state.problem
-        w = inverse_columns(state.s_factor, problem.constraint_vertices)
-        w = w[problem.constraint_vertices]
+        w = inverse_columns(state.s_factor, np.arange(problem.n))
         v = problem.ordering.perm
         want = (w * w)[np.ix_(v, v)]
         assert np.abs(problem.newton_matrix(w) - want).max() \
@@ -328,26 +328,25 @@ class TestNewtonMatrix:
         pat = SparseSymPattern(4, [(0, 1), (2, 3)])
         c = SparseSymMatrix(pat, [2.0] * 4 + [0.5] * 2)
         problem = SdpProblem(c, [], np.zeros(0),
-                             ordering=EliminationOrdering.identity(4))
+                             ordering=EliminationOrdering(np.arange(4)))
         state = IterateState(problem, SparseSymMatrix.identity(problem.fill),
                              np.zeros(0), rho=6.0)
         for factor in (state.s_factor, state.xhat_inv_factor):
             assert assembled(problem, factor).shape == (0, 0)
-        w = inverse_columns(state.s_factor, problem.constraint_vertices)
-        assert w.shape == (4, 0)
+        w = inverse_columns(state.s_factor, np.arange(4))
         res, combo, image = solver._newton_system(problem, SolverConfig(), w,
                                                   np.zeros(0))
         assert res.converged and res.iterations == 0
         assert not combo.values.any() and not image.values.any()
 
-    def test_hessian_sweeps_only_for_x_m_x_off_the_constraint_vertices(
-            self, monkeypatch):
-        # the Newton combinations' images come from the W columns, and so
-        # does X^ M X^ when every vertex is a constraint vertex (MAX-CUT);
+    def test_no_hessian_sweeps_in_the_directions(self, monkeypatch):
+        # every product W Z W comes from W in full, on MAX-CUT and on a
+        # generic problem with a vertex outside every constraint alike;
         # CG makes no product, however many iterations it runs
-        original = solver.hess_vec
+        assert not hasattr(solver, "hess_vec")
+        original = logdet.hess_vec
         calls = []
-        monkeypatch.setattr(solver, "hess_vec",
+        monkeypatch.setattr(logdet, "hess_vec",
                             lambda *a, **k: calls.append(1) or original(*a, **k))
         state = mid_solve_state()
         cg_iterations = []
@@ -355,41 +354,54 @@ class TestNewtonMatrix:
             cfg = SolverConfig(direction_mode="four", cg_max_iter=cg_max_iter)
             prim, dual = build_directions(state, cfg)
             cg_iterations.append(prim.cg.iterations + dual.cg.iterations)
-        assert calls == []
         assert cg_iterations[0] == 2 and cg_iterations[1] > 10
-        # one vertex outside V: X^ M X^ is the one sweep per iteration
         state = generic_mid_solve_state(12, 6, 0, iters=4)
-        assert len(state.problem.constraint_vertices) == 11
-        assert len(calls) == 4
+        problem = state.problem
+        assert len(np.union1d(problem._ent_r, problem._ent_s)) == 11
         build_directions(state, SolverConfig(direction_mode="four"))
-        assert len(calls) == 5
+        assert calls == []
 
 
 class TestProjection:
     def test_generic_constraints_against_dense_least_squares(self):
-        state, _ = generic_problem(np.random.default_rng(44))
-        problem = state.problem
+        problems = [generic_problem(np.random.default_rng(44))[0].problem]
+        problems += [SdpProblem(*random_generic_sdp(n, m, np.random.default_rng(seed)))
+                     for n, m, seed in ((12, 6, 0), (9, 5, 5), (10, 8, 2))]
         rng = np.random.default_rng(45)
-        w = SparseSymMatrix(problem.fill, rng.standard_normal(problem.n + problem.fill.nnz))
-        pw = problem.project_out_constraints(w)
-        assert np.abs(problem.apply_map(pw)).max() <= 1e-12
-        ppw = problem.project_out_constraints(pw)
-        assert np.abs(ppw.diag - pw.diag).max() <= 1e-12
-        assert np.abs(ppw.offdiag - pw.offdiag).max() <= 1e-12
-        # W - P(W) is the Frobenius least-squares fit of W in span{A_p}
-        _, a_dense, _ = problem_dense_data(problem)
-        basis = np.array([a.ravel() for a in a_dense]).T
-        wd = w.to_dense().ravel()
-        fit = basis @ np.linalg.lstsq(basis, wd, rcond=None)[0]
-        removed = (w.to_dense() - pw.to_dense()).ravel()
-        assert np.abs(removed - fit).max() <= 1e-12 * np.abs(wd).max()
+        for problem in problems:
+            w = SparseSymMatrix(problem.fill,
+                                rng.standard_normal(problem.n + problem.fill.nnz))
+            pw = problem.project_out_constraints(w)
+            assert np.abs(problem.apply_map(pw)).max() <= 1e-12
+            ppw = problem.project_out_constraints(pw)
+            assert np.abs(ppw.diag - pw.diag).max() <= 1e-12
+            assert np.abs(ppw.offdiag - pw.offdiag).max() <= 1e-12
+            # W - P(W) is the Frobenius least-squares fit of W in span{A_p}
+            _, a_dense, _ = problem_dense_data(problem)
+            basis = np.array([a.ravel() for a in a_dense]).T
+            wd = w.to_dense().ravel()
+            fit = basis @ np.linalg.lstsq(basis, wd, rcond=None)[0]
+            removed = (w.to_dense() - pw.to_dense()).ravel()
+            assert np.abs(removed - fit).max() <= 1e-12 * np.abs(wd).max()
+
+    def test_gram_matrix_against_dense(self):
+        # G_pq = A_p . A_q, from the dense constraints in the caller's labels
+        for n, m, seed in ((12, 6, 0), (9, 5, 5), (10, 8, 2)):
+            c, a_list, b = random_generic_sdp(n, m, np.random.default_rng(seed))
+            problem = SdpProblem(c, a_list, b)
+            dense = np.array([a.to_dense().ravel() for a in a_list])
+            want = dense @ dense.T
+            got = np.linalg.inv(problem._gram_inverse())
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        problem = maxcut_sdp(random_graph(9, 14, seed=4))
+        assert np.array_equal(problem._gram_inverse(), np.eye(problem.n))
 
     def test_equal_constraints_are_linearly_dependent(self):
         pat = SparseSymPattern(3, [(0, 1), (1, 2)])
         c = SparseSymMatrix(pat, [2.0] * 3 + [0.5] * 2)
         a = SparseSymMatrix(SparseSymPattern(3, [(0, 1)]), [1.0, 0.0, 2.0, 0.5])
         problem = SdpProblem(c, [a, a], np.ones(2),
-                             ordering=EliminationOrdering.identity(3))
+                             ordering=EliminationOrdering(np.arange(3)))
         with pytest.raises(ValueError, match="linearly dependent"):
             problem.project_out_constraints(SparseSymMatrix.identity(problem.fill))
 
@@ -491,10 +503,10 @@ class TestDirectionsAgainstDenseReference:
     def test_generic_mid_solve_equivalence(self, n, m, seed, covered):
         # off-diagonal constraint entries, a Gram matrix that is not the
         # identity, X away from I and, with covered < n, vertices outside
-        # the constraints, where X^ M X^ is a Hessian sweep
+        # the constraints
         state = generic_mid_solve_state(n, m, seed)
         problem = state.problem
-        assert len(problem.constraint_vertices) == covered
+        assert len(np.union1d(problem._ent_r, problem._ent_s)) == covered
         assert np.abs(state.xbar.offdiag).max() > 1e-2
         cfg = SolverConfig(cg_rel_tol=1e-12, cg_max_iter=50 * problem.m)
         prim, dual = build_directions(state, cfg)

@@ -24,9 +24,10 @@ class TestPattern:
     def test_dedup_and_symmetry(self):
         pat = SparseSymPattern(4, [(0, 1), (1, 0), (3, 2)])
         assert pat.nnz == 2
-        assert pat.has_edge(0, 1) and pat.has_edge(1, 0)
-        assert pat.has_edge(2, 3)
-        assert not pat.has_edge(0, 2)
+        assert pat.edge_index(0, 1) == pat.edge_index(1, 0)
+        pat.edge_index(2, 3)
+        with pytest.raises(KeyError):
+            pat.edge_index(0, 2)
 
     def test_column_rows_are_higher_neighbors(self):
         pat = SparseSymPattern(5, [(0, 2), (2, 4), (1, 2)])
@@ -100,19 +101,19 @@ class TestMatrix:
 class TestSymbolicFactorize:
     def test_tridiagonal_no_fill(self):
         pat = SparseSymPattern(4, [(0, 1), (1, 2), (2, 3)])
-        filled = symbolic_factorize(pat, EliminationOrdering.identity(4))
+        filled = symbolic_factorize(pat, EliminationOrdering(np.arange(4)))
         assert filled == pat
 
     def test_four_cycle_fills_one_edge(self):
         pat = SparseSymPattern(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        filled = symbolic_factorize(pat, EliminationOrdering.identity(4))
+        filled = symbolic_factorize(pat, EliminationOrdering(np.arange(4)))
         assert filled.nnz == 5
-        assert filled.has_edge(1, 3)
+        filled.edge_index(1, 3)  # raises KeyError unless filled
 
     def test_dense_first_column_fills_completely(self):
         n = 5
         pat = SparseSymPattern(n, [(0, j) for j in range(1, n)])
-        filled = symbolic_factorize(pat, EliminationOrdering.identity(n))
+        filled = symbolic_factorize(pat, EliminationOrdering(np.arange(n)))
         assert filled.nnz == n * (n - 1) // 2
 
     def test_output_is_perfect_elimination_ordered(self):
@@ -122,8 +123,8 @@ class TestSymbolicFactorize:
             pat = random_pattern(n, rng.random() * 0.5, rng)
             filled = symbolic_factorize(pat, min_degree_ordering(pat))
             maximal_cliques(filled)  # raises NotChordal unless a PEO
-            assert all(filled.has_edge(i, j) for i, j, _ in
-                       pat.permuted(min_degree_ordering(pat)).edges())
+            for i, j, _ in pat.permuted(min_degree_ordering(pat)).edges():
+                filled.edge_index(i, j)  # raises KeyError unless kept
 
 
 class TestCholesky:

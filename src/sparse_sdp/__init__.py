@@ -3,8 +3,9 @@ reduction over partial primal matrices with max-determinant completions."""
 
 from .chordal import CliqueSequence, maximal_cliques, rip_order
 from .completion import (CompletionFactors, banded_pattern, completion_factors,
-                         completion_inverse, completion_vectors,
-                         logdet_completion, logdet_completion_banded)
+                         completion_inverse, completion_inverse_factor,
+                         completion_vectors, logdet_completion,
+                         logdet_completion_banded)
 from .errors import (InfeasibleStart, IterationLimit, NoDecrease, NotChordal,
                      NotCompletable, NotPositiveDefinite, RipFailure,
                      SdpaParseError, SparseSdpError, TooManyEdges)

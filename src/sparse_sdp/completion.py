@@ -5,121 +5,118 @@ pattern read as specifying only its pattern entries (plus the diagonal);
 the entries off the pattern are free, not zero.  Among all positive
 definite completions the determinant-maximizing one is singled out by
 having an inverse supported exactly on the pattern.  One sweep,
-``completion_factors``, gathers each clique block once and factors each
-clique and separator block once; the log-determinant, the inverse on the
-pattern and the Gram vectors all read that sweep, so the completion is
-never formed densely.  The sweep groups the blocks by size: the clique
-blocks of one size form one (N, k, k) stack, as do the nonempty separator
-blocks of one size, and each stack is gathered, factored and inverted by
-one batched numpy call.  Per-block results are put back in the order
-clique r, separator r, r = 0, 1, ... before they are summed, so each sum
-is the clique-by-clique formula of Vandenberghe and Andersen (Chordal
-Graphs and Semidefinite Optimization, 2015) with the same rounding.  Its
-Hessian products X^ Z X^ come from X^ in full, which
-``logdet.inverse_columns`` solves for on the factor of
-``completion_inverse`` (``logdet.hess_from_columns``).
-``logdet.hess_vec`` on that factor, with the partial matrix itself as
-the selected inverse, gives the same entries within the factor's
-storage.
+``completion_factors``, gathers each clique block R_r once, separator
+first (U_r, then S_r), and factors it once, R_r = L_r L_r^T; the
+leading |U_r| block of L_r is the separator's factor.  With T_r the
+inverse of L_r less its first |U_r| rows (Vandenberghe and Andersen,
+Chordal Graphs and Semidefinite Optimization, 2015, section 10),
+
+    ln det X^ = sum_r 2 sum_{p >= |U_r|} ln (L_r)_pp,
+    X^-1      = sum_r T_r^T T_r   (scattered onto the pattern),
+
+and the rows of T_r are the columns S_r of the Cholesky factor of X^-1.
+The log-determinant, the inverse, its factor and the Gram vectors all
+read that sweep, so the completion is never formed densely.  Each
+clique size's (N, k, k) stack is gathered, factored and inverted by one
+batched numpy call.  The solver takes X^ in full from the inverse's
+factor (``logdet.inverse_columns``) for its products X^ Z X^;
+``logdet.hess_vec`` on that factor, with the partial matrix as the
+selected inverse, gives the same entries within the factor's storage.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .chordal import CliqueSequence
 from .errors import NotCompletable
-from .sparsemat import SparseSymMatrix, SparseSymPattern
+from .sparsemat import CholeskyFactor, SparseSymMatrix, SparseSymPattern
 
 
 class _CliqueSlots:
-    """Where the clique and separator blocks of a partial matrix on
-    ``pattern`` sit in its ``values`` = [diag | offdiag], grouped by block
-    size.
+    """Where the clique blocks of a partial matrix on ``pattern`` sit in
+    its ``values`` = [diag | offdiag], grouped by clique size.
 
-    ``cliques`` and ``separators`` list one ``(members, gather)`` pair per
-    block size k, by increasing k: ``members`` are the indices r, in
-    increasing order, of the cliques C_r (or the nonempty separators U_r)
-    of that size, and ``gather`` of shape (len(members), k, k) holds the
-    slot of every entry of their blocks.  Empty separators belong to no
-    group.  A block's place in the size groups, cliques first, is its
-    stack position; ``block_order`` and ``entry_order`` take per-block
-    values and per-block upper-triangle entries from stack order to the
-    order clique r, separator r, for r = 0, 1, ..., and ``scatter`` lists
-    the slots of those upper-triangle entries in that order.
+    Block r is gathered separator first: the vertices of U_r, then those
+    of S_r, each in descending labels, so its leading |U_r| block is
+    X_{U_r,U_r}.  ``groups`` lists one ``(members, gather, residual)``
+    triple per clique size k, by increasing k: ``members`` are the
+    indices r, in increasing order, of the cliques of that size,
+    ``gather`` of shape (len(members), k, k) holds the slot of every
+    entry of their blocks and ``residual`` of shape (len(members), k)
+    marks the positions of S_r.  A block's place in the groups is its
+    stack position; ``scatter`` lists the slots of the blocks'
+    upper-triangle entries in stack order.  ``factor_slots`` lists the
+    slots of the entries on and left of the diagonal in the S_r rows,
+    picked from each stack by ``factor_masks``; it is None unless every
+    S_r lies below its U_r, which ``maximal_cliques`` always gives.
     """
 
     def __init__(self, cs, pattern):
         n = pattern.n
         self.pattern = pattern
-        clique_idx, sep_idx = [], []
-        for c, u in zip(cs.cliques, cs.separators):
-            k = len(c)
-            idx = np.empty((k, k), dtype=np.int64)
-            for a in range(k):
-                idx[a, a] = c[a]
-                for b in range(a + 1, k):
-                    idx[a, b] = idx[b, a] = n + pattern.edge_index(c[a], c[b])
-            u_pos = np.flatnonzero(np.isin(c, u))   # U_r is sorted, like C_r
-            clique_idx.append(idx)
-            sep_idx.append(idx[np.ix_(u_pos, u_pos)] if len(u_pos) else None)
-        self.cliques = _size_groups(clique_idx)
-        self.separators = _size_groups(sep_idx)
-
-        # Block r's key is 2r for its clique and 2r + 1 for its separator,
-        # so sorting by key gives the order clique r, separator r, ...
-        keyed = [(2 * m, g) for m, g in self.cliques] + \
-                [(2 * m + 1, g) for m, g in self.separators]
-        self.block_order = np.argsort(np.concatenate([key for key, _ in keyed]))
-        tri_slots, entry_keys = [], []
-        for key, gather in keyed:
+        blocks = []
+        for u, s in zip(cs.separators, cs.residuals):
+            order = np.concatenate((u[::-1], s[::-1])).tolist()
+            blocks.append(np.array([[a if a == b else n + pattern.edge_index(a, b)
+                                     for b in order] for a in order], dtype=np.int64))
+        self.groups = []
+        for k in sorted({len(idx) for idx in blocks}):
+            members = np.array([r for r, idx in enumerate(blocks) if len(idx) == k],
+                               dtype=np.int64)
+            seps = np.array([len(cs.separators[r]) for r in members])
+            self.groups.append((members, np.stack([blocks[r] for r in members]),
+                                np.arange(k) >= seps[:, None]))
+        tri_slots = []
+        for _, gather, _ in self.groups:
             rows, cols = _upper(gather.shape[1])
             tri_slots.append(gather[:, rows, cols].ravel())
-            entry_keys.append(np.repeat(key, len(rows)))
-        self.entry_order = np.argsort(np.concatenate(entry_keys), kind="stable")
-        self.scatter = np.concatenate(tri_slots)[self.entry_order]
-
-
-def _size_groups(blocks):
-    """(members, stacked blocks) per block size, skipping None blocks."""
-    sizes = sorted({len(b) for b in blocks if b is not None})
-    groups = []
-    for k in sizes:
-        members = np.array([r for r, b in enumerate(blocks)
-                            if b is not None and len(b) == k], dtype=np.int64)
-        groups.append((members, np.stack([blocks[r] for r in members])))
-    return groups
+        self.scatter = np.concatenate(tri_slots)
+        self.factor_masks = [residual[:, :, None] & np.tri(residual.shape[1], dtype=bool)
+                             for _, _, residual in self.groups]
+        below = all(len(u) == 0 or s[-1] < u[0]
+                    for u, s in zip(cs.separators, cs.residuals))
+        self.factor_slots = np.concatenate(
+            [gather[mask] for (_, gather, _), mask in zip(self.groups, self.factor_masks)]
+        ) if below else None
 
 
 @dataclass
 class CompletionFactors:
     """One factor sweep over the clique blocks of a partial matrix.
 
-    The blocks are grouped by size as in ``slots.cliques`` and
-    ``slots.separators`` (see ``_CliqueSlots``): ``blocks[g]`` is the
-    (N, k, k) stack of the dense clique blocks X_{C_r,C_r} of the g-th
-    clique size and ``clique_chol[g]`` their lower Cholesky factors;
-    ``sep_chol[g]`` stacks the lower Cholesky factors of the nonempty
-    separator blocks X_{U_r,U_r} of the g-th separator size.  A pattern
-    without couplings between its cliques has no separator group.
+    The blocks are grouped by size as in ``slots.groups`` (see
+    ``_CliqueSlots``): ``blocks[g]`` is the (N, k, k) stack of the dense
+    clique blocks R_r of the g-th clique size, gathered separator first,
+    and ``chol[g]`` their lower Cholesky factors L_r.  ``inverse_rows[g]``
+    stacks the T_r, computed on first use and shared by the inverse and
+    its factor.
     """
 
     cliques: CliqueSequence
     slots: _CliqueSlots
     blocks: list
-    clique_chol: list
-    sep_chol: list
+    chol: list
+
+    @cached_property
+    def inverse_rows(self):
+        """Per size group, T_r = L_r^-1 with its first |U_r| rows zeroed."""
+        rows = []
+        for chol, (_, _, residual) in zip(self.chol, self.slots.groups):
+            t = np.linalg.inv(chol)
+            t[~residual] = 0.0
+            rows.append(t)
+        return rows
 
 
 def completion_factors(xbar, cs):
-    """Gather and factor each clique block of the partial ``xbar`` once.
+    """Gather and factor each clique block of the partial ``xbar`` once,
+    by one batched Cholesky call per clique size.
 
-    Each clique block and each nonempty separator block gets one dense
-    Cholesky factorization, made as one batched call per block size.
     Raises NotCompletable unless every clique block is positive definite,
     which on a chordal pattern is exactly when a positive definite
     completion exists.  The slot arrays are built on the first call for a
@@ -128,40 +125,51 @@ def completion_factors(xbar, cs):
     slots = getattr(cs, "_slots", None)
     if slots is None or slots.pattern is not xbar.pattern:   # first use: build, cache
         slots = cs._slots = _CliqueSlots(cs, xbar.pattern)
-    blocks = [xbar.values[gather] for _, gather in slots.cliques]
-    clique_chol = [_cholesky(blk, "clique") for blk in blocks]
-    sep_chol = [_cholesky(xbar.values[gather], "separator")
-                for _, gather in slots.separators]
-    return CompletionFactors(cs, slots, blocks, clique_chol, sep_chol)
+    blocks = [xbar.values[gather] for _, gather, _ in slots.groups]
+    return CompletionFactors(cs, slots, blocks, [_cholesky(blk, "clique") for blk in blocks])
 
 
 def logdet_completion(factors):
-    """ln det of the max-determinant completion, from its clique factors.
-
-    Sum of clique-block log-determinants minus separator-block
-    log-determinants, added left to right in clique order.
-    """
-    per_block = [2.0 * sign * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-                 for chol, sign in _signed_factors(factors)]
-    return float(np.cumsum(np.concatenate(per_block)[factors.slots.block_order])[-1])
+    """ln det of the max-determinant completion, from its clique factors:
+    twice the log pivots of the S_r rows of each L_r."""
+    return 2.0 * sum(float(np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2))[residual]))
+                     for chol, (_, _, residual) in zip(factors.chol, factors.slots.groups))
 
 
 def completion_inverse(factors):
     """Inverse of the max-determinant completion, from its clique factors.
 
-    It is supported exactly on the pattern F: the clique-block inverses
-    minus the separator-block inverses, scattered onto the pattern.
+    It is supported exactly on the pattern F: the sum of the T_r^T T_r,
+    scattered onto the pattern.
     """
     parts = []
-    for chol, sign in _signed_factors(factors):
-        ci = np.linalg.inv(chol)
-        rows, cols = _upper(chol.shape[1])
-        parts.append(sign * (np.swapaxes(ci, 1, 2) @ ci)[:, rows, cols].ravel())
+    for t in factors.inverse_rows:
+        rows, cols = _upper(t.shape[1])
+        parts.append((np.swapaxes(t, 1, 2) @ t)[:, rows, cols].ravel())
     slots = factors.slots
     pat = slots.pattern
-    acc = np.bincount(slots.scatter, weights=np.concatenate(parts)[slots.entry_order],
+    acc = np.bincount(slots.scatter, weights=np.concatenate(parts),
                       minlength=pat.n + pat.nnz)
     return SparseSymMatrix(pat, acc, check=False)
+
+
+def completion_inverse_factor(factors):
+    """Lower Cholesky factor of the completion inverse, on the pattern.
+
+    Column j, for j in S_r, is row j of T_r on and left of its diagonal,
+    which in the separator-first order are the entries at j and at the
+    higher labels of C_r: Dempster's L_{alpha j} = -X_{alpha alpha}^-1
+    X_{alpha j}, alpha = C_r above j, up to the pivot scaling.  Raises
+    ValueError unless every S_r lies below its U_r.
+    """
+    slots = factors.slots
+    if slots.factor_slots is None:
+        raise ValueError("a residual S_r does not lie below its separator U_r")
+    pat = slots.pattern
+    values = np.zeros(pat.n + pat.nnz)
+    values[slots.factor_slots] = np.concatenate(
+        [t[mask] for t, mask in zip(factors.inverse_rows, slots.factor_masks)])
+    return CholeskyFactor(pat, values, 2.0 * float(np.sum(np.log(values[:pat.n]))))
 
 
 def completion_vectors(factors):
@@ -173,19 +181,17 @@ def completion_vectors(factors):
     separator meets S_r.
     """
     cs = factors.cliques
-    slots = factors.slots
-    blocks = _by_clique(slots.cliques, factors.blocks, len(cs))
-    sep_chol = _by_clique(slots.separators, factors.sep_chol, len(cs))
     v = np.eye(cs.n)
-    for r, (c, u, s) in enumerate(zip(cs.cliques, cs.separators, cs.residuals)):
-        in_u = np.isin(c, u)
-        u_pos, s_pos = np.flatnonzero(in_u), np.flatnonzero(~in_u)
-        blk = blocks[r]
-        d_block = blk[np.ix_(s_pos, s_pos)]       # residual (Schur-complement) block
-        if len(u_pos):
-            cu = sep_chol[r]
-            us = blk[np.ix_(u_pos, s_pos)]
-            coupling = np.linalg.solve(cu.T, np.linalg.solve(cu, us))
+    blocks = {}
+    for (members, _, _), stack in zip(factors.slots.groups, factors.blocks):
+        blocks.update(zip(members.tolist(), stack))
+    for r, (u, s) in enumerate(zip(cs.separators, cs.residuals)):
+        blk = blocks[r][::-1, ::-1]             # S_r, then U_r, ascending
+        ns = len(s)
+        d_block = blk[:ns, :ns]                 # residual (Schur-complement) block
+        if len(u):
+            us = blk[ns:, :ns]
+            coupling = np.linalg.solve(blk[ns:, ns:], us)
             v[u, :] += coupling @ v[s, :]
             d_block = d_block - us.T @ coupling
         v[s, :] = _cholesky(d_block, f"clique {r} residual").T @ v[s, :]
@@ -289,23 +295,6 @@ def _cholesky(blocks, what):
         return np.linalg.cholesky(blocks)
     except np.linalg.LinAlgError as exc:
         raise NotCompletable(f"{what}: a block of size {blocks.shape[-1]} is not PD") from exc
-
-
-def _signed_factors(factors):
-    """(stacked factors, sign) per size group, cliques (+1) first, then
-    separators (-1): the stack order of ``_CliqueSlots``."""
-    return [(chol, 1.0) for chol in factors.clique_chol] + \
-           [(chol, -1.0) for chol in factors.sep_chol]
-
-
-def _by_clique(groups, stacks, count):
-    """Per-clique list of the blocks in size-grouped ``stacks`` (None for
-    a clique with no block in them)."""
-    out = [None] * count
-    for (members, _), stack in zip(groups, stacks):
-        for r, blk in zip(members.tolist(), stack):
-            out[r] = blk
-    return out
 
 
 def _dense_chol_rows(a):

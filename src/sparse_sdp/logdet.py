@@ -8,13 +8,12 @@ computation, starting from the selected inverse its caller already
 holds, yielding the entries on the pattern of S^-1 Z S^-1 -- the log-det
 Hessian applied to Z, up to sign -- with the same time and space
 footprint.  No dense intermediate is ever formed.  ``inverse_columns``
-gives selected columns of the inverse in full, by batched forward and
-back solves on the factor.  With all n columns in hand,
-``hess_from_columns`` gives the same product W Z W on the pattern from
-them by dense row dots, with no sweep over the factor; the solver takes
-every product it needs that way (the Newton systems' columns, as in
-Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997), and ``hess_vec``
-is the sweep that needs no more than the factor's storage.
+gives the inverse in full, by batched forward and back solves on the
+factor.  With it in hand, ``hess_from_columns`` gives the same product
+W Z W on the pattern by dense row dots, with no sweep over the factor;
+the solver takes every product it needs that way (the Newton systems'
+columns, as in Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997), and
+``hess_vec`` is the sweep that needs no more than the factor's storage.
 """
 
 from __future__ import annotations
@@ -74,22 +73,20 @@ def sparse_inverse(factor):
     return SparseSymMatrix(pat, wdiag + woff, check=False)
 
 
-def inverse_columns(factor, cols):
-    """Columns ``cols`` of the inverse of the factored matrix L L^T.
+def inverse_columns(factor):
+    """The inverse of the factored matrix L L^T, in full.
 
-    Solves L L^T W = I[:, cols] for all right-hand sides at once: one
-    numpy row update per factor column in the forward solve and one in
-    the back solve, so the work is O(nnz(L) k) for k columns and the
-    result, a dense n x k array, is the only storage beyond the factor's.
+    Solves L L^T W = I for all n right-hand sides at once: one numpy row
+    update per factor column in the forward solve and one in the back
+    solve, so the work is O(nnz(L) n) and the result, a dense n x n
+    array, is the only storage beyond the factor's.
     """
     pat = factor.pattern
-    cols = np.asarray(cols, dtype=np.int64)
     ldiag = factor.diag.tolist()
     loff = factor.offdiag
     rows = pat.rows
     start = pat.col_ptr.tolist()
-    w = np.zeros((pat.n, len(cols)))
-    w[cols, np.arange(len(cols))] = 1.0
+    w = np.eye(pat.n)
     for j in range(pat.n):
         w[j] /= ldiag[j]
         lo, hi = start[j], start[j + 1]
@@ -106,8 +103,8 @@ def inverse_columns(factor, cols):
 def hess_from_columns(w, z):
     """Entries on Z's pattern of W Z W, from W held in full.
 
-    ``w`` is the n x n symmetric W, e.g. ``inverse_columns(factor,
-    np.arange(n))``; any other shape raises ValueError.  First
+    ``w`` is the n x n symmetric W, e.g. ``inverse_columns(factor)``;
+    any other shape raises ValueError.  First
     T = W Z, summed from Z's nonzero entries (O(n nnz(Z)) work, no dense
     Z); then (W Z W)_ij = W[i, :] . T[j, :] for each diagonal and
     off-diagonal slot.  Both steps run in blocks of at most

@@ -18,10 +18,11 @@ with no sweep over the factor, and so is X^ M X^.
 
 An iterate composes a dual half (y, S, the factor of S and, once needed,
 S^-1 on F) and a primal half (X on F, its completion sweep and log-det
-and, once needed, the completion inverse and its factor).  A step-search
-trial that leaves y unchanged (k1 = k2 = 0) shares the iterate's dual
-half, and one that leaves X unchanged (h1 = h2 = 0) its primal half, so
-neither refactors nor re-inverts what the iterate already holds.
+and, once needed, the completion inverse and its factor, both read off
+that sweep).  A step-search trial that leaves y unchanged (k1 = k2 = 0)
+shares the iterate's dual half, and one that leaves X unchanged
+(h1 = h2 = 0) its primal half, so neither refactors nor re-inverts what
+the iterate already holds.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from io import StringIO
 
 import numpy as np
 
-from .completion import completion_factors, completion_inverse, logdet_completion
+from .completion import (completion_factors, completion_inverse,
+                         completion_inverse_factor, logdet_completion)
 from .errors import (InfeasibleStart, IterationLimit, NoDecrease,
                      NotCompletable, NotPositiveDefinite)
 from .logdet import hess_from_columns, inverse_columns, sparse_inverse
@@ -167,8 +169,9 @@ class PrimalHalf:
     ``xbar`` is read as a partial matrix on the fill pattern F.
     Construction factors its clique blocks (``x_factors``) and takes the
     completion log-det from them, so it raises NotCompletable outside the
-    cone.  The completion inverse (from ``x_factors``) and its factor are
-    computed on first use and kept.
+    cone.  The completion inverse and its Cholesky factor are computed on
+    first use and kept; both read ``x_factors`` (its shared T_r), so the
+    primal side makes no sparse factorization.
     """
 
     def __init__(self, problem, xbar):
@@ -183,7 +186,8 @@ class PrimalHalf:
 
     @cached_property
     def xhat_inv_factor(self):
-        return cholesky_factorize(self.xhat_inv)
+        """Cholesky factor of the completion inverse, from the same sweep."""
+        return completion_inverse_factor(self.x_factors)
 
 
 def _from_half(half, name):
@@ -321,7 +325,7 @@ def dual_direction(state, cfg):
     sinv = state.sinv
     xbar = state.xbar
     rhs = prob.apply_map(sinv) - prob.apply_map(xbar) / mu
-    w = inverse_columns(state.s_factor, np.arange(prob.n))
+    w = inverse_columns(state.s_factor)
     res, ntilde, curved = _newton_system(prob, cfg, w, rhs)
     lam_tilde = math.sqrt(max(inner_product(curved, ntilde), 0.0))
     raw = SparseSymMatrix(prob.fill, mu * (sinv.values - curved.values) - xbar.values,
@@ -349,7 +353,7 @@ def primal_direction(state, cfg):
     prob = state.problem
     mu = state.gap / state.rho
     xbar = state.xbar
-    w = inverse_columns(state.xhat_inv_factor, np.arange(prob.n))
+    w = inverse_columns(state.xhat_inv_factor)
     m_mat = state.s.scaled(1.0 / mu)
     xmx = hess_from_columns(w, m_mat)
     rhs = prob.apply_map(xmx) - prob.apply_map(xbar)

@@ -209,14 +209,17 @@ class EliminationOrdering:
 class CholeskyFactor:
     """Lower-triangular Cholesky factor on an elimination-closed pattern.
 
-    The diagonal holds the actual (positive) pivot square roots;
-    ``logdet`` caches 2*sum(log diag).
+    ``values`` holds [diag | offdiag] as in ``SparseSymMatrix``, with
+    ``diag`` and ``offdiag`` views of its two parts.  The diagonal holds
+    the actual (positive) pivot square roots; ``logdet`` caches
+    2*sum(log diag).
     """
 
-    def __init__(self, pattern, diag, offdiag, logdet):
+    def __init__(self, pattern, values, logdet):
         self.pattern = pattern
-        self.diag = np.asarray(diag, dtype=float)
-        self.offdiag = np.asarray(offdiag, dtype=float)
+        self.values = np.asarray(values, dtype=float)
+        self.diag = self.values[:pattern.n]
+        self.offdiag = self.values[pattern.n:]
         self.logdet = float(logdet)
 
     @property
@@ -330,27 +333,25 @@ def cholesky_factorize(matrix):
     cols = pat._cols
     row_cols = pat.row_columns()
     eindex = pat._index
-    mdiag = matrix.diag.tolist()
-    moff = matrix.offdiag.tolist()
-    col_start = pat.col_ptr.tolist()
+    mval = matrix.values.tolist()
+    col_start = (n + pat.col_ptr).tolist()   # column starts in [diag | offdiag]
 
-    maxdiag = max(mdiag) if n else 0.0
+    maxdiag = max(mval[:n]) if n else 0.0
     tol = PIVOT_RTOL * max(maxdiag, 0.0)
-    ldiag = [0.0] * n
-    loff = [0.0] * pat.nnz
+    lval = [0.0] * (n + pat.nnz)    # stored like mval, as CholeskyFactor keeps it
     work = [0.0] * n
     intarget = [False] * n
     logdet = 0.0
     for j in range(n):
         rows_j = cols[j]
         base = col_start[j]
-        work[j] = mdiag[j]
+        work[j] = mval[j]
         intarget[j] = True
         for t, i in enumerate(rows_j):
-            work[i] = moff[base + t]
+            work[i] = mval[base + t]
             intarget[i] = True
         for k in row_cols[j]:
-            ljk = loff[eindex[(j, k)]]
+            ljk = lval[n + eindex[(j, k)]]
             if ljk == 0.0:
                 continue
             kbase = col_start[k]
@@ -362,18 +363,18 @@ def cholesky_factorize(matrix):
                     raise ValueError(
                         f"pattern is not elimination-closed: missing fill slot ({i},{j})"
                     )
-                work[i] -= ljk * loff[kbase + t]
+                work[i] -= ljk * lval[kbase + t]
         pivot = work[j]
         if pivot <= tol:
             raise NotPositiveDefinite(j)
         root = math.sqrt(pivot)
-        ldiag[j] = root
+        lval[j] = root
         logdet += math.log(pivot)
         for t, i in enumerate(rows_j):
-            loff[base + t] = work[i] / root
+            lval[base + t] = work[i] / root
             intarget[i] = False
         intarget[j] = False
-    return CholeskyFactor(pat, ldiag, loff, logdet)
+    return CholeskyFactor(pat, lval, logdet)
 
 
 def inner_product(a, b):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from sparse_sdp import (NotCompletable, SparseSymMatrix, SparseSymPattern,
                         banded_pattern, cholesky_factorize, completion_factors,
-                        completion_inverse, completion_vectors, hess_vec,
+                        completion_inverse, completion_inverse_factor,
+                        completion_vectors, hess_vec,
                         inner_product, logdet_completion,
                         logdet_completion_banded, maximal_cliques, rip_order)
 from sparse_sdp.bench import random_banded_partial
@@ -24,10 +25,9 @@ def tridiagonal_example():
 
 
 def completion_hess_product(xbar, cs, z):
-    """Entries on F of X^ Z X^, computed as the solver does it: the
-    Hessian product on the factor of the completion inverse."""
-    return hess_vec(cholesky_factorize(completion_inverse(completion_factors(xbar, cs))), z,
-                    sinv=xbar)
+    """Entries on F of X^ Z X^ by the Hessian product on the factor of
+    the completion inverse, with the partial matrix as selected inverse."""
+    return hess_vec(completion_inverse_factor(completion_factors(xbar, cs)), z, sinv=xbar)
 
 
 def per_clique_completion(xbar, cs):
@@ -79,7 +79,8 @@ class TestCompletionFactors:
         xbar = SparseSymMatrix(pat, [2.0, 2.0, 3.0, 3.0, 1.0, 1.0])
         cs = rip_order(maximal_cliques(pat))
         factors = completion_factors(xbar, cs)
-        assert factors.slots.separators == [] and factors.sep_chol == []
+        # every clique is all residual: no separator row in any block
+        assert all(residual.all() for _, _, residual in factors.slots.groups)
         dense = reconstruct_dense(factors)
         assert dense[0, 2] == dense[0, 3] == dense[1, 2] == dense[1, 3] == 0.0
 
@@ -297,11 +298,14 @@ class TestBatchedSweep:
         assert sign > 0
         assert logdet_completion(factors) == pytest.approx(logdet, abs=1e-9)
         assert restrict_abs_error(inv, completion_inverse(factors)) <= 1e-10 * scale
-        # Batching changes only the schedule, so the bits match the
-        # clique-by-clique formulas.
+        # The separator-first sweep reads the separator factors off the
+        # clique factors, so it matches the clique-by-clique formulas to
+        # rounding.
         loop_logdet, loop_inv = per_clique_completion(xbar, cs)
-        assert logdet_completion(factors) == loop_logdet
-        assert np.array_equal(completion_inverse(factors).to_dense(), loop_inv)
+        assert logdet_completion(factors) == pytest.approx(
+            loop_logdet, rel=1e-12, abs=1e-12)
+        got = completion_inverse(factors).to_dense()
+        assert np.abs(got - loop_inv).max() <= 1e-12 * np.abs(loop_inv).max()
 
     @pytest.mark.parametrize("bad", range(5))
     def test_one_indefinite_block_in_a_size_group_is_caught(self, bad):
@@ -310,10 +314,50 @@ class TestBatchedSweep:
         xbar = SparseSymMatrix.identity(pat)
         xbar.offdiag[pat.edge_index(bad + 2, bad)] = 2.0   # only in clique {bad..bad+2}
         cs = rip_order(maximal_cliques(pat))
-        groups = completion_factors(SparseSymMatrix.identity(pat), cs).slots.cliques
-        assert [len(members) for members, _ in groups] == [n - 2]
+        groups = completion_factors(SparseSymMatrix.identity(pat), cs).slots.groups
+        assert [len(members) for members, _, _ in groups] == [n - 2]
         with pytest.raises(NotCompletable):
             completion_factors(xbar, cs)
+
+
+class TestCompletionInverseFactor:
+    """The factor of X^-1 read off the clique factors, against the scalar
+    factorization of the assembled inverse and against dense X^."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 20), density=st.floats(0.0, 0.6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_chordal_patterns_match_refactorization(self, n, density, seed):
+        rng = np.random.default_rng(seed)
+        xbar, cs, _ = random_completable_partial(n, density, rng)
+        factors = completion_factors(xbar, cs)
+        got = completion_inverse_factor(factors)
+        want = cholesky_factorize(completion_inverse(factors))
+        assert got.pattern is want.pattern
+        assert np.abs(got.values - want.values).max() <= 1e-12 * np.abs(want.values).max()
+        assert got.logdet == pytest.approx(-logdet_completion(factors), rel=1e-12, abs=1e-12)
+        # the Hessian product on it, with X-bar as the selected inverse
+        z = SparseSymMatrix(xbar.pattern, rng.standard_normal(n + xbar.pattern.nnz))
+        xhat = reconstruct_dense(factors)
+        target = xhat @ z.to_dense() @ xhat
+        out = hess_vec(got, z, sinv=xbar)
+        assert restrict_abs_error(target, out) <= 1e-10 * max(np.abs(target).max(), 1.0)
+
+    def test_residual_above_its_separator(self):
+        # path 0-1-2 with C_0 = {1, 2}, U_0 = {1}: S_0 = {2} lies above U_0
+        xbar, _ = tridiagonal_example()
+        cs = rip_order([[1, 2], [0, 1]])
+        assert cs.residuals[0].tolist() == [2] and cs.separators[0].tolist() == [1]
+        factors = completion_factors(xbar, cs)
+        xhat = reconstruct_dense(factors)
+        assert xhat[0, 2] == pytest.approx(0.5, abs=1e-12)
+        assert logdet_completion(factors) == pytest.approx(
+            np.linalg.slogdet(xhat)[1], abs=1e-12)
+        inv = np.linalg.inv(xhat)
+        assert restrict_abs_error(inv, completion_inverse(factors)) <= 1e-12
+        assert abs(inv[0, 2]) <= 1e-12
+        with pytest.raises(ValueError):
+            completion_inverse_factor(factors)
 
 
 class TestBandedLogdet:

@@ -58,30 +58,25 @@ class TestInverseColumns:
     def test_tridiagonal_hand_values(self):
         pat = SparseSymPattern(3, [(0, 1), (1, 2)])
         fac = cholesky_factorize(SparseSymMatrix(pat, [2.0, 2.0, 2.0, 1.0, 1.0]))
-        w = inverse_columns(fac, [2, 0])
+        w = inverse_columns(fac)[:, [2, 0]]
         assert w == pytest.approx(np.array([[0.25, 0.75], [-0.5, -0.5],
                                             [0.75, 0.25]]), abs=1e-14)
 
     def test_no_columns(self):
-        pat = SparseSymPattern(3, [(0, 1)])
-        fac = cholesky_factorize(SparseSymMatrix.identity(pat))
-        assert inverse_columns(fac, []).shape == (3, 0)
+        fac = cholesky_factorize(SparseSymMatrix.identity(SparseSymPattern(0)))
+        assert inverse_columns(fac).shape == (0, 0)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 24), density=st.floats(0.0, 0.7),
-           seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_random_chordal_patterns_match_dense_inverse(self, n, density, seed,
-                                                         data):
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_chordal_patterns_match_dense_inverse(self, n, density, seed):
         rng = np.random.default_rng(seed)
         fill = random_filled_pattern(n, density, rng)
         mat, dense = random_pd_on_pattern(fill, rng)
-        cols = data.draw(st.lists(st.integers(0, n - 1), unique=True,
-                                  max_size=n))
-        w = inverse_columns(cholesky_factorize(mat), cols)
-        ref = np.linalg.inv(dense)[:, cols]
-        assert w.shape == (n, len(cols))
-        assert np.abs(w - ref).max(initial=0.0) \
-            <= 1e-10 * max(np.abs(ref).max(initial=0.0), 1.0)
+        w = inverse_columns(cholesky_factorize(mat))
+        ref = np.linalg.inv(dense)
+        assert w.shape == (n, n)
+        assert np.abs(w - ref).max() <= 1e-10 * max(np.abs(ref).max(), 1.0)
 
 
 class TestHessVec:
@@ -173,7 +168,7 @@ class TestHessFromColumns:
         mat, dense = random_pd_on_pattern(fill, rng)
         fac = cholesky_factorize(mat)
         z = random_z_on(fill, rng)
-        out = hess_from_columns(inverse_columns(fac, np.arange(n)), z)
+        out = hess_from_columns(inverse_columns(fac), z)
         dinv = np.linalg.inv(dense)
         target = dinv @ z.to_dense() @ dinv
         scale = max(np.abs(target).max(), 1e-300)
@@ -186,11 +181,11 @@ class TestHessFromColumns:
         fac = cholesky_factorize(SparseSymMatrix(fill, [3.0, 3.0, 3.0, 1.0, -1.0]))
         z = SparseSymMatrix(fill, [1.0, 2.0, 0.0, 0.5, 0.0])
         for cols in ([0, 1], [0, 1, 2, 0]):
-            w = inverse_columns(fac, cols)
+            w = inverse_columns(fac)[:, cols]
             for bad in (w, w.T):
                 with pytest.raises(ValueError):
                     hess_from_columns(bad, z)
-        assert hess_from_columns(inverse_columns(fac, np.arange(3)), z).values.any()
+        assert hess_from_columns(inverse_columns(fac), z).values.any()
 
     def test_storage_stays_within_the_columns(self):
         # every pair on n = 150 with Z nonzero everywhere: an nnz(F) x n

@@ -247,7 +247,7 @@ def hess_vec_columns(problem, factor, sinv):
 
 
 def assembled(problem, factor):
-    return problem.newton_matrix(inverse_columns(factor, np.arange(problem.n)))
+    return problem.newton_matrix(inverse_columns(factor))
 
 
 def mid_solve_state():
@@ -313,7 +313,7 @@ class TestNewtonMatrix:
         # constraint p is e_v e_v^T for v = perm[p] in the elimination labels
         state = make_state(maxcut_sdp(random_graph(9, 14, seed=4)))
         problem = state.problem
-        w = inverse_columns(state.s_factor, np.arange(problem.n))
+        w = inverse_columns(state.s_factor)
         v = problem.ordering.perm
         want = (w * w)[np.ix_(v, v)]
         assert np.abs(problem.newton_matrix(w) - want).max() \
@@ -333,7 +333,7 @@ class TestNewtonMatrix:
                              np.zeros(0), rho=6.0)
         for factor in (state.s_factor, state.xhat_inv_factor):
             assert assembled(problem, factor).shape == (0, 0)
-        w = inverse_columns(state.s_factor, np.arange(4))
+        w = inverse_columns(state.s_factor)
         res, combo, image = solver._newton_system(problem, SolverConfig(), w,
                                                   np.zeros(0))
         assert res.converged and res.iterations == 0
@@ -707,23 +707,23 @@ class TestTrialReuse:
 
 
 class TestCompletionSweep:
-    def test_each_clique_and_separator_block_is_factored_once(self, monkeypatch):
+    def test_each_clique_block_is_factored_once(self, monkeypatch):
         problem = maxcut_sdp(random_graph(20, 40, seed=3))
         x0, y0 = initial_point(problem)
         cs = problem.cliques
-        separators = sum(1 for u in cs.separators if len(u))
-        assert separators > 0
-        calls = []
+        assert sum(1 for u in cs.separators if len(u)) > 0
+        calls, refactored = [], []
         real = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or real(a))
-        state = IterateState(problem, x0, y0, rho=40.0)
-        assert state.xhat_inv is not None
-        factors = state.x_factors
-        factored = factors.clique_chol + factors.sep_chol
-        assert sum(len(chol) for chol in factored) == len(cs) + separators
-        clique_sizes = {len(c) for c in cs.cliques}
-        separator_sizes = {len(u) for u in cs.separators if len(u)}
-        assert len(calls) == len(clique_sizes) + len(separator_sizes) == len(factored)
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or real(a))
+        monkeypatch.setattr(solver, "cholesky_factorize", lambda a: refactored.append(a))
+        primal = solver.PrimalHalf(problem, x0)
+        assert primal.xhat_inv is not None and primal.xhat_inv_factor is not None
+        # one batched call per clique size, none for a separator, and the
+        # factor of the completion inverse comes from the same sweep
+        sizes = sorted({len(c) for c in cs.cliques})
+        assert [shape[1:] for shape in calls] == [(k, k) for k in sizes]
+        assert sum(shape[0] for shape in calls) == len(cs)
+        assert refactored == []
 
 
 class TestSolve:

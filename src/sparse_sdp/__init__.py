@@ -1,7 +1,7 @@
 """Sparse semidefinite programming via decoupled primal-dual potential
 reduction over partial primal matrices with max-determinant completions."""
 
-from .chordal import CliqueSequence, maximal_cliques, rip_order
+from .chordal import CliquePlan, CliqueSequence, maximal_cliques, rip_order
 from .completion import (CompletionFactors, banded_pattern, completion_factors,
                          completion_inverse, completion_inverse_factor,
                          completion_vectors, logdet_completion,

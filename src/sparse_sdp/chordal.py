@@ -1,20 +1,28 @@
-"""Chordal-graph machinery: maximal cliques in running-intersection order.
+"""Chordal-graph machinery: maximal cliques in running-intersection order,
+and the clique plan that both halves of the solver read.
 
 Everything here assumes patterns whose natural order (0..n-1) is meant to
 be a perfect elimination ordering (the output of symbolic factorization
 already is).  The cliques and their order come from the elimination
 tree, as in Vandenberghe & Andersen, *Chordal Graphs and Semidefinite
 Optimization* (2015), section 4: with higher(v) the neighbours of v above
-v, the parent of v is the lowest vertex of higher(v).
+v, the parent of v is the lowest vertex of higher(v).  A ``CliquePlan``
+says where each clique block C_r x C_r sits in the [diag | offdiag]
+storage of a matrix on the pattern, grouped by clique size, so a sweep
+over the cliques is one batched numpy call per size: the completion of
+the primal partial matrix reads it, and so does the dual residual's
+L L^T.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import NotChordal, RipFailure
+from .sparsemat import SparseSymMatrix
 
 
 def _all_in(keys, probe):
@@ -127,3 +135,74 @@ def rip_order(cliques, n=None):
         cliques=cliques,
         residuals=np.split(flat[in_residual], residual_ends),
         separators=np.split(sep, np.cumsum(np.subtract(sizes, residual_sizes))[:-1]))
+
+
+class CliquePlan:
+    """Where the clique blocks of a matrix on ``pattern`` sit in its
+    ``values`` = [diag | offdiag], grouped by clique size.
+
+    Built from a ``CliqueSequence`` ``cliques`` on ``pattern``.  Block r
+    is gathered separator first: U_r, then S_r, each in descending
+    labels, so its leading |U_r| block is X_{U_r,U_r}.  ``groups`` holds
+    one ``(members, gather, residual)`` per clique size k, by increasing
+    k: the indices r of the cliques of that size (increasing), the
+    (N, k, k) slots of their blocks and the (N, k) mask of the S_r
+    positions.  A block's place in the groups is its stack position;
+    ``scatter`` lists the slots of the blocks' upper triangles in stack
+    order.  ``factor_masks`` picks from each stack the entries on and
+    left of the diagonal in the S_r rows: row j holds column j of a
+    lower factor on the pattern, whose rows lie in C_r for the cliques
+    of ``maximal_cliques``.  ``factor_slots`` lists their slots in stack
+    order; it is None unless every S_r lies below its U_r, which
+    ``maximal_cliques`` always gives.
+    """
+
+    def __init__(self, cliques, pattern):
+        n = pattern.n
+        self.cliques = cliques
+        self.pattern = pattern
+        blocks = []
+        for u, s in zip(cliques.separators, cliques.residuals):
+            order = np.concatenate((u[::-1], s[::-1])).tolist()
+            blocks.append(np.array([[a if a == b else n + pattern.edge_index(a, b)
+                                     for b in order] for a in order], dtype=np.int64))
+        self.groups, self.factor_masks, tri_slots = [], [], []
+        for k in sorted({len(idx) for idx in blocks}):
+            members = np.array([r for r, idx in enumerate(blocks) if len(idx) == k],
+                               dtype=np.int64)
+            gather = np.stack([blocks[r] for r in members])
+            seps = np.array([len(cliques.separators[r]) for r in members])
+            residual = np.arange(k) >= seps[:, None]
+            self.groups.append((members, gather, residual))
+            self.factor_masks.append(residual[:, :, None] & np.tri(k, dtype=bool))
+            tri_slots.append(gather[_upper(k)].ravel())
+        self.scatter = np.concatenate(tri_slots)
+        below = all(len(u) == 0 or s[-1] < u[0]
+                    for u, s in zip(cliques.separators, cliques.residuals))
+        self.factor_slots = np.concatenate(
+            [gather[mask] for (_, gather, _), mask in zip(self.groups, self.factor_masks)]
+        ) if below else None
+
+    def gram_sum(self, stacks):
+        """The sum of B_r^T B_r over the cliques, on the pattern, from
+        ``stacks[g]``, the (N, k, k) B_r of size group g in block order."""
+        parts = [(np.swapaxes(b, 1, 2) @ b)[_upper(b.shape[1])].ravel() for b in stacks]
+        pat = self.pattern
+        acc = np.bincount(self.scatter, weights=np.concatenate(parts),
+                          minlength=pat.n + pat.nnz)
+        return SparseSymMatrix(pat, acc, check=False)
+
+    def factor_product(self, factor):
+        """L L^T on the pattern for a lower ``factor`` L on it: the
+        ``gram_sum`` of L's columns S_r, gathered by ``factor_masks``."""
+        return self.gram_sum([np.where(mask, factor.values[gather], 0.0)
+                              for (_, gather, _), mask in zip(self.groups, self.factor_masks)])
+
+
+@lru_cache(maxsize=None)
+def _upper(k):
+    """Index of the upper triangles of a stack of k x k blocks (shared
+    between callers, so read-only)."""
+    rows, cols = np.triu_indices(k)
+    rows.flags.writeable = cols.flags.writeable = False
+    return slice(None), rows, cols

@@ -29,11 +29,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "trials", 1) < 1:
+            raise ValueError(f"--trials must be at least 1, got {args.trials}")
         return args.func(args)
-    except (SdpaParseError, TooManyEdges, InfeasibleStart) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (SdpaParseError, TooManyEdges, InfeasibleStart, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except IterationLimit as exc:

@@ -5,11 +5,12 @@ pattern read as specifying only its pattern entries (plus the diagonal);
 the entries off the pattern are free, not zero.  Among all positive
 definite completions the determinant-maximizing one is singled out by
 having an inverse supported exactly on the pattern.  One sweep,
-``completion_factors``, gathers each clique block R_r once, separator
-first (U_r, then S_r), and factors it once, R_r = L_r L_r^T; the
-leading |U_r| block of L_r is the separator's factor.  With T_r the
-inverse of L_r less its first |U_r| rows (Vandenberghe and Andersen,
-Chordal Graphs and Semidefinite Optimization, 2015, section 10),
+``completion_factors``, gathers each clique block R_r once through the
+problem's ``chordal.CliquePlan``, separator first (U_r, then S_r), and
+factors it once, R_r = L_r L_r^T; the leading |U_r| block of L_r is the
+separator's factor.  With T_r the inverse of L_r less its first |U_r|
+rows (Vandenberghe and Andersen, Chordal Graphs and Semidefinite
+Optimization, 2015, section 10),
 
     ln det X^ = sum_r 2 sum_{p >= |U_r|} ln (L_r)_pp,
     X^-1      = sum_r T_r^T T_r   (scattered onto the pattern),
@@ -18,87 +19,40 @@ and the rows of T_r are the columns S_r of the Cholesky factor of X^-1.
 The log-determinant, the inverse, its factor and the Gram vectors all
 read that sweep, so the completion is never formed densely.  Each
 clique size's (N, k, k) stack is gathered, factored and inverted by one
-batched numpy call.  The solver takes X^ in full from the inverse's
-factor (``logdet.inverse_columns``) for its products X^ Z X^;
-``logdet.hess_vec`` on that factor, with the partial matrix as the
-selected inverse, gives the same entries within the factor's storage.
+batched numpy call, and the inverse is scattered by the plan's
+``gram_sum``, the helper that also forms L L^T for the dual residual.
+The solver takes X^ in full from the inverse's factor
+(``logdet.inverse_columns``) for its products X^ Z X^; ``logdet.hess_vec``
+on that factor, with the partial matrix as the selected inverse, gives
+the same entries within the factor's storage.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .chordal import CliqueSequence
+from .chordal import CliquePlan
 from .errors import NotCompletable
-from .sparsemat import CholeskyFactor, SparseSymMatrix, SparseSymPattern
-
-
-class _CliqueSlots:
-    """Where the clique blocks of a partial matrix on ``pattern`` sit in
-    its ``values`` = [diag | offdiag], grouped by clique size.
-
-    Block r is gathered separator first: the vertices of U_r, then those
-    of S_r, each in descending labels, so its leading |U_r| block is
-    X_{U_r,U_r}.  ``groups`` lists one ``(members, gather, residual)``
-    triple per clique size k, by increasing k: ``members`` are the
-    indices r, in increasing order, of the cliques of that size,
-    ``gather`` of shape (len(members), k, k) holds the slot of every
-    entry of their blocks and ``residual`` of shape (len(members), k)
-    marks the positions of S_r.  A block's place in the groups is its
-    stack position; ``scatter`` lists the slots of the blocks'
-    upper-triangle entries in stack order.  ``factor_slots`` lists the
-    slots of the entries on and left of the diagonal in the S_r rows,
-    picked from each stack by ``factor_masks``; it is None unless every
-    S_r lies below its U_r, which ``maximal_cliques`` always gives.
-    """
-
-    def __init__(self, cs, pattern):
-        n = pattern.n
-        self.pattern = pattern
-        blocks = []
-        for u, s in zip(cs.separators, cs.residuals):
-            order = np.concatenate((u[::-1], s[::-1])).tolist()
-            blocks.append(np.array([[a if a == b else n + pattern.edge_index(a, b)
-                                     for b in order] for a in order], dtype=np.int64))
-        self.groups = []
-        for k in sorted({len(idx) for idx in blocks}):
-            members = np.array([r for r, idx in enumerate(blocks) if len(idx) == k],
-                               dtype=np.int64)
-            seps = np.array([len(cs.separators[r]) for r in members])
-            self.groups.append((members, np.stack([blocks[r] for r in members]),
-                                np.arange(k) >= seps[:, None]))
-        tri_slots = []
-        for _, gather, _ in self.groups:
-            rows, cols = _upper(gather.shape[1])
-            tri_slots.append(gather[:, rows, cols].ravel())
-        self.scatter = np.concatenate(tri_slots)
-        self.factor_masks = [residual[:, :, None] & np.tri(residual.shape[1], dtype=bool)
-                             for _, _, residual in self.groups]
-        below = all(len(u) == 0 or s[-1] < u[0]
-                    for u, s in zip(cs.separators, cs.residuals))
-        self.factor_slots = np.concatenate(
-            [gather[mask] for (_, gather, _), mask in zip(self.groups, self.factor_masks)]
-        ) if below else None
+from .sparsemat import CholeskyFactor, SparseSymPattern
 
 
 @dataclass
 class CompletionFactors:
     """One factor sweep over the clique blocks of a partial matrix.
 
-    The blocks are grouped by size as in ``slots.groups`` (see
-    ``_CliqueSlots``): ``blocks[g]`` is the (N, k, k) stack of the dense
+    The blocks are grouped by size as in ``plan.groups`` (see
+    ``CliquePlan``): ``blocks[g]`` is the (N, k, k) stack of the dense
     clique blocks R_r of the g-th clique size, gathered separator first,
     and ``chol[g]`` their lower Cholesky factors L_r.  ``inverse_rows[g]``
     stacks the T_r, computed on first use and shared by the inverse and
     its factor.
     """
 
-    cliques: CliqueSequence
-    slots: _CliqueSlots
+    plan: CliquePlan
     blocks: list
     chol: list
 
@@ -106,34 +60,33 @@ class CompletionFactors:
     def inverse_rows(self):
         """Per size group, T_r = L_r^-1 with its first |U_r| rows zeroed."""
         rows = []
-        for chol, (_, _, residual) in zip(self.chol, self.slots.groups):
+        for chol, (_, _, residual) in zip(self.chol, self.plan.groups):
             t = np.linalg.inv(chol)
             t[~residual] = 0.0
             rows.append(t)
         return rows
 
 
-def completion_factors(xbar, cs):
+def completion_factors(xbar, plan):
     """Gather and factor each clique block of the partial ``xbar`` once,
-    by one batched Cholesky call per clique size.
+    by one batched Cholesky call per clique size of the ``CliquePlan``.
 
     Raises NotCompletable unless every clique block is positive definite,
     which on a chordal pattern is exactly when a positive definite
-    completion exists.  The slot arrays are built on the first call for a
-    clique sequence and pattern and kept on ``cs`` as a private attribute.
+    completion exists, and ValueError when ``xbar`` lies on another
+    pattern than the plan's.
     """
-    slots = getattr(cs, "_slots", None)
-    if slots is None or slots.pattern is not xbar.pattern:   # first use: build, cache
-        slots = cs._slots = _CliqueSlots(cs, xbar.pattern)
-    blocks = [xbar.values[gather] for _, gather, _ in slots.groups]
-    return CompletionFactors(cs, slots, blocks, [_cholesky(blk, "clique") for blk in blocks])
+    if xbar.pattern is not plan.pattern and xbar.pattern != plan.pattern:
+        raise ValueError("the partial matrix lies on another pattern than the plan")
+    blocks = [xbar.values[gather] for _, gather, _ in plan.groups]
+    return CompletionFactors(plan, blocks, [_cholesky(blk, "clique") for blk in blocks])
 
 
 def logdet_completion(factors):
     """ln det of the max-determinant completion, from its clique factors:
     twice the log pivots of the S_r rows of each L_r."""
     return 2.0 * sum(float(np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2))[residual]))
-                     for chol, (_, _, residual) in zip(factors.chol, factors.slots.groups))
+                     for chol, (_, _, residual) in zip(factors.chol, factors.plan.groups))
 
 
 def completion_inverse(factors):
@@ -142,15 +95,7 @@ def completion_inverse(factors):
     It is supported exactly on the pattern F: the sum of the T_r^T T_r,
     scattered onto the pattern.
     """
-    parts = []
-    for t in factors.inverse_rows:
-        rows, cols = _upper(t.shape[1])
-        parts.append((np.swapaxes(t, 1, 2) @ t)[:, rows, cols].ravel())
-    slots = factors.slots
-    pat = slots.pattern
-    acc = np.bincount(slots.scatter, weights=np.concatenate(parts),
-                      minlength=pat.n + pat.nnz)
-    return SparseSymMatrix(pat, acc, check=False)
+    return factors.plan.gram_sum(factors.inverse_rows)
 
 
 def completion_inverse_factor(factors):
@@ -162,13 +107,13 @@ def completion_inverse_factor(factors):
     X_{alpha j}, alpha = C_r above j, up to the pivot scaling.  Raises
     ValueError unless every S_r lies below its U_r.
     """
-    slots = factors.slots
-    if slots.factor_slots is None:
+    plan = factors.plan
+    if plan.factor_slots is None:
         raise ValueError("a residual S_r does not lie below its separator U_r")
-    pat = slots.pattern
+    pat = plan.pattern
     values = np.zeros(pat.n + pat.nnz)
-    values[slots.factor_slots] = np.concatenate(
-        [t[mask] for t, mask in zip(factors.inverse_rows, slots.factor_masks)])
+    values[plan.factor_slots] = np.concatenate(
+        [t[mask] for t, mask in zip(factors.inverse_rows, plan.factor_masks)])
     return CholeskyFactor(pat, values, 2.0 * float(np.sum(np.log(values[:pat.n]))))
 
 
@@ -180,10 +125,10 @@ def completion_vectors(factors):
     the rows S_r are final once clique r is reached, because no later
     separator meets S_r.
     """
-    cs = factors.cliques
+    cs = factors.plan.cliques
     v = np.eye(cs.n)
     blocks = {}
-    for (members, _, _), stack in zip(factors.slots.groups, factors.blocks):
+    for (members, _, _), stack in zip(factors.plan.groups, factors.blocks):
         blocks.update(zip(members.tolist(), stack))
     for r, (u, s) in enumerate(zip(cs.separators, cs.residuals)):
         blk = blocks[r][::-1, ::-1]             # S_r, then U_r, ascending
@@ -279,15 +224,6 @@ def logdet_completion_banded(xbar, bandwidth):
 
 
 # -- helpers ----------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _upper(k):
-    """Row and column indices of the upper triangle of a k x k block
-    (shared between callers, so read-only)."""
-    rows, cols = np.triu_indices(k)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
-
 
 def _cholesky(blocks, what):
     """Lower Cholesky factor of one block, or of each block of a stack."""

@@ -27,6 +27,8 @@ class Graph:
     edges: list
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("need at least one vertex")
         seen = set()
         norm = []
         for e in self.edges:
@@ -60,8 +62,6 @@ class CutResult:
 
 def random_graph(n, m, seed):
     """Uniform simple graph with exactly m edges; deterministic per seed."""
-    if n < 1:
-        raise ValueError("need at least one vertex")
     limit = n * (n - 1) // 2
     if m > limit:
         raise TooManyEdges(f"{m} edges requested, K_{n} has only {limit}")
@@ -141,10 +141,13 @@ def hyperplane_rounding(vectors, graph, trials=100, seed=0, sdp_bound=None):
 
     ``vectors`` has one column per vertex (in graph labels) with
     V^T V equal to the solved primal matrix.  Deterministic per seed.
+    Raises ValueError for fewer than one trial.
     """
+    runs = int(trials)
+    if runs < 1:
+        raise ValueError(f"trials must be at least 1, got {runs}")
     rng = np.random.default_rng(seed)
     n = graph.n
-    runs = max(int(trials), 1)
     best_sides = np.ones(n, dtype=np.int8)
     best_cut = cut_value(graph, best_sides)
     for _ in range(runs):

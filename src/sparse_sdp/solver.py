@@ -176,7 +176,7 @@ class PrimalHalf:
 
     def __init__(self, problem, xbar):
         self.xbar = xbar
-        self.x_factors = completion_factors(xbar, problem.cliques)
+        self.x_factors = completion_factors(xbar, problem.plan)
         self.logdet_x = logdet_completion(self.x_factors)
 
     @cached_property
@@ -269,9 +269,11 @@ class IterateState:
 
     def residuals(self):
         """max |A(X) - b|, and max |S - L L^T| over F relative to max |S|
-        over F, with L the factor ``s_factor``."""
+        over F, with L the factor ``s_factor`` and L L^T formed clique by
+        clique through the problem's plan."""
         s = self.s.values
-        dres = float(np.max(np.abs(s - self.s_factor.product())) / np.max(np.abs(s)))
+        llt = self.problem.plan.factor_product(self.s_factor).values
+        dres = float(np.max(np.abs(s - llt)) / np.max(np.abs(s)))
         return self.primal_residual(), dres
 
 

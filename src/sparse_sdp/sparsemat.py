@@ -212,7 +212,8 @@ class CholeskyFactor:
     ``values`` holds [diag | offdiag] as in ``SparseSymMatrix``, with
     ``diag`` and ``offdiag`` views of its two parts.  The diagonal holds
     the actual (positive) pivot square roots; ``logdet`` caches
-    2*sum(log diag).
+    2*sum(log diag).  ``chordal.CliquePlan.factor_product`` forms
+    L L^T on the pattern, clique by clique.
     """
 
     def __init__(self, pattern, values, logdet):
@@ -225,40 +226,6 @@ class CholeskyFactor:
     @property
     def n(self):
         return self.pattern.n
-
-    def product(self):
-        """Entries of L L^T on the factor's own pattern, as [diag | offdiag].
-
-        Left-looking like ``cholesky_factorize``: entry (i, j), i >= j, sums
-        L_ik L_jk over k = j and the columns k < j of row j, so it costs one
-        factorization and O(nnz) memory.
-        """
-        pat = self.pattern
-        cols = pat._cols
-        row_cols = pat.row_columns()
-        eindex = pat._index
-        col_start = pat.col_ptr.tolist()
-        ldiag = self.diag.tolist()
-        loff = self.offdiag.tolist()
-        work = [0.0] * pat.n
-        pdiag = [0.0] * pat.n
-        poff = [0.0] * pat.nnz
-        for j in range(pat.n):
-            ljj = ldiag[j]
-            base = col_start[j]
-            work[j] = ljj * ljj
-            for t, i in enumerate(cols[j]):
-                work[i] = loff[base + t] * ljj
-            for k in row_cols[j]:
-                ljk = loff[eindex[(j, k)]]
-                kbase = col_start[k]
-                for t, i in enumerate(cols[k]):
-                    if i >= j:
-                        work[i] += ljk * loff[kbase + t]
-            pdiag[j] = work[j]
-            for t, i in enumerate(cols[j]):
-                poff[base + t] = work[i]
-        return np.array(pdiag + poff)
 
     def __repr__(self):
         return f"CholeskyFactor(n={self.n}, nnz={self.pattern.nnz})"

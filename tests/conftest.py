@@ -7,7 +7,7 @@ import pytest
 
 from sparse_sdp import (SparseSymMatrix, SparseSymPattern, completion_vectors,
                         min_degree_ordering, symbolic_factorize)
-from sparse_sdp.chordal import maximal_cliques, rip_order
+from sparse_sdp.chordal import CliquePlan, maximal_cliques, rip_order
 
 
 def random_pattern(n, density, rng):
@@ -57,13 +57,19 @@ def random_pd_on_pattern(pattern, rng, shift=0.0):
     return sparse_from_dense(pattern, dense), dense
 
 
+def clique_plan(pattern):
+    """The clique plan of a chordal, elimination-ordered pattern's
+    maximal cliques, as ``SdpProblem.plan`` builds it for the fill."""
+    return CliquePlan(rip_order(maximal_cliques(pattern), n=pattern.n), pattern)
+
+
 def random_completable_partial(n, density, rng):
-    """Random completable partial matrix: projection of a dense PD matrix."""
+    """Random completable partial matrix: projection of a dense PD matrix,
+    with the clique plan of its pattern."""
     fill = random_filled_pattern(n, density, rng)
     g = rng.standard_normal((n, n)) / np.sqrt(n)
     dense = g @ g.T + np.eye(n)
-    cs = rip_order(maximal_cliques(fill), n=n)
-    return sparse_from_dense(fill, dense), cs, dense
+    return sparse_from_dense(fill, dense), clique_plan(fill), dense
 
 
 def random_generic_sdp(n, m, rng):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from sparse_sdp import completion_factors, logdet_completion, maximal_cliques, rip_order
+from sparse_sdp import completion_factors, logdet_completion
 from sparse_sdp.bench import (parse_sizes, random_banded_partial,
                               run_direction_comparison,
                               run_table_of_iterations, time_banded_sweep,
                               trial_seed)
+
+from conftest import clique_plan
 
 
 class TestSeeds:
@@ -28,15 +30,13 @@ class TestParseSizes:
 class TestRandomBandedPartial:
     def test_matches_dense_gram_construction(self):
         xb = random_banded_partial(9, 3, seed=4)
-        cs = rip_order(maximal_cliques(xb.pattern))
-        logdet_completion(completion_factors(xb, cs))   # raises NotCompletable otherwise
+        logdet_completion(completion_factors(xb, clique_plan(xb.pattern)))   # raises NotCompletable otherwise
 
     @pytest.mark.parametrize("n,p", [(6, 1), (10, 4), (7, 6)])
     def test_always_completable(self, n, p):
         for seed in range(5):
             xb = random_banded_partial(n, p, seed=seed)
-            cs = rip_order(maximal_cliques(xb.pattern))
-            logdet_completion(completion_factors(xb, cs))   # raises NotCompletable otherwise
+            logdet_completion(completion_factors(xb, clique_plan(xb.pattern)))   # raises NotCompletable otherwise
 
     def test_deterministic(self):
         a = random_banded_partial(12, 3, seed=9)

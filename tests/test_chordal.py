@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sparse_sdp import (EliminationOrdering, NotChordal, RipFailure,
-                        SparseSymPattern, maximal_cliques, rip_order,
-                        symbolic_factorize)
+from sparse_sdp import (CholeskyFactor, EliminationOrdering, NotChordal,
+                        RipFailure, SparseSymPattern, maximal_cliques,
+                        rip_order, symbolic_factorize)
 
-from conftest import (brute_force_cliques, clique_cover_edges,
-                      random_filled_pattern, random_pattern)
+from conftest import (brute_force_cliques, clique_cover_edges, clique_plan,
+                      factor_to_dense, random_filled_pattern, random_pattern,
+                      sparse_from_dense)
 
 
 FILLED_4CYCLE = [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)]
@@ -177,3 +180,31 @@ class TestRandomChordalInvariants:
             else:
                 assert sorted(maximal_cliques(pat)) == expected
         assert rejected > 20
+
+
+class TestCliquePlan:
+    """The plan of the maximal cliques reads every slot of a lower factor
+    on the pattern, and forms its L L^T clique by clique."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 24), density=st.floats(0.0, 0.6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_factor_product_matches_dense(self, n, density, seed):
+        rng = np.random.default_rng(seed)
+        fill = random_filled_pattern(n, density, rng)
+        values = rng.standard_normal(n + fill.nnz)
+        values[:n] = rng.random(n) + 0.5
+        factor = CholeskyFactor(fill, values, 0.0)
+        ldense = factor_to_dense(factor)
+        want = sparse_from_dense(fill, ldense @ ldense.T).values
+        got = clique_plan(fill).factor_product(factor)
+        assert got.pattern is fill
+        assert np.abs(got.values - want).max() <= 1e-14 * np.abs(want).max()
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 24), density=st.floats(0.0, 0.6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_factor_slots_are_a_permutation_of_the_storage(self, n, density, seed):
+        fill = random_filled_pattern(n, density, np.random.default_rng(seed))
+        slots = clique_plan(fill).factor_slots
+        assert np.array_equal(np.sort(slots), np.arange(n + fill.nnz))

@@ -133,6 +133,22 @@ class TestMaxcutCommand:
                                          "cg_dual", "descent_steps"}
 
 
+    def test_empty_graph_file_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "empty.txt"
+        path.write_text("0 0\n")
+        code, _, err = run_cli(["maxcut", str(path)], capsys)
+        assert code == 1
+        assert "need at least one vertex" in err
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_one_exit_one(self, tmp_path, capsys, trials):
+        path = tmp_path / "edge.txt"
+        path.write_text("2 1\n1 2\n")
+        code, out, err = run_cli(["maxcut", str(path), "--trials", trials], capsys)
+        assert code == 1
+        assert "--trials" in err and out == ""
+
+
 class TestGenGraph:
     def test_deterministic(self, tmp_path, capsys):
         a = tmp_path / "a.txt"
@@ -174,6 +190,14 @@ class TestBenchCommands:
         assert [r["mode"] for r in rows] == ["four", "two"]
         assert all({"mode", "n", "m", "mean_time", "mean_iters"} <= set(r)
                    for r in rows)
+
+    @pytest.mark.parametrize("command", ["bench-table1", "bench-directions"])
+    def test_zero_trials_exit_one(self, tmp_path, capsys, command):
+        out = tmp_path / "t.csv"
+        code, _, err = run_cli([command, "--sizes", "4:4", "--trials", "0",
+                                "-o", str(out)], capsys)
+        assert code == 1
+        assert "--trials" in err and not out.exists()
 
     def test_banded_zero_reps_header_only(self, tmp_path, capsys):
         out = tmp_path / "band.csv"

@@ -5,37 +5,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparse_sdp import (NotCompletable, SparseSymMatrix, SparseSymPattern,
-                        banded_pattern, cholesky_factorize, completion_factors,
-                        completion_inverse, completion_inverse_factor,
-                        completion_vectors, hess_vec,
+from sparse_sdp import (CliquePlan, NotCompletable, SparseSymMatrix,
+                        SparseSymPattern, banded_pattern, cholesky_factorize,
+                        completion_factors, completion_inverse,
+                        completion_inverse_factor, completion_vectors, hess_vec,
                         inner_product, logdet_completion,
-                        logdet_completion_banded, maximal_cliques, rip_order)
+                        logdet_completion_banded, rip_order)
 from sparse_sdp.bench import random_banded_partial
 
-from conftest import (dense_mask, random_completable_partial, reconstruct_dense,
-                      restrict_abs_error, sparse_from_dense)
+from conftest import (clique_plan, dense_mask, random_completable_partial,
+                      reconstruct_dense, restrict_abs_error, sparse_from_dense)
 
 
 def tridiagonal_example():
     pat = SparseSymPattern(3, [(0, 1), (1, 2)])
     xbar = SparseSymMatrix(pat, [2.0, 2.0, 2.0, 1.0, 1.0])
-    cs = rip_order(maximal_cliques(pat))
-    return xbar, cs
+    plan = clique_plan(pat)
+    return xbar, plan
 
 
-def completion_hess_product(xbar, cs, z):
+def completion_hess_product(xbar, plan, z):
     """Entries on F of X^ Z X^ by the Hessian product on the factor of
     the completion inverse, with the partial matrix as selected inverse."""
-    return hess_vec(completion_inverse_factor(completion_factors(xbar, cs)), z, sinv=xbar)
+    return hess_vec(completion_inverse_factor(completion_factors(xbar, plan)), z, sinv=xbar)
 
 
-def per_clique_completion(xbar, cs):
+def per_clique_completion(xbar, plan):
     """Log-det and dense inverse of the max-determinant completion, block
     by block in the order clique r, separator r, r = 0, 1, ... (Vandenberghe
     and Andersen, Chordal Graphs and Semidefinite Optimization, 2015)."""
     dense = xbar.to_dense()
     logdet, inv = 0.0, np.zeros_like(dense)
+    cs = plan.cliques
     for c, u in zip(cs.cliques, cs.separators):
         for verts, sign in ((c, 1.0), (u, -1.0)):
             if len(verts):
@@ -51,72 +52,87 @@ class TestCliquePdCheck:
     logdet_completion checks exactly that."""
 
     def test_identity_partial(self):
-        xbar, cs = tridiagonal_example()
+        xbar, plan = tridiagonal_example()
         eye = SparseSymMatrix.identity(xbar.pattern)
-        assert logdet_completion(completion_factors(eye, cs)) == pytest.approx(0.0, abs=1e-14)
+        assert logdet_completion(completion_factors(eye, plan)) == pytest.approx(0.0, abs=1e-14)
 
     def test_tridiagonal_pd(self):
-        xbar, cs = tridiagonal_example()
-        assert math.isfinite(logdet_completion(completion_factors(xbar, cs)))
+        xbar, plan = tridiagonal_example()
+        assert math.isfinite(logdet_completion(completion_factors(xbar, plan)))
 
     def test_indefinite_clique_block(self):
         pat = SparseSymPattern(3, [(0, 1), (1, 2)])
         bad = SparseSymMatrix(pat, [2.0, 2.0, 2.0, 3.0, 1.0])
-        cs = rip_order(maximal_cliques(pat))
+        plan = clique_plan(pat)
         with pytest.raises(NotCompletable):
-            logdet_completion(completion_factors(bad, cs))
+            logdet_completion(completion_factors(bad, plan))
 
 
 class TestCompletionFactors:
     def test_tridiagonal_implied_entry(self):
-        xbar, cs = tridiagonal_example()
-        dense = reconstruct_dense(completion_factors(xbar, cs))
+        xbar, plan = tridiagonal_example()
+        dense = reconstruct_dense(completion_factors(xbar, plan))
         assert dense[0, 2] == pytest.approx(0.5, abs=1e-12)
         assert np.allclose(dense, dense.T)
 
     def test_block_diagonal_has_no_couplings(self):
         pat = SparseSymPattern(4, [(0, 1), (2, 3)])
         xbar = SparseSymMatrix(pat, [2.0, 2.0, 3.0, 3.0, 1.0, 1.0])
-        cs = rip_order(maximal_cliques(pat))
-        factors = completion_factors(xbar, cs)
+        plan = clique_plan(pat)
+        factors = completion_factors(xbar, plan)
         # every clique is all residual: no separator row in any block
-        assert all(residual.all() for _, _, residual in factors.slots.groups)
+        assert all(residual.all() for _, _, residual in factors.plan.groups)
         dense = reconstruct_dense(factors)
         assert dense[0, 2] == dense[0, 3] == dense[1, 2] == dense[1, 3] == 0.0
 
     def test_identity_partial(self):
-        xbar, cs = tridiagonal_example()
+        xbar, plan = tridiagonal_example()
         eye = SparseSymMatrix.identity(xbar.pattern)
-        assert np.allclose(reconstruct_dense(completion_factors(eye, cs)), np.eye(3))
+        assert np.allclose(reconstruct_dense(completion_factors(eye, plan)), np.eye(3))
 
     def test_not_completable(self):
         pat = SparseSymPattern(3, [(0, 1), (1, 2)])
         bad = SparseSymMatrix(pat, [2.0, 2.0, 2.0, 3.0, 1.0])
-        cs = rip_order(maximal_cliques(pat))
+        plan = clique_plan(pat)
         with pytest.raises(NotCompletable):
-            completion_factors(bad, cs)
+            completion_factors(bad, plan)
+
+    def test_rejects_a_matrix_on_another_pattern(self):
+        # same n and nnz, so without the check the gather would read the
+        # wrong entries silently
+        _, plan = tridiagonal_example()
+        other = SparseSymMatrix.identity(SparseSymPattern(3, [(0, 1), (0, 2)]))
+        with pytest.raises(ValueError):
+            completion_factors(other, plan)
+
+    def test_accepts_an_equal_pattern_object(self):
+        xbar, plan = tridiagonal_example()
+        twin = SparseSymMatrix(SparseSymPattern(3, [(2, 1), (1, 0)]), xbar.values.copy())
+        assert twin.pattern is not plan.pattern
+        assert logdet_completion(completion_factors(twin, plan)) == \
+            logdet_completion(completion_factors(xbar, plan))
 
 
 class TestLogdetCompletion:
     def test_tridiagonal_value(self):
-        xbar, cs = tridiagonal_example()
+        xbar, plan = tridiagonal_example()
         expected = 2.0 * math.log(3.0) - math.log(2.0)
-        assert logdet_completion(completion_factors(xbar, cs)) == pytest.approx(expected, abs=1e-12)
-        dense = reconstruct_dense(completion_factors(xbar, cs))
+        assert logdet_completion(completion_factors(xbar, plan)) == pytest.approx(expected, abs=1e-12)
+        dense = reconstruct_dense(completion_factors(xbar, plan))
         assert np.linalg.slogdet(dense)[1] == pytest.approx(expected, abs=1e-12)
 
     def test_identity(self):
-        xbar, cs = tridiagonal_example()
+        xbar, plan = tridiagonal_example()
         eye = SparseSymMatrix.identity(xbar.pattern)
-        assert logdet_completion(completion_factors(eye, cs)) == pytest.approx(0.0, abs=1e-14)
+        assert logdet_completion(completion_factors(eye, plan)) == pytest.approx(0.0, abs=1e-14)
 
     def test_band_one_n4_against_dense_determinant(self):
         pat = banded_pattern(4, 1)
         xbar = SparseSymMatrix(pat, [2.0] * 4 + [1.0] * 3)
-        cs = rip_order(maximal_cliques(pat))
-        xhat = reconstruct_dense(completion_factors(xbar, cs))
+        plan = clique_plan(pat)
+        xhat = reconstruct_dense(completion_factors(xbar, plan))
         expected = np.linalg.slogdet(xhat)[1]
-        got = logdet_completion(completion_factors(xbar, cs))
+        got = logdet_completion(completion_factors(xbar, plan))
         assert got == pytest.approx(expected, abs=1e-12)
         # strictly beats the zero-filled tridiagonal (det 5) by maximality
         assert got > math.log(5.0)
@@ -124,84 +140,84 @@ class TestLogdetCompletion:
 
 class TestCompletionInverse:
     def test_identity(self):
-        xbar, cs = tridiagonal_example()
+        xbar, plan = tridiagonal_example()
         eye = SparseSymMatrix.identity(xbar.pattern)
-        inv = completion_inverse(completion_factors(eye, cs))
+        inv = completion_inverse(completion_factors(eye, plan))
         assert np.allclose(inv.to_dense(), np.eye(3))
 
     def test_tridiagonal_against_dense(self):
-        xbar, cs = tridiagonal_example()
+        xbar, plan = tridiagonal_example()
         dense_inv = np.linalg.inv(np.array([[2, 1, 0.5], [1, 2, 1], [0.5, 1, 2]]))
         assert dense_inv[0, 2] == pytest.approx(0.0, abs=1e-12)
-        inv = completion_inverse(completion_factors(xbar, cs))
+        inv = completion_inverse(completion_factors(xbar, plan))
         assert restrict_abs_error(dense_inv, inv) < 1e-12
 
     def test_disjoint_blocks(self):
         pat = SparseSymPattern(4, [(0, 1), (2, 3)])
         xbar = SparseSymMatrix(pat, [2.0, 2.0, 3.0, 3.0, 1.0, 1.0])
-        cs = rip_order(maximal_cliques(pat))
-        inv = completion_inverse(completion_factors(xbar, cs))
+        plan = clique_plan(pat)
+        inv = completion_inverse(completion_factors(xbar, plan))
         top = np.linalg.inv([[2.0, 1.0], [1.0, 2.0]])
         assert inv.to_dense()[:2, :2] == pytest.approx(top)
 
     def test_matches_gradient_of_logdet(self):
         rng = np.random.default_rng(21)
-        xbar, cs, _ = random_completable_partial(8, 0.35, rng)
-        inv = completion_inverse(completion_factors(xbar, cs))
+        xbar, plan, _ = random_completable_partial(8, 0.35, rng)
+        inv = completion_inverse(completion_factors(xbar, plan))
         step = 1e-6
         for v in range(xbar.n):
             plus = SparseSymMatrix(xbar.pattern, xbar.values.copy())
             plus.diag[v] += step
             minus = SparseSymMatrix(xbar.pattern, xbar.values.copy())
             minus.diag[v] -= step
-            fd = (logdet_completion(completion_factors(plus, cs)) - logdet_completion(completion_factors(minus, cs))) / (2 * step)
+            fd = (logdet_completion(completion_factors(plus, plan)) - logdet_completion(completion_factors(minus, plan))) / (2 * step)
             assert fd == pytest.approx(inv.diag[v], rel=1e-4, abs=1e-7)
         for i, j, k in xbar.pattern.edges():
             plus = SparseSymMatrix(xbar.pattern, xbar.values.copy())
             plus.offdiag[k] += step
             minus = SparseSymMatrix(xbar.pattern, xbar.values.copy())
             minus.offdiag[k] -= step
-            fd = (logdet_completion(completion_factors(plus, cs)) - logdet_completion(completion_factors(minus, cs))) / (2 * step)
+            fd = (logdet_completion(completion_factors(plus, plan)) - logdet_completion(completion_factors(minus, plan))) / (2 * step)
             # symmetric perturbation counts the entry twice
             assert fd == pytest.approx(2.0 * inv.offdiag[k], rel=1e-4, abs=1e-7)
 
 
 class TestCompletionHessApply:
     def test_identity_returns_argument(self):
-        xbar, cs = tridiagonal_example()
+        xbar, plan = tridiagonal_example()
         eye = SparseSymMatrix.identity(xbar.pattern)
         z = SparseSymMatrix(xbar.pattern, [1.0, -2.0, 0.5, 0.3, -0.7])
-        out = completion_hess_product(eye, cs, z)
+        out = completion_hess_product(eye, plan, z)
         assert np.allclose(out.diag, z.diag)
         assert np.allclose(out.offdiag, z.offdiag)
 
     def test_diagonal_scaling(self):
         pat = SparseSymPattern(3, [(0, 1), (1, 2)])
-        cs = rip_order(maximal_cliques(pat))
+        plan = clique_plan(pat)
         d = np.array([2.0, 3.0, 0.5])
         xbar = SparseSymMatrix(pat, np.append(d, [0.0, 0.0]))
         z = SparseSymMatrix(pat, [1.0, 1.0, 1.0, 1.0, 1.0])
-        out = completion_hess_product(xbar, cs, z)
+        out = completion_hess_product(xbar, plan, z)
         assert out.diag == pytest.approx(d * d)
         assert out.offdiag[pat.edge_index(0, 1)] == pytest.approx(d[0] * d[1])
 
     def test_rank_one_probe_against_dense(self):
-        xbar, cs = tridiagonal_example()
+        xbar, plan = tridiagonal_example()
         z = SparseSymMatrix(xbar.pattern, [1.0, 0.0, 0.0, 0.0, 0.0])
-        xhat = reconstruct_dense(completion_factors(xbar, cs))
+        xhat = reconstruct_dense(completion_factors(xbar, plan))
         target = xhat @ z.to_dense() @ xhat
-        out = completion_hess_product(xbar, cs, z)
+        out = completion_hess_product(xbar, plan, z)
         assert restrict_abs_error(target, out) < 1e-10
 
     def test_random_instances_against_dense(self):
         rng = np.random.default_rng(22)
         for _ in range(20):
             n = int(rng.integers(2, 13))
-            xbar, cs, _ = random_completable_partial(n, 0.4, rng)
+            xbar, plan, _ = random_completable_partial(n, 0.4, rng)
             z = SparseSymMatrix(xbar.pattern, rng.standard_normal(n + xbar.pattern.nnz))
-            xhat = reconstruct_dense(completion_factors(xbar, cs))
+            xhat = reconstruct_dense(completion_factors(xbar, plan))
             target = xhat @ z.to_dense() @ xhat
-            out = completion_hess_product(xbar, cs, z)
+            out = completion_hess_product(xbar, plan, z)
             scale = max(np.abs(target).max(), 1.0)
             assert restrict_abs_error(target, out) < 1e-9 * scale
 
@@ -209,12 +225,12 @@ class TestCompletionHessApply:
         rng = np.random.default_rng(23)
         for _ in range(10):
             n = int(rng.integers(2, 12))
-            xbar, cs, _ = random_completable_partial(n, 0.4, rng)
+            xbar, plan, _ = random_completable_partial(n, 0.4, rng)
             nnz = xbar.pattern.nnz
             z1 = SparseSymMatrix(xbar.pattern, rng.standard_normal(n + nnz))
             z2 = SparseSymMatrix(xbar.pattern, rng.standard_normal(n + nnz))
-            h1 = completion_hess_product(xbar, cs, z1)
-            h2 = completion_hess_product(xbar, cs, z2)
+            h1 = completion_hess_product(xbar, plan, z1)
+            h2 = completion_hess_product(xbar, plan, z2)
             lhs = inner_product(h1, z2)
             rhs = inner_product(z1, h2)
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
@@ -222,14 +238,14 @@ class TestCompletionHessApply:
 
 class TestCompletionVectors:
     def test_identity(self):
-        xbar, cs = tridiagonal_example()
+        xbar, plan = tridiagonal_example()
         eye = SparseSymMatrix.identity(xbar.pattern)
-        v = completion_vectors(completion_factors(eye, cs))
+        v = completion_vectors(completion_factors(eye, plan))
         assert np.allclose(v, np.eye(3))
 
     def test_tridiagonal_gram(self):
-        xbar, cs = tridiagonal_example()
-        factors = completion_factors(xbar, cs)
+        xbar, plan = tridiagonal_example()
+        factors = completion_factors(xbar, plan)
         v = completion_vectors(factors)
         assert np.abs(v.T @ v - reconstruct_dense(factors)).max() < 1e-10
 
@@ -237,8 +253,8 @@ class TestCompletionVectors:
         pat = SparseSymPattern(3, [(0, 1), (0, 2), (1, 2)])
         dense = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
         xbar = sparse_from_dense(pat, dense)
-        cs = rip_order(maximal_cliques(pat))
-        v = completion_vectors(completion_factors(xbar, cs))
+        plan = clique_plan(pat)
+        v = completion_vectors(completion_factors(xbar, plan))
         assert np.allclose(v, np.linalg.cholesky(dense).T)
 
 
@@ -247,8 +263,8 @@ class TestMaxDeterminantProperties:
         rng = np.random.default_rng(24)
         for _ in range(15):
             n = int(rng.integers(3, 12))
-            xbar, cs, _ = random_completable_partial(n, 0.3, rng)
-            xhat = reconstruct_dense(completion_factors(xbar, cs))
+            xbar, plan, _ = random_completable_partial(n, 0.3, rng)
+            xhat = reconstruct_dense(completion_factors(xbar, plan))
             inv = np.linalg.inv(xhat)
             mask = dense_mask(xbar.pattern)
             off = np.abs(inv[~mask]).max() if (~mask).any() else 0.0
@@ -285,8 +301,8 @@ class TestBatchedSweep:
            seed=st.integers(0, 2**32 - 1))
     def test_random_chordal_patterns_match_dense_oracles(self, n, density, seed):
         rng = np.random.default_rng(seed)
-        xbar, cs, _ = random_completable_partial(n, density, rng)
-        factors = completion_factors(xbar, cs)
+        xbar, plan, _ = random_completable_partial(n, density, rng)
+        factors = completion_factors(xbar, plan)
         xhat = reconstruct_dense(factors)
         # V^T V from completion_vectors reproduces X-bar on F ...
         assert restrict_abs_error(xhat, xbar) <= 1e-10 * max(np.abs(xhat).max(), 1.0)
@@ -301,7 +317,7 @@ class TestBatchedSweep:
         # The separator-first sweep reads the separator factors off the
         # clique factors, so it matches the clique-by-clique formulas to
         # rounding.
-        loop_logdet, loop_inv = per_clique_completion(xbar, cs)
+        loop_logdet, loop_inv = per_clique_completion(xbar, plan)
         assert logdet_completion(factors) == pytest.approx(
             loop_logdet, rel=1e-12, abs=1e-12)
         got = completion_inverse(factors).to_dense()
@@ -313,11 +329,11 @@ class TestBatchedSweep:
         pat = banded_pattern(n, 2)                 # five 3-vertex cliques
         xbar = SparseSymMatrix.identity(pat)
         xbar.offdiag[pat.edge_index(bad + 2, bad)] = 2.0   # only in clique {bad..bad+2}
-        cs = rip_order(maximal_cliques(pat))
-        groups = completion_factors(SparseSymMatrix.identity(pat), cs).slots.groups
+        plan = clique_plan(pat)
+        groups = completion_factors(SparseSymMatrix.identity(pat), plan).plan.groups
         assert [len(members) for members, _, _ in groups] == [n - 2]
         with pytest.raises(NotCompletable):
-            completion_factors(xbar, cs)
+            completion_factors(xbar, plan)
 
 
 class TestCompletionInverseFactor:
@@ -329,8 +345,8 @@ class TestCompletionInverseFactor:
            seed=st.integers(0, 2**32 - 1))
     def test_random_chordal_patterns_match_refactorization(self, n, density, seed):
         rng = np.random.default_rng(seed)
-        xbar, cs, _ = random_completable_partial(n, density, rng)
-        factors = completion_factors(xbar, cs)
+        xbar, plan, _ = random_completable_partial(n, density, rng)
+        factors = completion_factors(xbar, plan)
         got = completion_inverse_factor(factors)
         want = cholesky_factorize(completion_inverse(factors))
         assert got.pattern is want.pattern
@@ -348,7 +364,8 @@ class TestCompletionInverseFactor:
         xbar, _ = tridiagonal_example()
         cs = rip_order([[1, 2], [0, 1]])
         assert cs.residuals[0].tolist() == [2] and cs.separators[0].tolist() == [1]
-        factors = completion_factors(xbar, cs)
+        plan = CliquePlan(cs, xbar.pattern)
+        factors = completion_factors(xbar, plan)
         xhat = reconstruct_dense(factors)
         assert xhat[0, 2] == pytest.approx(0.5, abs=1e-12)
         assert logdet_completion(factors) == pytest.approx(
@@ -365,18 +382,18 @@ class TestBandedLogdet:
         rng = np.random.default_rng(25)
         for n, p in [(6, 1), (12, 3), (9, 8), (25, 4), (40, 2)]:
             xbar = random_banded_partial(n, p, seed=int(rng.integers(1 << 30)))
-            cs = rip_order(maximal_cliques(xbar.pattern))
-            a = logdet_completion(completion_factors(xbar, cs))
+            plan = clique_plan(xbar.pattern)
+            a = logdet_completion(completion_factors(xbar, plan))
             b = logdet_completion_banded(xbar, p)
             assert b == pytest.approx(a, abs=1e-9)
 
     def test_full_band_single_clique(self):
         n = 7
         xbar = random_banded_partial(n, n - 1, seed=5)
-        cs = rip_order(maximal_cliques(xbar.pattern))
-        assert len(cs) == 1
+        plan = clique_plan(xbar.pattern)
+        assert len(plan.cliques) == 1
         assert logdet_completion_banded(xbar, n - 1) == \
-            pytest.approx(logdet_completion(completion_factors(xbar, cs)), abs=1e-9)
+            pytest.approx(logdet_completion(completion_factors(xbar, plan)), abs=1e-9)
 
     def test_rejects_non_band_pattern(self):
         pat = SparseSymPattern(4, [(0, 1), (2, 3)])
@@ -396,7 +413,7 @@ class TestBandedLogdet:
         # in the acceptance suite, here only the values are cross-checked
         for p in (2, 4, 8):
             xbar = random_banded_partial(10 + p, p, seed=p)
-            cs = rip_order(maximal_cliques(xbar.pattern))
+            plan = clique_plan(xbar.pattern)
             assert logdet_completion_banded(xbar, p) == \
-                pytest.approx(logdet_completion(completion_factors(xbar, cs)), abs=1e-9)
+                pytest.approx(logdet_completion(completion_factors(xbar, plan)), abs=1e-9)
 

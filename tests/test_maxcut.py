@@ -22,6 +22,13 @@ class TestGraph:
         g = Graph(3, [(0, 1)])
         assert g.edges == [(0, 1, 1.0)]
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_rejects_fewer_than_one_vertex(self, n):
+        with pytest.raises(ValueError, match="need at least one vertex"):
+            Graph(n, [])
+        with pytest.raises(ValueError, match="need at least one vertex"):
+            random_graph(n, 0, seed=1)
+
 
 class TestRandomGraph:
     def test_complete_when_m_max(self):
@@ -155,6 +162,11 @@ class TestHyperplaneRounding:
         g = Graph(3, [])
         result = hyperplane_rounding(np.eye(3), g, trials=10, seed=1)
         assert result.cut_value == 0.0
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_rejects_fewer_than_one_trial(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            hyperplane_rounding(np.eye(3), Graph(3, [(0, 1, 1.0)]), trials=trials)
 
     def test_deterministic_per_seed(self):
         g = random_graph(8, 12, seed=8)

@@ -44,6 +44,13 @@ class TestProblemInvariants:
                 problem.fill.edge_index(i, j)
         assert sum(len(s) for s in problem.cliques.residuals) == problem.n
 
+    def test_clique_plan_is_built_on_first_read(self):
+        problem = maxcut_sdp(random_graph(9, 14, seed=39))
+        assert "plan" not in vars(problem)
+        plan = problem.plan
+        assert plan is problem.plan
+        assert plan.cliques is problem.cliques and plan.pattern is problem.fill
+
     def test_entry_table_matches_the_permuted_constraints(self):
         # the table comes from the caller's matrices through the ordering;
         # rebuilding it from the permuted copies must give the same
@@ -454,7 +461,7 @@ class TestDirectionsAgainstDenseReference:
         state2 = choice.trial
         prim2, dual2 = build_directions(state2, cfg)
 
-        xhat = reconstruct_dense(completion_factors(state2.xbar, problem.cliques))
+        xhat = reconstruct_dense(completion_factors(state2.xbar, problem.plan))
         c_dense, a_dense, b = problem_dense_data(problem)
         ref = dense_reference_directions(c_dense, a_dense, b, xhat,
                                          state2.s.to_dense(), rho)
@@ -478,8 +485,7 @@ class TestDirectionsAgainstDenseReference:
         c_dense, a_dense, b = problem_dense_data(problem)
         for _ in range(3):
             prim, dual = build_directions(state, cfg)
-            xhat = reconstruct_dense(completion_factors(state.xbar,
-                                                        problem.cliques))
+            xhat = reconstruct_dense(completion_factors(state.xbar, problem.plan))
             ref = dense_reference_directions(c_dense, a_dense, b, xhat,
                                              state.s.to_dense(), rho)
             for dense, mat in ((ref["dx1"], prim.dx),
@@ -594,7 +600,7 @@ class TestPotentialMinimize:
             try:
                 fac = cholesky_factorize(s)
                 xb = SparseSymMatrix(problem.fill, x)
-                ld = logdet_completion(completion_factors(xb, problem.cliques))
+                ld = logdet_completion(completion_factors(xb, problem.plan))
             except Exception:
                 continue
             gap = inner_product(s, xb)
@@ -791,12 +797,17 @@ class TestSolve:
         assert max(r.dual_residual for r in report.records) <= 1e-7
         assert all(r.gap > 0 for r in report.records)
 
-    def test_dual_residual_sees_a_corrupted_factor(self):
+    @pytest.mark.parametrize("where", ["diagonal", "offdiagonal"])
+    def test_dual_residual_sees_a_corrupted_factor(self, where):
         problem = maxcut_sdp(random_graph(10, 16, seed=22))
         x0, y0 = initial_point(problem)
         state = IterateState.create(problem, x0, y0, rho=20.0)
         assert state.residuals()[1] <= 1e-12
-        state.s_factor.diag[0] *= 1.001
+        factor = state.s_factor
+        slot = 0 if where == "diagonal" else \
+            problem.n + int(np.argmax(np.abs(factor.offdiag)))
+        assert factor.values[slot] != 0.0
+        factor.values[slot] *= 1.001
         assert state.residuals()[1] > 1e-8
 
     def test_csv_and_summary_roundtrip(self, tmp_path):

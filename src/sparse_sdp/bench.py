@@ -121,11 +121,7 @@ def random_banded_partial(n, bandwidth, seed):
         acc = np.zeros(n - d)
         for k in range(d, p + 1):
             acc += gband[d:, k] * gband[: n - d, k - d]
-        if d == 0:
-            out.diag[:] = acc
-        else:
-            for t, i in enumerate(range(d, n)):
-                out.offdiag[pat.edge_index(i, i - d)] = acc[t]
+        out.values[pat.slots(np.arange(d, n), np.arange(n - d))] = acc
     return out
 
 

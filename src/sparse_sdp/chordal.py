@@ -8,10 +8,10 @@ tree, as in Vandenberghe & Andersen, *Chordal Graphs and Semidefinite
 Optimization* (2015), section 4: with higher(v) the neighbours of v above
 v, the parent of v is the lowest vertex of higher(v).  A ``CliquePlan``
 says where each clique block C_r x C_r sits in the [diag | offdiag]
-storage of a matrix on the pattern, grouped by clique size, so a sweep
-over the cliques is one batched numpy call per size: the completion of
-the primal partial matrix reads it, and so does the dual residual's
-L L^T.
+storage of a matrix on the pattern, grouped by clique size and looked
+up by one ``slots`` call per size, so a sweep over the cliques is one
+batched numpy call per size: the completion of the primal partial
+matrix reads it, and so does the dual residual's L L^T.
 """
 
 from __future__ import annotations
@@ -23,12 +23,6 @@ import numpy as np
 
 from .errors import NotChordal, RipFailure
 from .sparsemat import SparseSymMatrix
-
-
-def _all_in(keys, probe):
-    """True iff every value of ``probe`` occurs in the ascending ``keys``."""
-    at = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
-    return np.array_equal(keys[at], probe)
 
 
 def maximal_cliques(pattern):
@@ -48,15 +42,16 @@ def maximal_cliques(pattern):
     n = pattern.n
     ptr, rows = pattern.col_ptr, pattern.rows
     size = np.diff(ptr)
-    col = np.repeat(np.arange(n, dtype=np.int64), size)
     parent = np.full(n, -1, dtype=np.int64)
     has = size > 0
     parent[has] = rows[ptr[:-1][has]]
 
-    # edge (i, j), i > j, has key j n + i; the storage order sorts the keys
-    up = parent[col]
-    if not _all_in(col * n + rows, (up * n + rows)[rows != up]):
-        raise NotChordal("(0..n-1) is not a perfect elimination ordering")
+    # each edge (i, j), i > j, i != parent(j), needs the edge (i, parent(j))
+    up = parent[pattern.slot_ends[1][n:]]
+    try:
+        pattern.slots(rows[rows != up], up[rows != up])
+    except KeyError:
+        raise NotChordal("(0..n-1) is not a perfect elimination ordering") from None
 
     # prev[v]: a child w with higher(w) = {v} ∪ higher(v), whose supernode
     # v continues (any such child will do; the last one is taken)
@@ -113,7 +108,7 @@ def rip_order(cliques, n=None):
         n = 1 + int(flat.max()) if len(flat) else 0
     if len(flat) and (flat.min() < 0 or flat.max() >= n):
         raise RipFailure(f"a clique vertex lies outside 0..{n - 1}")
-    owner = np.repeat(np.arange(len(cliques), dtype=np.int64), sizes)
+    owner = np.searchsorted(np.cumsum(sizes), np.arange(len(flat)), side="right")
     home = np.full(n, -1, dtype=np.int64)       # the clique whose residual holds v
     np.maximum.at(home, flat, owner)
     if np.any(home < 0):
@@ -126,7 +121,8 @@ def rip_order(cliques, n=None):
     sep, sep_owner = flat[~in_residual], owner[~in_residual]
     target = np.full(len(cliques), len(cliques), dtype=np.int64)
     np.minimum.at(target, sep_owner, home[sep])
-    if not _all_in(owner * n + flat, target[sep_owner] * n + sep):
+    keys, probe = owner * n + flat, target[sep_owner] * n + sep    # keys ascend
+    if not np.array_equal(keys[np.minimum(keys.searchsorted(probe), len(keys) - 1)], probe):
         raise RipFailure("a separator lies in no later clique")
 
     residual_ends = np.cumsum(residual_sizes)[:-1]
@@ -158,27 +154,26 @@ class CliquePlan:
     """
 
     def __init__(self, cliques, pattern):
-        n = pattern.n
         self.cliques = cliques
         self.pattern = pattern
-        blocks = []
-        for u, s in zip(cliques.separators, cliques.residuals):
-            order = np.concatenate((u[::-1], s[::-1])).tolist()
-            blocks.append(np.array([[a if a == b else n + pattern.edge_index(a, b)
-                                     for b in order] for a in order], dtype=np.int64))
+        nsep = np.array([len(u) for u in cliques.separators], dtype=np.int64)
+        sizes = nsep + [len(s) for s in cliques.residuals]
+        # S_0, U_0, S_1, U_1, ...; block r is its run ending at end[r], reversed
+        flat = np.concatenate([x for pair in zip(cliques.residuals, cliques.separators)
+                               for x in pair])
+        end = np.cumsum(sizes)
         self.groups, self.factor_masks, tri_slots = [], [], []
-        for k in sorted({len(idx) for idx in blocks}):
-            members = np.array([r for r, idx in enumerate(blocks) if len(idx) == k],
-                               dtype=np.int64)
-            gather = np.stack([blocks[r] for r in members])
-            seps = np.array([len(cliques.separators[r]) for r in members])
-            residual = np.arange(k) >= seps[:, None]
+        for k in np.unique(sizes).tolist():
+            members = np.flatnonzero(sizes == k)
+            verts = flat[end[members, None] - 1 - np.arange(k)]
+            gather = pattern.slots(verts[:, :, None], verts[:, None, :])
+            residual = np.arange(k) >= nsep[members, None]
             self.groups.append((members, gather, residual))
             self.factor_masks.append(residual[:, :, None] & np.tri(k, dtype=bool))
             tri_slots.append(gather[_upper(k)].ravel())
         self.scatter = np.concatenate(tri_slots)
-        below = all(len(u) == 0 or s[-1] < u[0]
-                    for u, s in zip(cliques.separators, cliques.residuals))
+        first_u = (end - nsep)[nsep > 0]          # where U_r starts, right after S_r
+        below = np.all(flat[first_u - 1] < flat[first_u])
         self.factor_slots = np.concatenate(
             [gather[mask] for (_, gather, _), mask in zip(self.groups, self.factor_masks)]
         ) if below else None

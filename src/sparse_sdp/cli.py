@@ -29,8 +29,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "trials", 1) < 1:
-            raise ValueError(f"--trials must be at least 1, got {args.trials}")
+        for flag, low in (("trials", 1), ("reps", 0)):
+            if getattr(args, flag, low) < low:
+                raise ValueError(f"--{flag} must be at least {low}, got {getattr(args, flag)}")
         return args.func(args)
     except (SdpaParseError, TooManyEdges, InfeasibleStart, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -254,15 +254,10 @@ def _dense_chol_rows(a):
 
 
 def _require_full_band(pattern, p):
+    """ValueError unless the pattern holds every entry 0 < i - j <= p: its
+    edges lie in that band and are as many as the band has."""
     n = pattern.n
-    counts = np.minimum(p, n - 1 - np.arange(n))
-    counts = np.maximum(counts, 0)
-    if not np.array_equal(np.diff(pattern.col_ptr), counts):
+    rows, cols = pattern.slot_ends
+    q = max(min(p, n - 1), 0)            # the band's width
+    if np.any(rows[n:] - cols[n:] > p) or pattern.nnz != q * n - q * (q + 1) // 2:
         raise ValueError("pattern is not the full band of the stated bandwidth")
-    total = int(counts.sum())
-    if total:
-        starts = pattern.col_ptr[:-1]
-        within = np.arange(total) - np.repeat(starts, counts)
-        expected = np.repeat(np.arange(n), counts) + within + 1
-        if not np.array_equal(pattern.rows, expected):
-            raise ValueError("pattern is not the full band of the stated bandwidth")

@@ -116,10 +116,7 @@ def hess_from_columns(w, z):
     n = pat.n
     if w.shape != (n, n):
         raise ValueError(f"W must be {n} x {n}, not {w.shape}")
-    # ends of every slot of [diag | offdiag]
-    rows = np.concatenate((np.arange(n), pat.rows))
-    cols = np.concatenate((np.arange(n),
-                           np.repeat(np.arange(n), np.diff(pat.col_ptr))))
+    rows, cols = pat.slot_ends
     nz = np.flatnonzero(z.values)
     a, b = rows[nz], cols[nz]
 

@@ -63,6 +63,8 @@ class CutResult:
 def random_graph(n, m, seed):
     """Uniform simple graph with exactly m edges; deterministic per seed."""
     limit = n * (n - 1) // 2
+    if m < 0:
+        raise ValueError(f"m must be nonnegative, got {m}")
     if m > limit:
         raise TooManyEdges(f"{m} edges requested, K_{n} has only {limit}")
     rng = np.random.default_rng(seed)
@@ -79,12 +81,12 @@ def random_graph(n, m, seed):
 def maxcut_sdp(graph):
     """Standard-form relaxation: C = -Laplacian/4, unit diagonal constraints."""
     n = graph.n
-    pat = SparseSymPattern(n, [(i, j) for i, j, _ in graph.edges])
+    ends = np.array([e[:2] for e in graph.edges], dtype=np.int64).reshape(-1, 2)
+    quarter = np.array([e[2] for e in graph.edges]) / 4.0
+    pat = SparseSymPattern(n, ends.tolist())
     values = np.zeros(n + pat.nnz)
-    for i, j, w in graph.edges:
-        values[n + pat.edge_index(i, j)] = w / 4.0
-        values[i] -= w / 4.0
-        values[j] -= w / 4.0
+    values[pat.slots(ends[:, 0], ends[:, 1])] = quarter
+    np.subtract.at(values, ends.ravel(), np.repeat(quarter, 2))   # i, then j, per edge
     c = SparseSymMatrix(pat, values)
     empty = SparseSymPattern(n)
     constraints = [SparseSymMatrix(empty, row, check=False) for row in np.eye(n)]
@@ -95,37 +97,46 @@ def initial_point(problem):
     """Strictly feasible start for problems with unit-diagonal constraints.
 
     The primal partial matrix is the identity on the fill pattern.  The
-    dual vector starts at all ones (slack C - I) and is shifted uniformly
-    downward past the worst Gershgorin bound until the slack factorizes.
+    dual vector starts at all ones (slack C - I) and is shifted downward,
+    y_p by (|bound| + 1) / a_p for A_p = a_p e_v e_v^T, past the worst
+    Gershgorin bound until the slack factorizes.  Raises ValueError
+    unless the constraints are one such A_p per vertex with a_p > 0.
     """
-    _require_diagonal_constraints(problem)
+    coef = _require_diagonal_constraints(problem)
+    n = problem.n
     x0 = SparseSymMatrix.identity(problem.fill)
-    y0 = np.ones(problem.n)
+    y0 = np.ones(n)
     while True:
         s = problem.dual_slack(y0)
         try:
             cholesky_factorize(s)
             return x0, y0
         except NotPositiveDefinite:
-            row_abs = np.zeros(problem.n)
-            for i, j, k in s.pattern.edges():
-                row_abs[i] += abs(s.offdiag[k])
-                row_abs[j] += abs(s.offdiag[k])
+            # |S_ij| added to rows i and j, edge by edge as a loop would
+            ends = np.column_stack(s.pattern.slot_ends)[n:].ravel()
+            row_abs = np.bincount(ends, np.repeat(np.abs(s.offdiag), 2), minlength=n)
             bound = float(np.min(s.diag - row_abs))
-            y0 = y0 - (abs(bound) + 1.0)
+            y0 = y0 - (abs(bound) + 1.0) / coef     # S_vv rises by |bound| + 1
 
 
 def _require_diagonal_constraints(problem):
-    """Raise ValueError unless each A_p has one nonzero entry, on the diagonal,
-    and there is one A_p per vertex (read from the problem's entry table)."""
+    """The a_p of constraints A_p = a_p e_v e_v^T, one per vertex v, read
+    from the problem's entry table; ValueError unless the constraints have
+    that form with every a_p > 0."""
     if problem.m != problem.n:
         raise ValueError("expected one unit-diagonal constraint per vertex")
-    own = problem._ent_own
-    on_diag = problem._ent_slot < problem.n
+    own, r = problem._ent_own, problem._ent_r
+    on_diag = r == problem._ent_s
     bad = np.bincount(own[on_diag], minlength=problem.m) != 1
     bad[own[~on_diag]] = True
     if np.any(bad):
         raise ValueError(f"constraint {int(np.argmax(bad))} is not a unit diagonal indicator")
+    # one entry per constraint, so the table lists them in constraint order
+    bad = (problem._ent_val <= 0.0) | (np.bincount(r, minlength=problem.n)[r] > 1)
+    if np.any(bad):
+        raise ValueError(f"constraint {int(np.argmax(bad))} has a coefficient <= 0 "
+                         "or shares its vertex with another constraint")
+    return problem._ent_val
 
 
 def cut_value(graph, sides):

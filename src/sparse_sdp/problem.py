@@ -22,11 +22,6 @@ from .sparsemat import (SparseSymMatrix, SparseSymPattern, min_degree_ordering,
                         symbolic_factorize)
 
 
-def _edge_cols(pattern):
-    """Column of each stored edge, in storage order."""
-    return np.repeat(np.arange(pattern.n, dtype=np.int64), np.diff(pattern.col_ptr))
-
-
 class SdpProblem:
     """min C.X s.t. A_p.X = b_p, X PSD, with sparse symmetric data.
 
@@ -45,8 +40,9 @@ class SdpProblem:
             if a.n != n:
                 raise ValueError("constraint dimension mismatch")
 
-        agg = SparseSymPattern(n, [(i, j) for mat in (c, *constraints)
-                                   for i, j, _ in mat.pattern.edges()])
+        agg = SparseSymPattern(n, [
+            edge for mat in (c, *constraints) if mat.pattern.nnz
+            for edge in np.column_stack(mat.pattern.slot_ends)[n:].tolist()])
         if ordering is None:
             ordering = min_degree_ordering(agg)
         fill = symbolic_factorize(agg, ordering)
@@ -59,46 +55,32 @@ class SdpProblem:
         self.cliques = rip_order(maximal_cliques(fill), n=n)
         self._data = constraints
         perm = ordering.perm
-        fill_keys = _edge_cols(fill) * n + fill.rows
-
-        def permuted(rows, cols):
-            """Permuted ends (r, s), r >= s, and the fill slot of r > s."""
-            rows, cols = perm[rows], perm[cols]
-            r, s = np.maximum(rows, cols), np.minimum(rows, cols)
-            return r, s, np.searchsorted(fill_keys, s * n + r)
-
+        rows, cols = c.pattern.slot_ends
         self.c = SparseSymMatrix.zeros(fill)
-        self.c.diag[perm] = c.diag
-        self.c.offdiag[permuted(c.pattern.rows, _edge_cols(c.pattern))[2]] = c.offdiag
+        self.c.values[fill.slots(perm[rows], perm[cols])] = c.values
 
         # Every nonzero constraint entry as (owner, row, col, value) in the
         # caller's labels; a diagonal entry has row == col.
         none = np.zeros(0, dtype=np.int64)
         parts = [(none, none, none, np.zeros(0))]
         for p, a in enumerate(constraints):
-            nz = np.flatnonzero(a.diag)
-            parts.append((np.full(len(nz), p), nz, nz, a.diag[nz]))
-            if a.pattern.nnz:
-                nz = np.flatnonzero(a.offdiag)
-                parts.append((np.full(len(nz), p), a.pattern.rows[nz],
-                              _edge_cols(a.pattern)[nz], a.offdiag[nz]))
+            nz = np.flatnonzero(a.values)
+            rows, cols = a.pattern.slot_ends
+            parts.append((np.full(len(nz), p), rows[nz], cols[nz], a.values[nz]))
         own, rows, cols, val = (np.concatenate(x) for x in zip(*parts))
-        r, s, slot = permuted(rows, cols)
-        on_diag = r == s
-        slot = np.where(on_diag, r, n + slot)   # the entry's place in [diag | offdiag]
+        slot = fill.slots(perm[rows], perm[cols])
         # by constraint, then by slot, so each constraint's diagonal entries
         # come first
         order = np.lexsort((slot, own))
 
-        # The one table of constraint entries (r, s), r >= s: owner, slot,
-        # value, weight in A(.) (the value on the diagonal, twice it off
-        # it) and the ends r, s.
+        # The one table of constraint entries (r, s), r >= s, in the fill's
+        # labels: owner, slot, value, weight in A(.) (the value on the
+        # diagonal, twice it off it) and the ends r, s.
         self._ent_own = own[order]
         self._ent_slot = slot[order]
         self._ent_val = val[order]
-        self._ent_weight = np.where(on_diag, 1.0, 2.0)[order] * self._ent_val
-        self._ent_r = r[order]
-        self._ent_s = s[order]
+        self._ent_weight = np.where(rows == cols, 1.0, 2.0)[order] * self._ent_val
+        self._ent_r, self._ent_s = (ends[self._ent_slot] for ends in fill.slot_ends)
         self._ent_start = np.flatnonzero(np.diff(self._ent_own, prepend=-1))
         self._gram_inv = None
 

@@ -66,9 +66,7 @@ def read_sdpa(path):
     if len(b) != m:
         raise SdpaParseError(no_b, f"b has {len(b)} entries, expected {m}")
 
-    diags = [np.zeros(n) for _ in range(m + 1)]
-    offs = [dict() for _ in range(m + 1)]
-    seen_diag = set()              # (matrix, i): a zero value also counts as given
+    entries = [dict() for _ in range(m + 1)]   # per matrix: (row >= col) -> value
     for no, ln in body[4:]:
         parts = ln.split()
         if len(parts) != 5:
@@ -87,27 +85,27 @@ def read_sdpa(path):
             raise SdpaParseError(no, f"block index {blk} must be 1")
         if not (1 <= i <= n and 1 <= j <= n):
             raise SdpaParseError(no, f"entry ({i},{j}) outside block of size {n}")
-        if i == j:
-            if (mat, i) in seen_diag:
-                raise SdpaParseError(no, f"duplicate diagonal entry ({i},{i})")
-            seen_diag.add((mat, i))
-            diags[mat][i - 1] = val
-        else:
-            key = (max(i, j) - 1, min(i, j) - 1)
-            if key in offs[mat]:
-                raise SdpaParseError(no, f"duplicate entry ({i},{j})")
-            offs[mat][key] = val
+        key = (max(i, j) - 1, min(i, j) - 1)
+        if key in entries[mat]:          # a zero value also counts as given
+            raise SdpaParseError(no, f"duplicate entry ({i},{j})")
+        entries[mat][key] = val
 
     empty = SparseSymPattern(n)     # shared by every matrix without off-diagonal entries
-
-    def build(t):
-        pat = SparseSymPattern(n, list(offs[t])) if offs[t] else empty
-        off = np.zeros(pat.nnz)
-        for key, val in offs[t].items():
-            off[pat.edge_index(*key)] = val
-        return SparseSymMatrix(pat, np.append(diags[t], off))
-
-    return build(0), [build(p) for p in range(1, m + 1)], b
+    groups = {}
+    for t, given in enumerate(entries):
+        edges = [key for key in given if key[0] != key[1]]
+        pat = SparseSymPattern(n, edges) if edges else empty
+        groups.setdefault(id(pat), (pat, []))[1].append(t)
+    mats = [None] * (m + 1)
+    for pat, members in groups.values():     # one array and one slots call per pattern
+        keys = np.reshape([(q, *key) for q, t in enumerate(members) for key in entries[t]],
+                          (-1, 3)).astype(np.int64)
+        block = np.zeros((len(members), n + pat.nnz))
+        block[keys[:, 0], pat.slots(keys[:, 1], keys[:, 2])] = [
+            val for t in members for val in entries[t].values()]
+        for t, values in zip(members, block):
+            mats[t] = SparseSymMatrix(pat, values)
+    return mats[0], mats[1:], b
 
 
 def write_sdpa(path, c, constraints, b):
@@ -117,9 +115,7 @@ def write_sdpa(path, c, constraints, b):
         fh.write(f"{len(constraints)}\n1\n{n}\n")
         fh.write(" ".join(repr(float(v)) for v in b) + "\n")
         for t, mat in enumerate([c] + list(constraints)):
-            for v in range(n):
-                if mat.diag[v] != 0.0:
-                    fh.write(f"{t} 1 {v + 1} {v + 1} {float(mat.diag[v])!r}\n")
-            for i, j, k in sorted(mat.pattern.edges(), key=lambda e: (e[1], e[0])):
-                if mat.offdiag[k] != 0.0:
-                    fh.write(f"{t} 1 {j + 1} {i + 1} {float(mat.offdiag[k])!r}\n")
+            # the diagonal, then the edges by (col, row): the storage order
+            rows, cols = mat.pattern.slot_ends
+            for k in np.flatnonzero(mat.values).tolist():
+                fh.write(f"{t} 1 {cols[k] + 1} {rows[k] + 1} {float(mat.values[k])!r}\n")

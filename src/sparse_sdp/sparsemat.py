@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -23,7 +24,10 @@ class SparseSymPattern:
     Edges are unordered pairs {i, j}, i != j; the diagonal is implicit and
     always present.  Column j stores the rows i > j in ascending order, so
     ``column_rows(j)`` is exactly the higher-numbered neighborhood of j
-    when (0..n-1) is taken as an elimination order.
+    when (0..n-1) is taken as an elimination order.  A matrix on the
+    pattern stores its entries in ``values`` = [diag | offdiag], one slot
+    per diagonal entry and per edge in storage order; ``slots`` and
+    ``slot_ends`` are the one map between entries (i, j) and slots.
     """
 
     def __init__(self, n, edges=()):
@@ -69,16 +73,39 @@ class SparseSymPattern:
         """Rows i > j present in column j (ascending)."""
         return self._cols[j]
 
-    def edge_index(self, i, j):
-        """Storage slot of edge {i, j}; raises KeyError if absent."""
-        if i < j:
-            i, j = j, i
-        return self._index[(i, j)]
+    @cached_property
+    def slot_ends(self):
+        """(rows, cols): the entry (rows[k], cols[k]), rows[k] >= cols[k],
+        held in slot k of [diag | offdiag]; (v, v) for the diagonal, then
+        the edges in storage order.  Read-only."""
+        diag = np.arange(self.n, dtype=np.int64)
+        rows = np.concatenate((diag, self.rows))
+        cols = np.concatenate((diag, np.repeat(diag, np.diff(self.col_ptr))))
+        rows.flags.writeable = cols.flags.writeable = False
+        return rows, cols
 
-    def edges(self):
-        """Iterate (row, col, slot) with row > col."""
-        for (i, j), k in self._index.items():
-            yield i, j, k
+    @cached_property
+    def _slot_keys(self):
+        """Every slot's key col n + row, ascending, and a sentinel; each key's slot."""
+        rows, cols = self.slot_ends
+        keys = cols * self.n + rows
+        order = np.argsort(keys, kind="stable")
+        return np.append(keys[order], np.iinfo(np.int64).max), order
+
+    def slots(self, i, j):
+        """Slots in [diag | offdiag] of the entries (i, j), elementwise over
+        broadcast arrays, from either triangle.  Raises KeyError for an
+        index outside 0..n-1 or an off-diagonal (i, j) off the pattern."""
+        n = self.n
+        row = np.asarray(np.maximum(i, j), dtype=np.int64)
+        col = np.asarray(np.minimum(i, j), dtype=np.int64)
+        probe = col * n + row       # negative, and so absent, when col < 0 <= row
+        keys, order = self._slot_keys
+        at = keys.searchsorted(probe)
+        bad = (row >= n) | (keys[at] != probe)
+        if bad.any():
+            raise KeyError(f"({row[bad][0]}, {col[bad][0]}) is not an entry on 0..{n - 1}")
+        return order[at]
 
     def adjacency(self):
         """Per-vertex neighbor sets (cached; patterns are immutable)."""
@@ -152,18 +179,17 @@ class SparseSymMatrix:
         return out
 
     def to_dense(self):
-        out = np.diag(self.diag)
-        for i, j, k in self.pattern.edges():
-            out[i, j] = out[j, i] = self.offdiag[k]
+        rows, cols = self.pattern.slot_ends
+        out = np.zeros((self.n, self.n))
+        out[rows, cols] = out[cols, rows] = self.values
         return out
 
     def permuted(self, ordering):
         perm = ordering.perm
+        rows, cols = self.pattern.slot_ends
         newpat = self.pattern.permuted(ordering)
         out = SparseSymMatrix.zeros(newpat)
-        out.diag[perm] = self.diag
-        for i, j, k in self.pattern.edges():
-            out.offdiag[newpat.edge_index(perm[i], perm[j])] = self.offdiag[k]
+        out.values[newpat.slots(perm[rows], perm[cols])] = self.values
         return out
 
     def scaled(self, alpha):

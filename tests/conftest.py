@@ -49,9 +49,9 @@ def random_pd_on_pattern(pattern, rng, shift=0.0):
     product introduces no entries outside it.
     """
     n = pattern.n
+    rows, cols = pattern.slot_ends
     ldense = np.zeros((n, n))
-    for i, j, k in pattern.edges():
-        ldense[i, j] = rng.standard_normal() * 0.4
+    ldense[rows[n:], cols[n:]] = rng.standard_normal(pattern.nnz) * 0.4
     np.fill_diagonal(ldense, rng.random(n) + 0.7)
     dense = ldense @ ldense.T + shift * np.eye(n)
     return sparse_from_dense(pattern, dense), dense
@@ -129,36 +129,31 @@ def dense_from_sparse(mat):
 
 def sparse_from_dense(pattern, dense):
     """The entries of ``dense`` on ``pattern`` (plus the diagonal)."""
-    dense = np.asarray(dense, dtype=float)
-    off = np.empty(pattern.nnz)
-    for i, j, k in pattern.edges():
-        off[k] = dense[i, j]
-    return SparseSymMatrix(pattern, np.append(np.diagonal(dense), off))
+    rows, cols = pattern.slot_ends
+    return SparseSymMatrix(pattern, np.asarray(dense, dtype=float)[rows, cols])
 
 
 def entry(mat, i, j):
     """Entry (i, j) of a sparse matrix; zero off its pattern."""
-    if i == j:
-        return mat.diag[i]
     try:
-        return mat.offdiag[mat.pattern.edge_index(i, j)]
+        return mat.values[mat.pattern.slots(i, j)]
     except KeyError:
         return 0.0
 
 
 def dense_mask(pattern):
     """Boolean n x n mask of the pattern plus the diagonal."""
-    mask = np.eye(pattern.n, dtype=bool)
-    for i, j, _ in pattern.edges():
-        mask[i, j] = mask[j, i] = True
+    rows, cols = pattern.slot_ends
+    mask = np.zeros((pattern.n, pattern.n), dtype=bool)
+    mask[rows, cols] = mask[cols, rows] = True
     return mask
 
 
 def factor_to_dense(factor):
     """Dense lower-triangular copy of a CholeskyFactor."""
-    out = np.diag(factor.diag)
-    for i, j, k in factor.pattern.edges():
-        out[i, j] = factor.offdiag[k]
+    rows, cols = factor.pattern.slot_ends
+    out = np.zeros((factor.n, factor.n))
+    out[rows, cols] = factor.values
     return out
 
 
@@ -175,10 +170,8 @@ def reconstruct_dense(factors):
 
 def restrict_abs_error(dense, sparse_mat):
     """Max |dense - sparse| over the sparse matrix's pattern plus diagonal."""
-    err = float(np.max(np.abs(np.diagonal(dense) - sparse_mat.diag)))
-    for i, j, k in sparse_mat.pattern.edges():
-        err = max(err, abs(dense[i, j] - sparse_mat.offdiag[k]))
-    return err
+    rows, cols = sparse_mat.pattern.slot_ends
+    return float(np.max(np.abs(dense[rows, cols] - sparse_mat.values)))
 
 
 def dense_reference_directions(c, a_list, b, xhat, s, rho):

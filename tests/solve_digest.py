@@ -1,0 +1,82 @@
+"""One SHA-256 over 36 fixed solves, to check that a change leaves the
+solver's path byte for byte where it was.
+
+    python3 tests/solve_digest.py
+
+Run it in two checkouts and compare the printed digests.  The solves are
+the three benchmark families -- random_graph(35, 105), banded_graph(60, 3)
+and the 5x7 odd torus with weights 1-2, the torus written as .dat-s and
+read back through ``read_sdpa`` -- at ``trial_seed(3, 0..5)``, each in
+four- and two-direction mode.  The digest covers C, x0 and y0 of every
+problem, then each solve's iteration CSV and Gram vectors, or the message
+and partial CSV of an ``IterationLimit``.  It imports ``sparse_sdp`` from
+this checkout's ``src/`` and the generators from ``perfbench/graphs.py``
+by path.
+"""
+
+import hashlib
+import importlib.util
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from sparse_sdp import (EliminationOrdering, Graph, IterationLimit,  # noqa: E402
+                        SdpProblem, SolverConfig, initial_point, maxcut_sdp,
+                        random_graph, read_sdpa, solve, write_sdpa)
+from sparse_sdp.bench import trial_seed  # noqa: E402
+from sparse_sdp.maxcut import gram_vectors  # noqa: E402
+
+_spec = importlib.util.spec_from_file_location("perfbench_graphs",
+                                               ROOT / "perfbench" / "graphs.py")
+graphs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(graphs)
+
+SEED = 3
+INSTANCES = 6
+
+
+def _via_sdpa(graph, path):
+    """The MAX-CUT relaxation of ``graph`` written as .dat-s and read back."""
+    problem = maxcut_sdp(graph)
+    back = EliminationOrdering(problem.ordering.inverse)
+    write_sdpa(path, problem.c.permuted(back),
+               [a.permuted(back) for a in problem.constraints], problem.b)
+    return SdpProblem(*read_sdpa(path))
+
+
+def problems(workdir):
+    """(label, problem) for every instance, in a fixed order."""
+    for index in range(INSTANCES):
+        seed = trial_seed(SEED, index)
+        yield f"random {index}", maxcut_sdp(random_graph(35, 105, seed))
+        yield f"banded {index}", maxcut_sdp(Graph(*graphs.banded_graph(60, 3, seed)))
+        torus = Graph(*graphs.odd_torus_graph(5, 7, seed, max_weight=2))
+        yield f"torus {index}", _via_sdpa(torus, Path(workdir) / f"torus{index}.dat-s")
+
+
+def digest():
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as workdir:
+        for label, problem in problems(workdir):
+            x0, y0 = initial_point(problem)
+            for part in (problem.c.values, x0.values, y0):
+                h.update(part.tobytes())
+            for mode in ("four", "two"):
+                h.update(f"{label} {mode}".encode())
+                try:
+                    report = solve(problem, x0, y0, SolverConfig(direction_mode=mode))
+                except IterationLimit as exc:
+                    h.update(str(exc).encode())
+                    if exc.report is not None:
+                        h.update(exc.report.csv_text().encode())
+                    continue
+                h.update(report.csv_text().encode())
+                h.update(gram_vectors(problem, report.state).tobytes())
+    return h.hexdigest()
+
+
+if __name__ == "__main__":
+    print(digest())

@@ -71,6 +71,25 @@ class TestSolveCommand:
         code, _, err = run_cli(["solve", str(tmp_path / "absent.dat-s")], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("third", ["3 1 2 2 1", "3 1 3 3 -1"],
+                             ids=["uncovered vertex", "negative coefficient"])
+    def test_bad_diagonal_constraints_exit_one(self, tmp_path, third):
+        # C = -L/4 of a triangle; A_1 = A_2 = e_1 e_1^T leave a vertex to
+        # the third constraint, which misses it or has a negative
+        # coefficient.  The MAX-CUT start used to loop forever on both; in
+        # a subprocess so that a hang fails the test instead of the suite.
+        path = tmp_path / "bad.dat-s"
+        path.write_text("3\n1\n3\n1 1 1\n0 1 1 1 -0.5\n0 1 2 2 -0.5\n"
+                        "0 1 3 3 -0.5\n0 1 1 2 0.25\n0 1 1 3 0.25\n"
+                        f"0 1 2 3 0.25\n1 1 1 1 1\n2 1 1 1 1\n{third}\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(str(p) for p in sys.path if p)
+        proc = subprocess.run([sys.executable, "-m", "sparse_sdp.cli", "solve", str(path)],
+                              capture_output=True, text=True, env=env, cwd=tmp_path,
+                              timeout=60)
+        assert proc.returncode == 1
+        assert "no built-in initial point" in proc.stderr
+
     def test_generic_instance_with_pd_objective(self, tmp_path, capsys,
                                                 monkeypatch):
         # non-diagonal constraints exercise the identity/PD-objective start;
@@ -164,6 +183,12 @@ class TestGenGraph:
                                 str(tmp_path / "x.txt")], capsys)
         assert code == 1
 
+    def test_negative_edge_count_exit_one(self, tmp_path, capsys):
+        code, _, err = run_cli(["gen-graph", "5", "-1", "-o",
+                                str(tmp_path / "x.txt")], capsys)
+        assert code == 1
+        assert "m must be nonnegative" in err
+
 
 class TestBenchCommands:
     def test_table1_row_count_and_roundtrip(self, tmp_path, capsys):
@@ -207,6 +232,13 @@ class TestBenchCommands:
         assert code == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("n,")
+
+    def test_banded_negative_reps_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "band.csv"
+        code, _, err = run_cli(["bench-banded", "--range", "6:8", "--reps", "-5",
+                                "-o", str(out)], capsys)
+        assert code == 1
+        assert "--reps" in err and not out.exists()
 
     def test_banded_fix_diff_columns(self, tmp_path, capsys):
         out = tmp_path / "band2.csv"

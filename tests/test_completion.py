@@ -172,7 +172,7 @@ class TestCompletionInverse:
             minus.diag[v] -= step
             fd = (logdet_completion(completion_factors(plus, plan)) - logdet_completion(completion_factors(minus, plan))) / (2 * step)
             assert fd == pytest.approx(inv.diag[v], rel=1e-4, abs=1e-7)
-        for i, j, k in xbar.pattern.edges():
+        for k in range(xbar.pattern.nnz):
             plus = SparseSymMatrix(xbar.pattern, xbar.values.copy())
             plus.offdiag[k] += step
             minus = SparseSymMatrix(xbar.pattern, xbar.values.copy())
@@ -199,7 +199,7 @@ class TestCompletionHessApply:
         z = SparseSymMatrix(pat, [1.0, 1.0, 1.0, 1.0, 1.0])
         out = completion_hess_product(xbar, plan, z)
         assert out.diag == pytest.approx(d * d)
-        assert out.offdiag[pat.edge_index(0, 1)] == pytest.approx(d[0] * d[1])
+        assert out.values[pat.slots(0, 1)] == pytest.approx(d[0] * d[1])
 
     def test_rank_one_probe_against_dense(self):
         xbar, plan = tridiagonal_example()
@@ -328,7 +328,7 @@ class TestBatchedSweep:
         n = 7
         pat = banded_pattern(n, 2)                 # five 3-vertex cliques
         xbar = SparseSymMatrix.identity(pat)
-        xbar.offdiag[pat.edge_index(bad + 2, bad)] = 2.0   # only in clique {bad..bad+2}
+        xbar.values[pat.slots(bad + 2, bad)] = 2.0   # only in clique {bad..bad+2}
         plan = clique_plan(pat)
         groups = completion_factors(SparseSymMatrix.identity(pat), plan).plan.groups
         assert [len(members) for members, _, _ in groups] == [n - 2]
@@ -400,6 +400,16 @@ class TestBandedLogdet:
         xbar = SparseSymMatrix(pat, [2.0] * 4 + [0.5, 0.5])
         with pytest.raises(ValueError):
             logdet_completion_banded(xbar, 1)
+
+    @pytest.mark.parametrize("edges, p", [
+        ([(0, 1), (1, 2), (0, 3)], 1),      # as many edges as the band, one outside
+        ([(0, 1), (1, 2), (2, 3)], 2),      # the band of width 1, not 2
+        ([(0, 1), (1, 2), (2, 3), (0, 2)], 2),
+    ])
+    def test_rejects_pattern_other_than_the_full_band(self, edges, p):
+        pat = SparseSymPattern(4, edges)
+        with pytest.raises(ValueError, match="full band"):
+            logdet_completion_banded(SparseSymMatrix.identity(pat), p)
 
     def test_not_completable_detected(self):
         pat = banded_pattern(4, 1)

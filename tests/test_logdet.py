@@ -95,7 +95,7 @@ class TestHessVec:
         z = SparseSymMatrix(pat, [1.0, 1.0, 1.0, 1.0, 1.0])
         out = hess_vec(fac, z, sinv=sparse_inverse(fac))
         assert out.diag == pytest.approx(1.0 / d ** 2)
-        assert out.offdiag[pat.edge_index(0, 1)] == pytest.approx(1 / (d[0] * d[1]))
+        assert out.values[pat.slots(0, 1)] == pytest.approx(1 / (d[0] * d[1]))
 
     def test_random_six_by_six_against_dense(self):
         rng = np.random.default_rng(32)
@@ -130,7 +130,7 @@ class TestHessVec:
         mat = SparseSymMatrix(fill, [3.0, 3.0, 3.0, 1.0, -1.0])
         fac = cholesky_factorize(mat)
         z = SparseSymMatrix.zeros(fill)
-        z.offdiag[fill.edge_index(0, 1)] = 1.0
+        z.values[fill.slots(0, 1)] = 1.0
         dense = np.linalg.inv(mat.to_dense()) @ z.to_dense() @ np.linalg.inv(mat.to_dense())
         out = hess_vec(fac, z, sinv=sparse_inverse(fac))
         assert restrict_abs_error(dense, out) < 1e-12

@@ -54,6 +54,10 @@ class TestRandomGraph:
         with pytest.raises(TooManyEdges):
             random_graph(4, 7, seed=0)
 
+    def test_negative_edge_count(self):
+        with pytest.raises(ValueError, match="m must be nonnegative"):
+            random_graph(5, -1, seed=0)
+
 
 class TestMaxcutSdp:
     def test_single_edge_objective_scale(self):
@@ -80,7 +84,9 @@ class TestMaxcutSdp:
         edges = {(max(perm[i], perm[j]), min(perm[i], perm[j]))
                  for i, j, _ in g.edges}
         c = problem.c
-        assert {(i, j) for i, j, k in c.pattern.edges() if c.offdiag[k] != 0.0} == edges
+        rows, cols = c.pattern.slot_ends
+        nz = np.flatnonzero(c.offdiag) + c.n
+        assert set(zip(rows[nz].tolist(), cols[nz].tolist())) == edges
 
     def test_triangle_against_reference_solver(self):
         cvxpy = pytest.importorskip("cvxpy")
@@ -129,6 +135,37 @@ class TestInitialPoint:
         problem = SdpProblem(c, constraints, np.ones(len(constraints)))
         with pytest.raises(ValueError, match="unit.diagonal"):
             initial_point(problem)
+
+    @staticmethod
+    def _triangle(vertices, coefs):
+        """C = -L/4 of a triangle, A_p = coefs[p] e_v e_v^T for v = vertices[p]."""
+        c = SparseSymMatrix(SparseSymPattern(3, [(0, 1), (0, 2), (1, 2)]),
+                            [-0.5] * 3 + [0.25] * 3)
+        constraints = []
+        for v, a in zip(vertices, coefs):
+            d = np.zeros(3)
+            d[v] = a
+            constraints.append(SparseSymMatrix(SparseSymPattern(3), d))
+        return SdpProblem(c, constraints, np.array(coefs))
+
+    @pytest.mark.parametrize("vertices, coefs", [
+        ([0, 0, 1], [1.0, 1.0, 1.0]),       # vertex 2 uncovered
+        ([0, 1, 2], [1.0, 1.0, -1.0]),      # nonpositive coefficient
+        ([0, 0, 2], [1.0, 1.0, -1.0]),
+    ], ids=["repeated vertex", "negative coefficient", "both"])
+    def test_each_vertex_needs_one_positive_constraint(self, vertices, coefs):
+        # each of these used to lower y0 forever without making S PD
+        with pytest.raises(ValueError, match="coefficient <= 0 or shares its vertex"):
+            initial_point(self._triangle(vertices, coefs))
+
+    @pytest.mark.parametrize("coef, y", [(1.0, -2.0), (2.0, -1.0)])
+    def test_shift_is_divided_by_the_coefficient(self, coef, y):
+        # S = C - a y I starts with diagonal -0.5 - a and off-diagonal row
+        # sums 0.5; lowering y by (|bound| + 1) / a lifts the diagonal to 1.5
+        problem = self._triangle([0, 1, 2], [coef] * 3)
+        _, y0 = initial_point(problem)
+        assert y0 == pytest.approx([y] * 3)
+        assert problem.dual_slack(y0).diag == pytest.approx([1.5] * 3)
 
     def test_random_instance_invariants(self):
         problem = maxcut_sdp(random_graph(10, 16, seed=6))
@@ -207,8 +244,8 @@ class TestEndToEnd:
         # Gram must reproduce the solved entries on the original-label data
         perm = problem.ordering.perm
         for i, j, w in g.edges:
-            k = problem.fill.edge_index(perm[i], perm[j])
-            assert gram[i, j] == pytest.approx(report.state.xbar.offdiag[k],
+            k = problem.fill.slots(perm[i], perm[j])
+            assert gram[i, j] == pytest.approx(report.state.xbar.values[k],
                                                abs=1e-9)
         assert np.diagonal(gram) == pytest.approx(np.ones(7), abs=1e-9)
 

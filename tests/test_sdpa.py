@@ -12,13 +12,12 @@ def maxcut_file(tmp_path, graph, name="instance.dat-s"):
     """Write the MAX-CUT relaxation data (original labels) as SDPA sparse."""
     n = graph.n
     pat = SparseSymPattern(n, [(i, j) for i, j, _ in graph.edges])
-    diag = np.zeros(n)
-    off = np.zeros(pat.nnz)
+    values = np.zeros(n + pat.nnz)
     for i, j, w in graph.edges:
-        off[pat.edge_index(i, j)] = w / 4.0
-        diag[i] -= w / 4.0
-        diag[j] -= w / 4.0
-    c = SparseSymMatrix(pat, np.append(diag, off))
+        values[pat.slots(i, j)] = w / 4.0
+        values[i] -= w / 4.0
+        values[j] -= w / 4.0
+    c = SparseSymMatrix(pat, values)
     empty = SparseSymPattern(n)
     constraints = []
     for p in range(n):

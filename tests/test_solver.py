@@ -34,14 +34,13 @@ class TestProblemInvariants:
     def test_pattern_chain_and_peo(self):
         problem = maxcut_sdp(random_graph(9, 14, seed=39))
         c = problem.c
-        # edge_index raises KeyError for an edge off the fill
-        for i, j, k in c.pattern.edges():
-            if c.offdiag[k] != 0.0:
-                problem.fill.edge_index(i, j)
+        # slots raises KeyError for an entry off the fill
+        rows, cols = c.pattern.slot_ends
+        nz = np.flatnonzero(c.values)
+        problem.fill.slots(rows[nz], cols[nz])
         maximal_cliques(problem.fill)  # raises NotChordal unless a PEO
         for a in problem.constraints:
-            for i, j, _ in a.pattern.edges():
-                problem.fill.edge_index(i, j)
+            problem.fill.slots(*a.pattern.slot_ends)
         assert sum(len(s) for s in problem.cliques.residuals) == problem.n
 
     def test_clique_plan_is_built_on_first_read(self):
@@ -59,12 +58,14 @@ class TestProblemInvariants:
         # first in (r, s)
         state, _ = generic_problem(np.random.default_rng(7))
         problem = state.problem
-        fill, n = problem.fill, problem.n
+        fill = problem.fill
         ent = []
         for p, a in enumerate(problem.constraints):
             ent += [(p, v, a.diag[v], 1.0, v, v) for v in np.flatnonzero(a.diag)]
-            ent += sorted((p, n + fill.edge_index(i, j), a.offdiag[k], 2.0, i, j)
-                          for i, j, k in a.pattern.edges() if a.offdiag[k] != 0.0)
+            rows, cols = a.pattern.slot_ends
+            ent += sorted((p, int(fill.slots(i, j)), a.values[k], 2.0, i, j)
+                          for k, (i, j) in enumerate(zip(rows.tolist(), cols.tolist()))
+                          if i != j and a.values[k] != 0.0)
         own, slot, val, times, r, s = map(np.array, zip(*ent))
         assert np.array_equal(problem._ent_own, own)
         assert np.array_equal(problem._ent_slot, slot)
@@ -434,10 +435,8 @@ class TestDirectionsAgainstDenseReference:
 
         def rel(dense, sparse_mat):
             scale = max(np.abs(dense).max(), 1e-12)
-            err = np.abs(np.diagonal(dense) - sparse_mat.diag).max()
-            for i, j, k in sparse_mat.pattern.edges():
-                err = max(err, abs(dense[i, j] - sparse_mat.offdiag[k]))
-            return err / scale
+            rows, cols = sparse_mat.pattern.slot_ends
+            return np.abs(dense[rows, cols] - sparse_mat.values).max() / scale
 
         assert rel(ref["dx1"], prim.dx) < 1e-6
         assert rel(ref["dx2"], dual.dx) < 1e-6
@@ -466,9 +465,8 @@ class TestDirectionsAgainstDenseReference:
         ref = dense_reference_directions(c_dense, a_dense, b, xhat,
                                          state2.s.to_dense(), rho)
         scale = max(np.abs(ref["dx1"]).max(), 1.0)
-        err = np.abs(np.diagonal(ref["dx1"]) - prim2.dx.diag).max()
-        for i, j, k in problem.fill.edges():
-            err = max(err, abs(ref["dx1"][i, j] - prim2.dx.offdiag[k]))
+        rows, cols = problem.fill.slot_ends
+        err = np.abs(ref["dx1"][rows, cols] - prim2.dx.values).max()
         assert err / scale < 1e-6
         assert prim2.lam == pytest.approx(ref["lam"], rel=1e-6)
         assert dual2.lam == pytest.approx(ref["lam_tilde"], rel=1e-6)
@@ -493,9 +491,8 @@ class TestDirectionsAgainstDenseReference:
                                (ref["ds1"], prim.ds),
                                (ref["ds2"], dual.ds)):
                 scale = max(np.abs(dense).max(), 1e-12)
-                err = np.abs(np.diagonal(dense) - mat.diag).max()
-                for i, j, k in problem.fill.edges():
-                    err = max(err, abs(dense[i, j] - mat.offdiag[k]))
+                rows, cols = problem.fill.slot_ends
+                err = np.abs(dense[rows, cols] - mat.values).max()
                 assert err / scale < 1e-6
             choice = potential_minimize(state, prim, dual)
             assert choice.trial is not None

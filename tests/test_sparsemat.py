@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparse_sdp import (EliminationOrdering, NotPositiveDefinite,
@@ -10,8 +10,9 @@ from sparse_sdp import (EliminationOrdering, NotPositiveDefinite,
                         inner_product, maximal_cliques, min_degree_ordering,
                         symbolic_factorize)
 
-from conftest import (elimination_sequence, factor_to_dense, min_degree_sequence,
-                      random_filled_pattern, random_pattern, random_pd_on_pattern)
+from conftest import (dense_mask, elimination_sequence, factor_to_dense,
+                      min_degree_sequence, random_filled_pattern, random_pattern,
+                      random_pd_on_pattern)
 
 
 class TestPattern:
@@ -24,10 +25,41 @@ class TestPattern:
     def test_dedup_and_symmetry(self):
         pat = SparseSymPattern(4, [(0, 1), (1, 0), (3, 2)])
         assert pat.nnz == 2
-        assert pat.edge_index(0, 1) == pat.edge_index(1, 0)
-        pat.edge_index(2, 3)
+        assert pat.slots(0, 1) == pat.slots(1, 0)
+        pat.slots(2, 3)
         with pytest.raises(KeyError):
-            pat.edge_index(0, 2)
+            pat.slots(0, 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(0, 20), density=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=0, density=0.5, seed=0)
+    @example(n=6, density=0.0, seed=0)
+    def test_slots_invert_slot_ends(self, n, density, seed):
+        rng = np.random.default_rng(seed)
+        pat = random_pattern(n, density, rng)
+        rows, cols = pat.slot_ends
+        assert np.array_equal(pat.slots(rows, cols), np.arange(n + pat.nnz))
+        # either triangle, elementwise
+        i, j = rng.integers(0, max(n, 1), size=(2, 40))   # all (0, 0) when n = 0
+        on = dense_mask(pat)[i, j] if n else np.zeros(40, dtype=bool)
+        assert np.array_equal(pat.slots(i[on], j[on]), pat.slots(j[on], i[on]))
+        for a, b in zip(i[~on].tolist(), j[~on].tolist()):
+            with pytest.raises(KeyError):
+                pat.slots(a, b)
+        # (0, n + 2) has the key of the edge (2, 1): range is checked too
+        for bad in [(-1, 0), (0, -1), (-1, -1), (n, 0), (n, n), (0, n + 2)]:
+            with pytest.raises(KeyError):
+                pat.slots(*bad)
+            with pytest.raises(KeyError):
+                pat.slots([bad[0]], [bad[1]])
+
+    def test_slots_reject_absent_entries(self):
+        with pytest.raises(KeyError):
+            SparseSymPattern(3).slots(0, 1)         # no edges at all
+        with pytest.raises(KeyError):
+            SparseSymPattern(3, [(2, 1)]).slots(0, 5)   # 0 n + 5 = 1 n + 2
+        assert SparseSymPattern(0).slots([], []).shape == (0,)
 
     def test_column_rows_are_higher_neighbors(self):
         pat = SparseSymPattern(5, [(0, 2), (2, 4), (1, 2)])
@@ -108,7 +140,7 @@ class TestSymbolicFactorize:
         pat = SparseSymPattern(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         filled = symbolic_factorize(pat, EliminationOrdering(np.arange(4)))
         assert filled.nnz == 5
-        filled.edge_index(1, 3)  # raises KeyError unless filled
+        filled.slots(1, 3)  # raises KeyError unless filled
 
     def test_dense_first_column_fills_completely(self):
         n = 5
@@ -123,8 +155,8 @@ class TestSymbolicFactorize:
             pat = random_pattern(n, rng.random() * 0.5, rng)
             filled = symbolic_factorize(pat, min_degree_ordering(pat))
             maximal_cliques(filled)  # raises NotChordal unless a PEO
-            for i, j, _ in pat.permuted(min_degree_ordering(pat)).edges():
-                filled.edge_index(i, j)  # raises KeyError unless kept
+            # raises KeyError unless every entry is kept
+            filled.slots(*pat.permuted(min_degree_ordering(pat)).slot_ends)
 
 
 class TestCholesky:

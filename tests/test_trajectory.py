@@ -2,20 +2,24 @@
 
 Each case solves one fixed instance with the default configuration and
 compares its iteration CSV with the trace recorded below: three random
-MAX-CUT instances, and one generic SDP whose constraints carry
-off-diagonal entries, started from the CLI's generic initial point.
+MAX-CUT instances, one generic SDP whose constraints carry
+off-diagonal entries, started from the CLI's generic initial point, and
+one weighted MAX-CUT relaxation written as .dat-s and read back.
 The integer columns and descent_steps (a mean of small integer step
 counts) must match exactly; gap and phi to a relative 1e-9.
 """
 
 import csv
 import io
+import os
+import tempfile
 
 import numpy as np
 import pytest
 
-from sparse_sdp import (SdpProblem, SolverConfig, initial_point, maxcut_sdp,
-                        random_graph, solve)
+from sparse_sdp import (EliminationOrdering, Graph, SdpProblem, SolverConfig,
+                        initial_point, maxcut_sdp, random_graph, read_sdpa, solve,
+                        write_sdpa)
 from sparse_sdp.bench import trial_seed
 from sparse_sdp.cli import _generic_initial_point
 
@@ -103,6 +107,25 @@ iter,gap,phi,cg_primal,cg_dual,descent_steps
 16,9.098475473834355e-05,-78.83094430923487,6,6,0.75
 """
 
+# random_graph(9, 14, trial_seed(1, 2)) reweighted to 1-2 (see _weighted_sdpa),
+# through write_sdpa and read_sdpa, direction_mode="four"
+SDPA_FOUR = """\
+iter,gap,phi,cg_primal,cg_dual,descent_steps
+1,9.178757358092268,40.01950649690805,1,6,0.5
+2,2.395993560776958,28.706810503366036,4,7,1.0
+3,0.9927853481464508,19.994931186240116,9,9,0.5
+4,0.335076874044697,11.287137035036134,9,9,0.75
+5,0.13357129414743696,3.244866537839375,8,9,0.5
+6,0.05457482631226007,-6.288478287803095,9,9,0.5
+7,0.017573951026676582,-15.032414685995796,9,9,1.0
+8,0.005663254942321672,-26.04775335302361,9,9,0.75
+9,0.001955389198460722,-33.846211059371214,9,9,0.5
+10,0.0008517830884624544,-42.77841047424465,9,9,0.25
+11,0.0003596898032469653,-51.18427961393036,9,9,0.5
+12,0.00015472781415049042,-59.0219757668685,5,8,0.5
+13,6.30477271936769e-05,-64.83438728880597,5,4,0.75
+"""
+
 
 def _maxcut(n, m, index):
     def build():
@@ -116,6 +139,19 @@ def _generic():
     return (problem, *_generic_initial_point(problem))
 
 
+def _weighted_sdpa():
+    graph = Graph(9, [(i, j, 1.0 + (i + 2 * j) % 3 / 2)
+                      for i, j, _ in random_graph(9, 14, trial_seed(1, 2)).edges])
+    relaxation = maxcut_sdp(graph)
+    back = EliminationOrdering(relaxation.ordering.inverse)   # original labels
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "weighted.dat-s")
+        write_sdpa(path, relaxation.c.permuted(back),
+                   [a.permuted(back) for a in relaxation.constraints], relaxation.b)
+        problem = SdpProblem(*read_sdpa(path))
+    return (problem, *initial_point(problem))
+
+
 def _rows(text):
     return list(csv.DictReader(io.StringIO(text)))
 
@@ -125,7 +161,8 @@ def _rows(text):
     (_maxcut(10, 16, 1), "two", TWO_N10_K1),
     (_maxcut(20, 40, 0), "four", FOUR_N20_K0),
     (_generic, "four", GENERIC_FOUR),
-], ids=["four", "two", "four-n20", "generic"])
+    (_weighted_sdpa, "four", SDPA_FOUR),
+], ids=["four", "two", "four-n20", "generic", "sdpa-weighted"])
 def test_iteration_csv_is_pinned(build, mode, expected):
     problem, x0, y0 = build()
     report = solve(problem, x0, y0, SolverConfig(direction_mode=mode))

@@ -66,7 +66,7 @@ def maximal_cliques(pattern):
             first[v] = first[prev[v]]
             last[first[v]] = v
     reps = sorted((v for v in range(n) if prev[v] < 0), key=last.__getitem__)
-    return [[v, *pattern.column_rows(v)] for v in reps]
+    return [[v, *pattern.column_rows(v).tolist()] for v in reps]
 
 
 @dataclass

@@ -21,7 +21,7 @@ from .maxcut import (initial_point, random_graph, read_graph, solve_maxcut,
                      write_graph)
 from .problem import SdpProblem
 from .sdpa import read_sdpa
-from .solver import SolverConfig, solve
+from .solver import FEAS_TOL, SolverConfig, solve
 from .sparsemat import SparseSymMatrix, cholesky_factorize
 
 
@@ -151,7 +151,7 @@ def _generic_initial_point(problem):
         pass
     x0 = SparseSymMatrix.identity(problem.fill)
     resid = problem.apply_map(x0) - problem.b
-    if np.max(np.abs(resid)) > 1e-8:
+    if np.max(np.abs(resid)) > FEAS_TOL:
         raise InfeasibleStart(
             "no built-in initial point: identity is not primal feasible")
     y0 = np.zeros(problem.m)

@@ -6,14 +6,17 @@ selected-inverse recurrences that run backward over the factor columns.
 ``hess_vec`` pushes a direction Z through the tangent of that same
 computation, starting from the selected inverse its caller already
 holds, yielding the entries on the pattern of S^-1 Z S^-1 -- the log-det
-Hessian applied to Z, up to sign -- with the same time and space
-footprint.  No dense intermediate is ever formed.  ``inverse_columns``
-gives the inverse in full, by batched forward and back solves on the
-factor.  With it in hand, ``hess_from_columns`` gives the same product
-W Z W on the pattern by dense row dots, with no sweep over the factor;
-the solver takes every product it needs that way (the Newton systems'
-columns, as in Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997), and
-``hess_vec`` is the sweep that needs no more than the factor's storage.
+Hessian applied to Z, up to sign -- at the same cost.  Both sweeps read
+each column's block of slots from the pattern's ``column_blocks``, an
+index of sum_j c_j^2 slots (c_j the entries of factor column j) built
+once per pattern; their storage per call stays O(nnz), and no dense
+intermediate is ever formed.  ``inverse_columns`` gives the inverse in
+full, by batched forward and back solves on the factor.  With it in
+hand, ``hess_from_columns`` gives the same product W Z W on the pattern
+by dense row dots, with no sweep over the factor; the solver takes every
+product it needs that way (the Newton systems' columns, as in Fujisawa,
+Kojima and Nakata, Math. Prog. 79, 1997), and ``hess_vec`` is the sweep
+that needs no n x n storage.
 """
 
 from __future__ import annotations
@@ -24,18 +27,26 @@ from .sparsemat import SparseSymMatrix
 
 
 def _unit_factor(factor):
-    """Split L L^T into unit-lower L~ and pivots d (lists for scalar loops)."""
-    pat = factor.pattern
-    ldiag = factor.diag.tolist()
-    loff = factor.offdiag.tolist()
-    d = [v * v for v in ldiag]
-    lt = [0.0] * pat.nnz
-    start = pat.col_ptr.tolist()
-    for j in range(pat.n):
-        root = ldiag[j]
-        for k in range(start[j], start[j + 1]):
-            lt[k] = loff[k] / root
-    return lt, d, start
+    """Split L L^T into unit-lower L~ (offdiag entries) and pivots d."""
+    cols = factor.pattern.slot_ends[1][factor.n:]
+    return factor.offdiag / factor.diag[cols], factor.diag * factor.diag
+
+
+def _blocks_backward(pat):
+    """(j, run, k) for j = n-1 down to 0: the slots of column j's block
+    rows_j x rows_j, row by row, are run[k:k + c_j^2].  ``run`` is a list
+    taken from ``pat.column_blocks`` about n + nnz slots at a time, so
+    the lists stay O(nnz) however many slots the blocks hold; raises
+    ValueError unless the pattern is elimination-closed."""
+    ptr, blocks = pat.column_blocks
+    ptr = ptr.tolist()
+    lo = ptr[-1]
+    run = []
+    for j in range(pat.n - 1, -1, -1):
+        if ptr[j] < lo:
+            lo = min(ptr[j], max(ptr[j + 1] - pat.n - pat.nnz, 0))
+            run = blocks[lo:ptr[j + 1]].tolist()
+        yield j, run, ptr[j] - lo
 
 
 def sparse_inverse(factor):
@@ -43,34 +54,28 @@ def sparse_inverse(factor):
 
     Backward recurrences over the columns of the factor; every referenced
     inverse entry lies on the pattern because the pattern is
-    elimination-closed.
+    elimination-closed, and ``column_blocks`` says where.  Raises
+    ValueError when the pattern is not elimination-closed.
     """
     pat = factor.pattern
     n = pat.n
-    cols = pat._cols
-    eindex = pat._index
-    lt, d, start = _unit_factor(factor)
-    wdiag = [0.0] * n
-    woff = [0.0] * pat.nnz
-    for j in range(n - 1, -1, -1):
-        rows_j = cols[j]
-        base = start[j]
-        for t, i in enumerate(rows_j):
+    lt, d = (a.tolist() for a in _unit_factor(factor))
+    start = pat.col_ptr.tolist()
+    w = [0.0] * (n + pat.nnz)         # [diag | offdiag], as the result keeps it
+    for j, run, k in _blocks_backward(pat):
+        lo, hi = start[j], start[j + 1]
+        ltj = lt[lo:hi]
+        for e in range(n + lo, n + hi):
             s = 0.0
-            for u, k in enumerate(rows_j):
-                if k == i:
-                    wk = wdiag[i]
-                elif k > i:
-                    wk = woff[eindex[(k, i)]]
-                else:
-                    wk = woff[eindex[(i, k)]]
-                s -= lt[base + u] * wk
-            woff[base + t] = s
+            for lk in ltj:
+                s -= lk * w[run[k]]
+                k += 1
+            w[e] = s
         s = 1.0 / d[j]
-        for u in range(len(rows_j)):
-            s -= lt[base + u] * woff[base + u]
-        wdiag[j] = s
-    return SparseSymMatrix(pat, wdiag + woff, check=False)
+        for lk, wk in zip(ltj, w[n + lo:n + hi]):
+            s -= lk * wk
+        w[j] = s
+    return SparseSymMatrix(pat, w, check=False)
 
 
 def inverse_columns(factor):
@@ -154,88 +159,71 @@ def hess_vec(factor, z, sinv):
     ``sparse_inverse(factor)``.  For the factor of the completion inverse
     X^-1 that is the partial matrix X itself.  Differentiates the
     factorization and the selected-inverse recurrences along Z; the
-    intermediates are overwritten in place, so the auxiliary storage
-    stays proportional to the factor's.  Raises ValueError when Z or
-    ``sinv`` lies on another pattern than the factor.
+    intermediates are overwritten in place, so the storage per call stays
+    O(nnz), beside the pattern's own index ``column_blocks`` of
+    sum_j c_j^2 slots (c_j the entries of factor column j).  Raises
+    ValueError when Z or ``sinv`` lies on another pattern than the factor
+    or the pattern is not elimination-closed.
     """
     pat = factor.pattern
     n = pat.n
     for arg, what in ((z, "Z"), (sinv, "sinv")):
         if arg.pattern is not pat and arg.pattern != pat:
             raise ValueError(f"{what} must lie on the factor's pattern")
-    cols = pat._cols
-    row_cols = pat.row_columns()
-    eindex = pat._index
+    rows = pat.rows.tolist()
     start = pat.col_ptr.tolist()
+    cols = pat.slot_ends[1][n:]
+    ecol = cols.tolist()
+    rptr, redges = (a.tolist() for a in pat.row_edges)
     ldiag = factor.diag.tolist()
     loff = factor.offdiag.tolist()
     zdiag = z.diag.tolist()
     zoff = z.offdiag.tolist()
 
     # Tangent of the Cholesky factorization in direction Z.
-    ldd = [0.0] * n
+    ldd = np.zeros(n)
     ldo = [0.0] * pat.nnz
     work = [0.0] * n
     for j in range(n):
-        rows_j = cols[j]
-        base = start[j]
+        lo, hi = start[j], start[j + 1]
         work[j] = zdiag[j]
-        for t, i in enumerate(rows_j):
-            work[i] = zoff[base + t]
-        for k in row_cols[j]:
-            e_jk = eindex[(j, k)]
-            ljk = loff[e_jk]
-            ljk_dot = ldo[e_jk]
-            kbase = start[k]
-            krows = cols[k]
-            for t, i in enumerate(krows):
-                if i < j:
-                    continue
-                work[i] -= ljk_dot * loff[kbase + t] + ljk * ldo[kbase + t]
+        for e in range(lo, hi):
+            work[rows[e]] = zoff[e]
+        for e in redges[rptr[j]:rptr[j + 1]]:
+            ljk = loff[e]
+            ljk_dot = ldo[e]
+            for f in range(e, start[ecol[e] + 1]):
+                work[rows[f]] -= ljk_dot * loff[f] + ljk * ldo[f]
         root = ldiag[j]
         droot = work[j] / (2.0 * root)
         ldd[j] = droot
-        for t, i in enumerate(rows_j):
-            ldo[base + t] = (work[i] - loff[base + t] * droot) / root
+        for e in range(lo, hi):
+            ldo[e] = (work[rows[e]] - loff[e] * droot) / root
 
     # Tangents of the unit factor and pivots.
-    lt, d, _ = _unit_factor(factor)
-    ltd = [0.0] * pat.nnz
-    dd = [0.0] * n
-    for j in range(n):
-        root = ldiag[j]
-        dd[j] = 2.0 * root * ldd[j]
-        for k in range(start[j], start[j + 1]):
-            ltd[k] = (ldo[k] - lt[k] * ldd[j]) / root
+    lt, d = _unit_factor(factor)
+    ltd = ((np.array(ldo) - lt * ldd[cols]) / factor.diag[cols]).tolist()
+    dd = (2.0 * factor.diag * ldd).tolist()
+    lt, d = lt.tolist(), d.tolist()
 
-    # Tangent of the selected-inverse sweep, against the given base sinv.
-    wdiag = sinv.diag.tolist()
-    woff = sinv.offdiag.tolist()
-    vdiag = [0.0] * n
-    voff = [0.0] * pat.nnz
-    for j in range(n - 1, -1, -1):
-        rows_j = cols[j]
-        base = start[j]
-        for t, i in enumerate(rows_j):
+    # Tangent of the selected-inverse sweep, against the given base sinv;
+    # w and v hold [diag | offdiag].
+    w = sinv.values.tolist()
+    v = [0.0] * (n + pat.nnz)
+    for j, run, k in _blocks_backward(pat):
+        lo, hi = start[j], start[j + 1]
+        ltj, ltdj = lt[lo:hi], ltd[lo:hi]
+        for e in range(n + lo, n + hi):
             sv = 0.0
-            for u, k in enumerate(rows_j):
-                if k == i:
-                    wk = wdiag[i]
-                    vk = vdiag[i]
-                elif k > i:
-                    e = eindex[(k, i)]
-                    wk = woff[e]
-                    vk = voff[e]
-                else:
-                    e = eindex[(i, k)]
-                    wk = woff[e]
-                    vk = voff[e]
-                sv -= ltd[base + u] * wk + lt[base + u] * vk
-            voff[base + t] = sv
+            for lk, ldk in zip(ltj, ltdj):
+                q = run[k]
+                k += 1
+                sv -= ldk * w[q] + lk * v[q]
+            v[e] = sv
         sv = -dd[j] / (d[j] * d[j])
-        for u in range(len(rows_j)):
-            sv -= ltd[base + u] * woff[base + u] + lt[base + u] * voff[base + u]
-        vdiag[j] = sv
+        for lk, ldk, wk, vk in zip(ltj, ltdj, w[n + lo:n + hi], v[n + lo:n + hi]):
+            sv -= ldk * wk + lk * vk
+        v[j] = sv
 
     # W(t) = entries of (S + tZ)^-1, so the Hessian product is -W'.
-    return SparseSymMatrix(pat, [-v for v in vdiag + voff], check=False)
+    return SparseSymMatrix(pat, -np.array(v), check=False)

@@ -83,7 +83,7 @@ def maxcut_sdp(graph):
     n = graph.n
     ends = np.array([e[:2] for e in graph.edges], dtype=np.int64).reshape(-1, 2)
     quarter = np.array([e[2] for e in graph.edges]) / 4.0
-    pat = SparseSymPattern(n, ends.tolist())
+    pat = SparseSymPattern(n, ends)
     values = np.zeros(n + pat.nnz)
     values[pat.slots(ends[:, 0], ends[:, 1])] = quarter
     np.subtract.at(values, ends.ravel(), np.repeat(quarter, 2))   # i, then j, per edge
@@ -94,17 +94,21 @@ def maxcut_sdp(graph):
 
 
 def initial_point(problem):
-    """Strictly feasible start for problems with unit-diagonal constraints.
+    """Strictly feasible start for problems with diagonal constraints.
 
-    The primal partial matrix is the identity on the fill pattern.  The
-    dual vector starts at all ones (slack C - I) and is shifted downward,
-    y_p by (|bound| + 1) / a_p for A_p = a_p e_v e_v^T, past the worst
-    Gershgorin bound until the slack factorizes.  Raises ValueError
-    unless the constraints are one such A_p per vertex with a_p > 0.
+    The primal partial matrix is diagonal on the fill pattern, with
+    X_vv = b_p / a_p for A_p = a_p e_v e_v^T.  The dual vector starts at
+    all ones (slack C - sum_p a_p e_v e_v^T) and is shifted downward,
+    y_p by (|bound| + 1) / a_p, past the worst Gershgorin bound until the
+    slack factorizes.  Raises ValueError unless the constraints are one
+    such A_p per vertex with a_p > 0 and b_p > 0.
     """
     coef = _require_diagonal_constraints(problem)
+    if np.any(problem.b <= 0.0):
+        raise ValueError(f"constraint {int(np.argmax(problem.b <= 0.0))} has b_p <= 0")
     n = problem.n
-    x0 = SparseSymMatrix.identity(problem.fill)
+    x0 = SparseSymMatrix.zeros(problem.fill)
+    x0.diag[problem._ent_r] = problem.b / coef
     y0 = np.ones(n)
     while True:
         s = problem.dual_slack(y0)

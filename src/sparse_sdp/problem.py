@@ -40,9 +40,9 @@ class SdpProblem:
             if a.n != n:
                 raise ValueError("constraint dimension mismatch")
 
-        agg = SparseSymPattern(n, [
-            edge for mat in (c, *constraints) if mat.pattern.nnz
-            for edge in np.column_stack(mat.pattern.slot_ends)[n:].tolist()])
+        agg = SparseSymPattern(n, np.concatenate([
+            np.column_stack(mat.pattern.slot_ends)[n:]
+            for mat in (c, *(a for a in constraints if a.pattern.nnz))]))
         if ordering is None:
             ordering = min_degree_ordering(agg)
         fill = symbolic_factorize(agg, ordering)

@@ -22,48 +22,39 @@ class SparseSymPattern:
     """Sparsity pattern of a symmetric matrix.
 
     Edges are unordered pairs {i, j}, i != j; the diagonal is implicit and
-    always present.  Column j stores the rows i > j in ascending order, so
+    always present.  The pattern is its two arrays: column j holds the
+    rows i > j, ascending, in ``rows[col_ptr[j]:col_ptr[j + 1]]``, so
     ``column_rows(j)`` is exactly the higher-numbered neighborhood of j
     when (0..n-1) is taken as an elimination order.  A matrix on the
     pattern stores its entries in ``values`` = [diag | offdiag], one slot
     per diagonal entry and per edge in storage order; ``slots`` and
-    ``slot_ends`` are the one map between entries (i, j) and slots.
+    ``slot_ends`` are the one map between entries (i, j) and slots, and
+    every other index here is derived from them.
     """
 
     def __init__(self, n, edges=()):
+        """``edges``: an (E, 2) array of vertex pairs, either orientation,
+        duplicates allowed."""
         n = int(n)
         if n < 0:
             raise ValueError("n must be nonnegative")
-        self.n = n
-        cols = [[] for _ in range(n)]
-        seen = set()
-        for a, b in edges:
-            a = int(a)
-            b = int(b)
+        ends = np.asarray(edges, dtype=np.int64)
+        if ends.shape == (0,):
+            ends = ends.reshape(0, 2)
+        if ends.ndim != 2 or ends.shape[1] != 2:
+            raise ValueError(f"edges must be an (E, 2) array, not shape {ends.shape}")
+        col, row = ends.min(axis=1), ends.max(axis=1)
+        bad = (col == row) | (col < 0) | (row >= n)
+        if bad.any():
+            a, b = ends[np.argmax(bad)]
             if a == b:
                 raise ValueError(f"self-loop at vertex {a}")
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"edge ({a},{b}) out of range for n={n}")
-            i, j = (a, b) if a > b else (b, a)
-            if (i, j) in seen:
-                continue
-            seen.add((i, j))
-            cols[j].append(i)
-        ptr = [0]
-        rows = []
-        index = {}
-        for j in range(n):
-            cols[j].sort()
-            for i in cols[j]:
-                index[(i, j)] = len(rows)
-                rows.append(i)
-            ptr.append(len(rows))
-        self.col_ptr = np.asarray(ptr, dtype=np.int64)
-        self.rows = np.asarray(rows, dtype=np.int64)
-        self._index = index
-        self._cols = [tuple(c) for c in cols]
-        self._adj = None
-        self._row_cols = None
+            raise ValueError(f"edge ({a},{b}) out of range for n={n}")
+        keys = np.unique(col * n + row)
+        self.n = n
+        self.col_ptr = keys.searchsorted(np.arange(n + 1, dtype=np.int64) * n)
+        self.rows = keys % max(n, 1)
+        self.col_ptr.flags.writeable = self.rows.flags.writeable = False
 
     @property
     def nnz(self):
@@ -71,7 +62,7 @@ class SparseSymPattern:
 
     def column_rows(self, j):
         """Rows i > j present in column j (ascending)."""
-        return self._cols[j]
+        return self.rows[self.col_ptr[j]:self.col_ptr[j + 1]]
 
     @cached_property
     def slot_ends(self):
@@ -107,37 +98,55 @@ class SparseSymPattern:
             raise KeyError(f"({row[bad][0]}, {col[bad][0]}) is not an entry on 0..{n - 1}")
         return order[at]
 
-    def adjacency(self):
-        """Per-vertex neighbor sets (cached; patterns are immutable)."""
-        if self._adj is None:
-            adj = [set() for _ in range(self.n)]
-            for (i, j) in self._index:
-                adj[i].add(j)
-                adj[j].add(i)
-            self._adj = adj
-        return self._adj
+    @cached_property
+    def row_edges(self):
+        """(ptr, edges): the edges (j, k), k < j, of row j are
+        ``edges[ptr[j]:ptr[j + 1]]``, by increasing k, as offdiag indices."""
+        edges = np.argsort(self.rows, kind="stable")
+        ptr = np.append(0, np.cumsum(np.bincount(self.rows, minlength=self.n)))
+        ptr.flags.writeable = edges.flags.writeable = False
+        return ptr, edges
 
-    def row_columns(self):
-        """For each row i, the columns k < i with an edge (i, k)."""
-        if self._row_cols is None:
-            rc = [[] for _ in range(self.n)]
-            for j in range(self.n):
-                for i in self._cols[j]:
-                    rc[i].append(j)
-            self._row_cols = [tuple(r) for r in rc]
-        return self._row_cols
+    @cached_property
+    def column_blocks(self):
+        """(ptr, blocks): ``blocks[ptr[j]:ptr[j + 1]]`` holds the slots of
+        rows_j x rows_j row by row, rows_j = ``column_rows(j)``.  Raises
+        ValueError unless the pattern is elimination-closed, that is every
+        such block lies on it."""
+        count = np.diff(self.col_ptr)
+        ptr = np.append(0, np.cumsum(count * count))
+        col = np.repeat(np.arange(self.n), count * count)
+        t, u = np.divmod(np.arange(ptr[-1]) - ptr[col], count[col])   # entry (t, u) of block j
+        base = self.col_ptr[col]
+        try:
+            blocks = self.slots(self.rows[base + t], self.rows[base + u])
+        except KeyError as exc:
+            raise ValueError(f"pattern is not elimination-closed: {exc.args[0]}") from None
+        ptr.flags.writeable = blocks.flags.writeable = False
+        return ptr, blocks
+
+    def adjacency(self):
+        """Per-vertex neighbor sets, new on every call."""
+        rows, cols = self.slot_ends
+        ends = np.concatenate((rows[self.n:], cols[self.n:]))
+        order = np.argsort(ends, kind="stable")
+        other = np.concatenate((cols[self.n:], rows[self.n:]))[order].tolist()
+        at = ends[order].searchsorted(np.arange(self.n + 1)).tolist()
+        return [set(other[at[v]:at[v + 1]]) for v in range(self.n)]
 
     def permuted(self, ordering):
         perm = ordering.perm
-        return SparseSymPattern(self.n, [(perm[i], perm[j]) for (i, j) in self._index])
+        rows, cols = self.slot_ends
+        return SparseSymPattern(self.n, np.column_stack((perm[rows], perm[cols]))[self.n:])
 
     def __eq__(self, other):
         if not isinstance(other, SparseSymPattern):
             return NotImplemented
-        return self.n == other.n and self._index.keys() == other._index.keys()
+        return (self.n == other.n and np.array_equal(self.col_ptr, other.col_ptr)
+                and np.array_equal(self.rows, other.rows))
 
     def __hash__(self):
-        return hash((self.n, frozenset(self._index)))
+        return hash((self.n, self.col_ptr.tobytes(), self.rows.tobytes()))
 
     def __repr__(self):
         return f"SparseSymPattern(n={self.n}, nnz={self.nnz})"
@@ -267,7 +276,7 @@ def min_degree_ordering(pattern):
     neighbourhood, and entries whose degree is stale are skipped.
     """
     n = pattern.n
-    adj = [set(s) for s in pattern.adjacency()]
+    adj = pattern.adjacency()
     heap = [(len(a), v) for v, a in enumerate(adj)]
     heapq.heapify(heap)
     done = [False] * n
@@ -293,81 +302,76 @@ def symbolic_factorize(pattern, ordering):
     """Fill pattern of Cholesky elimination under the no-cancellation rule.
 
     Returns the filled pattern in the permuted labels; its graph is
-    chordal with (0..n-1) a perfect elimination ordering.
+    chordal with (0..n-1) a perfect elimination ordering.  Column v of
+    the fill is column v of the permuted pattern joined with every column
+    whose lowest row is v, less v itself (the elimination tree).
     """
     n = pattern.n
-    perm = ordering.perm
-    adj = [set() for _ in range(n)]
-    for (i, j) in pattern._index:
-        a, b = perm[i], perm[j]
-        adj[a].add(b)
-        adj[b].add(a)
-    edges = []
+    pat = pattern.permuted(ordering)
+    rows, ptr = pat.rows.tolist(), pat.col_ptr.tolist()
+    higher = [set(rows[ptr[v]:ptr[v + 1]]) for v in range(n)]
     for v in range(n):
-        hi = sorted(u for u in adj[v] if u > v)
-        for t, a in enumerate(hi):
-            edges.append((a, v))
-            for b in hi[t + 1:]:
-                if b not in adj[a]:
-                    adj[a].add(b)
-                    adj[b].add(a)
-    return SparseSymPattern(n, edges)
+        if higher[v]:
+            parent = min(higher[v])
+            higher[parent] |= higher[v]
+            higher[parent].discard(parent)
+    return SparseSymPattern(n, [(i, v) for v, h in enumerate(higher) for i in h])
 
 
 def cholesky_factorize(matrix):
     """Sparse Cholesky M = L L^T on M's own (elimination-closed) pattern.
 
-    Left-looking, column by column.  Raises NotPositiveDefinite(k) when
-    pivot k is not strictly positive relative to the largest input
-    diagonal, and ValueError if the pattern misses a fill-in slot.
+    Left-looking, column by column: column j takes the update of each
+    edge (j, k) of its row, k < j, from that edge's own offset in column
+    k on.  Raises NotPositiveDefinite(k) when pivot k is not strictly
+    positive relative to the largest input diagonal, and ValueError if
+    the pattern misses a fill-in slot.
     """
     pat = matrix.pattern
     n = pat.n
-    cols = pat._cols
-    row_cols = pat.row_columns()
-    eindex = pat._index
-    mval = matrix.values.tolist()
-    col_start = (n + pat.col_ptr).tolist()   # column starts in [diag | offdiag]
+    rows = pat.rows.tolist()
+    ptr = pat.col_ptr.tolist()
+    ecol = pat.slot_ends[1][n:].tolist()
+    rptr, redges = (a.tolist() for a in pat.row_edges)
+    mdiag = matrix.diag.tolist()
+    moff = matrix.offdiag.tolist()
 
-    maxdiag = max(mval[:n]) if n else 0.0
+    maxdiag = max(mdiag) if n else 0.0
     tol = PIVOT_RTOL * max(maxdiag, 0.0)
-    lval = [0.0] * (n + pat.nnz)    # stored like mval, as CholeskyFactor keeps it
+    ldiag = [0.0] * n
+    loff = [0.0] * pat.nnz
     work = [0.0] * n
     intarget = [False] * n
     logdet = 0.0
     for j in range(n):
-        rows_j = cols[j]
-        base = col_start[j]
-        work[j] = mval[j]
+        lo, hi = ptr[j], ptr[j + 1]
+        work[j] = mdiag[j]
         intarget[j] = True
-        for t, i in enumerate(rows_j):
-            work[i] = mval[base + t]
-            intarget[i] = True
-        for k in row_cols[j]:
-            ljk = lval[n + eindex[(j, k)]]
+        for e in range(lo, hi):
+            work[rows[e]] = moff[e]
+            intarget[rows[e]] = True
+        for e in redges[rptr[j]:rptr[j + 1]]:
+            ljk = loff[e]
             if ljk == 0.0:
                 continue
-            kbase = col_start[k]
-            krows = cols[k]
-            for t, i in enumerate(krows):
-                if i < j:
-                    continue
+            for f in range(e, ptr[ecol[e] + 1]):
+                i = rows[f]
                 if not intarget[i]:
                     raise ValueError(
                         f"pattern is not elimination-closed: missing fill slot ({i},{j})"
                     )
-                work[i] -= ljk * lval[kbase + t]
+                work[i] -= ljk * loff[f]
         pivot = work[j]
         if pivot <= tol:
             raise NotPositiveDefinite(j)
         root = math.sqrt(pivot)
-        lval[j] = root
+        ldiag[j] = root
         logdet += math.log(pivot)
-        for t, i in enumerate(rows_j):
-            lval[base + t] = work[i] / root
-            intarget[i] = False
+        for e in range(lo, hi):
+            loff[e] = work[rows[e]] / root
+            intarget[rows[e]] = False
         intarget[j] = False
-    return CholeskyFactor(pat, lval, logdet)
+    return CholeskyFactor(pat, ldiag + loff, logdet)
 
 
 def inner_product(a, b):

@@ -8,8 +8,11 @@ the three benchmark families -- random_graph(35, 105), banded_graph(60, 3)
 and the 5x7 odd torus with weights 1-2, the torus written as .dat-s and
 read back through ``read_sdpa`` -- at ``trial_seed(3, 0..5)``, each in
 four- and two-direction mode.  The digest covers C, x0 and y0 of every
-problem, then each solve's iteration CSV and Gram vectors, or the message
-and partial CSV of an ``IterationLimit``.  It imports ``sparse_sdp`` from
+problem; the outputs of ``cholesky_factorize``, ``sparse_inverse`` and
+``hess_vec(factor, C, sinv)`` at the starting slack C - sum y0_p A_p,
+which covers ``hess_vec`` although no solve calls it; then each solve's
+iteration CSV and Gram vectors, or the message and partial CSV of an
+``IterationLimit``.  It imports ``sparse_sdp`` from
 this checkout's ``src/`` and the generators from ``perfbench/graphs.py``
 by path.
 """
@@ -20,12 +23,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from sparse_sdp import (EliminationOrdering, Graph, IterationLimit,  # noqa: E402
-                        SdpProblem, SolverConfig, initial_point, maxcut_sdp,
-                        random_graph, read_sdpa, solve, write_sdpa)
+                        SdpProblem, SolverConfig, cholesky_factorize, hess_vec,
+                        initial_point, maxcut_sdp, random_graph, read_sdpa,
+                        solve, sparse_inverse, write_sdpa)
 from sparse_sdp.bench import trial_seed  # noqa: E402
 from sparse_sdp.maxcut import gram_vectors  # noqa: E402
 
@@ -62,7 +68,11 @@ def digest():
     with tempfile.TemporaryDirectory() as workdir:
         for label, problem in problems(workdir):
             x0, y0 = initial_point(problem)
-            for part in (problem.c.values, x0.values, y0):
+            factor = cholesky_factorize(problem.dual_slack(y0))
+            sinv = sparse_inverse(factor)
+            for part in (problem.c.values, x0.values, y0, factor.values,
+                         np.float64(factor.logdet), sinv.values,
+                         hess_vec(factor, problem.c, sinv).values):
                 h.update(part.tobytes())
             for mode in ("four", "two"):
                 h.update(f"{label} {mode}".encode())

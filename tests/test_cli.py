@@ -90,6 +90,25 @@ class TestSolveCommand:
         assert proc.returncode == 1
         assert "no built-in initial point" in proc.stderr
 
+    def test_scaled_diagonal_constraints_start_feasible(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # C = -L/4 of a triangle with A_p = a e_p e_p^T and b = 1: the start
+        # X = I / a is primal feasible (X = I was not for a = 2), and the
+        # optimum for a = 2 is half the unit-diagonal one
+        monkeypatch.chdir(tmp_path)
+        objective = {}
+        for a in (1, 2):
+            path = tmp_path / f"triangle{a}.dat-s"
+            path.write_text("3\n1\n3\n1 1 1\n0 1 1 1 -0.5\n0 1 2 2 -0.5\n"
+                            "0 1 3 3 -0.5\n0 1 1 2 0.25\n0 1 1 3 0.25\n0 1 2 3 0.25\n"
+                            + "".join(f"{p} 1 {p} {p} {a}\n" for p in (1, 2, 3)))
+            code, _, _ = run_cli(["solve", str(path)], capsys)
+            assert code == 0
+            summary = json.loads((tmp_path / f"triangle{a}_summary.json").read_text())
+            objective[a] = summary["objective_primal"]
+        # each lies within gap_tol = 1e-3 above its optimum
+        assert objective[2] == pytest.approx(objective[1] / 2, abs=1e-3)
+
     def test_generic_instance_with_pd_objective(self, tmp_path, capsys,
                                                 monkeypatch):
         # non-diagonal constraints exercise the identity/PD-objective start;

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparse_sdp import (SparseSymMatrix, SparseSymPattern, cholesky_factorize,
-                        hess_from_columns, hess_vec, inverse_columns,
+from sparse_sdp import (CholeskyFactor, SparseSymMatrix, SparseSymPattern,
+                        cholesky_factorize, hess_from_columns, hess_vec, inverse_columns,
                         sparse_inverse)
 from sparse_sdp.bench import random_banded_partial
 
 from conftest import (random_filled_pattern, random_pd_on_pattern,
                       restrict_abs_error)
+
+# 0-1, 0-2 without the 1-2 fill edge is not elimination-closed
+UNCLOSED = SparseSymPattern(3, [(0, 1), (0, 2)])
 
 
 class TestSparseInverse:
@@ -39,6 +42,11 @@ class TestSparseInverse:
         s = SparseSymMatrix(pat, [4.0, 2.0, 2.0, 1.0])
         w = sparse_inverse(cholesky_factorize(s))
         assert w.diag[0] == pytest.approx(0.25, abs=1e-14)
+
+    def test_missing_fill_slot_rejected(self):
+        fac = CholeskyFactor(UNCLOSED, [1.0, 1.0, 1.0, 0.5, 0.5], 0.0)
+        with pytest.raises(ValueError, match="elimination-closed"):
+            sparse_inverse(fac)
 
     def test_random_instances_match_dense_inverse(self):
         rng = np.random.default_rng(31)
@@ -134,6 +142,12 @@ class TestHessVec:
         dense = np.linalg.inv(mat.to_dense()) @ z.to_dense() @ np.linalg.inv(mat.to_dense())
         out = hess_vec(fac, z, sinv=sparse_inverse(fac))
         assert restrict_abs_error(dense, out) < 1e-12
+
+    def test_missing_fill_slot_rejected(self):
+        fac = CholeskyFactor(UNCLOSED, [1.0, 1.0, 1.0, 0.5, 0.5], 0.0)
+        eye = SparseSymMatrix.identity(UNCLOSED)
+        with pytest.raises(ValueError, match="elimination-closed"):
+            hess_vec(fac, eye, sinv=eye)
 
     def test_arguments_off_the_factor_pattern_raise(self):
         fill = SparseSymPattern(3, [(0, 1), (1, 2)])

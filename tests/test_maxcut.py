@@ -158,6 +158,20 @@ class TestInitialPoint:
         with pytest.raises(ValueError, match="coefficient <= 0 or shares its vertex"):
             initial_point(self._triangle(vertices, coefs))
 
+    def test_start_is_primal_feasible(self):
+        problem = self._triangle([2, 0, 1], [2.0, 0.5, 4.0])
+        problem.b[:] = [1.0, 3.0, 2.0]
+        x0, _ = initial_point(problem)
+        assert np.array_equal(problem.apply_map(x0), problem.b)
+        assert x0.diag[problem.ordering.perm] == pytest.approx([6.0, 0.5, 0.5])
+        assert not x0.offdiag.any()
+
+    def test_nonpositive_rhs_rejected(self):
+        problem = self._triangle([0, 1, 2], [1.0, 1.0, 1.0])
+        problem.b[2] = 0.0
+        with pytest.raises(ValueError, match="b_p <= 0"):
+            initial_point(problem)
+
     @pytest.mark.parametrize("coef, y", [(1.0, -2.0), (2.0, -1.0)])
     def test_shift_is_divided_by_the_coefficient(self, coef, y):
         # S = C - a y I starts with diagonal -0.5 - a and off-diagonal row

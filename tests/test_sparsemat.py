@@ -15,12 +15,93 @@ from conftest import (dense_mask, elimination_sequence, factor_to_dense,
                       random_pd_on_pattern)
 
 
+@st.composite
+def edge_lists(draw):
+    """(n, edges): n in 0..20 and a list of pairs with repeats in both
+    orientations."""
+    n = draw(st.integers(0, 20))
+    if n < 2:
+        return n, []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1])
+    edges = draw(st.lists(pair, max_size=3 * n))
+    again = draw(st.lists(st.sampled_from(edges), max_size=len(edges))) if edges else []
+    return n, edges + [(b, a) for a, b in again]
+
+
+def oracle_arrays(mask):
+    """(col_ptr, rows) of the pattern whose strict lower triangle is that
+    of the symmetric boolean ``mask``."""
+    lower = np.tril(mask, -1)
+    rows = [i for j in range(len(mask)) for i in np.flatnonzero(lower[:, j]).tolist()]
+    return [0, *np.cumsum(lower.sum(axis=0)).tolist()], rows
+
+
+def check_column_blocks(pat, mask):
+    """``column_blocks`` against ``slots``, or ValueError when some column's
+    rows are not pairwise adjacent in ``mask``."""
+    full = mask | np.eye(pat.n, dtype=bool)
+    if not all(full[np.ix_(r, r)].all() for r in map(pat.column_rows, range(pat.n))):
+        with pytest.raises(ValueError, match="elimination-closed"):
+            pat.column_blocks
+        return
+    ptr, blocks = pat.column_blocks
+    for j in range(pat.n):
+        r = pat.column_rows(j)
+        assert blocks[ptr[j]:ptr[j + 1]].tolist() == pat.slots(r[:, None], r).ravel().tolist()
+
+
 class TestPattern:
     def test_rejects_self_loops_and_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="self-loop at vertex 1"):
             SparseSymPattern(3, [(1, 1)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"edge \(0,3\) out of range for n=3"):
             SparseSymPattern(3, [(0, 3)])
+
+    @pytest.mark.parametrize("edges", [[(0, 1, 2), (1, 2, 0)], [0, 1], [[0], [1]],
+                                       np.zeros((2, 2, 2)), np.zeros((0, 3))],
+                             ids=["triples", "flat pair", "singletons", "3-d", "empty triples"])
+    def test_rejects_edges_not_an_e_by_2_array(self, edges):
+        with pytest.raises(ValueError, match=r"\(E, 2\) array"):
+            SparseSymPattern(3, edges)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=edge_lists(), seed=st.integers(0, 2**32 - 1))
+    @example(case=(0, []), seed=0)
+    @example(case=(5, []), seed=0)
+    def test_arrays_match_dense_oracle(self, case, seed):
+        n, edges = case
+        rng = np.random.default_rng(seed)
+        pat = SparseSymPattern(n, np.reshape(edges, (-1, 2)))
+        mask = np.zeros((n, n), dtype=bool)
+        for a, b in edges:
+            mask[a, b] = mask[b, a] = True
+        assert (pat.col_ptr.tolist(), pat.rows.tolist()) == oracle_arrays(mask)
+
+        # row_edges: row j's edges (j, k) by increasing k
+        ptr, row_edges = pat.row_edges
+        rows, cols = pat.slot_ends
+        for j in range(n):
+            e = n + row_edges[ptr[j]:ptr[j + 1]]
+            assert np.all(rows[e] == j)
+            assert cols[e].tolist() == np.flatnonzero(np.tril(mask, -1)[j]).tolist()
+
+        check_column_blocks(pat, mask)
+        fill = symbolic_factorize(pat, EliminationOrdering(np.arange(n)))
+        check_column_blocks(fill, dense_mask(fill) & ~np.eye(n, dtype=bool))
+
+        perm = rng.permutation(n)
+        moved = np.zeros_like(mask)
+        moved[np.ix_(perm, perm)] = mask
+        permuted = pat.permuted(EliminationOrdering(perm))
+        assert (permuted.col_ptr.tolist(), permuted.rows.tolist()) == oracle_arrays(moved)
+
+        # the same edges shuffled, some turned round
+        shuffled = np.reshape(edges, (-1, 2))[rng.permutation(len(edges))]
+        turn = rng.random(len(edges)) < 0.5
+        shuffled[turn] = shuffled[turn, ::-1]
+        again = SparseSymPattern(n, shuffled)
+        assert again == pat and hash(again) == hash(pat)
 
     def test_dedup_and_symmetry(self):
         pat = SparseSymPattern(4, [(0, 1), (1, 0), (3, 2)])

@@ -6,9 +6,10 @@ from .completion import (CompletionFactors, banded_pattern, completion_factors,
                          completion_inverse, completion_inverse_factor,
                          completion_vectors, logdet_completion,
                          logdet_completion_banded)
-from .errors import (InfeasibleStart, IterationLimit, NoDecrease, NotChordal,
-                     NotCompletable, NotPositiveDefinite, RipFailure,
-                     SdpaParseError, SparseSdpError, TooManyEdges)
+from .errors import (InfeasibleStart, IterationLimit, NewtonBreakdown,
+                     NoDecrease, NotChordal, NotCompletable,
+                     NotPositiveDefinite, RipFailure, SdpaParseError,
+                     SparseSdpError, TooManyEdges)
 from .logdet import hess_from_columns, hess_vec, inverse_columns, sparse_inverse
 from .maxcut import (CutResult, Graph, cut_value, hyperplane_rounding,
                      initial_point, maxcut_sdp, random_graph, read_graph,

@@ -39,8 +39,8 @@ def run_solver_trial(args):
     return {
         "time": elapsed,
         "iterations": report.iterations,
-        "cg_primal": summary["mean_cg_primal"],
-        "cg_dual": summary["mean_cg_dual"],
+        "newton_res": max(summary["max_newton_res_primal"],
+                          summary["max_newton_res_dual"]),
         "descent_steps": summary["mean_descent_steps"],
     }
 
@@ -73,8 +73,7 @@ def run_table_of_iterations(sizes, trials, seed, gamma=None, gap_tol=1e-3):
             "mean_time": mean(s["time"] for s in stats),
             "median_time": median(s["time"] for s in stats),
             "mean_main_iters": mean(s["iterations"] for s in stats),
-            "mean_cg_dx1": mean(s["cg_primal"] for s in stats),
-            "mean_cg_ds2": mean(s["cg_dual"] for s in stats),
+            "max_newton_res": max(s["newton_res"] for s in stats),
             "mean_pot_min": mean(s["descent_steps"] for s in stats),
         })
     return rows

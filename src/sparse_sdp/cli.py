@@ -2,7 +2,8 @@
 
 Subcommands: solve (SDPA sparse input), maxcut (edge-list input),
 gen-graph, bench-table1, bench-directions, bench-banded.  Exit codes:
-0 success, 1 input/feasibility error, 2 non-convergence.
+0 success, 1 input/feasibility error, 2 non-convergence (an iteration
+limit, a stall or a Newton breakdown).
 """
 
 from __future__ import annotations
@@ -207,7 +208,7 @@ def cmd_bench_table1(args):
                                          gamma=args.gamma, gap_tol=args.gap_tol)
     _write_rows(args.output,
                 ["n", "m", "trials", "mean_time", "median_time",
-                 "mean_main_iters", "mean_cg_dx1", "mean_cg_ds2", "mean_pot_min"],
+                 "mean_main_iters", "max_newton_res", "mean_pot_min"],
                 rows)
     return 0
 

@@ -48,6 +48,16 @@ class IterationLimit(SparseSdpError):
         super().__init__(message)
 
 
+class NewtonBreakdown(IterationLimit):
+    """The Cholesky factorization of a Newton matrix failed.
+
+    The m x m matrix of the primal or dual Newton system is not
+    numerically positive definite.  ``solve`` raises it with the partial
+    report attached (status "breakdown"), so callers that handle
+    IterationLimit handle it too.
+    """
+
+
 class TooManyEdges(SparseSdpError):
     """Requested more edges than a simple graph on n vertices can hold."""
 

@@ -8,11 +8,15 @@ reduce the potential
 
     rho * ln(S.X) - ln det X - ln det S,    rho = n + gamma*sqrt(n).
 
-Both Newton systems are solved by conjugate gradient on their m x m
-matrix, assembled once per system from W (S^-1 on the dual side, the
-completion X^ on the primal side) held in full, which batched forward
-and back solves on the sparse factor give; each CG application is then
-one m x m product.  The same W turns the solution back into a matrix:
+Both Newton systems are solved exactly: their m x m matrix M is
+assembled once per system from W (S^-1 on the dual side, the completion
+X^ on the primal side) held in full, which batched forward and back
+solves on the sparse factor give, then factored once by a dense
+Cholesky, which is also its positive-definiteness check, and solved by
+blocked forward and back substitution through that factor.  Each solve
+reports its relative residual |M v - rhs| / |rhs|.  A factorization
+that fails raises NewtonBreakdown.  The same W turns the solution back
+into a matrix:
 the image W (sum v_p A_p) W on the fill pattern is dense row dots of W,
 with no sweep over the factor, and so is X^ M X^.
 
@@ -38,8 +42,8 @@ import numpy as np
 
 from .completion import (completion_factors, completion_inverse,
                          completion_inverse_factor, logdet_completion)
-from .errors import (InfeasibleStart, IterationLimit, NoDecrease,
-                     NotCompletable, NotPositiveDefinite)
+from .errors import (InfeasibleStart, IterationLimit, NewtonBreakdown,
+                     NoDecrease, NotCompletable, NotPositiveDefinite)
 from .logdet import hess_from_columns, inverse_columns, sparse_inverse
 from .sparsemat import SparseSymMatrix, cholesky_factorize, inner_product
 
@@ -48,6 +52,7 @@ STALL_DECREASE = 1e-12   # potential decrease below this counts as stalled
 MAX_DAMPINGS = 60        # halvings applied to an infeasible start point
 MAX_DESCENT_STEPS = 20   # unit steps per start in the potential search
 EXTRA_ITERS = 3          # polishing iterations once the gap is below gap_tol
+SUBST_BLOCK = 64         # rows per block of the substitution through M's factor
 
 
 @dataclass
@@ -56,30 +61,24 @@ class SolverConfig:
 
     ``gamma`` weights the potential, rho = n + gamma*sqrt(n); None
     resolves to sqrt(n) at solve time.  The solve converges once the
-    duality gap S.X drops below ``gap_tol``.  Each Newton system is
-    solved by conjugate gradient on its assembled m x m matrix to
-    relative residual ``cg_rel_tol`` in at most ``cg_max_iter``
-    iterations (None means m).  ``max_main_iters`` bounds the main loop.
-    ``gamma`` and both tolerances must be positive and finite, and
-    either iteration bound an int of at least 1.  ``direction_mode``
+    duality gap S.X drops below ``gap_tol``.  ``max_main_iters`` bounds
+    the main loop.  ``gamma`` and ``gap_tol`` must be positive and
+    finite, and ``max_main_iters`` an int of at least 1.  The Newton
+    systems are solved exactly, so they have no knobs.  ``direction_mode``
     "four" searches over both Newton directions and their companions,
     "two" over the primal direction and its companion only.
     """
 
     gamma: float | None = None
     gap_tol: float = 1e-3
-    cg_rel_tol: float = 1e-5
-    cg_max_iter: int | None = None
     max_main_iters: int = 200
     direction_mode: str = "four"
 
     def __post_init__(self):
         if self.gamma is not None and not _positive_finite(self.gamma):
             raise ValueError("gamma must be positive and finite")
-        if not (_positive_finite(self.gap_tol) and _positive_finite(self.cg_rel_tol)):
-            raise ValueError("tolerances must be positive and finite")
-        if self.cg_max_iter is not None and not _positive_int(self.cg_max_iter):
-            raise ValueError("cg_max_iter must be None or an int >= 1")
+        if not _positive_finite(self.gap_tol):
+            raise ValueError("gap_tol must be positive and finite")
         if not _positive_int(self.max_main_iters):
             raise ValueError("max_main_iters must be an int >= 1")
         if self.direction_mode not in ("four", "two"):
@@ -105,6 +104,9 @@ class CgResult:
 
 def conjugate_gradient(apply_h, rhs, rel_tol=1e-5, max_iter=None):
     """Solve H z = rhs for a symmetric positive definite operator.
+
+    The solve does not call it: each Newton system is factored and
+    solved exactly (``_newton_system``).
 
     Stops when the residual 2-norm drops below ``rel_tol`` times the
     2-norm of ``rhs``.  On hitting ``max_iter`` (default len(rhs)) first,
@@ -282,41 +284,74 @@ class Direction:
     """One projected Newton direction with its companion step.
 
     From the primal slice: dx = dX1, ds = dS1, dy = dy1, ``lam`` the
-    Newton decrement and ``cg.x`` the multipliers lambda.  From the dual
-    slice: dx = dX2, ds = dS2, dy = dy2, ``lam`` = lam~ and ``cg.x`` the
-    coefficients z.
+    Newton decrement and ``multipliers`` the lambda_p.  From the dual
+    slice: dx = dX2, ds = dS2, dy = dy2, ``lam`` = lam~ and
+    ``multipliers`` the coefficients z_p.  ``newton_res`` is the
+    relative residual |M v - rhs| / |rhs| of the Newton system those
+    multipliers solve.
     """
 
     dx: SparseSymMatrix
     ds: SparseSymMatrix
     dy: np.ndarray
     lam: float
-    cg: CgResult
+    multipliers: np.ndarray
+    newton_res: float
 
 
-def _newton_system(prob, cfg, w, rhs):
-    """Solve A(W (sum v_p A_p) W) = rhs for v by conjugate gradient.
+def _factor_solve(mat, rhs, side):
+    """v with M v = rhs for M = ``mat``, and its relative residual
+    |M v - rhs| / |rhs| (0 for rhs = 0).
+
+    One dense Cholesky M = L L^T, which is also the positive-definiteness
+    check: a failure raises NewtonBreakdown naming ``side``.  Then forward
+    and back substitution through L in blocks of SUBST_BLOCK rows: each
+    block takes the part of the blocks already solved by one
+    matrix-vector product, then solves its diagonal block.  Only those
+    blocks go to ``np.linalg.solve``, so once m exceeds SUBST_BLOCK no
+    full LU of the factor is paid.
+    """
+    try:
+        low = np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        raise NewtonBreakdown(f"{side} Newton matrix is not positive definite") from None
+    m = len(rhs)
+    starts = range(0, m, SUBST_BLOCK)
+    u = np.zeros(m)
+    for i0 in starts:
+        i1 = min(i0 + SUBST_BLOCK, m)
+        u[i0:i1] = np.linalg.solve(low[i0:i1, i0:i1],
+                                   rhs[i0:i1] - low[i0:i1, :i0] @ u[:i0])
+    v = np.zeros(m)
+    for i0 in reversed(starts):
+        i1 = min(i0 + SUBST_BLOCK, m)
+        v[i0:i1] = np.linalg.solve(low[i0:i1, i0:i1].T,
+                                   u[i0:i1] - low[i1:, i0:i1].T @ v[i1:])
+    norm = float(np.linalg.norm(rhs))
+    res = float(np.linalg.norm(mat @ v - rhs)) / norm if norm else 0.0
+    return v, res
+
+
+def _newton_system(prob, w, rhs, side):
+    """Solve A(W (sum v_p A_p) W) = rhs for v exactly.
 
     ``w`` is the symmetric W in full, from batched solves on W^-1's
     sparse factor (``inverse_columns``).  ``newton_matrix`` assembles
-    the system's matrix M_pq = A_p . (W A_q W) once from it, so each CG
-    application costs one m x m product.  Returns the CG result,
-    Z = sum v_p A_p and its image W Z W on the fill pattern, taken from
-    the same W (``hess_from_columns``).
+    the system's matrix M_pq = A_p . (W A_q W) once from it, and
+    ``_factor_solve`` factors and solves it.  Returns v, its relative
+    residual, Z = sum v_p A_p and its image W Z W on the fill pattern,
+    taken from the same W (``hess_from_columns``).
     """
-    mat = prob.newton_matrix(w)
-    max_iter = prob.m if cfg.cg_max_iter is None else cfg.cg_max_iter
-    res = conjugate_gradient(lambda v: mat @ v, rhs, rel_tol=cfg.cg_rel_tol,
-                             max_iter=max_iter)
-    combo = prob.adjoint_map(res.x)
-    return res, combo, hess_from_columns(w, combo)
+    v, res = _factor_solve(prob.newton_matrix(w), rhs, side)
+    combo = prob.adjoint_map(v)
+    return v, res, combo, hess_from_columns(w, combo)
 
 
-def dual_direction(state, cfg):
+def dual_direction(state):
     """Projected Newton direction across the dual slice and its companion.
 
-    Solves A(S^-1 N~ S^-1) = A(S^-1 - M~) for the coefficients of
-    N~ = sum z_p A_p by conjugate gradient, with M~ = (rho/gap) X.  Then
+    Solves A(S^-1 N~ S^-1) = A(S^-1 - M~) exactly for the coefficients
+    of N~ = sum z_p A_p, with M~ = (rho/gap) X.  Then
       dS2 = N~ / (1 + lam~),        lam~ = [(S^-1 N~ S^-1) . N~]^(1/2),
       dX2 = (gap/rho) (S^-1 - S^-1 N~ S^-1) - X   restricted to F,
     and dX2 is projected onto the constraint null space so primal
@@ -328,21 +363,22 @@ def dual_direction(state, cfg):
     xbar = state.xbar
     rhs = prob.apply_map(sinv) - prob.apply_map(xbar) / mu
     w = inverse_columns(state.s_factor)
-    res, ntilde, curved = _newton_system(prob, cfg, w, rhs)
+    z, res, ntilde, curved = _newton_system(prob, w, rhs, "dual")
     lam_tilde = math.sqrt(max(inner_product(curved, ntilde), 0.0))
     raw = SparseSymMatrix(prob.fill, mu * (sinv.values - curved.values) - xbar.values,
                           check=False)
     return Direction(dx=prob.project_out_constraints(raw),
                      ds=ntilde.scaled(1.0 / (1.0 + lam_tilde)),
-                     dy=-res.x / (1.0 + lam_tilde), lam=lam_tilde, cg=res)
+                     dy=-z / (1.0 + lam_tilde), lam=lam_tilde, multipliers=z,
+                     newton_res=res)
 
 
-def primal_direction(state, cfg):
+def primal_direction(state):
     """Projected Newton direction across the primal slice and its companion.
 
     Works against the completion X^ through its sparse inverse Y: with
     M = (rho/gap) S, solve A(sum lam_p X^ A_p X^) = A(X^ M X^ - X) for
-    the multipliers by conjugate gradient.  X^ comes in full once from
+    the multipliers exactly.  X^ comes in full once from
     batched solves on Y's factor; the system's matrix, (X^ M X^)|_F and
     (sum lam_p X^ A_p X^)|_F are all built from it.
     Then
@@ -359,7 +395,7 @@ def primal_direction(state, cfg):
     m_mat = state.s.scaled(1.0 / mu)
     xmx = hess_from_columns(w, m_mat)
     rhs = prob.apply_map(xmx) - prob.apply_map(xbar)
-    res, lam_a, xlx = _newton_system(prob, cfg, w, rhs)
+    mult, res, lam_a, xlx = _newton_system(prob, w, rhs, "primal")
     n_mat = prob.project_out_constraints(SparseSymMatrix(
         prob.fill, xbar.values - xmx.values + xlx.values, check=False))
     g_mat = SparseSymMatrix(prob.fill,
@@ -367,7 +403,7 @@ def primal_direction(state, cfg):
                             check=False)
     lam = math.sqrt(max(inner_product(g_mat, n_mat), 0.0))
     return Direction(dx=n_mat.scaled(1.0 / (1.0 + lam)), ds=lam_a.scaled(-mu),
-                     dy=mu * res.x, lam=lam, cg=res)
+                     dy=mu * mult, lam=lam, multipliers=mult, newton_res=res)
 
 
 @dataclass
@@ -497,8 +533,8 @@ class IterationRecord:
     index: int
     gap: float
     phi: float
-    cg_primal: int
-    cg_dual: int
+    newton_res_primal: float
+    newton_res_dual: float
     descent_steps: float
     primal_residual: float
     dual_residual: float
@@ -529,10 +565,10 @@ class SolverReport:
 
     def csv_text(self):
         out = StringIO()
-        out.write("iter,gap,phi,cg_primal,cg_dual,descent_steps\n")
+        out.write("iter,gap,phi,newton_res_primal,newton_res_dual,descent_steps\n")
         for r in self.records:
-            out.write(f"{r.index},{r.gap!r},{r.phi!r},{r.cg_primal},"
-                      f"{r.cg_dual},{r.descent_steps!r}\n")
+            out.write(f"{r.index},{r.gap!r},{r.phi!r},{r.newton_res_primal!r},"
+                      f"{r.newton_res_dual!r},{r.descent_steps!r}\n")
         return out.getvalue()
 
     def write_csv(self, path):
@@ -557,8 +593,10 @@ class SolverReport:
                                        default=0.0),
             "max_dual_residual": max((r.dual_residual for r in self.records),
                                      default=0.0),
-            "mean_cg_primal": _mean(r.cg_primal for r in self.records),
-            "mean_cg_dual": _mean(r.cg_dual for r in self.records),
+            "max_newton_res_primal": max((r.newton_res_primal for r in self.records),
+                                         default=0.0),
+            "max_newton_res_dual": max((r.newton_res_dual for r in self.records),
+                                       default=0.0),
             "mean_descent_steps": _mean(r.descent_steps for r in self.records),
         }
 
@@ -574,7 +612,9 @@ def solve(problem, x0, y0, cfg=None, observer=None):
     Iterates until the duality gap falls below ``cfg.gap_tol``, then runs
     EXTRA_ITERS polishing iterations.  Raises InfeasibleStart for
     a bad initial point and IterationLimit (with the partial report
-    attached) when the iteration budget runs out or progress stalls.
+    attached) when the iteration budget runs out or progress stalls;
+    its subclass NewtonBreakdown (status "breakdown") when a Newton
+    matrix is not numerically positive definite.
     """
     cfg = cfg or SolverConfig()
     gamma = cfg.gamma if cfg.gamma is not None else math.sqrt(problem.n)
@@ -595,8 +635,12 @@ def solve(problem, x0, y0, cfg=None, observer=None):
 
     converged_at = None
     for it in range(1, cfg.max_main_iters + 1):
-        primal = primal_direction(state, cfg)
-        dual = dual_direction(state, cfg) if cfg.direction_mode == "four" else None
+        try:
+            primal = primal_direction(state)
+            dual = dual_direction(state) if cfg.direction_mode == "four" else None
+        except NewtonBreakdown as exc:
+            raise NewtonBreakdown(f"{exc} at gap {state.gap:.3e}",
+                                  finish("breakdown")) from exc
         try:
             choice = potential_minimize(state, primal, dual)
         except NoDecrease:
@@ -612,8 +656,8 @@ def solve(problem, x0, y0, cfg=None, observer=None):
                 f"{state.gap:.3e}", finish("stalled"))
         state = choice.trial
         pres, dres = state.residuals()
-        record = IterationRecord(it, state.gap, state.phi, primal.cg.iterations,
-                                 dual.cg.iterations if dual else 0,
+        record = IterationRecord(it, state.gap, state.phi, primal.newton_res,
+                                 dual.newton_res if dual else 0.0,
                                  choice.mean_steps, pres, dres)
         report.records.append(record)
         if observer is not None:

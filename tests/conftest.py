@@ -238,3 +238,28 @@ def problem_dense_data(problem):
 def report_registry():
     """Solve reports accumulated across tests for global invariant checks."""
     return []
+
+
+def break_newton_matrix_at(monkeypatch, iteration):
+    """Make every Newton matrix -I from main iteration ``iteration`` on.
+
+    The iteration is counted by the step searches ``solve`` has run, so
+    the Gram matrix ``project_out_constraints`` builds through
+    ``newton_matrix`` on first use is not mistaken for one.
+    """
+    from sparse_sdp import SdpProblem, solver
+
+    searches = []
+    search, assemble = solver.potential_minimize, SdpProblem.newton_matrix
+
+    def counted_search(*args):
+        searches.append(1)
+        return search(*args)
+
+    def newton_matrix(self, w):
+        if len(searches) >= iteration - 1:
+            return -np.eye(self.m)
+        return assemble(self, w)
+
+    monkeypatch.setattr(solver, "potential_minimize", counted_search)
+    monkeypatch.setattr(SdpProblem, "newton_matrix", newton_matrix)

@@ -1,9 +1,13 @@
-"""One SHA-256 over 36 fixed solves, to check that a change leaves the
-solver's path byte for byte where it was.
+"""One line per solve and one SHA-256 over 36 fixed solves, to check
+that a change leaves the solver's path where it was.
 
-    python3 tests/solve_digest.py
+    python3 tests/solve_digest.py > out.txt
 
-Run it in two checkouts and compare the printed digests.  The solves are
+Run it in two checkouts and ``diff`` the outputs.  Each solve prints one
+line, ``family i mode status iterations C.X b.y`` (objectives as repr),
+so a change that moves the path within a tolerance shows which solves
+moved and by how much; the last line, the digest, is equal only when
+the path is byte for byte the same.  The solves are
 the three benchmark families -- random_graph(35, 105), banded_graph(60, 3)
 and the 5x7 odd torus with weights 1-2, the torus written as .dat-s and
 read back through ``read_sdpa`` -- at ``trial_seed(3, 0..5)``, each in
@@ -63,7 +67,8 @@ def problems(workdir):
         yield f"torus {index}", _via_sdpa(torus, Path(workdir) / f"torus{index}.dat-s")
 
 
-def digest():
+def digest(out=sys.stdout):
+    """Print one line per solve to ``out``; return the digest."""
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as workdir:
         for label, problem in problems(workdir):
@@ -80,11 +85,14 @@ def digest():
                     report = solve(problem, x0, y0, SolverConfig(direction_mode=mode))
                 except IterationLimit as exc:
                     h.update(str(exc).encode())
-                    if exc.report is not None:
-                        h.update(exc.report.csv_text().encode())
-                    continue
-                h.update(report.csv_text().encode())
-                h.update(gram_vectors(problem, report.state).tobytes())
+                    report = exc.report
+                    h.update(report.csv_text().encode())
+                else:
+                    h.update(report.csv_text().encode())
+                    h.update(gram_vectors(problem, report.state).tobytes())
+                print(f"{label} {mode} {report.status} {report.iterations} "
+                      f"{report.objective_primal!r} {report.objective_dual!r}",
+                      file=out, flush=True)
     return h.hexdigest()
 
 

@@ -186,9 +186,8 @@ def test_criterion_4_dense_oracle_directions():
         x0, y0 = initial_point(problem)
         rho = problem.n + math.sqrt(problem.n) * math.sqrt(problem.n)
         state = IterateState.create(problem, x0, y0, rho)
-        cfg = SolverConfig(cg_rel_tol=1e-12, cg_max_iter=50 * problem.m)
-        prim = primal_direction(state, cfg)
-        dual = dual_direction(state, cfg)
+        prim = primal_direction(state)
+        dual = dual_direction(state)
         c_dense, a_dense, b = problem_dense_data(problem)
         ref = dense_reference_directions(c_dense, a_dense, b,
                                          np.eye(problem.n),

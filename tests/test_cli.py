@@ -10,6 +10,7 @@ import pytest
 from sparse_sdp.cli import main
 from sparse_sdp.maxcut import random_graph, write_graph
 
+from conftest import break_newton_matrix_at
 from test_sdpa import maxcut_file
 
 
@@ -58,6 +59,19 @@ class TestSolveCommand:
         code, _, err = run_cli(["solve", str(path), "--max-iters", "2"], capsys)
         assert code == 2
         assert "converge" in err
+
+    def test_newton_breakdown_exit_two_with_partial_csv(self, tmp_path, capsys,
+                                                        monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path, _, _ = maxcut_file(tmp_path, random_graph(6, 9, seed=3))
+        break_newton_matrix_at(monkeypatch, 3)
+        out_csv = tmp_path / "partial.csv"
+        code, _, err = run_cli(["solve", str(path), "--out-csv", str(out_csv)],
+                               capsys)
+        assert code == 2
+        assert "primal Newton matrix is not positive definite at gap" in err
+        with open(out_csv) as fh:
+            assert [r["iter"] for r in csv.DictReader(fh)] == ["1", "2"]
 
     def test_max_iters_zero_exit_one(self, tmp_path, capsys, monkeypatch):
         # an input error, not a solve that did not converge (exit 2)
@@ -167,8 +181,8 @@ class TestMaxcutCommand:
         assert code == 0
         with open(out_csv) as fh:
             rows = list(csv.DictReader(fh))
-        assert rows and set(rows[0]) == {"iter", "gap", "phi", "cg_primal",
-                                         "cg_dual", "descent_steps"}
+        assert rows and set(rows[0]) == {"iter", "gap", "phi", "newton_res_primal",
+                                         "newton_res_dual", "descent_steps"}
 
 
     def test_empty_graph_file_exit_one(self, tmp_path, capsys):

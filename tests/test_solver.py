@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sparse_sdp import logdet, solver
-from sparse_sdp import (CgResult, Direction, EliminationOrdering, InfeasibleStart,
+from sparse_sdp import (Direction, EliminationOrdering, InfeasibleStart,
                         IterateState, IterationLimit, SdpProblem, SolverConfig,
                         SparseSymMatrix, SparseSymPattern, conjugate_gradient,
                         dual_direction, hess_vec, inner_product,
@@ -26,8 +26,8 @@ def make_state(problem, gamma=None):
     return IterateState.create(problem, x0, y0, rho)
 
 
-def build_directions(state, cfg):
-    return primal_direction(state, cfg), dual_direction(state, cfg)
+def build_directions(state):
+    return primal_direction(state), dual_direction(state)
 
 
 class TestProblemInvariants:
@@ -181,21 +181,10 @@ class TestPotential:
 
 
 class TestSolverConfig:
-    @pytest.mark.parametrize("cg_max_iter", [0, -1, 2.5, True])
-    def test_cg_max_iter_must_be_a_positive_int(self, cg_max_iter):
-        # 0 used to be read as m, and a negative cap returned x = 0 at once
-        with pytest.raises(ValueError, match="cg_max_iter"):
-            SolverConfig(cg_max_iter=cg_max_iter)
-
-    @pytest.mark.parametrize("cg_max_iter", [None, 1, np.int64(7)])
-    def test_cg_max_iter_accepts_none_and_positive_ints(self, cg_max_iter):
-        assert SolverConfig(cg_max_iter=cg_max_iter).cg_max_iter == cg_max_iter
-
-    @pytest.mark.parametrize("field", ["gamma", "gap_tol", "cg_rel_tol"])
+    @pytest.mark.parametrize("field", ["gamma", "gap_tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
     def test_gamma_and_tolerances_must_be_positive_and_finite(self, field, value):
-        # gamma=nan ran all 200 iterations and gap_tol=nan stalled; with
-        # cg_rel_tol=nan every CG ran silently to its cap
+        # gamma=nan ran all 200 iterations and gap_tol=nan stalled
         with pytest.raises(ValueError, match="finite"):
             SolverConfig(**{field: value})
 
@@ -342,31 +331,24 @@ class TestNewtonMatrix:
         for factor in (state.s_factor, state.xhat_inv_factor):
             assert assembled(problem, factor).shape == (0, 0)
         w = inverse_columns(state.s_factor)
-        res, combo, image = solver._newton_system(problem, SolverConfig(), w,
-                                                  np.zeros(0))
-        assert res.converged and res.iterations == 0
+        v, res, combo, image = solver._newton_system(problem, w, np.zeros(0),
+                                                     "dual")
+        assert v.shape == (0,) and res == 0.0
         assert not combo.values.any() and not image.values.any()
 
     def test_no_hessian_sweeps_in_the_directions(self, monkeypatch):
         # every product W Z W comes from W in full, on MAX-CUT and on a
-        # generic problem with a vertex outside every constraint alike;
-        # CG makes no product, however many iterations it runs
+        # generic problem with a vertex outside every constraint alike
         assert not hasattr(solver, "hess_vec")
         original = logdet.hess_vec
         calls = []
         monkeypatch.setattr(logdet, "hess_vec",
                             lambda *a, **k: calls.append(1) or original(*a, **k))
-        state = mid_solve_state()
-        cg_iterations = []
-        for cg_max_iter in (1, None):
-            cfg = SolverConfig(direction_mode="four", cg_max_iter=cg_max_iter)
-            prim, dual = build_directions(state, cfg)
-            cg_iterations.append(prim.cg.iterations + dual.cg.iterations)
-        assert cg_iterations[0] == 2 and cg_iterations[1] > 10
+        build_directions(mid_solve_state())
         state = generic_mid_solve_state(12, 6, 0, iters=4)
         problem = state.problem
         assert len(np.union1d(problem._ent_r, problem._ent_s)) == 11
-        build_directions(state, SolverConfig(direction_mode="four"))
+        build_directions(state)
         assert calls == []
 
 
@@ -423,8 +405,7 @@ class TestDirectionsAgainstDenseReference:
     def test_first_iterate_equivalence(self, graph):
         problem = maxcut_sdp(graph)
         state = make_state(problem)
-        cfg = SolverConfig(cg_rel_tol=1e-12, cg_max_iter=40 * problem.m)
-        prim, dual = build_directions(state, cfg)
+        prim, dual = build_directions(state)
 
         c_dense, a_dense, b = problem_dense_data(problem)
         # first iterate: the completion of the identity partial is exact
@@ -444,21 +425,20 @@ class TestDirectionsAgainstDenseReference:
         assert rel(ref["ds2"], dual.ds) < 1e-6
         assert prim.lam == pytest.approx(ref["lam"], rel=1e-6)
         assert dual.lam == pytest.approx(ref["lam_tilde"], rel=1e-8)
-        assert np.allclose(prim.cg.x, ref["lambda_mult"], rtol=1e-6)
-        assert np.allclose(dual.cg.x, ref["z"], rtol=1e-6, atol=1e-9)
+        assert np.allclose(prim.multipliers, ref["lambda_mult"], rtol=1e-6)
+        assert np.allclose(dual.multipliers, ref["z"], rtol=1e-6, atol=1e-9)
 
     def test_second_iterate_equivalence(self):
         # after one step the completion is no longer the identity; feed the
         # dense reference the reconstructed completion and compare again
         from sparse_sdp import completion_factors
         problem = maxcut_sdp(random_graph(6, 8, seed=11))
-        cfg = SolverConfig(cg_rel_tol=1e-12, cg_max_iter=40 * problem.m)
         x0, y0 = initial_point(problem)
         rho = problem.n + math.sqrt(problem.n) * math.sqrt(problem.n)
         state = IterateState.create(problem, x0, y0, rho)
-        choice = potential_minimize(state, *build_directions(state, cfg))
+        choice = potential_minimize(state, *build_directions(state))
         state2 = choice.trial
-        prim2, dual2 = build_directions(state2, cfg)
+        prim2, dual2 = build_directions(state2)
 
         xhat = reconstruct_dense(completion_factors(state2.xbar, problem.plan))
         c_dense, a_dense, b = problem_dense_data(problem)
@@ -476,13 +456,12 @@ class TestDirectionsAgainstDenseReference:
         # the sparse directions must match the dense reference
         from sparse_sdp import completion_factors
         problem = maxcut_sdp(random_graph(5, 7, seed=25))
-        cfg = SolverConfig(cg_rel_tol=1e-12, cg_max_iter=40 * problem.m)
         x0, y0 = initial_point(problem)
         rho = 2.0 * problem.n
         state = IterateState.create(problem, x0, y0, rho)
         c_dense, a_dense, b = problem_dense_data(problem)
         for _ in range(3):
-            prim, dual = build_directions(state, cfg)
+            prim, dual = build_directions(state)
             xhat = reconstruct_dense(completion_factors(state.xbar, problem.plan))
             ref = dense_reference_directions(c_dense, a_dense, b, xhat,
                                              state.s.to_dense(), rho)
@@ -511,8 +490,7 @@ class TestDirectionsAgainstDenseReference:
         problem = state.problem
         assert len(np.union1d(problem._ent_r, problem._ent_s)) == covered
         assert np.abs(state.xbar.offdiag).max() > 1e-2
-        cfg = SolverConfig(cg_rel_tol=1e-12, cg_max_iter=50 * problem.m)
-        prim, dual = build_directions(state, cfg)
+        prim, dual = build_directions(state)
         ref = dense_reference_directions(*problem_dense_data(problem),
                                          reconstruct_dense(state.x_factors),
                                          state.s.to_dense(), state.rho)
@@ -526,13 +504,13 @@ class TestDirectionsAgainstDenseReference:
     def test_direction_subspace_invariants(self):
         problem = maxcut_sdp(random_graph(8, 14, seed=12))
         state = make_state(problem)
-        prim, dual = build_directions(state, SolverConfig())
+        prim, dual = build_directions(state)
         assert np.abs(problem.apply_map(prim.dx)).max() < 1e-7
         assert np.abs(problem.apply_map(dual.dx)).max() < 1e-7
         # dS1 and dS2 are adjoint images by construction; check dS1 matches
         # its defining formula mu * (Xinv - G) - S via the multiplier form
         mu = state.gap / state.rho
-        recon = problem.adjoint_map(-mu * prim.cg.x)
+        recon = problem.adjoint_map(-mu * prim.multipliers)
         assert np.abs(recon.diag - prim.ds.diag).max() < 1e-12
         assert np.abs(recon.offdiag - prim.ds.offdiag).max() < 1e-12
         assert prim.lam >= 0.0 and dual.lam >= 0.0
@@ -543,15 +521,15 @@ class TestDirectionsAgainstDenseReference:
         problem = maxcut_sdp(Graph(3, []))
         x0 = SparseSymMatrix.identity(problem.fill)
         state = IterateState.create(problem, x0, -np.ones(3), rho=3.0)
-        dual = dual_direction(state, SolverConfig())
-        assert np.abs(dual.cg.x).max() < 1e-12
+        dual = dual_direction(state)
+        assert np.abs(dual.multipliers).max() < 1e-12
         assert np.abs(dual.ds.diag).max() < 1e-12
 
     def test_primal_newton_vanishes_at_center(self):
         problem = maxcut_sdp(Graph(3, []))
         x0 = SparseSymMatrix.identity(problem.fill)
         state = IterateState.create(problem, x0, -np.ones(3), rho=3.0)
-        prim = primal_direction(state, SolverConfig())
+        prim = primal_direction(state)
         assert np.abs(prim.dx.diag).max() < 1e-10
         assert (np.abs(prim.dx.offdiag).max() if len(prim.dx.offdiag) else 0.0) < 1e-10
 
@@ -562,7 +540,7 @@ class TestPotentialMinimize:
         state = make_state(problem)
         zero = SparseSymMatrix.zeros(problem.fill)
         still = Direction(dx=zero, ds=zero, dy=np.zeros(problem.m), lam=0.0,
-                          cg=CgResult(np.zeros(problem.m), 0, True, 0.0))
+                          multipliers=np.zeros(problem.m), newton_res=0.0)
         choice = potential_minimize(state, still, still)
         assert np.allclose(choice.coeffs, 0.0)
         assert choice.phi == pytest.approx(state.phi)
@@ -571,9 +549,10 @@ class TestPotentialMinimize:
         problem = maxcut_sdp(random_graph(5, 6, seed=14))
         state = make_state(problem)
         # a dual step far past the cone boundary: 200 * dy1 forces damping
-        prim, dual = build_directions(state, SolverConfig())
+        prim, dual = build_directions(state)
         big = Direction(dx=prim.dx, ds=prim.ds.scaled(200.0),
-                        dy=prim.dy * 200.0, lam=prim.lam, cg=prim.cg)
+                        dy=prim.dy * 200.0, lam=prim.lam,
+                        multipliers=prim.multipliers, newton_res=prim.newton_res)
         choice = potential_minimize(state, big, dual)
         # the k1 start must have been halved into feasibility (0 < k1 < 1)
         # or rejected in favor of another start; either way phi decreases
@@ -582,8 +561,7 @@ class TestPotentialMinimize:
     def test_chosen_point_beats_unit_starts(self):
         problem = maxcut_sdp(random_graph(7, 11, seed=15))
         state = make_state(problem)
-        cfg = SolverConfig()
-        prim, dual = build_directions(state, cfg)
+        prim, dual = build_directions(state)
         choice = potential_minimize(state, prim, dual)
         # evaluate phi at each raw unit start for comparison
         for start in range(4):
@@ -609,8 +587,7 @@ class TestPotentialMinimize:
     def test_two_direction_mode_searches_h1_k1_only(self):
         problem = maxcut_sdp(random_graph(6, 9, seed=16))
         state = make_state(problem)
-        cfg = SolverConfig(direction_mode="two")
-        prim = primal_direction(state, cfg)
+        prim = primal_direction(state)
         choice = potential_minimize(state, prim, None)
         assert choice.coeffs[1] == 0.0 and choice.coeffs[3] == 0.0
         assert choice.phi < state.phi
@@ -621,14 +598,13 @@ class TestPotentialMinimize:
         # computes none
         problem = maxcut_sdp(random_graph(7, 11, seed=15))
         state = make_state(problem)
-        cfg = SolverConfig()
-        choice = potential_minimize(state, *build_directions(state, cfg))
+        choice = potential_minimize(state, *build_directions(state))
         assert choice.trial is not None
         calls = []
         original = solver.sparse_inverse
         monkeypatch.setattr(solver, "sparse_inverse",
                             lambda factor: calls.append(factor) or original(factor))
-        dual_direction(choice.trial, cfg)
+        dual_direction(choice.trial)
         assert calls == []
 
 
@@ -665,9 +641,8 @@ class TestTrialReuse:
     @pytest.mark.parametrize("mode", ["four", "two"])
     def test_trials_share_the_halves_they_leave_unchanged(self, monkeypatch, mode):
         state = mid_solve_state()
-        cfg = SolverConfig(direction_mode=mode)
-        primal = primal_direction(state, cfg)
-        dual = dual_direction(state, cfg) if mode == "four" else None
+        primal = primal_direction(state)
+        dual = dual_direction(state) if mode == "four" else None
         # the iterate's inverses are known before the search, as in solve
         state.sinv, state.xhat_inv
         trials, calls = self.search(monkeypatch, state, primal, dual)
@@ -696,8 +671,7 @@ class TestTrialReuse:
     def test_shared_primal_half_brings_its_completion_inverse_factor(
             self, monkeypatch):
         state = mid_solve_state()
-        cfg = SolverConfig()
-        primal_direction(state, cfg)
+        primal_direction(state)
         moved = IterateState.compose(state.problem,
                                      solver.DualHalf(state.problem, state.y.copy()),
                                      state.primal, state.rho)
@@ -705,7 +679,7 @@ class TestTrialReuse:
         original = solver.cholesky_factorize
         monkeypatch.setattr(solver, "cholesky_factorize",
                             lambda a: calls.append(a) or original(a))
-        primal_direction(moved, cfg)
+        primal_direction(moved)
         assert calls == []
 
 
@@ -821,8 +795,8 @@ class TestSolve:
             assert int(row["iter"]) == rec.index
             assert float(row["gap"]) == rec.gap
             assert float(row["phi"]) == rec.phi
-            assert int(row["cg_primal"]) == rec.cg_primal
-            assert int(row["cg_dual"]) == rec.cg_dual
+            assert float(row["newton_res_primal"]) == rec.newton_res_primal
+            assert float(row["newton_res_dual"]) == rec.newton_res_dual
             assert float(row["descent_steps"]) == rec.descent_steps
         summary = report.summary()
         assert summary["direction_mode"] == "four"
@@ -834,4 +808,4 @@ class TestSolve:
         report = solve(problem, x0, y0, SolverConfig(direction_mode="two"))
         report_registry.append(report)
         assert report.status == "converged"
-        assert all(r.cg_dual == 0 for r in report.records)
+        assert all(r.newton_res_dual == 0.0 for r in report.records)

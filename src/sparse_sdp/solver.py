@@ -110,8 +110,13 @@ def conjugate_gradient(apply_h, rhs, rel_tol=1e-5, max_iter=None):
 
     Stops when the residual 2-norm drops below ``rel_tol`` times the
     2-norm of ``rhs``.  On hitting ``max_iter`` (default len(rhs)) first,
-    returns the best iterate flagged ``converged=False``.
+    returns the best iterate flagged ``converged=False``.  ``rel_tol``
+    must be positive and finite and ``max_iter`` None or an int >= 1.
     """
+    if not _positive_finite(rel_tol):
+        raise ValueError("rel_tol must be positive and finite")
+    if max_iter is not None and not _positive_int(max_iter):
+        raise ValueError("max_iter must be None or an int >= 1")
     rhs = np.asarray(rhs, dtype=float)
     m = len(rhs)
     if max_iter is None:

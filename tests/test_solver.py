@@ -199,6 +199,25 @@ class TestSolverConfig:
         assert SolverConfig(max_main_iters=max_main_iters).max_main_iters \
             == max_main_iters
 
+    # conjugate_gradient's knobs were the SolverConfig fields cg_rel_tol
+    # and cg_max_iter while the solve ran CG; it keeps their range checks
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_cg_rel_tol_must_be_positive_and_finite(self, value):
+        # rel_tol=nan ran silently to the iteration cap
+        with pytest.raises(ValueError, match="finite"):
+            conjugate_gradient(lambda v: v, np.ones(3), rel_tol=value)
+
+    @pytest.mark.parametrize("cg_max_iter", [0, -1, 2.5, True])
+    def test_cg_max_iter_must_be_a_positive_int(self, cg_max_iter):
+        # 0 and -1 returned the zero vector flagged not converged
+        with pytest.raises(ValueError, match="max_iter"):
+            conjugate_gradient(lambda v: v, np.ones(3), max_iter=cg_max_iter)
+
+    @pytest.mark.parametrize("cg_max_iter", [None, 1, np.int64(7)])
+    def test_cg_max_iter_accepts_none_and_positive_ints(self, cg_max_iter):
+        res = conjugate_gradient(lambda v: v, np.ones(3), max_iter=cg_max_iter)
+        assert res.converged and res.iterations == 1
+
 
 class TestConjugateGradient:
     def test_identity_one_iteration(self):

@@ -1,5 +1,6 @@
 """Chordal-graph machinery: maximal cliques in running-intersection order,
-and the clique plan that both halves of the solver read.
+the clique plan that both halves of the solver read, and the merged
+clique tree of the factor and inverse kernels.
 
 Everything here assumes patterns whose natural order (0..n-1) is meant to
 be a perfect elimination ordering (the output of symbolic factorization
@@ -12,17 +13,27 @@ storage of a matrix on the pattern, grouped by clique size and looked
 up by one ``slots`` call per size, so a sweep over the cliques is one
 batched numpy call per size: the completion of the primal partial
 matrix reads it, and so does the dual residual's L L^T.
+
+A ``CliqueTree`` merges the same cliques into the dense fronts that the
+factor and inverse kernels run on, one Python step per front.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NotChordal, RipFailure
 from .sparsemat import SparseSymMatrix
+
+# t: a child clique joins its parent while |S_child| + |C_parent| <= t.  At
+# 48 the benchmark patterns (n = 35 to 60) are one or two fronts, and a
+# merged front's dense products stay below 64 x 64 x 64, where OpenBLAS
+# starts threads.
+MERGE_SIZE = 48
 
 
 def maximal_cliques(pattern):
@@ -192,6 +203,85 @@ class CliquePlan:
         ``gram_sum`` of L's columns S_r, gathered by ``factor_masks``."""
         return self.gram_sum([np.where(mask, factor.values[gather], 0.0)
                               for (_, gather, _), mask in zip(self.groups, self.factor_masks)])
+
+
+class Front(NamedTuple):
+    """One dense front of a ``CliqueTree``: the columns ``cols`` = S' of
+    the factor and the separator ``seps`` = U', each ascending, so the
+    front's vertices C' = S' then U' ascend too.  Its k x s block (rows
+    C', columns S') starts at ``lo`` in the tree's flat buffer; ``parent``
+    is the parent front (-1 at a root) and ``upos`` the positions of U'
+    in the parent's C'."""
+
+    cols: np.ndarray
+    seps: np.ndarray
+    lo: int
+    parent: int
+    upos: np.ndarray
+
+
+class CliqueTree:
+    """The clique tree of an elimination-closed pattern, with small
+    cliques merged, as the dense fronts of the block kernels.
+
+    The cliques are those of ``maximal_cliques``, split by ``rip_order``.
+    In that order (every child before its parent) a child is merged into
+    its parent while |S_child| + |C_parent| <= MERGE_SIZE; the merged
+    clique is C_parent with S_child added to its residual.  Merging only
+    changes the fronts' shapes: column j of a factor on the pattern has
+    its rows in the C' of the front holding j, and it is 0 on the rows
+    the merge added (the pattern is elimination-closed).  ``fronts``
+    lists the ``Front``s, every child before its parent.  ``gather``
+    reads the fronts' k x s blocks, row by row, from [diag | offdiag]
+    with one zero slot n + nnz appended: the entries of C' x S' on and
+    below the diagonal that lie on the pattern, and the zero slot for
+    the rest.  ``scatter`` is its inverse on the pattern, the buffer
+    position of each slot.  Raises ValueError unless the pattern is
+    elimination-closed.
+    """
+
+    def __init__(self, pattern):
+        n = pattern.n
+        try:
+            seq = rip_order(maximal_cliques(pattern), n=n)
+        except NotChordal:
+            raise ValueError("pattern is not elimination-closed") from None
+        home = np.empty(n, dtype=np.int64)      # the clique whose residual holds v
+        for r, s in enumerate(seq.residuals):
+            home[s] = r
+        parent = [int(home[u[0]]) if len(u) else -1 for u in seq.separators]
+        size = [len(c) for c in seq.cliques]
+        cols = [[s] for s in seq.residuals]
+        into = list(range(len(seq)))
+        for r, p in enumerate(parent):
+            ns = size[r] - len(seq.separators[r])
+            if p >= 0 and ns + size[p] <= MERGE_SIZE:
+                into[r] = p
+                size[p] += ns
+                cols[p] += cols[r]
+        for r in reversed(range(len(seq))):     # a parent comes after its child
+            into[r] = into[into[r]]
+        keep = [r for r in range(len(seq)) if into[r] == r]
+        front_of = {r: f for f, r in enumerate(keep)}
+
+        verts = [np.concatenate((np.sort(np.concatenate(cols[r])), seq.separators[r]))
+                 for r in keep]
+        pad = n + pattern.nnz
+        self.fronts, gather, lo = [], [np.zeros(0, dtype=np.int64)], 0
+        for r, c in zip(keep, verts):
+            u = seq.separators[r]
+            k, s = len(c), len(c) - len(u)
+            p = front_of[into[parent[r]]] if len(u) else -1
+            upos = np.searchsorted(verts[p], u) if len(u) else u
+            self.fronts.append(Front(c[:s], u, lo, p, upos))
+            slots = pattern.slots(c[:, None], c[:s], missing=pad)
+            gather.append(np.where(np.tri(k, s, dtype=bool), slots, pad).ravel())
+            lo += k * s
+        self.gather = np.concatenate(gather)
+        self.scatter = np.empty(pad, dtype=np.int64)
+        on = self.gather < pad
+        self.scatter[self.gather[on]] = np.flatnonzero(on)
+        self.gather.flags.writeable = self.scatter.flags.writeable = False
 
 
 @lru_cache(maxsize=None)

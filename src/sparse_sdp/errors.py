@@ -8,8 +8,10 @@ class SparseSdpError(Exception):
 class NotPositiveDefinite(SparseSdpError):
     """A Cholesky pivot was not strictly positive.
 
-    ``pivot`` is the 0-based index of the offending pivot.  Line searches
-    catch this to reject trial points that left the cone.
+    ``pivot`` is the 0-based index of the offending pivot: its LDL^T pivot
+    fails the test, and every pivot below it in the elimination tree
+    passes (``sparsemat.cholesky_factorize``).  Line searches catch this
+    to reject trial points that left the cone.
     """
 
     def __init__(self, pivot, message=None):

@@ -1,22 +1,25 @@
-"""Derivatives of sparse-Cholesky log-determinants on the fill pattern.
+"""Inverses of a sparse Cholesky factor and the log-det Hessian product.
 
-``sparse_inverse`` produces the entries of S^-1 restricted to the filled
-pattern (the gradient of ln det S there) at factorization cost, via the
-selected-inverse recurrences that run backward over the factor columns.
-``hess_vec`` pushes a direction Z through the tangent of that same
-computation, starting from the selected inverse its caller already
-holds, yielding the entries on the pattern of S^-1 Z S^-1 -- the log-det
-Hessian applied to Z, up to sign -- at the same cost.  Both sweeps read
-each column's block of slots from the pattern's ``column_blocks``, an
-index of sum_j c_j^2 slots (c_j the entries of factor column j) built
-once per pattern; their storage per call stays O(nnz), and no dense
-intermediate is ever formed.  ``inverse_columns`` gives the inverse in
-full, by batched forward and back solves on the factor.  With it in
-hand, ``hess_from_columns`` gives the same product W Z W on the pattern
-by dense row dots, with no sweep over the factor; the solver takes every
-product it needs that way (the Newton systems' columns, as in Fujisawa,
-Kojima and Nakata, Math. Prog. 79, 1997), and ``hess_vec`` is the sweep
-that needs no n x n storage.
+``sparse_inverse`` gives the entries of S^-1 on the filled pattern (the
+gradient of ln det S there), and ``inverse_columns`` gives S^-1 in
+full.  Both run on the dense fronts of the pattern's ``clique_tree``, as
+the factor does: the selected inverse is the projected inverse, top down
+over the fronts, with storage the sum of k^2 over them; the full
+inverse is a forward and a back solve, one block of rows per front.
+They read the factor's values only, so the factor of the completion
+inverse (``completion.completion_inverse_factor``) serves as well as that
+of S.  ``hess_vec`` pushes a direction Z through the tangent of the
+scalar factorization and selected-inverse recurrences, starting from the
+selected inverse its caller already holds, yielding the entries on the
+pattern of S^-1 Z S^-1 -- the log-det Hessian applied to Z, up to sign
+-- within O(nnz) storage per call.  It reads each column's block of
+slots from the pattern's ``column_blocks``, an index of sum_j c_j^2
+slots (c_j the entries of factor column j) built once per pattern.
+``hess_from_columns`` gives the same product W Z W on the pattern from W
+held in full, by dense row dots; the solver takes every product it
+needs that way (the Newton systems' columns, as in Fujisawa, Kojima and
+Nakata, Math. Prog. 79, 1997), and ``hess_vec`` is the sweep that needs
+no n x n storage.
 """
 
 from __future__ import annotations
@@ -49,59 +52,76 @@ def _blocks_backward(pat):
         yield j, run, ptr[j] - lo
 
 
+def _front_blocks(factor):
+    """The factor's k x s blocks over the fronts of its pattern's
+    ``clique_tree``, in one flat buffer laid out as ``gather`` says."""
+    tree = factor.pattern.clique_tree
+    return tree, np.append(factor.values, 0.0)[tree.gather]
+
+
 def sparse_inverse(factor):
     """Entries on the fill pattern of the inverse of the factored matrix.
 
-    Backward recurrences over the columns of the factor; every referenced
-    inverse entry lies on the pattern because the pattern is
-    elimination-closed, and ``column_blocks`` says where.  Raises
+    The projected inverse, top down over the fronts of the pattern's
+    ``clique_tree``.  With W = (L L^T)^-1, L on front C' = S' then U'
+    and B = L_U'S' L_S'S'^-1, W_U'U' is read from the parent's block and
+
+        W_U'S' = -W_U'U' B,    W_S'S' = L_S'S'^-T L_S'S'^-1 - B^T W_U'S'.
+
+    Every front keeps its C' x C' block of W until the pass ends, so the
+    storage is the sum of k^2 over the fronts, never n x n.  Raises
     ValueError when the pattern is not elimination-closed.
     """
-    pat = factor.pattern
-    n = pat.n
-    lt, d = (a.tolist() for a in _unit_factor(factor))
-    start = pat.col_ptr.tolist()
-    w = [0.0] * (n + pat.nnz)         # [diag | offdiag], as the result keeps it
-    for j, run, k in _blocks_backward(pat):
-        lo, hi = start[j], start[j + 1]
-        ltj = lt[lo:hi]
-        for e in range(n + lo, n + hi):
-            s = 0.0
-            for lk in ltj:
-                s -= lk * w[run[k]]
-                k += 1
-            w[e] = s
-        s = 1.0 / d[j]
-        for lk, wk in zip(ltj, w[n + lo:n + hi]):
-            s -= lk * wk
-        w[j] = s
-    return SparseSymMatrix(pat, w, check=False)
+    tree, low = _front_blocks(factor)
+    out = np.empty_like(low)
+    blocks = [None] * len(tree.fronts)
+    for f in reversed(range(len(tree.fronts))):
+        cols, seps, lo, parent, upos = tree.fronts[f]
+        s = len(cols)
+        k = s + len(seps)
+        blk = low[lo:lo + k * s].reshape(k, s)
+        inv = np.linalg.inv(blk[:s])
+        w = np.empty((k, k))
+        w[:s, :s] = inv.T @ inv
+        if k > s:
+            b = blk[s:] @ inv
+            w[s:, s:] = blocks[parent][np.ix_(upos, upos)]
+            w[s:, :s] = -(w[s:, s:] @ b)
+            w[:s, s:] = w[s:, :s].T
+            w[:s, :s] -= b.T @ w[s:, :s]
+        blocks[f] = w
+        out[lo:lo + k * s] = w[:, :s].ravel()
+    return SparseSymMatrix(factor.pattern, out[tree.scatter], check=False)
 
 
 def inverse_columns(factor):
     """The inverse of the factored matrix L L^T, in full.
 
-    Solves L L^T W = I for all n right-hand sides at once: one numpy row
-    update per factor column in the forward solve and one in the back
-    solve, so the work is O(nnz(L) n) and the result, a dense n x n
-    array, is the only storage beyond the factor's.
+    Solves L L^T W = I for all n right-hand sides at once, one block of
+    rows per front of the pattern's ``clique_tree``: forward, children
+    first, rows S' become L_S'S'^-1 times themselves and rows U' lose
+    L_U'S' times those; back, parents first, rows S' become
+    L_S'S'^-T (rows S' - L_U'S'^T rows U').  Any lower factor on the
+    pattern will do, that of S or of the completion inverse.  The result,
+    a dense n x n array, is the only storage beyond the factor's blocks.
     """
-    pat = factor.pattern
-    ldiag = factor.diag.tolist()
-    loff = factor.offdiag
-    rows = pat.rows
-    start = pat.col_ptr.tolist()
-    w = np.eye(pat.n)
-    for j in range(pat.n):
-        w[j] /= ldiag[j]
-        lo, hi = start[j], start[j + 1]
-        if hi > lo:
-            w[rows[lo:hi]] -= np.outer(loff[lo:hi], w[j])
-    for j in range(pat.n - 1, -1, -1):
-        lo, hi = start[j], start[j + 1]
-        if hi > lo:
-            w[j] -= loff[lo:hi] @ w[rows[lo:hi]]
-        w[j] /= ldiag[j]
+    tree, low = _front_blocks(factor)
+    w = np.eye(factor.n)
+    steps = []
+    for cols, seps, lo, _, _ in tree.fronts:
+        s = len(cols)
+        blk = low[lo:lo + (s + len(seps)) * s].reshape(-1, s)
+        inv = np.linalg.inv(blk[:s])
+        rows = inv @ w[cols]
+        w[cols] = rows
+        if len(seps):
+            w[seps] -= blk[s:] @ rows
+        steps.append((cols, seps, blk[s:], inv))
+    for cols, seps, off, inv in reversed(steps):
+        rows = w[cols]
+        if len(seps):
+            rows -= off.T @ w[seps]
+        w[cols] = inv.T @ rows
     return w
 
 

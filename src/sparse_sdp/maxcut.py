@@ -16,7 +16,7 @@ from .completion import completion_vectors
 from .errors import NotPositiveDefinite, TooManyEdges
 from .problem import SdpProblem
 from .solver import SolverConfig, solve
-from .sparsemat import SparseSymMatrix, SparseSymPattern, cholesky_factorize
+from .sparsemat import PIVOT_RTOL, SparseSymMatrix, SparseSymPattern, cholesky_factorize
 
 
 @dataclass
@@ -100,8 +100,12 @@ def initial_point(problem):
     X_vv = b_p / a_p for A_p = a_p e_v e_v^T.  The dual vector starts at
     all ones (slack C - sum_p a_p e_v e_v^T) and is shifted downward,
     y_p by (|bound| + 1) / a_p, past the worst Gershgorin bound until the
-    slack factorizes.  Raises ValueError unless the constraints are one
-    such A_p per vertex with a_p > 0 and b_p > 0.
+    slack is positive definite.  Whether it is comes from the slack's
+    entries where they decide it: a diagonal entry <= 0 rules it out, and
+    a Gershgorin margin above PIVOT_RTOL times the largest diagonal
+    entry, which bounds every Cholesky pivot from below, proves it; only
+    otherwise is the slack factored.  Raises ValueError unless the
+    constraints are one such A_p per vertex with a_p > 0 and b_p > 0.
     """
     coef = _require_diagonal_constraints(problem)
     if np.any(problem.b <= 0.0):
@@ -112,15 +116,19 @@ def initial_point(problem):
     y0 = np.ones(n)
     while True:
         s = problem.dual_slack(y0)
-        try:
-            cholesky_factorize(s)
-            return x0, y0
-        except NotPositiveDefinite:
-            # |S_ij| added to rows i and j, edge by edge as a loop would
-            ends = np.column_stack(s.pattern.slot_ends)[n:].ravel()
-            row_abs = np.bincount(ends, np.repeat(np.abs(s.offdiag), 2), minlength=n)
-            bound = float(np.min(s.diag - row_abs))
-            y0 = y0 - (abs(bound) + 1.0) / coef     # S_vv rises by |bound| + 1
+        # |S_ij| added to rows i and j, edge by edge as a loop would
+        ends = np.column_stack(s.pattern.slot_ends)[n:].ravel()
+        row_abs = np.bincount(ends, np.repeat(np.abs(s.offdiag), 2), minlength=n)
+        bound = float(np.min(s.diag - row_abs, initial=np.inf))
+        if np.all(s.diag > 0.0):
+            if bound > PIVOT_RTOL * float(np.max(s.diag, initial=0.0)):
+                return x0, y0
+            try:
+                cholesky_factorize(s)
+                return x0, y0
+            except NotPositiveDefinite:
+                pass
+        y0 = y0 - (abs(bound) + 1.0) / coef     # S_vv rises by |bound| + 1
 
 
 def _require_diagonal_constraints(problem):

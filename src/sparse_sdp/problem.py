@@ -136,21 +136,20 @@ class SdpProblem:
     def _gram_inverse(self):
         """G^-1 for the Gram matrix G_pq = A_p . A_q, built on first use.
 
-        G is the Newton matrix at W = I.
+        When no slot holds entries of two constraints, G is diagonal and
+        G_pp the sum of entry weight times value over A_p's entries, read
+        off the entry table.  Otherwise G is the Newton matrix at W = I.
         """
         if self._gram_inv is None:
-            g = self.newton_matrix(np.eye(self.n))
-            try:
-                chol = np.linalg.cholesky(g)
-                # rounding can leave a dependent A_p a pivot of about
-                # (m + 1) eps G_pp in place of 0
-                tol = 4 * (self.m + 1) * np.finfo(float).eps
-                if np.any(np.diagonal(chol) ** 2 <= tol * np.diagonal(g)):
-                    raise np.linalg.LinAlgError
-            except np.linalg.LinAlgError as exc:
-                raise ValueError("constraint matrices are linearly dependent") from exc
-            chol_inv = np.linalg.inv(chol)
-            self._gram_inv = chol_inv.T @ chol_inv
+            slot = self._ent_slot
+            if len(np.unique(slot)) == len(slot):
+                g = np.bincount(self._ent_own, self._ent_weight * self._ent_val,
+                                minlength=self.m)
+                if np.any(g <= 0.0):
+                    raise ValueError("constraint matrices are linearly dependent")
+                self._gram_inv = np.diag(1.0 / g)
+            else:
+                self._gram_inv = _spd_inverse(self.newton_matrix(np.eye(self.n)))
         return self._gram_inv
 
     def project_out_constraints(self, w):
@@ -172,3 +171,18 @@ class SdpProblem:
     def __repr__(self):
         return f"SdpProblem(n={self.n}, m={self.m}, nnz_fill={self.fill.nnz})"
 
+
+def _spd_inverse(g):
+    """G^-1 from one Cholesky factor of the Gram matrix G; ValueError when
+    G is singular, that is the constraints are linearly dependent."""
+    try:
+        chol = np.linalg.cholesky(g)
+        # rounding can leave a dependent A_p a pivot of about
+        # (m + 1) eps G_pp in place of 0
+        tol = 4 * (len(g) + 1) * np.finfo(float).eps
+        if np.any(np.diagonal(chol) ** 2 <= tol * np.diagonal(g)):
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("constraint matrices are linearly dependent") from exc
+    chol_inv = np.linalg.inv(chol)
+    return chol_inv.T @ chol_inv

@@ -2,12 +2,15 @@
 
 Patterns and matrices keep only the strict lower triangle plus the
 diagonal, compressed-column style.  All indices are 0-based.
+
+``cholesky_factorize`` is multifrontal, on the dense fronts of the
+pattern's merged ``clique_tree`` (Vandenberghe & Andersen, *Chordal
+Graphs and Semidefinite Optimization*, 2015, section 9).
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from functools import cached_property
 from itertools import combinations
 
@@ -83,10 +86,11 @@ class SparseSymPattern:
         order = np.argsort(keys, kind="stable")
         return np.append(keys[order], np.iinfo(np.int64).max), order
 
-    def slots(self, i, j):
+    def slots(self, i, j, missing=None):
         """Slots in [diag | offdiag] of the entries (i, j), elementwise over
-        broadcast arrays, from either triangle.  Raises KeyError for an
-        index outside 0..n-1 or an off-diagonal (i, j) off the pattern."""
+        broadcast arrays, from either triangle.  An index outside 0..n-1 or
+        an off-diagonal (i, j) off the pattern raises KeyError, or maps to
+        ``missing`` when that is given."""
         n = self.n
         row = np.asarray(np.maximum(i, j), dtype=np.int64)
         col = np.asarray(np.minimum(i, j), dtype=np.int64)
@@ -94,6 +98,8 @@ class SparseSymPattern:
         keys, order = self._slot_keys
         at = keys.searchsorted(probe)
         bad = (row >= n) | (keys[at] != probe)
+        if missing is not None:
+            return np.where(bad, missing, order[np.minimum(at, len(order) - 1)])
         if bad.any():
             raise KeyError(f"({row[bad][0]}, {col[bad][0]}) is not an entry on 0..{n - 1}")
         return order[at]
@@ -124,6 +130,14 @@ class SparseSymPattern:
             raise ValueError(f"pattern is not elimination-closed: {exc.args[0]}") from None
         ptr.flags.writeable = blocks.flags.writeable = False
         return ptr, blocks
+
+    @cached_property
+    def clique_tree(self):
+        """The merged clique tree whose dense fronts the factor and inverse
+        kernels run on (``chordal.CliqueTree``); raises ValueError unless
+        the pattern is elimination-closed."""
+        from .chordal import CliqueTree     # chordal imports this module
+        return CliqueTree(self)
 
     def adjacency(self):
         """Per-vertex neighbor sets, new on every call."""
@@ -321,57 +335,76 @@ def symbolic_factorize(pattern, ordering):
 def cholesky_factorize(matrix):
     """Sparse Cholesky M = L L^T on M's own (elimination-closed) pattern.
 
-    Left-looking, column by column: column j takes the update of each
-    edge (j, k) of its row, k < j, from that edge's own offset in column
-    k on.  Raises NotPositiveDefinite(k) when pivot k is not strictly
-    positive relative to the largest input diagonal, and ValueError if
-    the pattern misses a fill-in slot.
+    Multifrontal, over the fronts of the pattern's ``clique_tree``,
+    children first.  A front gathers the columns S' of M on its rows C'
+    and adds its children's update matrices; one ``np.linalg.cholesky``
+    of its S' x S' block gives L there, one triangular solve gives L on
+    U' x S', and the update -L_U'S' L_U'S'^T goes to the parent.  The
+    blocks are scattered onto the pattern.  Raises NotPositiveDefinite
+    when a pivot is not above PIVOT_RTOL times the largest input
+    diagonal, and ValueError unless the pattern is elimination-closed.
+
+    The pivot j that NotPositiveDefinite reports has an LDL^T pivot
+    d_j <= PIVOT_RTOL * max(max_i M_ii, 0), and every descendant of j in
+    the elimination tree has d above that.  d_j is a Schur complement of
+    M on j and its descendants, so it is the pivot j of the dense
+    unpivoted LDL^T of M in the order 0..n-1 (which may fail earlier, at
+    a pivot outside j's subtree).
     """
     pat = matrix.pattern
+    tree = pat.clique_tree
     n = pat.n
-    rows = pat.rows.tolist()
-    ptr = pat.col_ptr.tolist()
-    ecol = pat.slot_ends[1][n:].tolist()
-    rptr, redges = (a.tolist() for a in pat.row_edges)
-    mdiag = matrix.diag.tolist()
-    moff = matrix.offdiag.tolist()
+    tol = PIVOT_RTOL * max(float(matrix.diag.max()), 0.0) if n else 0.0
+    buf = np.append(matrix.values, 0.0)[tree.gather]
+    fronts = tree.fronts
+    acc = [None] * len(fronts)          # each front's sum of its children's updates
+    for f, (cols, seps, lo, parent, upos) in enumerate(fronts):
+        s = len(cols)
+        k = s + len(seps)
+        blk = buf[lo:lo + k * s].reshape(k, s)
+        sub = acc[f]
+        if sub is not None:
+            blk += sub[:, :s]
+        low = _passing_factor(blk[:s], tol)
+        if low is None:
+            raise NotPositiveDefinite(cols[_failing_pivot(blk[:s], tol)])
+        blk[:s] = low
+        if k > s:
+            blk[s:] = np.linalg.solve(low, blk[s:].T).T
+            upd = -(blk[s:] @ blk[s:].T)
+            if sub is not None:
+                upd += sub[s:, s:]
+            if acc[parent] is None:
+                kp = len(fronts[parent].cols) + len(fronts[parent].seps)
+                acc[parent] = np.zeros((kp, kp))
+            acc[parent][np.ix_(upos, upos)] += upd
+        acc[f] = None
+    values = buf[tree.scatter]
+    return CholeskyFactor(pat, values, 2.0 * float(np.sum(np.log(values[:n]))))
 
-    maxdiag = max(mdiag) if n else 0.0
-    tol = PIVOT_RTOL * max(maxdiag, 0.0)
-    ldiag = [0.0] * n
-    loff = [0.0] * pat.nnz
-    work = [0.0] * n
-    intarget = [False] * n
-    logdet = 0.0
-    for j in range(n):
-        lo, hi = ptr[j], ptr[j + 1]
-        work[j] = mdiag[j]
-        intarget[j] = True
-        for e in range(lo, hi):
-            work[rows[e]] = moff[e]
-            intarget[rows[e]] = True
-        for e in redges[rptr[j]:rptr[j + 1]]:
-            ljk = loff[e]
-            if ljk == 0.0:
-                continue
-            for f in range(e, ptr[ecol[e] + 1]):
-                i = rows[f]
-                if not intarget[i]:
-                    raise ValueError(
-                        f"pattern is not elimination-closed: missing fill slot ({i},{j})"
-                    )
-                work[i] -= ljk * loff[f]
-        pivot = work[j]
-        if pivot <= tol:
-            raise NotPositiveDefinite(j)
-        root = math.sqrt(pivot)
-        ldiag[j] = root
-        logdet += math.log(pivot)
-        for e in range(lo, hi):
-            loff[e] = work[rows[e]] / root
-            intarget[rows[e]] = False
-        intarget[j] = False
-    return CholeskyFactor(pat, ldiag + loff, logdet)
+
+def _passing_factor(a, tol):
+    """Lower Cholesky factor of the square ``a`` (its lower triangle), or
+    None unless every pivot is above tol."""
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+    return low if np.min(np.diagonal(low)) ** 2 > tol else None
+
+
+def _failing_pivot(a, tol):
+    """Position of the first pivot <= tol of the unpivoted LDL^T of the
+    square ``a`` (its lower triangle), which must have one: bisection over
+    the leading blocks that ``_passing_factor`` passes."""
+    good, bad = 0, len(a)               # leading block sizes that pass and fail
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if _passing_factor(a[:mid, :mid], tol) is None:
+            bad = mid
+        else:
+            good = mid
+    return good
 
 
 def inner_product(a, b):

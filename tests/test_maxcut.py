@@ -5,6 +5,7 @@ from sparse_sdp import (Graph, SdpProblem, SolverConfig, SparseSymMatrix,
                         SparseSymPattern, TooManyEdges, cut_value,
                         hyperplane_rounding, initial_point, maxcut_sdp,
                         random_graph, read_graph, solve_maxcut, write_graph)
+from sparse_sdp import maxcut
 from sparse_sdp.maxcut import gram_vectors
 from sparse_sdp.solver import IterateState, solve
 
@@ -180,6 +181,38 @@ class TestInitialPoint:
         _, y0 = initial_point(problem)
         assert y0 == pytest.approx([y] * 3)
         assert problem.dual_slack(y0).diag == pytest.approx([1.5] * 3)
+
+    @staticmethod
+    def _count_factorizations(monkeypatch):
+        calls = []
+        real = maxcut.cholesky_factorize
+        monkeypatch.setattr(maxcut, "cholesky_factorize",
+                            lambda s: calls.append(s) or real(s))
+        return calls
+
+    def test_maxcut_start_makes_no_factorization(self, monkeypatch):
+        # S(1) has a negative diagonal and the shifted slack a Gershgorin
+        # margin of at least 1, so the entries decide both
+        calls = self._count_factorizations(monkeypatch)
+        for seed in range(4):
+            initial_point(maxcut_sdp(random_graph(30, 90, seed=seed)))
+        initial_point(maxcut_sdp(Graph(4, [])))
+        assert calls == []
+
+    @pytest.mark.parametrize("diag, off, y", [(4.0, 1.5, 1.0), (2.0, 2.0, -3.0)],
+                             ids=["definite", "indefinite"])
+    def test_slack_is_factored_when_its_entries_do_not_decide(self, monkeypatch,
+                                                              diag, off, y):
+        # S(1) = C - I has a positive diagonal and a Gershgorin margin <= 0:
+        # margin 0 and definite, or margin -3 and indefinite, which shifts
+        # y by 4 to a margin of 1
+        pat = SparseSymPattern(3, [(0, 1), (0, 2), (1, 2)])
+        c = SparseSymMatrix(pat, [diag] * 3 + [off] * 3)
+        constraints = [SparseSymMatrix(SparseSymPattern(3), row) for row in np.eye(3)]
+        calls = self._count_factorizations(monkeypatch)
+        _, y0 = initial_point(SdpProblem(c, constraints, np.ones(3)))
+        assert len(calls) == 1
+        assert np.array_equal(y0, [y] * 3)
 
     def test_random_instance_invariants(self):
         problem = maxcut_sdp(random_graph(10, 16, seed=6))

@@ -405,6 +405,24 @@ class TestProjection:
         problem = maxcut_sdp(random_graph(9, 14, seed=4))
         assert np.array_equal(problem._gram_inverse(), np.eye(problem.n))
 
+    def test_disjoint_constraints_give_a_diagonal_gram_inverse(self, monkeypatch):
+        # no slot holds entries of two constraints, so G is diagonal and is
+        # read off the entry table without the Newton matrix at W = I
+        pat = SparseSymPattern(4, [(0, 1), (2, 3)])
+        c = SparseSymMatrix.identity(pat)
+        a_list = [SparseSymMatrix(SparseSymPattern(4, [(0, 1)]), [2.0, 0, 0, 0, 0.5]),
+                  SparseSymMatrix(SparseSymPattern(4), [0, 3.0, 0, 0]),
+                  SparseSymMatrix(SparseSymPattern(4, [(2, 3)]), [0, 0, 1.0, 0, 1.5]),
+                  SparseSymMatrix(SparseSymPattern(4), [0, 0, 0, 0.5])]
+        problem = SdpProblem(c, a_list, np.ones(4))
+        monkeypatch.setattr(SdpProblem, "newton_matrix", None)
+        dense = np.array([a.to_dense().ravel() for a in a_list])
+        assert np.allclose(problem._gram_inverse(), np.linalg.inv(dense @ dense.T),
+                           rtol=1e-15, atol=0.0)
+        a_list[3] = SparseSymMatrix(SparseSymPattern(4), np.zeros(4))
+        with pytest.raises(ValueError, match="linearly dependent"):
+            SdpProblem(c, a_list, np.ones(4))._gram_inverse()
+
     def test_equal_constraints_are_linearly_dependent(self):
         pat = SparseSymPattern(3, [(0, 1), (1, 2)])
         c = SparseSymMatrix(pat, [2.0] * 3 + [0.5] * 2)

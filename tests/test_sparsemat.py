@@ -9,6 +9,8 @@ from sparse_sdp import (EliminationOrdering, NotPositiveDefinite,
                         SparseSymMatrix, SparseSymPattern, cholesky_factorize,
                         inner_product, maximal_cliques, min_degree_ordering,
                         symbolic_factorize)
+from sparse_sdp import chordal
+from sparse_sdp.sparsemat import PIVOT_RTOL
 
 from conftest import (dense_mask, elimination_sequence, factor_to_dense,
                       min_degree_sequence, random_filled_pattern, random_pattern,
@@ -27,6 +29,27 @@ def edge_lists(draw):
     edges = draw(st.lists(pair, max_size=3 * n))
     again = draw(st.lists(st.sampled_from(edges), max_size=len(edges))) if edges else []
     return n, edges + [(b, a) for a, b in again]
+
+
+def dense_ldl_pivots(a):
+    """Pivots d of the dense unpivoted LDL^T of ``a``, in the order 0..n-1."""
+    a = np.array(a, dtype=float)
+    d = np.empty(len(a))
+    for k in range(len(a)):
+        d[k] = a[k, k]
+        a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:]) / d[k]
+    return d
+
+
+def descendants(pattern, j):
+    """The vertices below j in the elimination tree of ``pattern``, whose
+    parent of v is the lowest row of column v."""
+    parent = [int(r[0]) if len(r) else -1 for r in map(pattern.column_rows, range(j))]
+    below = np.zeros(j + 1, dtype=bool)
+    below[j] = True
+    for v in range(j - 1, -1, -1):        # a parent comes after its child
+        below[v] = parent[v] >= 0 and parent[v] <= j and below[parent[v]]
+    return np.flatnonzero(below[:j])
 
 
 def oracle_arrays(mask):
@@ -266,6 +289,39 @@ class TestCholesky:
         mat = SparseSymMatrix(pat, [4.0, 4.0, 4.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="elimination-closed"):
             cholesky_factorize(mat)
+
+    @pytest.mark.parametrize("merge_size", [1, 8, chordal.MERGE_SIZE])
+    def test_failing_pivot_contract_against_dense_ldl(self, merge_size, monkeypatch):
+        # the reported j has a dense unpivoted LDL^T pivot d_j <= tol, and
+        # every descendant of j in the elimination tree has d > tol; once
+        # cliques merge, the first front to fail need not hold the lowest
+        # failing pivot
+        monkeypatch.setattr(chordal, "MERGE_SIZE", merge_size)
+        rng = np.random.default_rng(9)
+        for trial in range(120):
+            n = int(rng.integers(2, 26))
+            fill = random_filled_pattern(n, rng.random() * 0.6, rng)
+            if trial % 2:
+                mat, dense = random_pd_on_pattern(fill, rng, shift=-2.0 * rng.random())
+            else:
+                # pivots in [0.5, 2] but a few, negative or tiny and positive
+                # (which only the relative test rejects)
+                low = np.linalg.cholesky(random_pd_on_pattern(fill, rng)[1])
+                d = 0.5 + 1.5 * rng.random(n)
+                d[rng.integers(n, size=3)] = rng.choice([-1.0, 1e-15], size=3)
+                unit = low / np.diagonal(low)
+                dense = unit @ np.diag(d) @ unit.T
+                mat = SparseSymMatrix(fill, dense[fill.slot_ends])
+            tol = PIVOT_RTOL * max(dense.diagonal().max(), 0.0)
+            pivots = dense_ldl_pivots(dense)
+            if np.all(pivots > tol):
+                cholesky_factorize(mat)
+                continue
+            with pytest.raises(NotPositiveDefinite) as info:
+                cholesky_factorize(mat)
+            j = info.value.pivot
+            assert pivots[j] <= tol
+            assert np.all(pivots[descendants(fill, j)] > tol)
 
     def test_reconstruction_on_random_filled_patterns(self):
         rng = np.random.default_rng(7)

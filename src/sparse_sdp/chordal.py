@@ -224,7 +224,7 @@ class CliqueTree:
     """The clique tree of an elimination-closed pattern, with small
     cliques merged, as the dense fronts of the block kernels.
 
-    The cliques are those of ``maximal_cliques``, split by ``rip_order``.
+    The cliques are ``pattern.cliques``, split by ``rip_order``.
     In that order (every child before its parent) a child is merged into
     its parent while |S_child| + |C_parent| <= MERGE_SIZE; the merged
     clique is C_parent with S_child added to its residual.  Merging only
@@ -243,7 +243,7 @@ class CliqueTree:
     def __init__(self, pattern):
         n = pattern.n
         try:
-            seq = rip_order(maximal_cliques(pattern), n=n)
+            seq = pattern.cliques
         except NotChordal:
             raise ValueError("pattern is not elimination-closed") from None
         home = np.empty(n, dtype=np.int64)      # the clique whose residual holds v

@@ -24,7 +24,7 @@ batched numpy call, and the inverse is scattered by the plan's
 The solver takes X^ in full from the inverse's factor
 (``logdet.inverse_columns``) for its products X^ Z X^; ``logdet.hess_vec``
 on that factor, with the partial matrix as the selected inverse, gives
-the same entries within the factor's storage.
+the same entries from the fronts of the pattern's ``clique_tree``.
 """
 
 from __future__ import annotations

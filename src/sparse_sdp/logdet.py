@@ -1,25 +1,19 @@
 """Inverses of a sparse Cholesky factor and the log-det Hessian product.
 
 ``sparse_inverse`` gives the entries of S^-1 on the filled pattern (the
-gradient of ln det S there), and ``inverse_columns`` gives S^-1 in
-full.  Both run on the dense fronts of the pattern's ``clique_tree``, as
-the factor does: the selected inverse is the projected inverse, top down
-over the fronts, with storage the sum of k^2 over them; the full
-inverse is a forward and a back solve, one block of rows per front.
-They read the factor's values only, so the factor of the completion
-inverse (``completion.completion_inverse_factor``) serves as well as that
-of S.  ``hess_vec`` pushes a direction Z through the tangent of the
-scalar factorization and selected-inverse recurrences, starting from the
-selected inverse its caller already holds, yielding the entries on the
-pattern of S^-1 Z S^-1 -- the log-det Hessian applied to Z, up to sign
--- within O(nnz) storage per call.  It reads each column's block of
-slots from the pattern's ``column_blocks``, an index of sum_j c_j^2
-slots (c_j the entries of factor column j) built once per pattern.
-``hess_from_columns`` gives the same product W Z W on the pattern from W
-held in full, by dense row dots; the solver takes every product it
-needs that way (the Newton systems' columns, as in Fujisawa, Kojima and
-Nakata, Math. Prog. 79, 1997), and ``hess_vec`` is the sweep that needs
-no n x n storage.
+gradient of ln det S there), ``inverse_columns`` gives S^-1 in full, and
+``hess_vec`` the entries on the pattern of S^-1 Z S^-1 (the log-det
+Hessian applied to Z, up to sign) as the tangent of the factor and of
+the selected inverse.  All three run on the dense fronts of the
+pattern's ``clique_tree``, as the factor does, and read the factor's
+values only, so the factor of the completion inverse
+(``completion.completion_inverse_factor``) serves as well as that of S.
+``hess_from_columns`` gives W Z W on the pattern from W held in full,
+by dense row dots; the solver takes every product it needs that way
+(the Newton systems' columns, as in Fujisawa, Kojima and Nakata, Math.
+Prog. 79, 1997), and ``hess_vec`` is the product that needs no n x n
+storage (Andersen, Dahl and Vandenberghe, Optim. Methods Softw. 28,
+2013).
 """
 
 from __future__ import annotations
@@ -27,29 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from .sparsemat import SparseSymMatrix
-
-
-def _unit_factor(factor):
-    """Split L L^T into unit-lower L~ (offdiag entries) and pivots d."""
-    cols = factor.pattern.slot_ends[1][factor.n:]
-    return factor.offdiag / factor.diag[cols], factor.diag * factor.diag
-
-
-def _blocks_backward(pat):
-    """(j, run, k) for j = n-1 down to 0: the slots of column j's block
-    rows_j x rows_j, row by row, are run[k:k + c_j^2].  ``run`` is a list
-    taken from ``pat.column_blocks`` about n + nnz slots at a time, so
-    the lists stay O(nnz) however many slots the blocks hold; raises
-    ValueError unless the pattern is elimination-closed."""
-    ptr, blocks = pat.column_blocks
-    ptr = ptr.tolist()
-    lo = ptr[-1]
-    run = []
-    for j in range(pat.n - 1, -1, -1):
-        if ptr[j] < lo:
-            lo = min(ptr[j], max(ptr[j + 1] - pat.n - pat.nnz, 0))
-            run = blocks[lo:ptr[j + 1]].tolist()
-        yield j, run, ptr[j] - lo
 
 
 def _front_blocks(factor):
@@ -174,76 +145,65 @@ def hess_from_columns(w, z):
 def hess_vec(factor, z, sinv):
     """Entries on the fill pattern of S^-1 Z S^-1 for Z on that pattern.
 
-    ``sinv`` is the selected inverse the product differentiates: the
-    entries on the pattern of the inverse of the factored matrix, e.g.
-    ``sparse_inverse(factor)``.  For the factor of the completion inverse
-    X^-1 that is the partial matrix X itself.  Differentiates the
-    factorization and the selected-inverse recurrences along Z; the
-    intermediates are overwritten in place, so the storage per call stays
-    O(nnz), beside the pattern's own index ``column_blocks`` of
-    sum_j c_j^2 slots (c_j the entries of factor column j).  Raises
-    ValueError when Z or ``sinv`` lies on another pattern than the factor
-    or the pattern is not elimination-closed.
+    ``sinv`` holds the entries on the pattern of the inverse of the
+    factored matrix, e.g. ``sparse_inverse(factor)``; for the factor of
+    the completion inverse X^-1, the partial matrix X itself.  The
+    tangent along Z of the block kernels on the pattern's
+    ``clique_tree``: children first, that of ``cholesky_factorize``,
+
+        dL_S'S' = L_S'S' Phi(L_S'S'^-1 dA_S'S' L_S'S'^-T),
+        dL_U'S' = (dA_U'S' - L_U'S' dL_S'S'^T) L_S'S'^-T,
+
+    Phi the lower triangle with its diagonal halved; then parents first,
+    that of ``sparse_inverse``, with W_U'U' read from ``sinv``.  Beside
+    two copies of the factor's blocks it stores 2 sum k^2 at most.
+    Raises ValueError when Z or ``sinv`` lies on another pattern than
+    the factor or the pattern is not elimination-closed.
     """
     pat = factor.pattern
-    n = pat.n
     for arg, what in ((z, "Z"), (sinv, "sinv")):
         if arg.pattern is not pat and arg.pattern != pat:
             raise ValueError(f"{what} must lie on the factor's pattern")
-    rows = pat.rows.tolist()
-    start = pat.col_ptr.tolist()
-    cols = pat.slot_ends[1][n:]
-    ecol = cols.tolist()
-    rptr, redges = (a.tolist() for a in pat.row_edges)
-    ldiag = factor.diag.tolist()
-    loff = factor.offdiag.tolist()
-    zdiag = z.diag.tolist()
-    zoff = z.offdiag.tolist()
+    tree, low = _front_blocks(factor)       # L, then L_S'S'^-1 in place of L_S'S'
+    buf = np.append(z.values, 0.0)[tree.gather]     # dA, then dL, then -dW
+    acc = [np.zeros((len(f.cols) + len(f.seps),) * 2) for f in tree.fronts]  # sums of dU'
+    for f, (cols, seps, lo, parent, upos) in enumerate(tree.fronts):
+        s = len(cols)
+        k = s + len(seps)
+        blk = low[lo:lo + k * s].reshape(k, s)
+        d = buf[lo:lo + k * s].reshape(k, s)
+        d += acc[f][:, :s]
+        inv = np.linalg.inv(blk[:s])
+        phi = np.tril(inv @ (np.tril(d[:s]) + np.tril(d[:s], -1).T) @ inv.T)
+        phi[np.diag_indices(s)] *= 0.5
+        d[:s] = blk[:s] @ phi
+        if k > s:
+            d[s:] = (d[s:] - blk[s:] @ d[:s].T) @ inv.T
+            upd = d[s:] @ blk[s:].T
+            acc[parent][np.ix_(upos, upos)] += acc[f][s:, s:] - upd - upd.T
+        acc[f] = None
+        blk[:s] = inv
 
-    # Tangent of the Cholesky factorization in direction Z.
-    ldd = np.zeros(n)
-    ldo = [0.0] * pat.nnz
-    work = [0.0] * n
-    for j in range(n):
-        lo, hi = start[j], start[j + 1]
-        work[j] = zdiag[j]
-        for e in range(lo, hi):
-            work[rows[e]] = zoff[e]
-        for e in redges[rptr[j]:rptr[j + 1]]:
-            ljk = loff[e]
-            ljk_dot = ldo[e]
-            for f in range(e, start[ecol[e] + 1]):
-                work[rows[f]] -= ljk_dot * loff[f] + ljk * ldo[f]
-        root = ldiag[j]
-        droot = work[j] / (2.0 * root)
-        ldd[j] = droot
-        for e in range(lo, hi):
-            ldo[e] = (work[rows[e]] - loff[e] * droot) / root
-
-    # Tangents of the unit factor and pivots.
-    lt, d = _unit_factor(factor)
-    ltd = ((np.array(ldo) - lt * ldd[cols]) / factor.diag[cols]).tolist()
-    dd = (2.0 * factor.diag * ldd).tolist()
-    lt, d = lt.tolist(), d.tolist()
-
-    # Tangent of the selected-inverse sweep, against the given base sinv;
-    # w and v hold [diag | offdiag].
-    w = sinv.values.tolist()
-    v = [0.0] * (n + pat.nnz)
-    for j, run, k in _blocks_backward(pat):
-        lo, hi = start[j], start[j + 1]
-        ltj, ltdj = lt[lo:hi], ltd[lo:hi]
-        for e in range(n + lo, n + hi):
-            sv = 0.0
-            for lk, ldk in zip(ltj, ltdj):
-                q = run[k]
-                k += 1
-                sv -= ldk * w[q] + lk * v[q]
-            v[e] = sv
-        sv = -dd[j] / (d[j] * d[j])
-        for lk, ldk, wk, vk in zip(ltj, ltdj, w[n + lo:n + hi], v[n + lo:n + hi]):
-            sv -= ldk * wk + lk * vk
-        v[j] = sv
+    blocks = [None] * len(tree.fronts)      # each front's dW on C' x C'
+    for f in reversed(range(len(tree.fronts))):
+        cols, seps, lo, parent, upos = tree.fronts[f]
+        s = len(cols)
+        k = s + len(seps)
+        blk = low[lo:lo + k * s].reshape(k, s)
+        d = buf[lo:lo + k * s].reshape(k, s)
+        inv = blk[:s]
+        dinv = -(inv @ d[:s] @ inv)
+        dw = blocks[f] = np.empty((k, k))
+        dw[:s, :s] = dinv.T @ inv + inv.T @ dinv
+        if k > s:
+            b = blk[s:] @ inv
+            db = d[s:] @ inv + blk[s:] @ dinv
+            wuu = sinv.values[pat.slots(seps[:, None], seps)]
+            dw[s:, s:] = blocks[parent][np.ix_(upos, upos)]
+            dw[s:, :s] = -(dw[s:, s:] @ b + wuu @ db)
+            dw[:s, s:] = dw[s:, :s].T
+            dw[:s, :s] += db.T @ wuu @ b - b.T @ dw[s:, :s]
+        d[:] = -dw[:, :s]
 
     # W(t) = entries of (S + tZ)^-1, so the Hessian product is -W'.
-    return SparseSymMatrix(pat, -np.array(v), check=False)
+    return SparseSymMatrix(pat, buf[tree.scatter], check=False)

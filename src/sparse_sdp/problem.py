@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chordal import CliquePlan, maximal_cliques, rip_order
+from .chordal import CliquePlan
 from .sparsemat import (SparseSymMatrix, SparseSymPattern, min_degree_ordering,
                         symbolic_factorize)
 
@@ -26,7 +26,7 @@ class SdpProblem:
     """min C.X s.t. A_p.X = b_p, X PSD, with sparse symmetric data.
 
     ``fill`` is the chordal pattern F, ``cliques`` its maximal cliques in
-    running-intersection order (a ``CliqueSequence``) and ``plan`` their
+    running-intersection order (``fill.cliques``) and ``plan`` their
     ``CliquePlan``, which both halves of an iterate read.
     """
 
@@ -35,6 +35,8 @@ class SdpProblem:
         m = len(constraints)
         if b.shape != (m,):
             raise ValueError("b length does not match the number of constraints")
+        if not np.all(np.isfinite(b)):
+            raise ValueError("b entries must be finite")
         n = c.n
         for a in constraints:
             if a.n != n:
@@ -52,7 +54,7 @@ class SdpProblem:
         self.b = b
         self.ordering = ordering
         self.fill = fill
-        self.cliques = rip_order(maximal_cliques(fill), n=n)
+        self.cliques = fill.cliques
         self._data = constraints
         perm = ordering.perm
         rows, cols = c.pattern.slot_ends

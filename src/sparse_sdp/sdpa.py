@@ -14,6 +14,8 @@ X PSD, directly in this library's convention.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import SdpaParseError
@@ -65,6 +67,8 @@ def read_sdpa(path):
         raise SdpaParseError(no_b, f"malformed b vector {text_b!r}") from None
     if len(b) != m:
         raise SdpaParseError(no_b, f"b has {len(b)} entries, expected {m}")
+    if not np.all(np.isfinite(b)):
+        raise SdpaParseError(no_b, f"b vector {text_b!r} has an entry that is not finite")
 
     entries = [dict() for _ in range(m + 1)]   # per matrix: (row >= col) -> value
     for no, ln in body[4:]:
@@ -79,6 +83,8 @@ def read_sdpa(path):
             val = float(parts[4])
         except ValueError:
             raise SdpaParseError(no, f"malformed entry {ln!r}") from None
+        if not math.isfinite(val):
+            raise SdpaParseError(no, f"entry value {parts[4]!r} is not finite")
         if not 0 <= mat <= m:
             raise SdpaParseError(no, f"matrix index {mat} out of range 0..{m}")
         if blk != 1:

@@ -5,7 +5,8 @@ diagonal, compressed-column style.  All indices are 0-based.
 
 ``cholesky_factorize`` is multifrontal, on the dense fronts of the
 pattern's merged ``clique_tree`` (Vandenberghe & Andersen, *Chordal
-Graphs and Semidefinite Optimization*, 2015, section 9).
+Graphs and Semidefinite Optimization*, 2015, section 9), as are the
+inverse and Hessian-product kernels in ``logdet``.
 """
 
 from __future__ import annotations
@@ -105,38 +106,19 @@ class SparseSymPattern:
         return order[at]
 
     @cached_property
-    def row_edges(self):
-        """(ptr, edges): the edges (j, k), k < j, of row j are
-        ``edges[ptr[j]:ptr[j + 1]]``, by increasing k, as offdiag indices."""
-        edges = np.argsort(self.rows, kind="stable")
-        ptr = np.append(0, np.cumsum(np.bincount(self.rows, minlength=self.n)))
-        ptr.flags.writeable = edges.flags.writeable = False
-        return ptr, edges
-
-    @cached_property
-    def column_blocks(self):
-        """(ptr, blocks): ``blocks[ptr[j]:ptr[j + 1]]`` holds the slots of
-        rows_j x rows_j row by row, rows_j = ``column_rows(j)``.  Raises
-        ValueError unless the pattern is elimination-closed, that is every
-        such block lies on it."""
-        count = np.diff(self.col_ptr)
-        ptr = np.append(0, np.cumsum(count * count))
-        col = np.repeat(np.arange(self.n), count * count)
-        t, u = np.divmod(np.arange(ptr[-1]) - ptr[col], count[col])   # entry (t, u) of block j
-        base = self.col_ptr[col]
-        try:
-            blocks = self.slots(self.rows[base + t], self.rows[base + u])
-        except KeyError as exc:
-            raise ValueError(f"pattern is not elimination-closed: {exc.args[0]}") from None
-        ptr.flags.writeable = blocks.flags.writeable = False
-        return ptr, blocks
+    def cliques(self):
+        """The maximal cliques in running-intersection order, with their
+        residuals and separators (a ``chordal.CliqueSequence``); raises
+        NotChordal unless (0..n-1) is a perfect elimination ordering."""
+        from .chordal import maximal_cliques, rip_order     # chordal imports this module
+        return rip_order(maximal_cliques(self), n=self.n)
 
     @cached_property
     def clique_tree(self):
-        """The merged clique tree whose dense fronts the factor and inverse
-        kernels run on (``chordal.CliqueTree``); raises ValueError unless
-        the pattern is elimination-closed."""
-        from .chordal import CliqueTree     # chordal imports this module
+        """The merged clique tree of ``cliques`` whose dense fronts every
+        factor and inverse kernel runs on (``chordal.CliqueTree``); raises
+        ValueError unless the pattern is elimination-closed."""
+        from .chordal import CliqueTree
         return CliqueTree(self)
 
     def adjacency(self):

@@ -1,17 +1,17 @@
 """The block kernels on the merged clique tree against dense oracles.
 
-``cholesky_factorize``, ``sparse_inverse`` and ``inverse_columns`` run on
-the dense fronts of ``SparseSymPattern.clique_tree``.  Each check runs
-at merge thresholds t = 1 (no merging), an intermediate t and t >= n
-(one front per connected component), on fresh random chordal patterns,
-since a pattern keeps the tree it built first.
+``cholesky_factorize``, ``sparse_inverse``, ``inverse_columns`` and
+``hess_vec`` run on the dense fronts of ``SparseSymPattern.clique_tree``.
+Each check runs at merge thresholds t = 1 (no merging), an intermediate
+t and t >= n (one front per connected component), on fresh random
+chordal patterns, since a pattern keeps the tree it built first.
 """
 
 import numpy as np
 import pytest
 
 from sparse_sdp import (NotPositiveDefinite, SparseSymMatrix, SparseSymPattern,
-                        cholesky_factorize, inverse_columns, sparse_inverse)
+                        cholesky_factorize, hess_vec, inverse_columns, sparse_inverse)
 from sparse_sdp import chordal
 from sparse_sdp.completion import completion_factors, completion_inverse_factor
 
@@ -110,6 +110,30 @@ class TestAgainstDense:
             xhat = reconstruct_dense(factors)
             w = inverse_columns(completion_inverse_factor(factors))
             assert np.abs(w - xhat).max() <= 1e-9 * max(np.abs(xhat).max(), 1.0)
+
+    def test_hess_vec_on_the_dual_factor(self, merge_size):
+        # W Z W on the pattern, W = S^-1, from the selected inverse
+        for rng, fill in random_cases(8):
+            mat, dense = random_pd_on_pattern(fill, rng)
+            factor = cholesky_factorize(mat)
+            z = SparseSymMatrix(fill, rng.standard_normal(fill.n + fill.nnz))
+            w = np.linalg.inv(dense)
+            want = w @ z.to_dense() @ w
+            got = hess_vec(factor, z, sparse_inverse(factor))
+            assert restrict_abs_error(want, got) <= 1e-10 * max(np.abs(want).max(), 1.0)
+
+    def test_hess_vec_on_the_completion_inverse_factor(self, merge_size):
+        # W Z W on the pattern, W = X^ the completion, from the partial X
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            n = int(rng.integers(1, 30))
+            xbar, plan, _ = random_completable_partial(n, rng.random() * 0.5, rng)
+            factors = completion_factors(xbar, plan)
+            xhat = reconstruct_dense(factors)
+            z = SparseSymMatrix(xbar.pattern, rng.standard_normal(len(xbar.values)))
+            want = xhat @ z.to_dense() @ xhat
+            got = hess_vec(completion_inverse_factor(factors), z, xbar)
+            assert restrict_abs_error(want, got) <= 1e-9 * max(np.abs(want).max(), 1.0)
 
     def test_indefinite_matrix_raises_at_every_threshold(self, merge_size):
         fill = random_filled_pattern(12, 0.4, np.random.default_rng(7))

@@ -41,6 +41,19 @@ class TestSolveCommand:
         assert code == 1
         assert "line 5" in err
 
+    @pytest.mark.parametrize("b, value, line",
+                             [("1.0 nan", "-0.25", 4), ("1.0 inf", "-0.25", 4),
+                              ("1.0 1.0", "nan", 5)],
+                             ids=["nan in b", "inf in b", "nan entry"])
+    def test_non_finite_number_exit_one(self, tmp_path, capsys, b, value, line):
+        # a NaN in b used to start the solver and exit 2, an inf in b to
+        # fail with "Singular matrix", and a NaN entry to name no line
+        path = tmp_path / "nonfinite.dat-s"
+        path.write_text(f"2\n1\n2\n{b}\n0 1 1 2 {value}\n1 1 1 1 1\n2 1 2 2 1\n")
+        code, _, err = run_cli(["solve", str(path)], capsys)
+        assert code == 1
+        assert f"line {line}:" in err and "not finite" in err
+
     def test_directions_flag_recorded(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         g = random_graph(5, 7, seed=2)

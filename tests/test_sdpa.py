@@ -104,6 +104,16 @@ class TestParseErrors:
             read_sdpa(path)
         assert info.value.line == 6
 
+    @pytest.mark.parametrize("b, value, line",
+                             [("1.0 nan", "1.0", 4), ("-inf 1.0", "1.0", 4),
+                              ("1.0 1.0", "nan", 6), ("1.0 1.0", "inf", 6)])
+    def test_non_finite_number_names_line(self, tmp_path, b, value, line):
+        path = tmp_path / "finite.dat-s"
+        path.write_text(f"2\n1\n2\n{b}\n0 1 1 2 1.0\n1 1 1 1 {value}\n2 1 2 2 1.0\n")
+        with pytest.raises(SdpaParseError, match="not finite") as info:
+            read_sdpa(path)
+        assert info.value.line == line
+
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "short.dat-s"
         path.write_text("2\n1\n")

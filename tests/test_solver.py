@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sparse_sdp import logdet, solver
+from sparse_sdp import chordal, logdet, solver
 from sparse_sdp import (Direction, EliminationOrdering, InfeasibleStart,
                         IterateState, IterationLimit, SdpProblem, SolverConfig,
                         SparseSymMatrix, SparseSymPattern, conjugate_gradient,
@@ -49,6 +49,27 @@ class TestProblemInvariants:
         plan = problem.plan
         assert plan is problem.plan
         assert plan.cliques is problem.cliques and plan.pattern is problem.fill
+
+    def test_one_clique_sequence_per_fill(self, monkeypatch):
+        calls = []
+        original = chordal.rip_order
+        monkeypatch.setattr(chordal, "rip_order",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+        problem = maxcut_sdp(random_graph(9, 14, seed=39))
+        assert problem.cliques is problem.fill.cliques
+        assert "clique_tree" not in vars(problem.fill)      # not built at set-up
+        tree = problem.fill.clique_tree
+        assert sorted(np.concatenate([f.cols for f in tree.fronts]).tolist()) == \
+            list(range(problem.n))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_b_rejected(self, bad):
+        c, constraints, b = random_generic_sdp(6, 3, np.random.default_rng(8))
+        b = np.array(b, dtype=float)
+        b[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SdpProblem(c, constraints, b)
 
     def test_entry_table_matches_the_permuted_constraints(self):
         # the table comes from the caller's matrices through the ordering;

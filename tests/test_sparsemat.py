@@ -60,20 +60,6 @@ def oracle_arrays(mask):
     return [0, *np.cumsum(lower.sum(axis=0)).tolist()], rows
 
 
-def check_column_blocks(pat, mask):
-    """``column_blocks`` against ``slots``, or ValueError when some column's
-    rows are not pairwise adjacent in ``mask``."""
-    full = mask | np.eye(pat.n, dtype=bool)
-    if not all(full[np.ix_(r, r)].all() for r in map(pat.column_rows, range(pat.n))):
-        with pytest.raises(ValueError, match="elimination-closed"):
-            pat.column_blocks
-        return
-    ptr, blocks = pat.column_blocks
-    for j in range(pat.n):
-        r = pat.column_rows(j)
-        assert blocks[ptr[j]:ptr[j + 1]].tolist() == pat.slots(r[:, None], r).ravel().tolist()
-
-
 class TestPattern:
     def test_rejects_self_loops_and_range(self):
         with pytest.raises(ValueError, match="self-loop at vertex 1"):
@@ -100,18 +86,6 @@ class TestPattern:
         for a, b in edges:
             mask[a, b] = mask[b, a] = True
         assert (pat.col_ptr.tolist(), pat.rows.tolist()) == oracle_arrays(mask)
-
-        # row_edges: row j's edges (j, k) by increasing k
-        ptr, row_edges = pat.row_edges
-        rows, cols = pat.slot_ends
-        for j in range(n):
-            e = n + row_edges[ptr[j]:ptr[j + 1]]
-            assert np.all(rows[e] == j)
-            assert cols[e].tolist() == np.flatnonzero(np.tril(mask, -1)[j]).tolist()
-
-        check_column_blocks(pat, mask)
-        fill = symbolic_factorize(pat, EliminationOrdering(np.arange(n)))
-        check_column_blocks(fill, dense_mask(fill) & ~np.eye(n, dtype=bool))
 
         perm = rng.permutation(n)
         moved = np.zeros_like(mask)

@@ -4,8 +4,7 @@ reduction over partial primal matrices with max-determinant completions."""
 from .chordal import CliquePlan, CliqueSequence, maximal_cliques, rip_order
 from .completion import (CompletionFactors, banded_pattern, completion_factors,
                          completion_inverse, completion_inverse_factor,
-                         completion_vectors, logdet_completion,
-                         logdet_completion_banded)
+                         logdet_completion, logdet_completion_banded)
 from .errors import (InfeasibleStart, IterationLimit, NewtonBreakdown,
                      NoDecrease, NotChordal, NotCompletable,
                      NotPositiveDefinite, RipFailure, SdpaParseError,

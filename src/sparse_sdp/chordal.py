@@ -7,15 +7,15 @@ be a perfect elimination ordering (the output of symbolic factorization
 already is).  The cliques and their order come from the elimination
 tree, as in Vandenberghe & Andersen, *Chordal Graphs and Semidefinite
 Optimization* (2015), section 4: with higher(v) the neighbours of v above
-v, the parent of v is the lowest vertex of higher(v).  A ``CliquePlan``
-says where each clique block C_r x C_r sits in the [diag | offdiag]
-storage of a matrix on the pattern, grouped by clique size and looked
-up by one ``slots`` call per size, so a sweep over the cliques is one
+v, the parent of v is the lowest vertex of higher(v).  A pattern caches
+its cliques and, on first read, the two structures built from them.
+Its ``clique_plan`` (a ``CliquePlan``) says where each clique block
+C_r x C_r sits in the [diag | offdiag] storage of a matrix on the
+pattern, grouped by clique size, so a sweep over the cliques is one
 batched numpy call per size: the completion of the primal partial
-matrix reads it, and so does the dual residual's L L^T.
-
-A ``CliqueTree`` merges the same cliques into the dense fronts that the
-factor and inverse kernels run on, one Python step per front.
+matrix reads it, and so does the dual residual's L L^T.  Its
+``clique_tree`` (a ``CliqueTree``) merges the same cliques into the
+dense fronts that the factor and inverse kernels run on.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ class CliqueSequence:
     S_r = C_r minus U_r.
     """
 
-    n: int
     cliques: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
     separators: list = field(default_factory=list)
@@ -112,7 +111,7 @@ def rip_order(cliques, n=None):
     """
     cliques = [np.unique(np.asarray(c, dtype=np.int64)) for c in cliques]
     if not cliques:
-        return CliqueSequence(n=0)
+        return CliqueSequence()
     sizes = [len(c) for c in cliques]
     flat = np.concatenate(cliques)
     if n is None:
@@ -138,7 +137,6 @@ def rip_order(cliques, n=None):
 
     residual_ends = np.cumsum(residual_sizes)[:-1]
     return CliqueSequence(
-        n=n,
         cliques=cliques,
         residuals=np.split(flat[in_residual], residual_ends),
         separators=np.split(sep, np.cumsum(np.subtract(sizes, residual_sizes))[:-1]))
@@ -148,25 +146,24 @@ class CliquePlan:
     """Where the clique blocks of a matrix on ``pattern`` sit in its
     ``values`` = [diag | offdiag], grouped by clique size.
 
-    Built from a ``CliqueSequence`` ``cliques`` on ``pattern``.  Block r
-    is gathered separator first: U_r, then S_r, each in descending
-    labels, so its leading |U_r| block is X_{U_r,U_r}.  ``groups`` holds
-    one ``(members, gather, residual)`` per clique size k, by increasing
-    k: the indices r of the cliques of that size (increasing), the
-    (N, k, k) slots of their blocks and the (N, k) mask of the S_r
-    positions.  A block's place in the groups is its stack position;
-    ``scatter`` lists the slots of the blocks' upper triangles in stack
-    order.  ``factor_masks`` picks from each stack the entries on and
-    left of the diagonal in the S_r rows: row j holds column j of a
-    lower factor on the pattern, whose rows lie in C_r for the cliques
-    of ``maximal_cliques``.  ``factor_slots`` lists their slots in stack
-    order; it is None unless every S_r lies below its U_r, which
-    ``maximal_cliques`` always gives.
+    Built from ``pattern.cliques``; read it as ``pattern.clique_plan``,
+    which it holds no reference back to, so that a pattern and its plan
+    are freed without the cycle collector.  Block r is gathered separator first: U_r, then S_r, each in
+    descending labels, so its leading |U_r| block is X_{U_r,U_r}.
+    ``groups`` holds one ``(members, gather, residual)`` per clique size
+    k, by increasing k: the indices r of the cliques of that size
+    (increasing), the (N, k, k) slots of their blocks and the (N, k) mask
+    of the S_r positions.  A block's place in the groups is its stack
+    position; ``scatter`` lists the slots of the blocks' upper triangles
+    in stack order.  ``factor_masks`` picks from each stack the entries
+    on and left of the diagonal in the S_r rows: row j holds column j of
+    a lower factor on the pattern, whose rows lie in C_r, because every
+    S_r of ``maximal_cliques`` lies below its U_r.  ``factor_slots``
+    lists their slots in stack order.
     """
 
-    def __init__(self, cliques, pattern):
-        self.cliques = cliques
-        self.pattern = pattern
+    def __init__(self, pattern):
+        cliques = pattern.cliques
         nsep = np.array([len(u) for u in cliques.separators], dtype=np.int64)
         sizes = nsep + [len(s) for s in cliques.residuals]
         # S_0, U_0, S_1, U_1, ...; block r is its run ending at end[r], reversed
@@ -183,25 +180,22 @@ class CliquePlan:
             self.factor_masks.append(residual[:, :, None] & np.tri(k, dtype=bool))
             tri_slots.append(gather[_upper(k)].ravel())
         self.scatter = np.concatenate(tri_slots)
-        first_u = (end - nsep)[nsep > 0]          # where U_r starts, right after S_r
-        below = np.all(flat[first_u - 1] < flat[first_u])
         self.factor_slots = np.concatenate(
-            [gather[mask] for (_, gather, _), mask in zip(self.groups, self.factor_masks)]
-        ) if below else None
+            [gather[mask] for (_, gather, _), mask in zip(self.groups, self.factor_masks)])
 
-    def gram_sum(self, stacks):
-        """The sum of B_r^T B_r over the cliques, on the pattern, from
-        ``stacks[g]``, the (N, k, k) B_r of size group g in block order."""
+    def gram_sum(self, pattern, stacks):
+        """The sum of B_r^T B_r over the cliques, on the plan's ``pattern``,
+        from ``stacks[g]``, the (N, k, k) B_r of size group g in block order."""
         parts = [(np.swapaxes(b, 1, 2) @ b)[_upper(b.shape[1])].ravel() for b in stacks]
-        pat = self.pattern
         acc = np.bincount(self.scatter, weights=np.concatenate(parts),
-                          minlength=pat.n + pat.nnz)
-        return SparseSymMatrix(pat, acc, check=False)
+                          minlength=pattern.n + pattern.nnz)
+        return SparseSymMatrix(pattern, acc, check=False)
 
     def factor_product(self, factor):
         """L L^T on the pattern for a lower ``factor`` L on it: the
         ``gram_sum`` of L's columns S_r, gathered by ``factor_masks``."""
-        return self.gram_sum([np.where(mask, factor.values[gather], 0.0)
+        return self.gram_sum(factor.pattern,
+                             [np.where(mask, factor.values[gather], 0.0)
                               for (_, gather, _), mask in zip(self.groups, self.factor_masks)])
 
 

@@ -6,25 +6,24 @@ the entries off the pattern are free, not zero.  Among all positive
 definite completions the determinant-maximizing one is singled out by
 having an inverse supported exactly on the pattern.  One sweep,
 ``completion_factors``, gathers each clique block R_r once through the
-problem's ``chordal.CliquePlan``, separator first (U_r, then S_r), and
-factors it once, R_r = L_r L_r^T; the leading |U_r| block of L_r is the
-separator's factor.  With T_r the inverse of L_r less its first |U_r|
-rows (Vandenberghe and Andersen, Chordal Graphs and Semidefinite
-Optimization, 2015, section 10),
+pattern's ``clique_plan`` (a ``chordal.CliquePlan``), separator first
+(U_r, then S_r), and factors it once, R_r = L_r L_r^T; the leading |U_r|
+block of L_r is the separator's factor.  With T_r the inverse of L_r
+less its first |U_r| rows (Vandenberghe and Andersen, Chordal Graphs and
+Semidefinite Optimization, 2015, section 10),
 
     ln det X^ = sum_r 2 sum_{p >= |U_r|} ln (L_r)_pp,
     X^-1      = sum_r T_r^T T_r   (scattered onto the pattern),
 
-and the rows of T_r are the columns S_r of the Cholesky factor of X^-1.
-The log-determinant, the inverse, its factor and the Gram vectors all
-read that sweep, so the completion is never formed densely.  Each
-clique size's (N, k, k) stack is gathered, factored and inverted by one
-batched numpy call, and the inverse is scattered by the plan's
-``gram_sum``, the helper that also forms L L^T for the dual residual.
-The solver takes X^ in full from the inverse's factor
-(``logdet.inverse_columns``) for its products X^ Z X^; ``logdet.hess_vec``
-on that factor, with the partial matrix as the selected inverse, gives
-the same entries from the fronts of the pattern's ``clique_tree``.
+and the rows of T_r are the columns S_r of the Cholesky factor L of
+X^-1.  The log-determinant, the inverse and its factor all read that
+sweep.  Each clique size's (N, k, k) stack is gathered, factored and
+inverted by one batched numpy call, and the inverse is scattered by the
+plan's ``gram_sum``, the helper that also forms L L^T for the dual
+residual.  The ``logdet`` kernels read L on the pattern's
+``clique_tree``: X^ in full (``inverse_columns``), its Gram vectors
+L^-1 (``lower_inverse``, as L^-T L^-1 = X^) and, with the partial
+matrix as the selected inverse, X^ Z X^ on the pattern (``hess_vec``).
 """
 
 from __future__ import annotations
@@ -35,26 +34,23 @@ from functools import cached_property
 
 import numpy as np
 
-from .chordal import CliquePlan
 from .errors import NotCompletable
 from .sparsemat import CholeskyFactor, SparseSymPattern
 
 
 @dataclass
 class CompletionFactors:
-    """One factor sweep over the clique blocks of a partial matrix.
-
-    The blocks are grouped by size as in ``plan.groups`` (see
-    ``CliquePlan``): ``blocks[g]`` is the (N, k, k) stack of the dense
-    clique blocks R_r of the g-th clique size, gathered separator first,
-    and ``chol[g]`` their lower Cholesky factors L_r.  ``inverse_rows[g]``
-    stacks the T_r, computed on first use and shared by the inverse and
-    its factor.
+    """One factor sweep over the clique blocks of a partial matrix on
+    ``pattern``, grouped by size as in the ``groups`` of its ``plan``:
+    ``chol[g]`` stacks the lower Cholesky factors L_r of the dense clique
+    blocks R_r of the g-th clique size, gathered separator first.
+    ``inverse_rows[g]`` stacks the T_r, computed on first use and shared
+    by the inverse and its factor.
     """
 
-    plan: CliquePlan
-    blocks: list
+    pattern: SparseSymPattern
     chol: list
+    plan = property(lambda self: self.pattern.clique_plan)
 
     @cached_property
     def inverse_rows(self):
@@ -67,19 +63,21 @@ class CompletionFactors:
         return rows
 
 
-def completion_factors(xbar, plan):
+def completion_factors(xbar):
     """Gather and factor each clique block of the partial ``xbar`` once,
-    by one batched Cholesky call per clique size of the ``CliquePlan``.
+    by one batched Cholesky call per clique size of its pattern's
+    ``clique_plan``.
 
     Raises NotCompletable unless every clique block is positive definite,
     which on a chordal pattern is exactly when a positive definite
-    completion exists, and ValueError when ``xbar`` lies on another
-    pattern than the plan's.
+    completion exists.
     """
-    if xbar.pattern is not plan.pattern and xbar.pattern != plan.pattern:
-        raise ValueError("the partial matrix lies on another pattern than the plan")
-    blocks = [xbar.values[gather] for _, gather, _ in plan.groups]
-    return CompletionFactors(plan, blocks, [_cholesky(blk, "clique") for blk in blocks])
+    plan = xbar.pattern.clique_plan
+    try:
+        chol = [np.linalg.cholesky(xbar.values[gather]) for _, gather, _ in plan.groups]
+    except np.linalg.LinAlgError as exc:
+        raise NotCompletable("a clique block is not positive definite") from exc
+    return CompletionFactors(xbar.pattern, chol)
 
 
 def logdet_completion(factors):
@@ -95,7 +93,7 @@ def completion_inverse(factors):
     It is supported exactly on the pattern F: the sum of the T_r^T T_r,
     scattered onto the pattern.
     """
-    return factors.plan.gram_sum(factors.inverse_rows)
+    return factors.plan.gram_sum(factors.pattern, factors.inverse_rows)
 
 
 def completion_inverse_factor(factors):
@@ -104,43 +102,13 @@ def completion_inverse_factor(factors):
     Column j, for j in S_r, is row j of T_r on and left of its diagonal,
     which in the separator-first order are the entries at j and at the
     higher labels of C_r: Dempster's L_{alpha j} = -X_{alpha alpha}^-1
-    X_{alpha j}, alpha = C_r above j, up to the pivot scaling.  Raises
-    ValueError unless every S_r lies below its U_r.
+    X_{alpha j}, alpha = C_r above j, up to the pivot scaling.
     """
-    plan = factors.plan
-    if plan.factor_slots is None:
-        raise ValueError("a residual S_r does not lie below its separator U_r")
-    pat = plan.pattern
+    plan, pat = factors.plan, factors.pattern
     values = np.zeros(pat.n + pat.nnz)
     values[plan.factor_slots] = np.concatenate(
         [t[mask] for t, mask in zip(factors.inverse_rows, plan.factor_masks)])
     return CholeskyFactor(pat, values, 2.0 * float(np.sum(np.log(values[:pat.n]))))
-
-
-def completion_vectors(factors):
-    """Dense V with V^T V equal to the max-determinant completion.
-
-    Rows of V live in the same (elimination) labels as the partial
-    matrix; column i is the Gram vector of vertex i.  One pass suffices:
-    the rows S_r are final once clique r is reached, because no later
-    separator meets S_r.
-    """
-    cs = factors.plan.cliques
-    v = np.eye(cs.n)
-    blocks = {}
-    for (members, _, _), stack in zip(factors.plan.groups, factors.blocks):
-        blocks.update(zip(members.tolist(), stack))
-    for r, (u, s) in enumerate(zip(cs.separators, cs.residuals)):
-        blk = blocks[r][::-1, ::-1]             # S_r, then U_r, ascending
-        ns = len(s)
-        d_block = blk[:ns, :ns]                 # residual (Schur-complement) block
-        if len(u):
-            us = blk[ns:, :ns]
-            coupling = np.linalg.solve(blk[ns:, ns:], us)
-            v[u, :] += coupling @ v[s, :]
-            d_block = d_block - us.T @ coupling
-        v[s, :] = _cholesky(d_block, f"clique {r} residual").T @ v[s, :]
-    return v
 
 
 def banded_pattern(n, bandwidth):
@@ -224,14 +192,6 @@ def logdet_completion_banded(xbar, bandwidth):
 
 
 # -- helpers ----------------------------------------------------------------
-
-def _cholesky(blocks, what):
-    """Lower Cholesky factor of one block, or of each block of a stack."""
-    try:
-        return np.linalg.cholesky(blocks)
-    except np.linalg.LinAlgError as exc:
-        raise NotCompletable(f"{what}: a block of size {blocks.shape[-1]} is not PD") from exc
-
 
 def _dense_chol_rows(a):
     """Scalar unblocked Cholesky returning packed row lists."""

@@ -1,13 +1,14 @@
 """Inverses of a sparse Cholesky factor and the log-det Hessian product.
 
 ``sparse_inverse`` gives the entries of S^-1 on the filled pattern (the
-gradient of ln det S there), ``inverse_columns`` gives S^-1 in full, and
-``hess_vec`` the entries on the pattern of S^-1 Z S^-1 (the log-det
-Hessian applied to Z, up to sign) as the tangent of the factor and of
-the selected inverse.  All three run on the dense fronts of the
-pattern's ``clique_tree``, as the factor does, and read the factor's
-values only, so the factor of the completion inverse
-(``completion.completion_inverse_factor``) serves as well as that of S.
+gradient of ln det S there), ``inverse_columns`` gives S^-1 in full,
+``lower_inverse`` L^-1, and ``hess_vec`` the entries on the pattern of
+S^-1 Z S^-1 (the log-det Hessian applied to Z, up to sign) as the
+tangent of the factor and of the selected inverse.  All of them run on
+the dense fronts of the pattern's ``clique_tree``, as the factor does,
+and read the factor's values only, so the factor of the completion
+inverse (``completion.completion_inverse_factor``) serves as well as
+that of S.
 ``hess_from_columns`` gives W Z W on the pattern from W held in full,
 by dense row dots; the solver takes every product it needs that way
 (the Newton systems' columns, as in Fujisawa, Kojima and Nakata, Math.
@@ -65,29 +66,39 @@ def sparse_inverse(factor):
     return SparseSymMatrix(factor.pattern, out[tree.scatter], check=False)
 
 
-def inverse_columns(factor):
-    """The inverse of the factored matrix L L^T, in full.
+def lower_inverse(factor):
+    """V = L^-1 in full for a lower ``factor`` L, so V^T V = (L L^T)^-1.
 
-    Solves L L^T W = I for all n right-hand sides at once, one block of
-    rows per front of the pattern's ``clique_tree``: forward, children
-    first, rows S' become L_S'S'^-1 times themselves and rows U' lose
-    L_U'S' times those; back, parents first, rows S' become
-    L_S'S'^-T (rows S' - L_U'S'^T rows U').  Any lower factor on the
-    pattern will do, that of S or of the completion inverse.  The result,
-    a dense n x n array, is the only storage beyond the factor's blocks.
+    Solves L V = I one block of rows per front of the pattern's
+    ``clique_tree``, children first: rows S' become L_S'S'^-1 times
+    themselves and rows U' lose L_U'S' times those.  Returns V with each
+    front's (S', U', L_U'S', L_S'S'^-1), for ``inverse_columns``.
     """
     tree, low = _front_blocks(factor)
-    w = np.eye(factor.n)
+    v = np.eye(factor.n)
     steps = []
     for cols, seps, lo, _, _ in tree.fronts:
         s = len(cols)
         blk = low[lo:lo + (s + len(seps)) * s].reshape(-1, s)
         inv = np.linalg.inv(blk[:s])
-        rows = inv @ w[cols]
-        w[cols] = rows
+        rows = inv @ v[cols]
+        v[cols] = rows
         if len(seps):
-            w[seps] -= blk[s:] @ rows
+            v[seps] -= blk[s:] @ rows
         steps.append((cols, seps, blk[s:], inv))
+    return v, steps
+
+
+def inverse_columns(factor):
+    """The inverse of the factored matrix L L^T, in full.
+
+    Solves L L^T W = I for all n right-hand sides at once: forward by
+    ``lower_inverse``, then back, parents first, rows S' become
+    L_S'S'^-T (rows S' - L_U'S'^T rows U').  Any lower factor on the
+    pattern will do, that of S or of the completion inverse.  The result,
+    a dense n x n array, is the only storage beyond the factor's blocks.
+    """
+    w, steps = lower_inverse(factor)
     for cols, seps, off, inv in reversed(steps):
         rows = w[cols]
         if len(seps):

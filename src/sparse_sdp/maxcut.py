@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .completion import completion_vectors
 from .errors import NotPositiveDefinite, TooManyEdges
+from .logdet import lower_inverse
 from .problem import SdpProblem
 from .solver import SolverConfig, solve
 from .sparsemat import PIVOT_RTOL, SparseSymMatrix, SparseSymPattern, cholesky_factorize
@@ -21,7 +21,7 @@ from .sparsemat import PIVOT_RTOL, SparseSymMatrix, SparseSymPattern, cholesky_f
 
 @dataclass
 class Graph:
-    """Simple undirected weighted graph; edges are (i, j, w) with w > 0."""
+    """Simple undirected weighted graph; edges (i, j, w), w finite, > 0."""
 
     n: int
     edges: list
@@ -34,22 +34,28 @@ class Graph:
         for e in self.edges:
             i, j = int(e[0]), int(e[1])
             w = float(e[2]) if len(e) > 2 else 1.0
-            if i == j:
-                raise ValueError(f"loop at vertex {i}")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i},{j}) out of range")
-            if w <= 0:
-                raise ValueError(f"edge ({i},{j}) has nonpositive weight {w}")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise ValueError(f"duplicate edge ({i},{j})")
-            seen.add(key)
-            norm.append((key[0], key[1], w))
+            _add_edge(seen, i, j, w, range(self.n))
+            norm.append((min(i, j), max(i, j), w))
         self.edges = norm
 
     @property
     def m(self):
         return len(self.edges)
+
+
+def _add_edge(seen, i, j, w, labels):
+    """Add {i, j} to ``seen``, a set of (min, max) pairs; ValueError unless
+    i != j lie in the range ``labels``, the pair is new and w > 0 finite."""
+    if i == j:
+        raise ValueError(f"loop at vertex {i}")
+    if i not in labels or j not in labels:
+        raise ValueError(f"edge ({i},{j}) out of range {labels.start}..{labels.stop - 1}")
+    if not (math.isfinite(w) and w > 0):
+        raise ValueError(f"edge ({i},{j}) has weight {w}, not finite and positive")
+    key = (min(i, j), max(i, j))
+    if key in seen:
+        raise ValueError(f"duplicate edge ({i},{j})")
+    seen.add(key)
 
 
 @dataclass
@@ -186,8 +192,9 @@ def hyperplane_rounding(vectors, graph, trials=100, seed=0, sdp_bound=None):
 
 
 def gram_vectors(problem, state):
-    """Columns of V (one per original vertex) with V^T V the completion."""
-    v = completion_vectors(state.x_factors)
+    """Columns of V (one per original vertex) with V^T V the completion:
+    V = L^-1 for the factor L of its inverse, as L^-T L^-1 = X^."""
+    v, _ = lower_inverse(state.xhat_inv_factor)
     return v[:, problem.ordering.perm]
 
 
@@ -210,7 +217,9 @@ def solve_maxcut(graph, cfg=None, trials=100, seed=0):
 def read_graph(path):
     """Edge-list file: first line "n m", then one "i j [w]" line per edge.
 
-    Vertices are 1-based in the file.
+    Vertices are 1-based in the file.  A malformed line, a label outside
+    1..n, a loop, a repeated edge or a weight that is not finite and
+    positive raises ValueError naming the line and the file's labels.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -219,18 +228,22 @@ def read_graph(path):
     if not body:
         raise ValueError("empty graph file")
     no, head = body[0]
-    parts = head.split()
-    if len(parts) != 2:
-        raise ValueError(f"line {no}: expected 'n m'")
-    n, m = int(parts[0]), int(parts[1])
-    edges = []
+    try:
+        n, m = map(int, head.split())
+    except ValueError:
+        raise ValueError(f"line {no}: expected integers 'n m', got {head!r}") from None
+    edges, seen = [], set()
     for no, ln in body[1:]:
         parts = ln.split()
-        if len(parts) not in (2, 3):
-            raise ValueError(f"line {no}: expected 'i j [w]'")
-        i, j = int(parts[0]) - 1, int(parts[1]) - 1
-        w = float(parts[2]) if len(parts) == 3 else 1.0
-        edges.append((i, j, w))
+        try:
+            if len(parts) not in (2, 3):
+                raise ValueError("expected 'i j [w]'")
+            i, j = int(parts[0]), int(parts[1])
+            w = float(parts[2]) if len(parts) == 3 else 1.0
+            _add_edge(seen, i, j, w, range(1, n + 1))
+        except ValueError as exc:
+            raise ValueError(f"line {no}: {exc}") from None
+        edges.append((i - 1, j - 1, w))
     if len(edges) != m:
         raise ValueError(f"header promised {m} edges, found {len(edges)}")
     return Graph(n, edges)

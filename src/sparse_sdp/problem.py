@@ -2,11 +2,11 @@
 
 An `SdpProblem` owns the standard-form data (C, A_1..A_m, b), a
 fill-reducing ordering of the aggregate pattern of all data matrices, the
-chordal extension produced by symbolic factorization with its cliques
-and their clique plan, and one table of the constraint entries on that
-extension.  It assembles the m x m matrix A_p . (W A_q W) of a Newton
-system from W held in full, and the Gram matrix A_p . A_q as that
-matrix at W = I.
+chordal extension produced by symbolic factorization, which caches its
+cliques, their clique plan and their clique tree on first read, and one
+table of the constraint entries on that extension.  It assembles the
+m x m matrix A_p . (W A_q W) of a Newton system from W held in full,
+and the Gram matrix A_p . A_q as that matrix at W = I.
 All stored matrices live in the permuted (elimination) labels;
 `ordering` maps original labels to them.
 """
@@ -17,7 +17,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .chordal import CliquePlan
 from .sparsemat import (SparseSymMatrix, SparseSymPattern, min_degree_ordering,
                         symbolic_factorize)
 
@@ -25,9 +24,9 @@ from .sparsemat import (SparseSymMatrix, SparseSymPattern, min_degree_ordering,
 class SdpProblem:
     """min C.X s.t. A_p.X = b_p, X PSD, with sparse symmetric data.
 
-    ``fill`` is the chordal pattern F, ``cliques`` its maximal cliques in
-    running-intersection order (``fill.cliques``) and ``plan`` their
-    ``CliquePlan``, which both halves of an iterate read.
+    ``fill`` is the chordal pattern F and ``cliques`` its maximal cliques
+    in running-intersection order (``fill.cliques``); both halves of an
+    iterate read their plan, ``fill.clique_plan``.
     """
 
     def __init__(self, c, constraints, b, ordering=None):
@@ -85,11 +84,6 @@ class SdpProblem:
         self._ent_r, self._ent_s = (ends[self._ent_slot] for ends in fill.slot_ends)
         self._ent_start = np.flatnonzero(np.diff(self._ent_own, prepend=-1))
         self._gram_inv = None
-
-    @cached_property
-    def plan(self):
-        """The ``CliquePlan`` of ``cliques`` on the fill, built on first read."""
-        return CliquePlan(self.cliques, self.fill)
 
     @cached_property
     def constraints(self):

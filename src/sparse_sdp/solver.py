@@ -181,9 +181,9 @@ class PrimalHalf:
     primal side makes no sparse factorization.
     """
 
-    def __init__(self, problem, xbar):
+    def __init__(self, xbar):
         self.xbar = xbar
-        self.x_factors = completion_factors(xbar, problem.plan)
+        self.x_factors = completion_factors(xbar)
         self.logdet_x = logdet_completion(self.x_factors)
 
     @cached_property
@@ -212,7 +212,7 @@ class IterateState:
     """
 
     def __init__(self, problem, xbar, y, rho):
-        self._compose(problem, DualHalf(problem, y), PrimalHalf(problem, xbar), rho)
+        self._compose(problem, DualHalf(problem, y), PrimalHalf(xbar), rho)
 
     @classmethod
     def compose(cls, problem, dual, primal, rho):
@@ -277,9 +277,9 @@ class IterateState:
     def residuals(self):
         """max |A(X) - b|, and max |S - L L^T| over F relative to max |S|
         over F, with L the factor ``s_factor`` and L L^T formed clique by
-        clique through the problem's plan."""
+        clique through the fill's clique plan."""
         s = self.s.values
-        llt = self.problem.plan.factor_product(self.s_factor).values
+        llt = self.problem.fill.clique_plan.factor_product(self.s_factor).values
         dres = float(np.max(np.abs(s - llt)) / np.max(np.abs(s)))
         return self.primal_residual(), dres
 
@@ -449,7 +449,7 @@ def _trial(state, dirs, q):
             for d, h, _ in moves:
                 if h != 0.0:
                     x += h * d.dx.values
-            primal_half = PrimalHalf(prob, SparseSymMatrix(prob.fill, x, check=False))
+            primal_half = PrimalHalf(SparseSymMatrix(prob.fill, x, check=False))
     except (NotPositiveDefinite, NotCompletable):
         return None
     trial = IterateState.compose(prob, dual_half, primal_half, state.rho)

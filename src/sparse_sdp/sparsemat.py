@@ -114,6 +114,13 @@ class SparseSymPattern:
         return rip_order(maximal_cliques(self), n=self.n)
 
     @cached_property
+    def clique_plan(self):
+        """The ``chordal.CliquePlan`` of ``cliques`` for the batched clique
+        sweeps; raises NotChordal as ``cliques`` does."""
+        from .chordal import CliquePlan
+        return CliquePlan(self)
+
+    @cached_property
     def clique_tree(self):
         """The merged clique tree of ``cliques`` whose dense fronts every
         factor and inverse kernel runs on (``chordal.CliqueTree``); raises

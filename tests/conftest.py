@@ -5,9 +5,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from sparse_sdp import (SparseSymMatrix, SparseSymPattern, completion_vectors,
-                        min_degree_ordering, symbolic_factorize)
-from sparse_sdp.chordal import CliquePlan, maximal_cliques, rip_order
+from sparse_sdp import (SparseSymMatrix, SparseSymPattern, min_degree_ordering,
+                        symbolic_factorize)
 
 
 def random_pattern(n, density, rng):
@@ -57,19 +56,13 @@ def random_pd_on_pattern(pattern, rng, shift=0.0):
     return sparse_from_dense(pattern, dense), dense
 
 
-def clique_plan(pattern):
-    """The clique plan of a chordal, elimination-ordered pattern's
-    maximal cliques, as ``SdpProblem.plan`` builds it for the fill."""
-    return CliquePlan(rip_order(maximal_cliques(pattern), n=pattern.n), pattern)
-
-
 def random_completable_partial(n, density, rng):
     """Random completable partial matrix: projection of a dense PD matrix,
-    with the clique plan of its pattern."""
+    with that matrix."""
     fill = random_filled_pattern(n, density, rng)
     g = rng.standard_normal((n, n)) / np.sqrt(n)
     dense = g @ g.T + np.eye(n)
-    return sparse_from_dense(fill, dense), clique_plan(fill), dense
+    return sparse_from_dense(fill, dense), dense
 
 
 def random_generic_sdp(n, m, rng):
@@ -162,9 +155,28 @@ def elimination_sequence(ordering):
     return ordering.inverse
 
 
-def reconstruct_dense(factors):
-    """Dense max-determinant completion from its clique factors."""
-    v = completion_vectors(factors)
+def reconstruct_dense(xbar):
+    """Dense max-determinant completion of the partial ``xbar``, built
+    clique by clique from its blocks, apart from the library's factors.
+
+    Gram vectors V, V^T V = X^, by Schur complements over the cliques of
+    ``xbar.pattern.cliques`` in running-intersection order: rows U_r take
+    X_{U_r U_r}^-1 X_{U_r S_r} times rows S_r, then rows S_r take the
+    transposed Cholesky factor of the Schur complement of X_{U_r U_r}.
+    Rows S_r are final once clique r is reached, because no later
+    separator meets S_r.
+    """
+    cs = xbar.pattern.cliques
+    dense = xbar.to_dense()
+    v = np.eye(xbar.n)
+    for s, u in zip(cs.residuals, cs.separators):
+        schur = dense[np.ix_(s, s)]
+        if len(u):
+            us = dense[np.ix_(u, s)]
+            coupling = np.linalg.solve(dense[np.ix_(u, u)], us)
+            v[u] += coupling @ v[s]
+            schur = schur - us.T @ coupling
+        v[s] = np.linalg.cholesky(schur).T @ v[s]
     return v.T @ v
 
 

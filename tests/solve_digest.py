@@ -8,10 +8,11 @@ line, ``family i mode status iterations C.X b.y`` (objectives as repr),
 so a change that moves the path within a tolerance shows which solves
 moved and by how much; the last line, the digest, is equal only when
 the path is byte for byte the same.  Before it, ``kernels <sha256>``
-hashes the kernel outputs at the starting slacks and ``solves
-<sha256>`` the problems and the solves, so a change to a kernel that no
-solve calls shows the solve path byte-identical while the digest
-moves.  The solves are
+hashes the kernel outputs at the starting slacks, ``solves <sha256>``
+the problems and the solves, and ``paths <sha256>`` the same without
+the Gram vectors, so a change to a kernel that no solve calls, or to
+how the Gram vectors are taken, shows the solve path byte-identical
+while the digest moves.  The solves are
 the three benchmark families -- random_graph(35, 105), banded_graph(60, 3)
 and the 5x7 odd torus with weights 1-2, the torus written as .dat-s and
 read back through ``read_sdpa`` -- at ``trial_seed(3, 0..5)``, each in
@@ -21,9 +22,9 @@ problem; the outputs of ``cholesky_factorize``, ``sparse_inverse`` and
 which covers ``hess_vec`` although no solve calls it; then each solve's
 iteration CSV and Gram vectors, or the message and partial CSV of an
 ``IterationLimit``.  The kernel hash covers those kernel outputs, the
-solve hash the rest.  It imports ``sparse_sdp`` from
-this checkout's ``src/`` and the generators from ``perfbench/graphs.py``
-by path.
+solve hash the rest, and the path hash the rest but the Gram vectors.
+It imports ``sparse_sdp`` from this checkout's ``src/`` and the
+generators from ``perfbench/graphs.py`` by path.
 """
 
 import hashlib
@@ -73,41 +74,43 @@ def problems(workdir):
 
 
 def digest(out=sys.stdout):
-    """Print one line per solve, then the kernel and solve hashes, to
-    ``out``; return the digest."""
-    h, kernels, solves = (hashlib.sha256() for _ in range(3))
+    """Print one line per solve, then the kernel, solve and path hashes,
+    to ``out``; return the digest."""
+    h, kernels, solves, paths = (hashlib.sha256() for _ in range(4))
 
-    def feed(part, into):
+    def feed(part, *into):
         part = part.encode() if isinstance(part, str) else part.tobytes()
         h.update(part)
-        into.update(part)
+        for each in into:
+            each.update(part)
 
     with tempfile.TemporaryDirectory() as workdir:
         for label, problem in problems(workdir):
             x0, y0 = initial_point(problem)
             for part in (problem.c.values, x0.values, y0):
-                feed(part, solves)
+                feed(part, solves, paths)
             factor = cholesky_factorize(problem.dual_slack(y0))
             sinv = sparse_inverse(factor)
             for part in (factor.values, np.float64(factor.logdet), sinv.values,
                          hess_vec(factor, problem.c, sinv).values):
                 feed(part, kernels)
             for mode in ("four", "two"):
-                feed(f"{label} {mode}", solves)
+                feed(f"{label} {mode}", solves, paths)
                 try:
                     report = solve(problem, x0, y0, SolverConfig(direction_mode=mode))
                 except IterationLimit as exc:
-                    feed(str(exc), solves)
+                    feed(str(exc), solves, paths)
                     report = exc.report
-                    feed(report.csv_text(), solves)
+                    feed(report.csv_text(), solves, paths)
                 else:
-                    feed(report.csv_text(), solves)
+                    feed(report.csv_text(), solves, paths)
                     feed(gram_vectors(problem, report.state), solves)
                 print(f"{label} {mode} {report.status} {report.iterations} "
                       f"{report.objective_primal!r} {report.objective_dual!r}",
                       file=out, flush=True)
     print(f"kernels {kernels.hexdigest()}", file=out)
     print(f"solves {solves.hexdigest()}", file=out)
+    print(f"paths {paths.hexdigest()}", file=out)
     return h.hexdigest()
 
 

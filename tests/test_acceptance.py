@@ -18,7 +18,7 @@ from sparse_sdp.bench import (run_banded_fixed_bandwidth, run_banded_fixed_diff,
 from sparse_sdp.maxcut import initial_point, maxcut_sdp
 from sparse_sdp.solver import IterateState, dual_direction, primal_direction
 
-from conftest import (clique_plan, dense_mask, dense_reference_directions, problem_dense_data,
+from conftest import (dense_mask, dense_reference_directions, problem_dense_data,
                       random_completable_partial, random_filled_pattern,
                       random_pd_on_pattern, reconstruct_dense, restrict_abs_error)
 
@@ -130,8 +130,8 @@ def test_criterion_3_completion_correctness():
     beaten = True
     for _ in range(100):
         n = int(rng.integers(3, 16))
-        xbar, plan, _ = random_completable_partial(n, 0.3, rng)
-        xhat = reconstruct_dense(completion_factors(xbar, plan))
+        xbar, _ = random_completable_partial(n, 0.3, rng)
+        xhat = reconstruct_dense(xbar)
         inv = np.linalg.inv(xhat)
         mask = dense_mask(xbar.pattern)
         if (~mask).any():
@@ -139,7 +139,7 @@ def test_criterion_3_completion_correctness():
         sign, dense_logdet = np.linalg.slogdet(xhat)
         assert sign > 0
         worst_logdet = max(worst_logdet,
-                           abs(logdet_completion(completion_factors(xbar, plan)) - dense_logdet))
+                           abs(logdet_completion(completion_factors(xbar)) - dense_logdet))
         holes = [(i, j) for i, j in np.argwhere(~mask) if i < j]
         if holes:
             scale = 0.1
@@ -165,7 +165,7 @@ def test_criterion_3_completion_correctness():
     from sparse_sdp import SparseSymPattern
     pat = SparseSymPattern(3, [(0, 1), (1, 2)])
     tri = SparseSymMatrix(pat, [2.0, 2.0, 2.0, 1.0, 1.0])
-    tri_err = abs(logdet_completion(completion_factors(tri, clique_plan(pat)))
+    tri_err = abs(logdet_completion(completion_factors(tri))
                   - (2.0 * math.log(3.0) - math.log(2.0)))
     elapsed = time.perf_counter() - t0
     ok = (worst_off <= 1e-10 and worst_logdet <= 1e-9 and beaten

@@ -7,8 +7,6 @@ from sparse_sdp.bench import (parse_sizes, random_banded_partial,
                               run_table_of_iterations, time_banded_sweep,
                               trial_seed)
 
-from conftest import clique_plan
-
 
 class TestSeeds:
     def test_trial_seed_deterministic_and_spread(self):
@@ -30,13 +28,13 @@ class TestParseSizes:
 class TestRandomBandedPartial:
     def test_matches_dense_gram_construction(self):
         xb = random_banded_partial(9, 3, seed=4)
-        logdet_completion(completion_factors(xb, clique_plan(xb.pattern)))   # raises NotCompletable otherwise
+        logdet_completion(completion_factors(xb))   # raises NotCompletable otherwise
 
     @pytest.mark.parametrize("n,p", [(6, 1), (10, 4), (7, 6)])
     def test_always_completable(self, n, p):
         for seed in range(5):
             xb = random_banded_partial(n, p, seed=seed)
-            logdet_completion(completion_factors(xb, clique_plan(xb.pattern)))   # raises NotCompletable otherwise
+            logdet_completion(completion_factors(xb))   # raises NotCompletable otherwise
 
     def test_deterministic(self):
         a = random_banded_partial(12, 3, seed=9)

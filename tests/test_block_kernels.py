@@ -105,9 +105,9 @@ class TestAgainstDense:
         rng = np.random.default_rng(6)
         for _ in range(40):
             n = int(rng.integers(1, 30))
-            xbar, plan, _ = random_completable_partial(n, rng.random() * 0.5, rng)
-            factors = completion_factors(xbar, plan)
-            xhat = reconstruct_dense(factors)
+            xbar, _ = random_completable_partial(n, rng.random() * 0.5, rng)
+            factors = completion_factors(xbar)
+            xhat = reconstruct_dense(xbar)
             w = inverse_columns(completion_inverse_factor(factors))
             assert np.abs(w - xhat).max() <= 1e-9 * max(np.abs(xhat).max(), 1.0)
 
@@ -127,9 +127,9 @@ class TestAgainstDense:
         rng = np.random.default_rng(9)
         for _ in range(40):
             n = int(rng.integers(1, 30))
-            xbar, plan, _ = random_completable_partial(n, rng.random() * 0.5, rng)
-            factors = completion_factors(xbar, plan)
-            xhat = reconstruct_dense(factors)
+            xbar, _ = random_completable_partial(n, rng.random() * 0.5, rng)
+            factors = completion_factors(xbar)
+            xhat = reconstruct_dense(xbar)
             z = SparseSymMatrix(xbar.pattern, rng.standard_normal(len(xbar.values)))
             want = xhat @ z.to_dense() @ xhat
             got = hess_vec(completion_inverse_factor(factors), z, xbar)

@@ -7,7 +7,7 @@ from sparse_sdp import (CholeskyFactor, EliminationOrdering, NotChordal,
                         RipFailure, SparseSymPattern, maximal_cliques,
                         rip_order, symbolic_factorize)
 
-from conftest import (brute_force_cliques, clique_cover_edges, clique_plan,
+from conftest import (brute_force_cliques, clique_cover_edges,
                       factor_to_dense, random_filled_pattern, random_pattern,
                       sparse_from_dense)
 
@@ -197,7 +197,7 @@ class TestCliquePlan:
         factor = CholeskyFactor(fill, values, 0.0)
         ldense = factor_to_dense(factor)
         want = sparse_from_dense(fill, ldense @ ldense.T).values
-        got = clique_plan(fill).factor_product(factor)
+        got = fill.clique_plan.factor_product(factor)
         assert got.pattern is fill
         assert np.abs(got.values - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -206,5 +206,5 @@ class TestCliquePlan:
            seed=st.integers(0, 2**32 - 1))
     def test_factor_slots_are_a_permutation_of_the_storage(self, n, density, seed):
         fill = random_filled_pattern(n, density, np.random.default_rng(seed))
-        slots = clique_plan(fill).factor_slots
+        slots = fill.clique_plan.factor_slots
         assert np.array_equal(np.sort(slots), np.arange(n + fill.nnz))

@@ -185,6 +185,21 @@ class TestMaxcutCommand:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    @pytest.mark.parametrize("body, line, detail", [
+        ("3 1\n1 2 nan\n", 2, "not finite and positive"),
+        ("3 1\n1 2 -inf\n", 2, "not finite and positive"),
+        ("3 2\n1 2\n0 2\n", 3, "(0,2) out of range 1..3"),
+        ("3 1\n\n1 x\n", 3, "invalid literal"),
+        ("3 2\n1 2\n2 1\n", 3, "duplicate edge (2,1)"),
+    ], ids=["nan weight", "-inf weight", "label 0", "label x", "duplicate"])
+    def test_bad_edge_line_exit_one(self, tmp_path, capsys, body, line, detail):
+        # these used to exit 1 naming no line, with 0-based labels
+        path = tmp_path / "bad.txt"
+        path.write_text(body)
+        code, _, err = run_cli(["maxcut", str(path)], capsys)
+        assert code == 1
+        assert f"line {line}:" in err and detail in err
+
     def test_writes_iteration_csv(self, tmp_path, capsys):
         path = tmp_path / "g.txt"
         write_graph(random_graph(5, 7, seed=8), path)

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sparse_sdp import chordal
 from sparse_sdp import (Graph, SdpProblem, SolverConfig, SparseSymMatrix,
                         SparseSymPattern, TooManyEdges, cut_value,
                         hyperplane_rounding, initial_point, maxcut_sdp,
                         random_graph, read_graph, solve_maxcut, write_graph)
 from sparse_sdp import maxcut
 from sparse_sdp.maxcut import gram_vectors
-from sparse_sdp.solver import IterateState, solve
+from sparse_sdp.solver import IterateState, PrimalHalf, solve
+
+from conftest import reconstruct_dense, sparse_from_dense
 
 
 class TestGraph:
@@ -18,6 +23,11 @@ class TestGraph:
             Graph(3, [(0, 1, 1.0), (1, 0, 2.0)])
         with pytest.raises(ValueError):
             Graph(3, [(0, 1, -1.0)])
+
+    @pytest.mark.parametrize("w", [float("nan"), float("inf"), float("-inf"), 0.0])
+    def test_rejects_weights_not_finite_and_positive(self, w):
+        with pytest.raises(ValueError, match="not finite and positive"):
+            Graph(3, [(0, 1, 1.0), (1, 2, w)])
 
     def test_default_weight(self):
         g = Graph(3, [(0, 1)])
@@ -295,6 +305,24 @@ class TestEndToEnd:
             assert gram[i, j] == pytest.approx(report.state.xbar.values[k],
                                                abs=1e-9)
         assert np.diagonal(gram) == pytest.approx(np.ones(7), abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 20), density=st.floats(0.0, 0.6),
+           merge=st.sampled_from([1, 6, 48]), seed=st.integers(0, 2**32 - 1))
+    def test_gram_vectors_match_the_clique_oracle(self, n, density, merge, seed):
+        # V^T V against the clique-by-clique completion of a random
+        # completable X on the fill of a random graph; merge thresholds
+        # below 48 give trees of several fronts
+        rng = np.random.default_rng(seed)
+        problem = maxcut_sdp(random_graph(n, int(density * n * (n - 1) / 2), seed))
+        g = rng.standard_normal((n, n)) / np.sqrt(n)
+        xbar = sparse_from_dense(problem.fill, g @ g.T + np.eye(n))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chordal, "MERGE_SIZE", merge)
+            v = gram_vectors(problem, PrimalHalf(xbar))
+        perm = problem.ordering.perm
+        want = reconstruct_dense(xbar)[np.ix_(perm, perm)]
+        assert np.abs(v.T @ v - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_bound_dominates_cut_on_random_instances(self, report_registry):
         for seed in (13, 14):

@@ -6,8 +6,8 @@ import pytest
 from sparse_sdp import chordal, logdet, solver
 from sparse_sdp import (Direction, EliminationOrdering, InfeasibleStart,
                         IterateState, IterationLimit, SdpProblem, SolverConfig,
-                        SparseSymMatrix, SparseSymPattern, conjugate_gradient,
-                        dual_direction, hess_vec, inner_product,
+                        SparseSymMatrix, SparseSymPattern, completion_factors,
+                        conjugate_gradient, dual_direction, hess_vec, inner_product,
                         inverse_columns, maximal_cliques, potential_minimize,
                         primal_direction, solve)
 from sparse_sdp.cli import _generic_initial_point
@@ -45,10 +45,12 @@ class TestProblemInvariants:
 
     def test_clique_plan_is_built_on_first_read(self):
         problem = maxcut_sdp(random_graph(9, 14, seed=39))
-        assert "plan" not in vars(problem)
-        plan = problem.plan
-        assert plan is problem.plan
-        assert plan.cliques is problem.cliques and plan.pattern is problem.fill
+        x0, y0 = initial_point(problem)
+        assert "clique_plan" not in vars(problem.fill)      # not built at set-up
+        report = solve(problem, x0, y0, SolverConfig())
+        plan = problem.fill.clique_plan
+        assert report.state.x_factors.plan is plan
+        assert completion_factors(x0).plan is plan
 
     def test_one_clique_sequence_per_fill(self, monkeypatch):
         calls = []
@@ -489,7 +491,6 @@ class TestDirectionsAgainstDenseReference:
     def test_second_iterate_equivalence(self):
         # after one step the completion is no longer the identity; feed the
         # dense reference the reconstructed completion and compare again
-        from sparse_sdp import completion_factors
         problem = maxcut_sdp(random_graph(6, 8, seed=11))
         x0, y0 = initial_point(problem)
         rho = problem.n + math.sqrt(problem.n) * math.sqrt(problem.n)
@@ -498,7 +499,7 @@ class TestDirectionsAgainstDenseReference:
         state2 = choice.trial
         prim2, dual2 = build_directions(state2)
 
-        xhat = reconstruct_dense(completion_factors(state2.xbar, problem.plan))
+        xhat = reconstruct_dense(state2.xbar)
         c_dense, a_dense, b = problem_dense_data(problem)
         ref = dense_reference_directions(c_dense, a_dense, b, xhat,
                                          state2.s.to_dense(), rho)
@@ -512,7 +513,6 @@ class TestDirectionsAgainstDenseReference:
     def test_equivalence_along_a_whole_run(self):
         # follow three accepted steps of a random instance; at every state
         # the sparse directions must match the dense reference
-        from sparse_sdp import completion_factors
         problem = maxcut_sdp(random_graph(5, 7, seed=25))
         x0, y0 = initial_point(problem)
         rho = 2.0 * problem.n
@@ -520,7 +520,7 @@ class TestDirectionsAgainstDenseReference:
         c_dense, a_dense, b = problem_dense_data(problem)
         for _ in range(3):
             prim, dual = build_directions(state)
-            xhat = reconstruct_dense(completion_factors(state.xbar, problem.plan))
+            xhat = reconstruct_dense(state.xbar)
             ref = dense_reference_directions(c_dense, a_dense, b, xhat,
                                              state.s.to_dense(), rho)
             for dense, mat in ((ref["dx1"], prim.dx),
@@ -550,7 +550,7 @@ class TestDirectionsAgainstDenseReference:
         assert np.abs(state.xbar.offdiag).max() > 1e-2
         prim, dual = build_directions(state)
         ref = dense_reference_directions(*problem_dense_data(problem),
-                                         reconstruct_dense(state.x_factors),
+                                         reconstruct_dense(state.xbar),
                                          state.s.to_dense(), state.rho)
         for dense, mat in ((ref["dx1"], prim.dx), (ref["dx2"], dual.dx),
                            (ref["ds1"], prim.ds), (ref["ds2"], dual.ds)):
@@ -628,12 +628,12 @@ class TestPotentialMinimize:
             mats = [prim.dx, dual.dx]
             x = state.xbar.values + sum(q[t] * m.values for t, m in enumerate(mats))
             y = state.y + q[2] * prim.dy + q[3] * dual.dy
-            from sparse_sdp import cholesky_factorize, completion_factors, logdet_completion
+            from sparse_sdp import cholesky_factorize, logdet_completion
             s = problem.dual_slack(y)
             try:
                 fac = cholesky_factorize(s)
                 xb = SparseSymMatrix(problem.fill, x)
-                ld = logdet_completion(completion_factors(xb, problem.plan))
+                ld = logdet_completion(completion_factors(xb))
             except Exception:
                 continue
             gap = inner_product(s, xb)
@@ -751,7 +751,7 @@ class TestCompletionSweep:
         real = np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or real(a))
         monkeypatch.setattr(solver, "cholesky_factorize", lambda a: refactored.append(a))
-        primal = solver.PrimalHalf(problem, x0)
+        primal = solver.PrimalHalf(x0)
         assert primal.xhat_inv is not None and primal.xhat_inv_factor is not None
         # one batched call per clique size, none for a separator, and the
         # factor of the completion inverse comes from the same sweep

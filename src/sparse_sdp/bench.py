@@ -104,8 +104,12 @@ def random_banded_partial(n, bandwidth, seed):
     """Random PD partial matrix on the full band of the given bandwidth.
 
     Built as the band of G G^T for a banded lower-triangular G with unit
-    diagonal, so every clique block is positive definite.
+    diagonal, so every clique block is positive definite.  ValueError
+    unless n >= 1 and bandwidth >= 0.
     """
+    if n < 1 or bandwidth < 0:
+        raise ValueError(f"need n >= 1 and bandwidth >= 0, got n={n}, "
+                         f"bandwidth={bandwidth}")
     rng = np.random.default_rng(seed)
     p = min(bandwidth, n - 1)
     # gband[i, k] holds G[i, i-k] for offsets k = 0..p

@@ -1,6 +1,6 @@
 """Chordal-graph machinery: maximal cliques in running-intersection order,
-the clique plan that both halves of the solver read, and the merged
-clique tree of the factor and inverse kernels.
+the clique plan of the primal completion and the dual residual, and the
+merged clique tree of the factor and inverse kernels.
 
 Everything here assumes patterns whose natural order (0..n-1) is meant to
 be a perfect elimination ordering (the output of symbolic factorization

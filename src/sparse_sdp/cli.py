@@ -30,7 +30,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for flag, low in (("trials", 1), ("reps", 0)):
+        for flag, low in (("trials", 1), ("reps", 0), ("bandwidth", 0), ("diff", 0)):
             if getattr(args, flag, low) < low:
                 raise ValueError(f"--{flag} must be at least {low}, got {getattr(args, flag)}")
         return args.func(args)
@@ -234,6 +234,8 @@ def _parse_sweep(text, default):
         lo, hi, step = parts
     else:
         raise ValueError(f"bad sweep {text!r}, expected lo:hi[:step]")
+    if step < 1:
+        raise ValueError(f"bad sweep {text!r}, step must be at least 1")
     return list(range(lo, hi + 1, step))
 
 

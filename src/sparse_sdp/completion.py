@@ -214,8 +214,11 @@ def _dense_chol_rows(a):
 
 
 def _require_full_band(pattern, p):
-    """ValueError unless the pattern holds every entry 0 < i - j <= p: its
-    edges lie in that band and are as many as the band has."""
+    """ValueError unless p >= 0 and the pattern holds every entry
+    0 < i - j <= p: its edges lie in that band and are as many as the band
+    has."""
+    if p < 0:
+        raise ValueError(f"bandwidth must be nonnegative, got {p}")
     n = pattern.n
     rows, cols = pattern.slot_ends
     q = max(min(p, n - 1), 0)            # the band's width

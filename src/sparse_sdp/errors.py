@@ -20,11 +20,12 @@ class NotPositiveDefinite(SparseSdpError):
 
 
 class NotChordal(SparseSdpError):
-    """(1..n) is not a perfect elimination ordering of the given pattern."""
+    """(0..n-1) is not a perfect elimination ordering of the given pattern."""
 
 
 class RipFailure(SparseSdpError):
-    """No running-intersection ordering could be produced for the cliques."""
+    """The cliques, in the order given, lack the running intersection
+    property (``chordal.rip_order`` verifies an order; it makes none)."""
 
 
 class NotCompletable(SparseSdpError):

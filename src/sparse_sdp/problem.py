@@ -25,8 +25,10 @@ class SdpProblem:
     """min C.X s.t. A_p.X = b_p, X PSD, with sparse symmetric data.
 
     ``fill`` is the chordal pattern F and ``cliques`` its maximal cliques
-    in running-intersection order (``fill.cliques``); both halves of an
-    iterate read their plan, ``fill.clique_plan``.
+    in running-intersection order (``fill.cliques``).  The factor kernels
+    of both halves of an iterate run on ``fill.clique_tree``; only the
+    primal half's completion routines and the dual residual's L L^T read
+    ``fill.clique_plan``.
     """
 
     def __init__(self, c, constraints, b, ordering=None):

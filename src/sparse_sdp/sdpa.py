@@ -9,7 +9,8 @@ line, the right-hand-side vector, and one entry per line as
 with 1-based indices on the upper triangle.  ``matno`` 0 is the
 objective matrix C, ``matno`` p the constraint matrix A_p; the vector
 line is b.  The file therefore encodes  min C.X  s.t.  A_p.X = b_p,
-X PSD, directly in this library's convention.
+X PSD, directly in this library's convention.  A negative block size -n
+declares a diagonal n x n block, which admits only entries with i = j.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ def read_sdpa(path):
     n = abs(sizes[0])
     if n < 1:
         raise SdpaParseError(no_bs, "block size must be nonzero")
+    diagonal = sizes[0] < 0              # SDPA's negative size: a diagonal block
     no_b, text_b = body[3]
     parts = text_b.translate(_PUNCT).split()
     try:
@@ -91,6 +93,9 @@ def read_sdpa(path):
             raise SdpaParseError(no, f"block index {blk} must be 1")
         if not (1 <= i <= n and 1 <= j <= n):
             raise SdpaParseError(no, f"entry ({i},{j}) outside block of size {n}")
+        if diagonal and i != j:
+            raise SdpaParseError(no, f"off-diagonal entry ({i},{j}) in diagonal "
+                                 f"block of size {sizes[0]}")
         key = (max(i, j) - 1, min(i, j) - 1)
         if key in entries[mat]:          # a zero value also counts as given
             raise SdpaParseError(no, f"duplicate entry ({i},{j})")

@@ -20,13 +20,14 @@ into a matrix:
 the image W (sum v_p A_p) W on the fill pattern is dense row dots of W,
 with no sweep over the factor, and so is X^ M X^.
 
-An iterate composes a dual half (y, S, the factor of S and, once needed,
-S^-1 on F) and a primal half (X on F, its completion sweep and log-det
-and, once needed, the completion inverse and its factor, both read off
-that sweep).  A step-search trial that leaves y unchanged (k1 = k2 = 0)
-shares the iterate's dual half, and one that leaves X unchanged
-(h1 = h2 = 0) its primal half, so neither refactors nor re-inverts what
-the iterate already holds.
+An iterate is a dual half and a primal half with one interface: ``mat``
+is S, or X on F; ``logdet`` is ln det S, or ln det X^; ``inv`` is S^-1
+on F, or X^-1, which F supports; and ``factor`` is the factor of S, or
+of X^-1, whose ``inverse_columns`` are the Newton system's W.  A
+step-search trial that leaves y unchanged (k1 = k2 = 0) shares the
+iterate's dual half, and one that leaves X unchanged (h1 = h2 = 0) its
+primal half, so neither refactors nor re-inverts what the iterate
+already holds.
 """
 
 from __future__ import annotations
@@ -153,97 +154,74 @@ def conjugate_gradient(apply_h, rhs, rel_tol=1e-5, max_iter=None):
 
 
 class DualHalf:
-    """The dual half of an iterate: y, S = C - sum y_p A_p and its factor.
+    """The dual half of an iterate: y, ``mat`` = S = C - sum y_p A_p, its
+    ``factor`` and ``logdet``.
 
-    Construction raises NotPositiveDefinite outside the cone.  S^-1 on F
-    is computed on first use and kept.
+    Construction raises NotPositiveDefinite outside the cone.  ``inv``,
+    S^-1 on F, is computed on first use and kept.
     """
 
     def __init__(self, problem, y):
         self.y = y
-        self.s = problem.dual_slack(y)
-        self.s_factor = cholesky_factorize(self.s)
+        self.mat = problem.dual_slack(y)
+        self.factor = cholesky_factorize(self.mat)
+        self.logdet = self.factor.logdet
 
     @cached_property
-    def sinv(self):
+    def inv(self):
         """Entries on F of S^-1."""
-        return sparse_inverse(self.s_factor)
+        return sparse_inverse(self.factor)
 
 
 class PrimalHalf:
-    """The primal half of an iterate: X on F and its completion sweep.
+    """The primal half of an iterate: ``mat`` = X, read as a partial
+    matrix on the fill pattern F, its completion ``sweep`` and ``logdet``.
 
-    ``xbar`` is read as a partial matrix on the fill pattern F.
-    Construction factors its clique blocks (``x_factors``) and takes the
+    Construction factors the clique blocks (``sweep``) and takes the
     completion log-det from them, so it raises NotCompletable outside the
-    cone.  The completion inverse and its Cholesky factor are computed on
-    first use and kept; both read ``x_factors`` (its shared T_r), so the
-    primal side makes no sparse factorization.
+    cone.  ``inv``, the completion inverse, and ``factor``, its Cholesky
+    factor, are computed on first use and kept; both read ``sweep`` (its
+    shared T_r), so the primal side makes no sparse factorization.
     """
 
     def __init__(self, xbar):
-        self.xbar = xbar
-        self.x_factors = completion_factors(xbar)
-        self.logdet_x = logdet_completion(self.x_factors)
+        self.mat = xbar
+        self.sweep = completion_factors(xbar)
+        self.logdet = logdet_completion(self.sweep)
 
     @cached_property
-    def xhat_inv(self):
+    def inv(self):
         """Inverse of the max-determinant completion, supported on F."""
-        return completion_inverse(self.x_factors)
+        return completion_inverse(self.sweep)
 
     @cached_property
-    def xhat_inv_factor(self):
+    def factor(self):
         """Cholesky factor of the completion inverse, from the same sweep."""
-        return completion_inverse_factor(self.x_factors)
-
-
-def _from_half(half, name):
-    return property(lambda self: getattr(getattr(self, half), name))
+        return completion_inverse_factor(self.sweep)
 
 
 class IterateState:
     """Iterate (X on F, y): one dual half, one primal half, gap and potential.
 
-    ``IterateState(problem, xbar, y, rho)`` builds both halves, so it
-    raises NotPositiveDefinite or NotCompletable outside the cones.
-    ``compose`` joins halves that already exist; two states may share
-    one, and with it its factors and the inverses it has computed.  The
-    halves' attributes read through the state.
+    ``IterateState(problem, dual, primal, rho)`` joins a ``DualHalf`` and
+    a ``PrimalHalf`` already built; two states may share one, and with it
+    its factors and the inverses it has computed.
     """
 
-    def __init__(self, problem, xbar, y, rho):
-        self._compose(problem, DualHalf(problem, y), PrimalHalf(xbar), rho)
-
-    @classmethod
-    def compose(cls, problem, dual, primal, rho):
-        """State from a ``DualHalf`` and a ``PrimalHalf`` already built."""
-        state = cls.__new__(cls)
-        state._compose(problem, dual, primal, rho)
-        return state
-
-    def _compose(self, problem, dual, primal, rho):
+    def __init__(self, problem, dual, primal, rho):
         self.problem = problem
         self.dual = dual
         self.primal = primal
         self.rho = rho
-        self.gap = inner_product(dual.s, primal.xbar)
-
-    y = _from_half("dual", "y")
-    s = _from_half("dual", "s")
-    s_factor = _from_half("dual", "s_factor")
-    sinv = _from_half("dual", "sinv")
-    xbar = _from_half("primal", "xbar")
-    x_factors = _from_half("primal", "x_factors")
-    logdet_x = _from_half("primal", "logdet_x")
-    xhat_inv = _from_half("primal", "xhat_inv")
-    xhat_inv_factor = _from_half("primal", "xhat_inv_factor")
+        self.gap = inner_product(dual.mat, primal.mat)
 
     @classmethod
     def create(cls, problem, xbar, y, rho):
         """State at a start point; InfeasibleStart unless strictly feasible
         and primal feasible to FEAS_TOL."""
         try:
-            state = cls(problem, xbar, np.asarray(y, dtype=float), rho)
+            dual = DualHalf(problem, np.asarray(y, dtype=float))
+            state = cls(problem, dual, PrimalHalf(xbar), rho)
         except NotPositiveDefinite as exc:
             raise InfeasibleStart("dual slack is not positive definite") from exc
         except NotCompletable as exc:
@@ -256,30 +234,26 @@ class IterateState:
         return state
 
     @property
-    def logdet_s(self):
-        return self.s_factor.logdet
-
-    @property
     def phi(self):
-        return self.rho * math.log(self.gap) - self.logdet_x - self.logdet_s
+        return self.rho * math.log(self.gap) - self.primal.logdet - self.dual.logdet
 
     def objective_primal(self):
-        return inner_product(self.problem.c, self.xbar)
+        return inner_product(self.problem.c, self.primal.mat)
 
     def objective_dual(self):
-        return float(self.problem.b @ self.y)
+        return float(self.problem.b @ self.dual.y)
 
     def primal_residual(self):
         prob = self.problem
-        return float(np.max(np.abs(prob.apply_map(self.xbar) - prob.b))) \
+        return float(np.max(np.abs(prob.apply_map(self.primal.mat) - prob.b))) \
             if prob.m else 0.0
 
     def residuals(self):
         """max |A(X) - b|, and max |S - L L^T| over F relative to max |S|
-        over F, with L the factor ``s_factor`` and L L^T formed clique by
+        over F, with L the dual half's factor and L L^T formed clique by
         clique through the fill's clique plan."""
-        s = self.s.values
-        llt = self.problem.fill.clique_plan.factor_product(self.s_factor).values
+        s = self.dual.mat.values
+        llt = self.problem.fill.clique_plan.factor_product(self.dual.factor).values
         dres = float(np.max(np.abs(s - llt)) / np.max(np.abs(s)))
         return self.primal_residual(), dres
 
@@ -364,13 +338,13 @@ def dual_direction(state):
     """
     prob = state.problem
     mu = state.gap / state.rho
-    sinv = state.sinv
-    xbar = state.xbar
-    rhs = prob.apply_map(sinv) - prob.apply_map(xbar) / mu
-    w = inverse_columns(state.s_factor)
+    s_inv = state.dual.inv
+    xbar = state.primal.mat
+    rhs = prob.apply_map(s_inv) - prob.apply_map(xbar) / mu
+    w = inverse_columns(state.dual.factor)
     z, res, ntilde, curved = _newton_system(prob, w, rhs, "dual")
     lam_tilde = math.sqrt(max(inner_product(curved, ntilde), 0.0))
-    raw = SparseSymMatrix(prob.fill, mu * (sinv.values - curved.values) - xbar.values,
+    raw = SparseSymMatrix(prob.fill, mu * (s_inv.values - curved.values) - xbar.values,
                           check=False)
     return Direction(dx=prob.project_out_constraints(raw),
                      ds=ntilde.scaled(1.0 / (1.0 + lam_tilde)),
@@ -395,16 +369,16 @@ def primal_direction(state):
     """
     prob = state.problem
     mu = state.gap / state.rho
-    xbar = state.xbar
-    w = inverse_columns(state.xhat_inv_factor)
-    m_mat = state.s.scaled(1.0 / mu)
+    xbar = state.primal.mat
+    w = inverse_columns(state.primal.factor)
+    m_mat = state.dual.mat.scaled(1.0 / mu)
     xmx = hess_from_columns(w, m_mat)
     rhs = prob.apply_map(xmx) - prob.apply_map(xbar)
     mult, res, lam_a, xlx = _newton_system(prob, w, rhs, "primal")
     n_mat = prob.project_out_constraints(SparseSymMatrix(
         prob.fill, xbar.values - xmx.values + xlx.values, check=False))
     g_mat = SparseSymMatrix(prob.fill,
-                            state.xhat_inv.values - m_mat.values + lam_a.values,
+                            state.primal.inv.values - m_mat.values + lam_a.values,
                             check=False)
     lam = math.sqrt(max(inner_product(g_mat, n_mat), 0.0))
     return Direction(dx=n_mat.scaled(1.0 / (1.0 + lam)), ds=lam_a.scaled(-mu),
@@ -439,20 +413,20 @@ def _trial(state, dirs, q):
     dual_half, primal_half = state.dual, state.primal
     try:
         if any(k != 0.0 for _, _, k in moves):
-            y = state.y.copy()
+            y = state.dual.y.copy()
             for d, _, k in moves:
                 if k != 0.0:
                     y += k * d.dy
             dual_half = DualHalf(prob, y)
         if any(h != 0.0 for _, h, _ in moves):
-            x = state.xbar.values.copy()
+            x = state.primal.mat.values.copy()
             for d, h, _ in moves:
                 if h != 0.0:
                     x += h * d.dx.values
             primal_half = PrimalHalf(SparseSymMatrix(prob.fill, x, check=False))
     except (NotPositiveDefinite, NotCompletable):
         return None
-    trial = IterateState.compose(prob, dual_half, primal_half, state.rho)
+    trial = IterateState(prob, dual_half, primal_half, state.rho)
     return trial if trial.gap > 0.0 else None
 
 
@@ -484,14 +458,14 @@ def potential_minimize(state, primal, dual):
         # iterate's, and the one ``solve`` adopts brings its own into the
         # next directions.
         scale = rho / trial.gap
-        sinv = trial.sinv
+        s_inv, x_inv = trial.dual.inv, trial.primal.inv
         g = np.zeros(4)
         for t, d in enumerate(dirs):
             if d is not None:
-                g[t] = scale * inner_product(trial.s, d.dx) \
-                    - inner_product(trial.xhat_inv, d.dx)
-                g[2 + t] = scale * inner_product(trial.xbar, d.ds) \
-                    - inner_product(sinv, d.ds)
+                g[t] = scale * inner_product(trial.dual.mat, d.dx) \
+                    - inner_product(x_inv, d.dx)
+                g[2 + t] = scale * inner_product(trial.primal.mat, d.ds) \
+                    - inner_product(s_inv, d.ds)
         mask = np.zeros(4)
         mask[active] = 1.0
         return g * mask

@@ -191,7 +191,7 @@ def test_criterion_4_dense_oracle_directions():
         c_dense, a_dense, b = problem_dense_data(problem)
         ref = dense_reference_directions(c_dense, a_dense, b,
                                          np.eye(problem.n),
-                                         state.s.to_dense(), rho)
+                                         state.dual.mat.to_dense(), rho)
 
         def rel(dense, mat):
             scale = max(np.abs(dense).max(), 1e-12)

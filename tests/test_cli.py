@@ -41,6 +41,13 @@ class TestSolveCommand:
         assert code == 1
         assert "line 5" in err
 
+    def test_off_diagonal_entry_in_diagonal_block_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "diagblock.dat-s"
+        path.write_text("2\n1\n-2\n1.0 1.0\n0 1 1 2 0.5\n1 1 1 1 1\n2 1 2 2 1\n")
+        code, _, err = run_cli(["solve", str(path)], capsys)
+        assert code == 1
+        assert "line 5:" in err and "diagonal block" in err
+
     @pytest.mark.parametrize("b, value, line",
                              [("1.0 nan", "-0.25", 4), ("1.0 inf", "-0.25", 4),
                               ("1.0 1.0", "nan", 5)],
@@ -300,6 +307,23 @@ class TestBenchCommands:
                                 "-o", str(out)], capsys)
         assert code == 1
         assert "--reps" in err and not out.exists()
+
+    @pytest.mark.parametrize("args, flag", [
+        (["--bandwidth", "-1"], "--bandwidth"),
+        (["--mode", "fix-diff", "--diff", "-3"], "--diff"),
+        (["--range", "5:6:0"], "step"),
+        (["--range", "6:5:-1"], "step"),
+        (["--range", "0:3"], "n=0"),
+        (["--mode", "fix-diff", "--range", "0:2", "--diff", "0"], "n=0"),
+    ])
+    def test_banded_bad_sweep_exit_one(self, tmp_path, capsys, args, flag):
+        # these raised IndexError, numpy's "negative dimensions" and
+        # range()'s "arg 3 must not be zero", or ran an empty sweep
+        out = tmp_path / "band.csv"
+        code, _, err = run_cli(["bench-banded", "--range", "6:8", "--reps", "2",
+                                *args, "-o", str(out)], capsys)
+        assert code == 1
+        assert err.startswith("error:") and flag in err and not out.exists()
 
     def test_banded_fix_diff_columns(self, tmp_path, capsys):
         out = tmp_path / "band2.csv"

@@ -385,6 +385,14 @@ class TestBandedLogdet:
         with pytest.raises(ValueError, match="full band"):
             logdet_completion_banded(SparseSymMatrix.identity(pat), p)
 
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_rejects_a_negative_bandwidth(self, n):
+        # an empty band passed the edge count and the sweep then raised
+        # IndexError
+        xbar = SparseSymMatrix.identity(banded_pattern(n, 0))
+        with pytest.raises(ValueError, match="bandwidth must be nonnegative"):
+            logdet_completion_banded(xbar, -1)
+
     def test_not_completable_detected(self):
         pat = banded_pattern(4, 1)
         xbar = SparseSymMatrix(pat, [1.0] * 4 + [2.0, 0.1, 0.1])

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -270,6 +272,25 @@ class TestHyperplaneRounding:
         assert r1.cut_value == r2.cut_value
         assert np.array_equal(r1.sides, r2.sides)
 
+    @pytest.mark.parametrize("seed", [0, 3, 8])
+    def test_matches_one_cut_value_per_trial(self, seed):
+        # the trials drawn one by one, each scored by cut_value, keeping
+        # the first strictly better cut than the all-ones start
+        rng = np.random.default_rng(seed)
+        n = 12
+        base = random_graph(n, 30, seed)
+        g = Graph(n, [(i, j, float(rng.uniform(0.1, 3.0))) for i, j, _ in base.edges])
+        v = rng.standard_normal((n, n))
+        draws = np.random.default_rng(seed)
+        best_sides, best_cut = np.ones(n, dtype=np.int8), 0.0
+        for _ in range(60):
+            sides = np.where(draws.standard_normal(n) @ v >= 0.0, 1, -1).astype(np.int8)
+            if cut_value(g, sides) > best_cut:
+                best_sides, best_cut = sides, cut_value(g, sides)
+        result = hyperplane_rounding(v, g, trials=60, seed=seed)
+        assert np.array_equal(result.sides, best_sides)
+        assert result.cut_value == best_cut == cut_value(g, result.sides)
+
     def test_triangle_at_optimum_reaches_two(self):
         # vectors at 120 degrees: any hyperplane separates exactly one pair
         angles = [0.0, 2 * np.pi / 3, 4 * np.pi / 3]
@@ -302,7 +323,7 @@ class TestEndToEnd:
         perm = problem.ordering.perm
         for i, j, w in g.edges:
             k = problem.fill.slots(perm[i], perm[j])
-            assert gram[i, j] == pytest.approx(report.state.xbar.values[k],
+            assert gram[i, j] == pytest.approx(report.state.primal.mat.values[k],
                                                abs=1e-9)
         assert np.diagonal(gram) == pytest.approx(np.ones(7), abs=1e-9)
 
@@ -319,7 +340,7 @@ class TestEndToEnd:
         xbar = sparse_from_dense(problem.fill, g @ g.T + np.eye(n))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(chordal, "MERGE_SIZE", merge)
-            v = gram_vectors(problem, PrimalHalf(xbar))
+            v = gram_vectors(problem, SimpleNamespace(primal=PrimalHalf(xbar)))
         perm = problem.ordering.perm
         want = reconstruct_dense(xbar)[np.ix_(perm, perm)]
         assert np.abs(v.T @ v - want).max() <= 1e-10 * np.abs(want).max()

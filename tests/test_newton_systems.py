@@ -56,7 +56,7 @@ class TestFactorSolve:
         # m = 130 spans three substitution blocks: 64, 64 and 2 rows
         problem, x0, y0 = banded(130, trial_seed(3, 0))
         m = problem.m
-        w = inverse_columns(solver.DualHalf(problem, y0).s_factor)
+        w = inverse_columns(solver.DualHalf(problem, y0).factor)
         factored, solved = [], []
         cholesky, linsolve = np.linalg.cholesky, np.linalg.solve
         monkeypatch.setattr(np.linalg, "cholesky",

@@ -114,6 +114,22 @@ class TestParseErrors:
             read_sdpa(path)
         assert info.value.line == line
 
+    def test_off_diagonal_entry_in_diagonal_block(self, tmp_path):
+        # a negative size declares a diagonal block; this file used to
+        # parse as a full 2 x 2 block
+        path = tmp_path / "diagblock.dat-s"
+        path.write_text("1\n1\n-2\n1.0\n1 1 1 1 1.0\n0 1 1 2 0.5\n")
+        with pytest.raises(SdpaParseError, match="diagonal block") as info:
+            read_sdpa(path)
+        assert info.value.line == 6
+
+    def test_diagonal_block_reads_its_diagonal(self, tmp_path):
+        path = tmp_path / "diag.dat-s"
+        path.write_text("1\n1\n-2\n1.0\n0 1 1 1 2.0\n0 1 2 2 3.0\n1 1 1 1 1.0\n")
+        c, a, b = read_sdpa(path)
+        assert c.n == 2 and c.pattern.nnz == 0
+        assert c.diag.tolist() == [2.0, 3.0] and a[0].diag.tolist() == [1.0, 0.0]
+
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "short.dat-s"
         path.write_text("2\n1\n")

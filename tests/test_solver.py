@@ -26,6 +26,12 @@ def make_state(problem, gamma=None):
     return IterateState.create(problem, x0, y0, rho)
 
 
+def bare_state(problem, xbar, y, rho):
+    """The state at (xbar, y) without ``create``'s feasibility checks."""
+    return IterateState(problem, solver.DualHalf(problem, y),
+                        solver.PrimalHalf(xbar), rho)
+
+
 def build_directions(state):
     return primal_direction(state), dual_direction(state)
 
@@ -49,7 +55,7 @@ class TestProblemInvariants:
         assert "clique_plan" not in vars(problem.fill)      # not built at set-up
         report = solve(problem, x0, y0, SolverConfig())
         plan = problem.fill.clique_plan
-        assert report.state.x_factors.plan is plan
+        assert report.state.primal.sweep.plan is plan
         assert completion_factors(x0).plan is plan
 
     def test_one_clique_sequence_per_fill(self, monkeypatch):
@@ -172,7 +178,7 @@ class TestPotential:
         x0 = SparseSymMatrix.identity(problem.fill)
         rho = 4 + 1.0 * 2.0
         state = IterateState.create(problem, x0, -np.ones(4), rho)
-        assert np.allclose(state.s.diag, 1.0)
+        assert np.allclose(state.dual.mat.diag, 1.0)
         assert state.phi == pytest.approx(6.0 * math.log(4.0), abs=1e-12)
 
     def test_single_vertex(self):
@@ -197,7 +203,7 @@ class TestPotential:
         xbar = SparseSymMatrix(problem.fill, [2.0, 2.0, 2.0, 1.0, 1.0])
         # X is not primal feasible for b = 1, so build the state directly
         # rather than through the validating IterateState.create
-        state = IterateState(problem, xbar, -np.ones(3), rho=3.0 + math.sqrt(3.0))
+        state = bare_state(problem, xbar, -np.ones(3), rho=3.0 + math.sqrt(3.0))
         expected = (3 + math.sqrt(3)) * math.log(6.0) \
             - (2 * math.log(3.0) - math.log(2.0))
         assert state.phi == pytest.approx(expected, abs=1e-12)
@@ -328,15 +334,40 @@ def generic_problem(rng):
     problem = SdpProblem(c, constraints, np.ones(7))
     xbar = SparseSymMatrix(problem.fill, np.append(
         1.0 + rng.random(n), 0.05 * rng.standard_normal(problem.fill.nnz)))
-    state = IterateState(problem, xbar, 0.05 * rng.standard_normal(7), rho=20.0)
+    state = bare_state(problem, xbar, 0.05 * rng.standard_normal(7), rho=20.0)
     return state, off_entries
+
+
+class TestHalfContract:
+    """Both halves answer to ``mat``, ``logdet``, ``inv`` and ``factor``:
+    S or X on F, ln det S or ln det X^, S^-1 on F or X^-1, and the factor
+    of S or of X^-1, whose ``inverse_columns`` are W = S^-1 or W = X^."""
+
+    @pytest.mark.parametrize("which", ["maxcut mid-solve", "generic"])
+    def test_each_half_against_dense(self, which):
+        state = mid_solve_state() if which == "maxcut mid-solve" else \
+            generic_problem(np.random.default_rng(44))[0]
+        fill = state.problem.fill
+        s = state.dual.mat.to_dense()
+        xhat = reconstruct_dense(state.primal.mat)
+        assert np.abs(xhat[~dense_mask(fill)]).max() > 1e-3     # X^ is not X
+        for half, full, w_want in ((state.dual, s, np.linalg.inv(s)),
+                                   (state.primal, xhat, xhat)):
+            assert half.mat.pattern is half.inv.pattern is half.factor.pattern is fill
+            sign, logdet = np.linalg.slogdet(full)
+            assert sign == 1.0
+            assert half.logdet == pytest.approx(logdet, rel=1e-12, abs=1e-12)
+            inv = np.linalg.inv(full)
+            assert restrict_abs_error(inv, half.inv) <= 1e-11 * np.abs(inv).max()
+            w = inverse_columns(half.factor)
+            assert np.abs(w - w_want).max() <= 1e-11 * np.abs(w_want).max()
 
 
 class TestNewtonMatrix:
     def check(self, state, rel=1e-12):
         problem = state.problem
-        for factor, sinv in ((state.s_factor, state.sinv),
-                             (state.xhat_inv_factor, state.xbar)):
+        for factor, sinv in ((state.dual.factor, state.dual.inv),
+                             (state.primal.factor, state.primal.mat)):
             want = hess_vec_columns(problem, factor, sinv)
             got = assembled(problem, factor)
             assert got.shape == (problem.m, problem.m)
@@ -345,14 +376,14 @@ class TestNewtonMatrix:
     def test_maxcut_iterate_mid_solve_both_sides(self):
         state = mid_solve_state()
         # away from X = I, where X^ A_p X^ would hide primal-side errors
-        assert np.abs(state.xbar.offdiag).max() > 1e-2
+        assert np.abs(state.primal.mat.offdiag).max() > 1e-2
         self.check(state)
 
     def test_maxcut_is_the_hadamard_square(self):
         # constraint p is e_v e_v^T for v = perm[p] in the elimination labels
         state = make_state(maxcut_sdp(random_graph(9, 14, seed=4)))
         problem = state.problem
-        w = inverse_columns(state.s_factor)
+        w = inverse_columns(state.dual.factor)
         v = problem.ordering.perm
         want = (w * w)[np.ix_(v, v)]
         assert np.abs(problem.newton_matrix(w) - want).max() \
@@ -368,11 +399,11 @@ class TestNewtonMatrix:
         c = SparseSymMatrix(pat, [2.0] * 4 + [0.5] * 2)
         problem = SdpProblem(c, [], np.zeros(0),
                              ordering=EliminationOrdering(np.arange(4)))
-        state = IterateState(problem, SparseSymMatrix.identity(problem.fill),
-                             np.zeros(0), rho=6.0)
-        for factor in (state.s_factor, state.xhat_inv_factor):
-            assert assembled(problem, factor).shape == (0, 0)
-        w = inverse_columns(state.s_factor)
+        state = bare_state(problem, SparseSymMatrix.identity(problem.fill),
+                           np.zeros(0), rho=6.0)
+        for half in (state.dual, state.primal):
+            assert assembled(problem, half.factor).shape == (0, 0)
+        w = inverse_columns(state.dual.factor)
         v, res, combo, image = solver._newton_system(problem, w, np.zeros(0),
                                                      "dual")
         assert v.shape == (0,) and res == 0.0
@@ -470,7 +501,7 @@ class TestDirectionsAgainstDenseReference:
         c_dense, a_dense, b = problem_dense_data(problem)
         # first iterate: the completion of the identity partial is exact
         xhat = np.eye(problem.n)
-        s_dense = state.s.to_dense()
+        s_dense = state.dual.mat.to_dense()
         ref = dense_reference_directions(c_dense, a_dense, b, xhat, s_dense,
                                          state.rho)
 
@@ -499,10 +530,10 @@ class TestDirectionsAgainstDenseReference:
         state2 = choice.trial
         prim2, dual2 = build_directions(state2)
 
-        xhat = reconstruct_dense(state2.xbar)
+        xhat = reconstruct_dense(state2.primal.mat)
         c_dense, a_dense, b = problem_dense_data(problem)
         ref = dense_reference_directions(c_dense, a_dense, b, xhat,
-                                         state2.s.to_dense(), rho)
+                                         state2.dual.mat.to_dense(), rho)
         scale = max(np.abs(ref["dx1"]).max(), 1.0)
         rows, cols = problem.fill.slot_ends
         err = np.abs(ref["dx1"][rows, cols] - prim2.dx.values).max()
@@ -520,9 +551,9 @@ class TestDirectionsAgainstDenseReference:
         c_dense, a_dense, b = problem_dense_data(problem)
         for _ in range(3):
             prim, dual = build_directions(state)
-            xhat = reconstruct_dense(state.xbar)
+            xhat = reconstruct_dense(state.primal.mat)
             ref = dense_reference_directions(c_dense, a_dense, b, xhat,
-                                             state.s.to_dense(), rho)
+                                             state.dual.mat.to_dense(), rho)
             for dense, mat in ((ref["dx1"], prim.dx),
                                (ref["dx2"], dual.dx),
                                (ref["ds1"], prim.ds),
@@ -547,11 +578,11 @@ class TestDirectionsAgainstDenseReference:
         state = generic_mid_solve_state(n, m, seed)
         problem = state.problem
         assert len(np.union1d(problem._ent_r, problem._ent_s)) == covered
-        assert np.abs(state.xbar.offdiag).max() > 1e-2
+        assert np.abs(state.primal.mat.offdiag).max() > 1e-2
         prim, dual = build_directions(state)
         ref = dense_reference_directions(*problem_dense_data(problem),
-                                         reconstruct_dense(state.xbar),
-                                         state.s.to_dense(), state.rho)
+                                         reconstruct_dense(state.primal.mat),
+                                         state.dual.mat.to_dense(), state.rho)
         for dense, mat in ((ref["dx1"], prim.dx), (ref["dx2"], dual.dx),
                            (ref["ds1"], prim.ds), (ref["ds2"], dual.ds)):
             scale = max(np.abs(dense).max(), 1e-12)
@@ -626,8 +657,8 @@ class TestPotentialMinimize:
             q = np.zeros(4)
             q[start] = 1.0
             mats = [prim.dx, dual.dx]
-            x = state.xbar.values + sum(q[t] * m.values for t, m in enumerate(mats))
-            y = state.y + q[2] * prim.dy + q[3] * dual.dy
+            x = state.primal.mat.values + sum(q[t] * m.values for t, m in enumerate(mats))
+            y = state.dual.y + q[2] * prim.dy + q[3] * dual.dy
             from sparse_sdp import cholesky_factorize, logdet_completion
             s = problem.dual_slack(y)
             try:
@@ -702,7 +733,7 @@ class TestTrialReuse:
         primal = primal_direction(state)
         dual = dual_direction(state) if mode == "four" else None
         # the iterate's inverses are known before the search, as in solve
-        state.sinv, state.xhat_inv
+        state.dual.inv, state.primal.inv
         trials, calls = self.search(monkeypatch, state, primal, dual)
         moves_y = [q[2] != 0.0 or q[3] != 0.0 for q, _ in trials]
         moves_x = [q[0] != 0.0 or q[1] != 0.0 for q, _ in trials]
@@ -718,11 +749,13 @@ class TestTrialReuse:
         for (_, trial), new_y, new_x in zip(trials, moves_y, moves_x):
             if trial is None:
                 continue
-            assert (trial.s_factor is state.s_factor) == (not new_y)
-            assert (trial.x_factors is state.x_factors) == (not new_x)
+            assert (trial.dual is state.dual) == (not new_y)
+            assert (trial.dual.factor is state.dual.factor) == (not new_y)
+            assert (trial.primal is state.primal) == (not new_x)
+            assert (trial.primal.sweep is state.primal.sweep) == (not new_x)
         # gradients invert only halves the search built, each at most once
-        for name, mine in (("sparse_inverse", state.s_factor),
-                           ("completion_inverse", state.x_factors)):
+        for name, mine in (("sparse_inverse", state.dual.factor),
+                           ("completion_inverse", state.primal.sweep)):
             ids = [id(arg) for arg, _ in calls[name]]
             assert id(mine) not in ids and len(set(ids)) == len(ids)
 
@@ -730,9 +763,9 @@ class TestTrialReuse:
             self, monkeypatch):
         state = mid_solve_state()
         primal_direction(state)
-        moved = IterateState.compose(state.problem,
-                                     solver.DualHalf(state.problem, state.y.copy()),
-                                     state.primal, state.rho)
+        moved = IterateState(state.problem,
+                             solver.DualHalf(state.problem, state.dual.y.copy()),
+                             state.primal, state.rho)
         calls = []
         original = solver.cholesky_factorize
         monkeypatch.setattr(solver, "cholesky_factorize",
@@ -752,7 +785,7 @@ class TestCompletionSweep:
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or real(a))
         monkeypatch.setattr(solver, "cholesky_factorize", lambda a: refactored.append(a))
         primal = solver.PrimalHalf(x0)
-        assert primal.xhat_inv is not None and primal.xhat_inv_factor is not None
+        assert primal.inv is not None and primal.factor is not None
         # one batched call per clique size, none for a separator, and the
         # factor of the completion inverse comes from the same sweep
         sizes = sorted({len(c) for c in cs.cliques})
@@ -832,7 +865,7 @@ class TestSolve:
         x0, y0 = initial_point(problem)
         state = IterateState.create(problem, x0, y0, rho=20.0)
         assert state.residuals()[1] <= 1e-12
-        factor = state.s_factor
+        factor = state.dual.factor
         slot = 0 if where == "diagonal" else \
             problem.n + int(np.argmax(np.abs(factor.offdiag)))
         assert factor.values[slot] != 0.0

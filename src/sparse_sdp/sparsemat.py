@@ -333,7 +333,8 @@ def cholesky_factorize(matrix):
     when a pivot is not above PIVOT_RTOL times the largest input
     diagonal, and ValueError unless the pattern is elimination-closed.
 
-    The pivot j that NotPositiveDefinite reports has an LDL^T pivot
+    The pivot j that NotPositiveDefinite reports, found by bisection on
+    the first read of its ``pivot`` or message, has an LDL^T pivot
     d_j <= PIVOT_RTOL * max(max_i M_ii, 0), and every descendant of j in
     the elimination tree has d above that.  d_j is a Schur complement of
     M on j and its descendants, so it is the pivot j of the dense
@@ -356,7 +357,7 @@ def cholesky_factorize(matrix):
             blk += sub[:, :s]
         low = _passing_factor(blk[:s], tol)
         if low is None:
-            raise NotPositiveDefinite(cols[_failing_pivot(blk[:s], tol)])
+            raise NotPositiveDefinite(lambda: cols[_failing_pivot(blk[:s], tol)])
         blk[:s] = low
         if k > s:
             blk[s:] = np.linalg.solve(low, blk[s:].T).T

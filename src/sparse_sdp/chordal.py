@@ -11,9 +11,10 @@ v, the parent of v is the lowest vertex of higher(v).  A pattern caches
 its cliques and, on first read, the two structures built from them.
 Its ``clique_plan`` (a ``CliquePlan``) says where each clique block
 C_r x C_r sits in the [diag | offdiag] storage of a matrix on the
-pattern, grouped by clique size, so a sweep over the cliques is one
-batched numpy call per size: the completion of the primal partial
-matrix reads it, and so does the dual residual's L L^T.  Its
+pattern, padded with an identity into a few size buckets, so a sweep
+over the cliques is one batched numpy call per bucket: the completion
+of the primal partial matrix reads it, and so does the dual residual's
+L L^T.  Its
 ``clique_tree`` (a ``CliqueTree``) merges the same cliques into the
 dense fronts that the factor and inverse kernels run on.
 """
@@ -34,6 +35,12 @@ from .sparsemat import SparseSymMatrix
 # merged front's dense products stay below 64 x 64 x 64, where OpenBLAS
 # starts threads.
 MERGE_SIZE = 48
+
+# The cost of one batched numpy call (Cholesky, inverse or product) over a
+# stack of clique blocks, in units of the k^3 work per k x k block: the
+# clique plan pads its blocks into the buckets that minimize the number
+# of calls times this plus the padded blocks' sum of k^3.
+BUCKET_CALL = 20_000
 
 
 def maximal_cliques(pattern):
@@ -144,22 +151,31 @@ def rip_order(cliques, n=None):
 
 class CliquePlan:
     """Where the clique blocks of a matrix on ``pattern`` sit in its
-    ``values`` = [diag | offdiag], grouped by clique size.
+    ``values`` = [diag | offdiag], padded into a few size buckets.
 
     Built from ``pattern.cliques``; read it as ``pattern.clique_plan``,
     which it holds no reference back to, so that a pattern and its plan
-    are freed without the cycle collector.  Block r is gathered separator first: U_r, then S_r, each in
-    descending labels, so its leading |U_r| block is X_{U_r,U_r}.
-    ``groups`` holds one ``(members, gather, residual)`` per clique size
-    k, by increasing k: the indices r of the cliques of that size
-    (increasing), the (N, k, k) slots of their blocks and the (N, k) mask
-    of the S_r positions.  A block's place in the groups is its stack
-    position; ``scatter`` lists the slots of the blocks' upper triangles
-    in stack order.  ``factor_masks`` picks from each stack the entries
-    on and left of the diagonal in the S_r rows: row j holds column j of
-    a lower factor on the pattern, whose rows lie in C_r, because every
-    S_r of ``maximal_cliques`` lies below its U_r.  ``factor_slots``
-    lists their slots in stack order.
+    are freed without the cycle collector.  Block r is gathered separator
+    first: U_r, then S_r, each in descending labels, so its leading |U_r|
+    block is X_{U_r,U_r}.  The blocks are grouped into the buckets that
+    ``bucket_sizes`` picks, and a block of size k_r in a bucket of size k
+    is padded to k x k after S_r: its pad diagonal reads the slot ``one``
+    and every other pad entry the slot ``zero``, the two slots that
+    ``padded`` appends to [diag | offdiag].  A padded block is
+    blockdiag(R_r, I), whose Cholesky factor is blockdiag(L_r, I), so one
+    batched call per bucket factors, inverts or multiplies all its blocks.
+
+    ``buckets`` holds one ``(gather, residual)`` per bucket, by increasing
+    size k: the (N, k, k) slots of its blocks (in increasing r) and the
+    (N, k) mask of the S_r positions, False at the pads.  A block's place
+    in the buckets is its stack position.  ``pivots`` indexes the S_r
+    positions in the concatenated diagonals of the stacks.  ``scatter``
+    lists the slots of the blocks' upper triangles in stack order, with
+    every pad entry sent to the dump slot ``zero``.  ``factor_masks``
+    picks from each stack the entries on and left of the diagonal in the
+    S_r rows: row j holds column j of a lower factor on the pattern, whose
+    rows lie in C_r, because every S_r of ``maximal_cliques`` lies below
+    its U_r.  ``factor_slots`` lists their slots in stack order.
     """
 
     def __init__(self, pattern):
@@ -170,33 +186,74 @@ class CliquePlan:
         flat = np.concatenate([x for pair in zip(cliques.residuals, cliques.separators)
                                for x in pair])
         end = np.cumsum(sizes)
-        self.groups, self.factor_masks, tri_slots = [], [], []
-        for k in np.unique(sizes).tolist():
-            members = np.flatnonzero(sizes == k)
-            verts = flat[end[members, None] - 1 - np.arange(k)]
-            gather = pattern.slots(verts[:, :, None], verts[:, None, :])
-            residual = np.arange(k) >= nsep[members, None]
-            self.groups.append((members, gather, residual))
+        self.zero = pattern.n + pattern.nnz
+        self.one = self.zero + 1
+        tops = bucket_sizes(sizes)
+        bucket = np.searchsorted(tops, sizes)
+        self.buckets, self.factor_masks, tri_slots, pivots = [], [], [], []
+        for b, k in enumerate(tops):
+            members = np.flatnonzero(bucket == b)
+            size = sizes[members, None]
+            pos = np.arange(k)
+            real = pos < size
+            # a pad looks up the block's last vertex, so that every lookup
+            # lies on the pattern; the where below sends it to a constant slot
+            verts = flat[end[members, None] - 1 - np.minimum(pos, size - 1)]
+            gather = np.where(real[:, :, None] & real[:, None, :],
+                              pattern.slots(verts[:, :, None], verts[:, None, :]),
+                              np.where(np.eye(k, dtype=bool), self.one, self.zero))
+            residual = real & (pos >= nsep[members, None])
+            self.buckets.append((gather, residual))
             self.factor_masks.append(residual[:, :, None] & np.tri(k, dtype=bool))
-            tri_slots.append(gather[_upper(k)].ravel())
+            tri_slots.append(np.minimum(gather[_upper(k)], self.zero).ravel())
+            pivots.append(residual.ravel())
         self.scatter = np.concatenate(tri_slots)
+        self.pivots = np.flatnonzero(np.concatenate(pivots))
         self.factor_slots = np.concatenate(
-            [gather[mask] for (_, gather, _), mask in zip(self.groups, self.factor_masks)])
+            [gather[mask] for (gather, _), mask in zip(self.buckets, self.factor_masks)])
+
+    def padded(self, values):
+        """[diag | offdiag] of a matrix on the pattern, with the slots
+        ``zero`` and ``one`` appended."""
+        return np.append(values, (0.0, 1.0))
 
     def gram_sum(self, pattern, stacks):
         """The sum of B_r^T B_r over the cliques, on the plan's ``pattern``,
-        from ``stacks[g]``, the (N, k, k) B_r of size group g in block order."""
+        from ``stacks[b]``, the (N, k, k) B_r of bucket b in block order;
+        each B_r must be 0 in its pad rows."""
         parts = [(np.swapaxes(b, 1, 2) @ b)[_upper(b.shape[1])].ravel() for b in stacks]
         acc = np.bincount(self.scatter, weights=np.concatenate(parts),
-                          minlength=pattern.n + pattern.nnz)
-        return SparseSymMatrix(pattern, acc, check=False)
+                          minlength=self.one)
+        return SparseSymMatrix(pattern, acc[:self.zero], check=False)
 
     def factor_product(self, factor):
         """L L^T on the pattern for a lower ``factor`` L on it: the
         ``gram_sum`` of L's columns S_r, gathered by ``factor_masks``."""
+        values = self.padded(factor.values)
         return self.gram_sum(factor.pattern,
-                             [np.where(mask, factor.values[gather], 0.0)
-                              for (_, gather, _), mask in zip(self.groups, self.factor_masks)])
+                             [np.where(mask, values[gather], 0.0)
+                              for (gather, _), mask in zip(self.buckets, self.factor_masks)])
+
+
+def bucket_sizes(sizes):
+    """The sizes of the buckets that the clique blocks of ``sizes`` are
+    padded into: the partition of the distinct sizes into runs, each
+    padded to its largest size k_b, that minimizes the sum over buckets
+    of BUCKET_CALL + N_b k_b^3, found by an exact dynamic program over the
+    sorted distinct sizes.  Returned in increasing order."""
+    ks, counts = np.unique(sizes, return_counts=True)
+    ks, below = ks.tolist(), [0, *np.cumsum(counts).tolist()]
+    best, cut = [0.0], [0]          # over the first j distinct sizes
+    for j in range(1, len(ks) + 1):
+        cost, i = min((best[i] + BUCKET_CALL + (below[j] - below[i]) * ks[j - 1] ** 3, i)
+                      for i in range(j))
+        best.append(cost)
+        cut.append(i)
+    tops, j = [], len(ks)
+    while j:
+        tops.append(ks[j - 1])
+        j = cut[j]
+    return tops[::-1]
 
 
 class Front(NamedTuple):

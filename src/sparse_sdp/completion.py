@@ -17,13 +17,15 @@ Semidefinite Optimization, 2015, section 10),
 
 and the rows of T_r are the columns S_r of the Cholesky factor L of
 X^-1.  The log-determinant, the inverse and its factor all read that
-sweep.  Each clique size's (N, k, k) stack is gathered, factored and
-inverted by one batched numpy call, and the inverse is scattered by the
-plan's ``gram_sum``, the helper that also forms L L^T for the dual
-residual.  The ``logdet`` kernels read L on the pattern's
-``clique_tree``: X^ in full (``inverse_columns``), its Gram vectors
-L^-1 (``lower_inverse``, as L^-T L^-1 = X^) and, with the partial
-matrix as the selected inverse, X^ Z X^ on the pattern (``hess_vec``).
+sweep.  The plan pads the blocks into a few size buckets, each block to
+blockdiag(R_r, I), whose factor is blockdiag(L_r, I); each bucket's
+(N, k, k) stack is gathered, factored and inverted by one batched numpy
+call, and the inverse is scattered by the plan's ``gram_sum``, the
+helper that also forms L L^T for the dual residual.  The ``logdet``
+kernels read L on the pattern's ``clique_tree``: X^ in full
+(``inverse_columns``), its Gram vectors L^-1 (``lower_inverse``, as
+L^-T L^-1 = X^) and, with the partial matrix as the selected inverse,
+X^ Z X^ on the pattern (``hess_vec``).
 """
 
 from __future__ import annotations
@@ -41,10 +43,10 @@ from .sparsemat import CholeskyFactor, SparseSymPattern
 @dataclass
 class CompletionFactors:
     """One factor sweep over the clique blocks of a partial matrix on
-    ``pattern``, grouped by size as in the ``groups`` of its ``plan``:
-    ``chol[g]`` stacks the lower Cholesky factors L_r of the dense clique
-    blocks R_r of the g-th clique size, gathered separator first.
-    ``inverse_rows[g]`` stacks the T_r, computed on first use and shared
+    ``pattern``, in the padded buckets of its ``plan``: ``chol[b]``
+    stacks the lower Cholesky factors blockdiag(L_r, I) of the padded
+    clique blocks R_r of bucket b, gathered separator first.
+    ``inverse_rows[b]`` stacks the T_r, computed on first use and shared
     by the inverse and its factor.
     """
 
@@ -54,9 +56,10 @@ class CompletionFactors:
 
     @cached_property
     def inverse_rows(self):
-        """Per size group, T_r = L_r^-1 with its first |U_r| rows zeroed."""
+        """Per bucket, T_r = L_r^-1 with its first |U_r| rows and its pad
+        rows zeroed."""
         rows = []
-        for chol, (_, _, residual) in zip(self.chol, self.plan.groups):
+        for chol, (_, residual) in zip(self.chol, self.plan.buckets):
             t = np.linalg.inv(chol)
             t[~residual] = 0.0
             rows.append(t)
@@ -65,16 +68,17 @@ class CompletionFactors:
 
 def completion_factors(xbar):
     """Gather and factor each clique block of the partial ``xbar`` once,
-    by one batched Cholesky call per clique size of its pattern's
+    by one batched Cholesky call per bucket of its pattern's
     ``clique_plan``.
 
     Raises NotCompletable unless every clique block is positive definite,
     which on a chordal pattern is exactly when a positive definite
-    completion exists.
+    completion exists; a block's identity padding does not change that.
     """
     plan = xbar.pattern.clique_plan
+    values = plan.padded(xbar.values)
     try:
-        chol = [np.linalg.cholesky(xbar.values[gather]) for _, gather, _ in plan.groups]
+        chol = [np.linalg.cholesky(values[gather]) for gather, _ in plan.buckets]
     except np.linalg.LinAlgError as exc:
         raise NotCompletable("a clique block is not positive definite") from exc
     return CompletionFactors(xbar.pattern, chol)
@@ -82,9 +86,11 @@ def completion_factors(xbar):
 
 def logdet_completion(factors):
     """ln det of the max-determinant completion, from its clique factors:
-    twice the log pivots of the S_r rows of each L_r."""
-    return 2.0 * sum(float(np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2))[residual]))
-                     for chol, (_, _, residual) in zip(factors.chol, factors.plan.groups))
+    twice the sum of the log pivots of the S_r rows of each L_r, gathered
+    at once from the diagonals of all buckets."""
+    pivots = np.concatenate([np.diagonal(c, axis1=1, axis2=2) for c in factors.chol],
+                            axis=None)
+    return 2.0 * float(np.sum(np.log(pivots[factors.plan.pivots])))
 
 
 def completion_inverse(factors):

@@ -2,8 +2,12 @@
 that a change leaves the solver's path where it was.
 
     python3 tests/solve_digest.py > out.txt
+    python3 tests/solve_digest.py --compare parent.txt change.txt
 
-Run it in two checkouts and ``diff`` the outputs.  Each solve prints one
+Run it in two checkouts and ``diff`` the outputs, or ``--compare``
+them: that prints each solve whose status or iteration count changed,
+the largest relative difference in C.X and in b.y over the solves, and
+which of the three hashes and the digest differ.  Each solve prints one
 line, ``family i mode status iterations C.X b.y`` (objectives as repr),
 so a change that moves the path within a tolerance shows which solves
 moved and by how much; the last line, the digest, is equal only when
@@ -114,5 +118,59 @@ def digest(out=sys.stdout):
     return h.hexdigest()
 
 
+def _read(path):
+    """The per-solve lines of a digest output as {label: (status,
+    iterations, C.X, b.y)}, and its hash lines as {name: hex}."""
+    solves, hashes = {}, {}
+    for line in Path(path).read_text().splitlines():
+        parts = line.split()
+        if len(parts) == 7:
+            solves[" ".join(parts[:3])] = (parts[3], int(parts[4]),
+                                           float(parts[5]), float(parts[6]))
+        elif len(parts) == 2:
+            hashes[parts[0]] = parts[1]
+        elif len(parts) == 1:
+            hashes["digest"] = parts[0]
+    return solves, hashes
+
+
+def compare(path_a, path_b, out=sys.stdout):
+    """Print how the digest output at ``path_b`` differs from ``path_a``;
+    return the number of solves that changed status or iteration count,
+    or are in one output only."""
+    a, hash_a = _read(path_a)
+    b, hash_b = _read(path_b)
+    changed = 0
+    worst = {"C.X": (0.0, None), "b.y": (0.0, None)}
+    for label in list(a) + [label for label in b if label not in a]:
+        if label not in a or label not in b:
+            changed += 1
+            print(f"only in {path_a if label in a else path_b}: {label}", file=out)
+            continue
+        (status_a, iters_a, *obj_a), (status_b, iters_b, *obj_b) = a[label], b[label]
+        if (status_a, iters_a) != (status_b, iters_b):
+            changed += 1
+            print(f"changed: {label}: {status_a} {iters_a} -> {status_b} {iters_b}",
+                  file=out)
+        for name, x, y in zip(worst, obj_a, obj_b):
+            rel = abs(y - x) / max(abs(x), abs(y), sys.float_info.min)
+            if rel > worst[name][0]:
+                worst[name] = (rel, label)
+    print(f"{changed} of {len(set(a) | set(b))} solves changed status or iterations",
+          file=out)
+    for name, (rel, label) in worst.items():
+        print(f"max relative difference in {name}: {rel:.3e}"
+              + (f" ({label})" if label else ""), file=out)
+    for name in ("kernels", "solves", "paths", "digest"):
+        same = hash_a.get(name) == hash_b.get(name)
+        print(f"{name} {'equal' if same else 'differ'}", file=out)
+    return changed
+
+
 if __name__ == "__main__":
-    print(digest())
+    if sys.argv[1:2] == ["--compare"] and len(sys.argv) == 4:
+        compare(*sys.argv[2:])
+    elif len(sys.argv) == 1:
+        print(digest())
+    else:
+        sys.exit("usage: solve_digest.py [--compare A B]")

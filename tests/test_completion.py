@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparse_sdp import (NotCompletable, SparseSymMatrix, SparseSymPattern,
-                        banded_pattern, cholesky_factorize, completion_factors,
+from sparse_sdp import (CholeskyFactor, NotCompletable, SparseSymMatrix,
+                        SparseSymPattern, banded_pattern, chordal,
+                        cholesky_factorize, completion_factors,
                         completion_inverse, completion_inverse_factor, hess_vec,
                         inner_product, logdet_completion,
-                        logdet_completion_banded)
-from sparse_sdp.bench import random_banded_partial
+                        logdet_completion_banded, maxcut_sdp, random_graph)
+from sparse_sdp.bench import random_banded_partial, trial_seed
 from sparse_sdp.logdet import lower_inverse
 
-from conftest import (dense_mask, random_completable_partial, reconstruct_dense,
-                      restrict_abs_error, sparse_from_dense)
+from conftest import (dense_mask, factor_to_dense, random_completable_partial,
+                      reconstruct_dense, restrict_abs_error, sparse_from_dense)
 
 
 def tridiagonal_example():
@@ -84,7 +85,7 @@ class TestCompletionFactors:
         xbar = SparseSymMatrix(pat, [2.0, 2.0, 3.0, 3.0, 1.0, 1.0])
         factors = completion_factors(xbar)
         # every clique is all residual: no separator row in any block
-        assert all(residual.all() for _, _, residual in factors.plan.groups)
+        assert all(residual.all() for _, residual in factors.plan.buckets)
         dense = reconstruct_dense(xbar)
         assert dense[0, 2] == dense[0, 3] == dense[1, 2] == dense[1, 3] == 0.0
 
@@ -323,10 +324,133 @@ class TestBatchedSweep:
         pat = banded_pattern(n, 2)                 # five 3-vertex cliques
         xbar = SparseSymMatrix.identity(pat)
         xbar.values[pat.slots(bad + 2, bad)] = 2.0   # only in clique {bad..bad+2}
-        groups = pat.clique_plan.groups
-        assert [len(members) for members, _, _ in groups] == [n - 2]
+        buckets = pat.clique_plan.buckets
+        assert [gather.shape for gather, _ in buckets] == [(n - 2, 3, 3)]
         with pytest.raises(NotCompletable):
             completion_factors(xbar)
+
+
+def on_fresh_plan(xbar, call):
+    """``xbar`` on a copy of its pattern whose clique plan is built with
+    BUCKET_CALL = ``call``: 0 gives one bucket per clique size, a huge
+    call one bucket for all."""
+    pat = xbar.pattern
+    twin = SparseSymPattern(pat.n, np.column_stack(pat.slot_ends)[pat.n:])
+    assert np.array_equal(twin.slot_ends, pat.slot_ends)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chordal, "BUCKET_CALL", call)
+        twin.clique_plan
+    return SparseSymMatrix(twin, xbar.values.copy())
+
+
+def sweep_results(xbar, lower):
+    """Log-det, inverse and inverse factor of the completion of ``xbar``,
+    and L L^T for the lower factor values ``lower``, through its plan."""
+    factors = completion_factors(xbar)
+    product = xbar.pattern.clique_plan.factor_product(
+        CholeskyFactor(xbar.pattern, lower, 0.0))
+    return (logdet_completion(factors), completion_inverse(factors),
+            completion_inverse_factor(factors), product)
+
+
+def check_bucketings(xbar, rng, calls=(0, 50, chordal.BUCKET_CALL, 1e12)):
+    """The sweep on ``xbar`` under each BUCKET_CALL in ``calls`` against
+    dense oracles and against the per-size grouping (call 0); returns the
+    bucket sizes under each call."""
+    n, nnz = xbar.n, xbar.pattern.nnz
+    xhat = reconstruct_dense(xbar)
+    inv = np.linalg.inv(xhat)
+    scale = max(np.abs(inv).max(), 1.0)
+    lower = rng.standard_normal(n + nnz)
+    lower[:n] = rng.random(n) + 0.5
+    ldense = factor_to_dense(CholeskyFactor(xbar.pattern, lower, 0.0))
+    llt = ldense @ ldense.T
+    per_size, tops = None, []
+    for call in calls:
+        x = on_fresh_plan(xbar, call)
+        plan = x.pattern.clique_plan
+        sizes = sorted({len(c) for c in x.pattern.cliques.cliques})
+        tops.append([gather.shape[1] for gather, _ in plan.buckets])
+        if call == 0:
+            assert tops[-1] == sizes
+        if call == 1e12:
+            assert tops[-1] == [sizes[-1]]
+        assert sum(len(gather) for gather, _ in plan.buckets) == len(x.pattern.cliques)
+        assert np.array_equal(np.sort(plan.factor_slots), np.arange(n + nnz))
+        logdet, xinv, factor, product = got = sweep_results(x, lower)
+        assert logdet == pytest.approx(np.linalg.slogdet(xhat)[1], abs=1e-9)
+        assert restrict_abs_error(inv, xinv) <= 1e-10 * scale
+        fdense = factor_to_dense(factor)
+        assert restrict_abs_error(inv, sparse_from_dense(x.pattern, fdense @ fdense.T)) \
+            <= 1e-10 * scale
+        assert restrict_abs_error(llt, product) <= 1e-13 * np.abs(llt).max()
+        if per_size is None:
+            per_size = got
+            continue
+        assert logdet == pytest.approx(per_size[0], rel=1e-12, abs=1e-12)
+        for mine, theirs in zip(got[1:], per_size[1:]):
+            assert np.abs(mine.values - theirs.values).max() \
+                <= 1e-12 * np.abs(theirs.values).max()
+    return tops
+
+
+class TestBucketedPlan:
+    """The plan pads the clique blocks into the buckets its cost rule
+    picks; the padding must not change what the sweep computes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 24), density=st.floats(0.0, 0.6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_bucketing_matches_dense_oracles(self, n, density, seed):
+        rng = np.random.default_rng(seed)
+        xbar, _ = random_completable_partial(n, density, rng)
+        check_bucketings(xbar, rng)
+
+    def test_benchmark_fill_pads_into_two_buckets(self):
+        # the maxcut-random fill: clique sizes 3..14 in two padded buckets
+        fill = maxcut_sdp(random_graph(35, 105, trial_seed(3, 0))).fill
+        rng = np.random.default_rng(4)
+        g = rng.standard_normal((fill.n, fill.n)) / np.sqrt(fill.n)
+        xbar = sparse_from_dense(fill, g @ g.T + np.eye(fill.n))
+        tops = check_bucketings(xbar, rng, calls=(0, chordal.BUCKET_CALL))
+        assert len(tops[0]) > len(tops[1]) >= 2
+        plan = fill.clique_plan
+        assert all(np.any(gather == plan.one) for gather, _ in plan.buckets)
+
+    @pytest.mark.parametrize("bad", [(1, 0), (5, 2)])
+    def test_indefinite_block_padded_into_a_larger_bucket(self, bad):
+        # cliques {0, 1} and {2, 3, 4, 5} share one bucket of size 4, so
+        # the 2-block is padded with an identity
+        edges = [(0, 1)] + [(i, j) for i in range(2, 6) for j in range(2, i)]
+        pat = SparseSymPattern(6, edges)
+        assert [gather.shape for gather, _ in pat.clique_plan.buckets] == [(2, 4, 4)]
+        xbar = SparseSymMatrix.identity(pat)
+        xbar.values[pat.slots(*bad)] = 0.5
+        assert logdet_completion(completion_factors(xbar)) == \
+            pytest.approx(math.log(0.75), abs=1e-15)
+        xbar.values[pat.slots(*bad)] = 2.0
+        with pytest.raises(NotCompletable):
+            completion_factors(xbar)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 12), min_size=1, max_size=30),
+           call=st.sampled_from([0, 50, 2000, 20_000, 10**6]))
+    def test_bucket_rule_is_the_cheapest_partition(self, sizes, call):
+        # every set of bucket tops holding the largest size, each block
+        # in the smallest top that fits it
+        def cost(tops):
+            fit = np.searchsorted(tops, sizes)
+            return len(tops) * call + sum(tops[b] ** 3 for b in fit.tolist())
+        distinct = sorted(set(sizes))
+        best = min(cost([k for bit, k in enumerate(distinct[:-1]) if mask >> bit & 1]
+                        + [distinct[-1]])
+                   for mask in range(2 ** (len(distinct) - 1)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chordal, "BUCKET_CALL", call)
+            tops = chordal.bucket_sizes(np.array(sizes))
+        assert tops == sorted(tops) and tops[-1] == distinct[-1]
+        assert set(tops) <= set(distinct)
+        assert cost(tops) == best
 
 
 class TestCompletionInverseFactor:

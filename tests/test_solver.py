@@ -786,11 +786,17 @@ class TestCompletionSweep:
         monkeypatch.setattr(solver, "cholesky_factorize", lambda a: refactored.append(a))
         primal = solver.PrimalHalf(x0)
         assert primal.inv is not None and primal.factor is not None
-        # one batched call per clique size, none for a separator, and the
+        # one batched call per bucket, none for a separator, and the
         # factor of the completion inverse comes from the same sweep
-        sizes = sorted({len(c) for c in cs.cliques})
-        assert [shape[1:] for shape in calls] == [(k, k) for k in sizes]
+        buckets = problem.fill.clique_plan.buckets
+        assert [shape[1:] for shape in calls] == [gather.shape[1:] for gather, _ in buckets]
         assert sum(shape[0] for shape in calls) == len(cs)
+        # every clique is exactly one block: its vertices are the block's
+        # diagonal slots below n, the pads read the slot past the storage
+        n = problem.fill.n
+        blocks = [sorted(d[d < n].tolist()) for gather, _ in buckets
+                  for d in np.diagonal(gather, axis1=1, axis2=2)]
+        assert sorted(blocks) == sorted(c.tolist() for c in cs.cliques)
         assert refactored == []
 
 

@@ -95,17 +95,17 @@ iter,gap,phi,descent_steps
 3,1.731252415084679,38.26013418257167,0.75
 4,1.2961777449331446,33.845304337989894,0.0
 5,0.5593870411854578,23.08986950935645,0.5
-6,0.14459851077133123,9.859395656812218,0.75
-7,0.10594747390911152,5.478358950619395,0.0
-8,0.07169151986640898,-1.6583690900872865,0.0
-9,0.03224609551872071,-11.364144633036766,0.5
-10,0.00922401688986696,-24.827315777152496,0.75
-11,0.007099563843659951,-29.226068429248073,0.0
-12,0.003188590193762053,-39.056646895153094,0.5
-13,0.0009170225687391564,-52.148856345883026,0.75
-14,0.0007041982512827616,-56.60540481498639,0.0
-15,0.0003134794498240723,-66.37183363838233,0.5
-16,8.840645662999691e-05,-79.56352821000546,0.75
+6,0.14459851077133123,9.859395656812225,0.75
+7,0.10594747390911152,5.478358950619381,0.0
+8,0.07169151986640898,-1.658369090087132,0.0
+9,0.0322460955186763,-11.36414463305622,0.5
+10,0.009224016889509912,-24.827315777385138,0.75
+11,0.007099563843288692,-29.226068429766435,0.0
+12,0.003188590193362373,-39.05664689663028,0.5
+13,0.0009170225682222366,-52.148856350808835,0.75
+14,0.0007041982507658417,-56.60540482352796,0.0
+15,0.00031347944910109504,-66.37183367435972,0.5
+16,8.840648155228337e-05,-79.56352624297347,0.75
 """
 
 # random_graph(9, 14, trial_seed(1, 2)) reweighted to 1-2 (see _weighted_sdpa),

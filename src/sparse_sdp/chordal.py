@@ -13,10 +13,13 @@ Its ``clique_plan`` (a ``CliquePlan``) says where each clique block
 C_r x C_r sits in the [diag | offdiag] storage of a matrix on the
 pattern, padded with an identity into a few size buckets, so a sweep
 over the cliques is one batched numpy call per bucket: the completion
-of the primal partial matrix reads it, and so does the dual residual's
-L L^T.  Its
+of the primal partial matrix factors each bucket's blocks bordered by
+identities, which gives their factors and the factors' inverses in one
+call, and the dual residual's L L^T reads the same blocks.  Its
 ``clique_tree`` (a ``CliqueTree``) merges the same cliques into the
-dense fronts that the factor and inverse kernels run on.
+dense fronts that the factor and inverse kernels run on, and says how
+``sparsemat.cholesky_factorize`` borders each front.  Both index maps
+read the constant slots that ``sparsemat.padded`` appends.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotChordal, RipFailure
-from .sparsemat import SparseSymMatrix
+from .sparsemat import SparseSymMatrix, padded
 
 # t: a child clique joins its parent while |S_child| + |C_parent| <= t.  At
 # 48 the benchmark patterns (n = 35 to 60) are one or two fronts, and a
@@ -160,15 +163,20 @@ class CliquePlan:
     block is X_{U_r,U_r}.  The blocks are grouped into the buckets that
     ``bucket_sizes`` picks, and a block of size k_r in a bucket of size k
     is padded to k x k after S_r: its pad diagonal reads the slot ``one``
-    and every other pad entry the slot ``zero``, the two slots that
-    ``padded`` appends to [diag | offdiag].  A padded block is
+    and every other pad entry the slot ``zero``, two of the slots that
+    ``sparsemat.padded`` appends to [diag | offdiag].  A padded block is
     blockdiag(R_r, I), whose Cholesky factor is blockdiag(L_r, I), so one
-    batched call per bucket factors, inverts or multiplies all its blocks.
+    batched call per bucket factors or multiplies all its blocks.
 
     ``buckets`` holds one ``(gather, residual)`` per bucket, by increasing
     size k: the (N, k, k) slots of its blocks (in increasing r) and the
-    (N, k) mask of the S_r positions, False at the pads.  A block's place
-    in the buckets is its stack position.  ``pivots`` indexes the S_r
+    (N, k) mask of the S_r positions, False at the pads.  ``borders``
+    holds a ``PaddedGather`` per bucket of the same blocks bordered, as
+    the (N, 2k, 2k) stack of [[R, I], [I, beta I]], beta the slot after
+    ``one`` (``sparsemat.BORDER``): their factors are [[L, 0],
+    [L^-T, .]], so one batched Cholesky gives each bucket's factors and
+    their inverses.  A block's place in the buckets is its stack
+    position.  ``pivots`` indexes the S_r
     positions in the concatenated diagonals of the stacks.  ``scatter``
     lists the slots of the blocks' upper triangles in stack order, with
     every pad entry sent to the dump slot ``zero``.  ``factor_masks``
@@ -188,9 +196,11 @@ class CliquePlan:
         end = np.cumsum(sizes)
         self.zero = pattern.n + pattern.nnz
         self.one = self.zero + 1
+        beta = self.zero + 2
         tops = bucket_sizes(sizes)
         bucket = np.searchsorted(tops, sizes)
-        self.buckets, self.factor_masks, tri_slots, pivots = [], [], [], []
+        self.buckets, self.borders, self.factor_masks = [], [], []
+        tri_slots, pivots = [], []
         for b, k in enumerate(tops):
             members = np.flatnonzero(bucket == b)
             size = sizes[members, None]
@@ -204,6 +214,11 @@ class CliquePlan:
                               np.where(np.eye(k, dtype=bool), self.one, self.zero))
             residual = real & (pos >= nsep[members, None])
             self.buckets.append((gather, residual))
+            border = np.full((len(members), 2 * k, 2 * k), self.zero)
+            border[:, :k, :k] = gather
+            border[:, k + pos, pos] = self.one
+            border[:, k + pos, k + pos] = beta
+            self.borders.append(PaddedGather(border, self.zero))
             self.factor_masks.append(residual[:, :, None] & np.tri(k, dtype=bool))
             tri_slots.append(np.minimum(gather[_upper(k)], self.zero).ravel())
             pivots.append(residual.ravel())
@@ -211,11 +226,6 @@ class CliquePlan:
         self.pivots = np.flatnonzero(np.concatenate(pivots))
         self.factor_slots = np.concatenate(
             [gather[mask] for (gather, _), mask in zip(self.buckets, self.factor_masks)])
-
-    def padded(self, values):
-        """[diag | offdiag] of a matrix on the pattern, with the slots
-        ``zero`` and ``one`` appended."""
-        return np.append(values, (0.0, 1.0))
 
     def gram_sum(self, pattern, stacks):
         """The sum of B_r^T B_r over the cliques, on the plan's ``pattern``,
@@ -229,7 +239,7 @@ class CliquePlan:
     def factor_product(self, factor):
         """L L^T on the pattern for a lower ``factor`` L on it: the
         ``gram_sum`` of L's columns S_r, gathered by ``factor_masks``."""
-        values = self.padded(factor.values)
+        values = padded(factor.values)
         return self.gram_sum(factor.pattern,
                              [np.where(mask, values[gather], 0.0)
                               for (gather, _), mask in zip(self.buckets, self.factor_masks)])
@@ -256,19 +266,38 @@ def bucket_sizes(sizes):
     return tops[::-1]
 
 
+class PaddedGather:
+    """An array laid out by ``index``, slots of [diag | offdiag] of a
+    matrix with ``n_slots`` of them followed by the constant slots that
+    ``sparsemat.padded`` appends.  The constants are read once into
+    ``template``; a call copies it and gathers only the positions ``at``
+    that read the matrix, from its ``slots``, so a block made mostly of
+    its border, or of the zeros off a sparse pattern, costs a copy."""
+
+    def __init__(self, index, n_slots):
+        self.template = padded(np.zeros(n_slots))[index]
+        self.at = np.flatnonzero(index < n_slots)
+        self.slots = index.ravel()[self.at]
+
+    def __call__(self, values):
+        out = self.template.copy()
+        out.reshape(-1)[self.at] = values[self.slots]
+        return out
+
+
 class Front(NamedTuple):
     """One dense front of a ``CliqueTree``: the columns ``cols`` = S' of
     the factor and the separator ``seps`` = U', each ascending, so the
     front's vertices C' = S' then U' ascend too.  Its k x s block (rows
     C', columns S') starts at ``lo`` in the tree's flat buffer; ``parent``
-    is the parent front (-1 at a root) and ``upos`` the positions of U'
-    in the parent's C'."""
+    is the parent front (-1 at a root) and ``uflat`` the positions of
+    U' x U' in the parent's C' x C' block, raveled."""
 
     cols: np.ndarray
     seps: np.ndarray
     lo: int
     parent: int
-    upos: np.ndarray
+    uflat: np.ndarray
 
 
 class CliqueTree:
@@ -287,8 +316,11 @@ class CliqueTree:
     with one zero slot n + nnz appended: the entries of C' x S' on and
     below the diagonal that lie on the pattern, and the zero slot for
     the rest.  ``scatter`` is its inverse on the pattern, the buffer
-    position of each slot.  Raises ValueError unless the pattern is
-    elimination-closed.
+    position of each slot.  ``border`` (a ``PaddedGather``) reads, for
+    each front, the 2s x 2s block [[F_S'S', 0], [I, beta I]] and then the
+    |U'| x s block F_U'S', row by row, F the front's k x s block and beta
+    ``sparsemat.BORDER``; front f's part starts at ``border_starts[f]``.
+    Raises ValueError unless the pattern is elimination-closed.
     """
 
     def __init__(self, pattern):
@@ -317,18 +349,28 @@ class CliqueTree:
 
         verts = [np.concatenate((np.sort(np.concatenate(cols[r])), seq.separators[r]))
                  for r in keep]
-        pad = n + pattern.nnz
-        self.fronts, gather, lo = [], [np.zeros(0, dtype=np.int64)], 0
+        pad = n + pattern.nnz           # then the slots of 1 and of beta
+        self.fronts, gather, border, lo = [], [np.zeros(0, dtype=np.int64)], [], 0
         for r, c in zip(keep, verts):
             u = seq.separators[r]
             k, s = len(c), len(c) - len(u)
             p = front_of[into[parent[r]]] if len(u) else -1
             upos = np.searchsorted(verts[p], u) if len(u) else u
-            self.fronts.append(Front(c[:s], u, lo, p, upos))
+            uflat = (upos[:, None] * len(verts[p]) + upos).ravel()
+            self.fronts.append(Front(c[:s], u, lo, p, uflat))
             slots = pattern.slots(c[:, None], c[:s], missing=pad)
-            gather.append(np.where(np.tri(k, s, dtype=bool), slots, pad).ravel())
+            block = np.where(np.tri(k, s, dtype=bool), slots, pad)
+            gather.append(block.ravel())
+            bordered = np.full((2 * s, 2 * s), pad)
+            bordered[:s, :s] = block[:s]
+            bordered[s + np.arange(s), np.arange(s)] = pad + 1
+            bordered[s + np.arange(s), s + np.arange(s)] = pad + 2
+            border.append(np.concatenate((bordered.ravel(), block[s:].ravel())))
             lo += k * s
         self.gather = np.concatenate(gather)
+        self.border = PaddedGather(np.concatenate([np.zeros(0, dtype=np.int64), *border]),
+                                   pad)
+        self.border_starts = np.cumsum([0] + [len(b) for b in border]).tolist()
         self.scatter = np.empty(pad, dtype=np.int64)
         on = self.gather < pad
         self.scatter[self.gather[on]] = np.flatnonzero(on)

@@ -174,7 +174,8 @@ def cmd_maxcut(args):
     print(f"status: {report.status}")
     print(f"iterations: {report.iterations}")
     print(f"sdp bound (max form): {result.sdp_bound!r}")
-    print(f"sdp primal value (max form): {-report.objective_primal!r}")
+    # + 0.0 turns the -0.0 of an edgeless graph's zero objective into 0.0
+    print(f"sdp primal value (max form): {-report.objective_primal + 0.0!r}")
     print(f"best cut: {result.cut_value!r} over {result.trials} trials")
     print("sides: " + "".join("+" if s > 0 else "-" for s in result.sides))
     return 0

@@ -18,21 +18,21 @@ Semidefinite Optimization, 2015, section 10),
 and the rows of T_r are the columns S_r of the Cholesky factor L of
 X^-1.  The log-determinant, the inverse and its factor all read that
 sweep.  The plan pads the blocks into a few size buckets, each block to
-blockdiag(R_r, I), whose factor is blockdiag(L_r, I); each bucket's
-(N, k, k) stack is gathered, factored and inverted by one batched numpy
-call, and the inverse is scattered by the plan's ``gram_sum``, the
-helper that also forms L L^T for the dual residual.  The ``logdet``
-kernels read L on the pattern's ``clique_tree``: X^ in full
-(``inverse_columns``), its Gram vectors L^-1 (``lower_inverse``, as
-L^-T L^-1 = X^) and, with the partial matrix as the selected inverse,
-X^ Z X^ on the pattern (``hess_vec``).
+blockdiag(R_r, I), whose factor is blockdiag(L_r, I), and borders each
+padded block as [[R_r, I], [I, beta I]], whose factor is [[L_r, 0],
+[L_r^-T, .]]: one batched Cholesky call per bucket gives the L_r and
+the L_r^-1 that T_r is read from, and the inverse is scattered by the
+plan's ``gram_sum``, the helper that also forms L L^T for the dual
+residual.  The ``logdet`` kernels read L on the pattern's
+``clique_tree``: X^ in full (``inverse_columns``), its Gram vectors
+L^-1 (``lower_inverse``, as L^-T L^-1 = X^) and, with the partial
+matrix as the selected inverse, X^ Z X^ on the pattern (``hess_vec``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -43,54 +43,51 @@ from .sparsemat import CholeskyFactor, SparseSymPattern
 @dataclass
 class CompletionFactors:
     """One factor sweep over the clique blocks of a partial matrix on
-    ``pattern``, in the padded buckets of its ``plan``: ``chol[b]``
-    stacks the lower Cholesky factors blockdiag(L_r, I) of the padded
-    clique blocks R_r of bucket b, gathered separator first.
-    ``inverse_rows[b]`` stacks the T_r, computed on first use and shared
-    by the inverse and its factor.
+    ``pattern``, in the padded buckets of its ``plan``: ``pivots`` holds
+    the S_r pivots of every clique factor L_r, and ``inverse_rows[b]``
+    stacks the T_r of bucket b, L_r^-1 with its first |U_r| rows and its
+    pad rows zeroed, shared by the inverse and its factor.  Both are read
+    from the bordered factors [[blockdiag(L_r, I), 0],
+    [blockdiag(L_r^-T, I), .]] of the padded clique blocks R_r, gathered
+    separator first.
     """
 
     pattern: SparseSymPattern
-    chol: list
+    pivots: np.ndarray
+    inverse_rows: list
     plan = property(lambda self: self.pattern.clique_plan)
-
-    @cached_property
-    def inverse_rows(self):
-        """Per bucket, T_r = L_r^-1 with its first |U_r| rows and its pad
-        rows zeroed."""
-        rows = []
-        for chol, (_, residual) in zip(self.chol, self.plan.buckets):
-            t = np.linalg.inv(chol)
-            t[~residual] = 0.0
-            rows.append(t)
-        return rows
 
 
 def completion_factors(xbar):
     """Gather and factor each clique block of the partial ``xbar`` once,
-    by one batched Cholesky call per bucket of its pattern's
+    bordered, by one batched Cholesky call per bucket of its pattern's
     ``clique_plan``.
 
     Raises NotCompletable unless every clique block is positive definite,
     which on a chordal pattern is exactly when a positive definite
     completion exists; a block's identity padding does not change that.
+    The border of a block R passes whenever ||R^-1|| < beta =
+    ``sparsemat.BORDER`` = 2^400, its trailing block being beta I - R^-1:
+    only a block whose smallest eigenvalue is below 2^-400, about 3.9e-121,
+    and so is numerically singular, can fail by its border alone.
     """
     plan = xbar.pattern.clique_plan
-    values = plan.padded(xbar.values)
-    try:
-        chol = [np.linalg.cholesky(values[gather]) for gather, _ in plan.buckets]
-    except np.linalg.LinAlgError as exc:
-        raise NotCompletable("a clique block is not positive definite") from exc
-    return CompletionFactors(xbar.pattern, chol)
+    diagonals, rows = [], []
+    for border, (_, residual) in zip(plan.borders, plan.buckets):
+        try:
+            low = np.linalg.cholesky(border(xbar.values))
+        except np.linalg.LinAlgError as exc:
+            raise NotCompletable("a clique block is not positive definite") from exc
+        k = residual.shape[1]
+        diagonals.append(np.diagonal(low, axis1=1, axis2=2)[:, :k].ravel())
+        rows.append(np.where(residual[:, :, None], np.swapaxes(low[:, k:, :k], 1, 2), 0.0))
+    return CompletionFactors(xbar.pattern, np.concatenate(diagonals)[plan.pivots], rows)
 
 
 def logdet_completion(factors):
     """ln det of the max-determinant completion, from its clique factors:
-    twice the sum of the log pivots of the S_r rows of each L_r, gathered
-    at once from the diagonals of all buckets."""
-    pivots = np.concatenate([np.diagonal(c, axis1=1, axis2=2) for c in factors.chol],
-                            axis=None)
-    return 2.0 * float(np.sum(np.log(pivots[factors.plan.pivots])))
+    twice the sum of the log pivots of the S_r rows of each L_r."""
+    return 2.0 * float(np.log(factors.pivots).sum())
 
 
 def completion_inverse(factors):

@@ -6,9 +6,11 @@ gradient of ln det S there), ``inverse_columns`` gives S^-1 in full,
 S^-1 Z S^-1 (the log-det Hessian applied to Z, up to sign) as the
 tangent of the factor and of the selected inverse.  All of them run on
 the dense fronts of the pattern's ``clique_tree``, as the factor does,
-and read the factor's values only, so the factor of the completion
-inverse (``completion.completion_inverse_factor``) serves as well as
-that of S.
+and read the factor's values and its ``front_inverses`` L_S'S'^-1, so
+none of them inverts a block: the factor of S brings its inverses from
+the bordered fronts of ``sparsemat.cholesky_factorize``, and the factor
+of the completion inverse (``completion.completion_inverse_factor``),
+which serves as well, inverts its fronts once, on first read.
 ``hess_from_columns`` gives W Z W on the pattern from W held in full,
 by dense row dots; the solver takes every product it needs that way
 (the Newton systems' columns, as in Fujisawa, Kojima and Nakata, Math.
@@ -38,9 +40,10 @@ def sparse_inverse(factor):
     ``clique_tree``.  With W = (L L^T)^-1, L on front C' = S' then U'
     and B = L_U'S' L_S'S'^-1, W_U'U' is read from the parent's block and
 
-        W_U'S' = -W_U'U' B,    W_S'S' = L_S'S'^-T L_S'S'^-1 - B^T W_U'S'.
+        W_U'S' = -W_U'U' B,    W_S'S' = L_S'S'^-T L_S'S'^-1 - B^T W_U'S',
 
-    Every front keeps its C' x C' block of W until the pass ends, so the
+    with L_S'S'^-1 read from the factor's ``front_inverses``.  Every
+    front keeps its C' x C' block of W until the pass ends, so the
     storage is the sum of k^2 over the fronts, never n x n.  Raises
     ValueError when the pattern is not elimination-closed.
     """
@@ -48,16 +51,16 @@ def sparse_inverse(factor):
     out = np.empty_like(low)
     blocks = [None] * len(tree.fronts)
     for f in reversed(range(len(tree.fronts))):
-        cols, seps, lo, parent, upos = tree.fronts[f]
+        cols, seps, lo, parent, uflat = tree.fronts[f]
         s = len(cols)
         k = s + len(seps)
         blk = low[lo:lo + k * s].reshape(k, s)
-        inv = np.linalg.inv(blk[:s])
+        inv = factor.front_inverses[f]
         w = np.empty((k, k))
         w[:s, :s] = inv.T @ inv
         if k > s:
             b = blk[s:] @ inv
-            w[s:, s:] = blocks[parent][np.ix_(upos, upos)]
+            w[s:, s:] = blocks[parent].take(uflat).reshape(k - s, k - s)
             w[s:, :s] = -(w[s:, s:] @ b)
             w[:s, s:] = w[s:, :s].T
             w[:s, :s] -= b.T @ w[s:, :s]
@@ -70,17 +73,17 @@ def lower_inverse(factor):
     """V = L^-1 in full for a lower ``factor`` L, so V^T V = (L L^T)^-1.
 
     Solves L V = I one block of rows per front of the pattern's
-    ``clique_tree``, children first: rows S' become L_S'S'^-1 times
-    themselves and rows U' lose L_U'S' times those.  Returns V with each
-    front's (S', U', L_U'S', L_S'S'^-1), for ``inverse_columns``.
+    ``clique_tree``, children first: rows S' become L_S'S'^-1 (from
+    ``front_inverses``) times themselves and rows U' lose L_U'S' times
+    those.  Returns V with each front's (S', U', L_U'S', L_S'S'^-1), for
+    ``inverse_columns``.
     """
     tree, low = _front_blocks(factor)
     v = np.eye(factor.n)
     steps = []
-    for cols, seps, lo, _, _ in tree.fronts:
+    for (cols, seps, lo, *_), inv in zip(tree.fronts, factor.front_inverses):
         s = len(cols)
         blk = low[lo:lo + (s + len(seps)) * s].reshape(-1, s)
-        inv = np.linalg.inv(blk[:s])
         rows = inv @ v[cols]
         v[cols] = rows
         if len(seps):
@@ -175,34 +178,34 @@ def hess_vec(factor, z, sinv):
     for arg, what in ((z, "Z"), (sinv, "sinv")):
         if arg.pattern is not pat and arg.pattern != pat:
             raise ValueError(f"{what} must lie on the factor's pattern")
-    tree, low = _front_blocks(factor)       # L, then L_S'S'^-1 in place of L_S'S'
+    tree, low = _front_blocks(factor)
+    inverses = factor.front_inverses
     buf = np.append(z.values, 0.0)[tree.gather]     # dA, then dL, then -dW
     acc = [np.zeros((len(f.cols) + len(f.seps),) * 2) for f in tree.fronts]  # sums of dU'
-    for f, (cols, seps, lo, parent, upos) in enumerate(tree.fronts):
+    for f, (cols, seps, lo, parent, uflat) in enumerate(tree.fronts):
         s = len(cols)
         k = s + len(seps)
         blk = low[lo:lo + k * s].reshape(k, s)
         d = buf[lo:lo + k * s].reshape(k, s)
         d += acc[f][:, :s]
-        inv = np.linalg.inv(blk[:s])
+        inv = inverses[f]
         phi = np.tril(inv @ (np.tril(d[:s]) + np.tril(d[:s], -1).T) @ inv.T)
         phi[np.diag_indices(s)] *= 0.5
         d[:s] = blk[:s] @ phi
         if k > s:
             d[s:] = (d[s:] - blk[s:] @ d[:s].T) @ inv.T
             upd = d[s:] @ blk[s:].T
-            acc[parent][np.ix_(upos, upos)] += acc[f][s:, s:] - upd - upd.T
+            acc[parent].reshape(-1)[uflat] += (acc[f][s:, s:] - upd - upd.T).ravel()
         acc[f] = None
-        blk[:s] = inv
 
     blocks = [None] * len(tree.fronts)      # each front's dW on C' x C'
     for f in reversed(range(len(tree.fronts))):
-        cols, seps, lo, parent, upos = tree.fronts[f]
+        cols, seps, lo, parent, uflat = tree.fronts[f]
         s = len(cols)
         k = s + len(seps)
         blk = low[lo:lo + k * s].reshape(k, s)
         d = buf[lo:lo + k * s].reshape(k, s)
-        inv = blk[:s]
+        inv = inverses[f]
         dinv = -(inv @ d[:s] @ inv)
         dw = blocks[f] = np.empty((k, k))
         dw[:s, :s] = dinv.T @ inv + inv.T @ dinv
@@ -210,7 +213,7 @@ def hess_vec(factor, z, sinv):
             b = blk[s:] @ inv
             db = d[s:] @ inv + blk[s:] @ dinv
             wuu = sinv.values[pat.slots(seps[:, None], seps)]
-            dw[s:, s:] = blocks[parent][np.ix_(upos, upos)]
+            dw[s:, s:] = blocks[parent].take(uflat).reshape(k - s, k - s)
             dw[s:, :s] = -(dw[s:, s:] @ b + wuu @ db)
             dw[:s, s:] = dw[s:, :s].T
             dw[:s, :s] += db.T @ wuu @ b - b.T @ dw[s:, :s]

@@ -6,7 +6,13 @@ diagonal, compressed-column style.  All indices are 0-based.
 ``cholesky_factorize`` is multifrontal, on the dense fronts of the
 pattern's merged ``clique_tree`` (Vandenberghe & Andersen, *Chordal
 Graphs and Semidefinite Optimization*, 2015, section 9), as are the
-inverse and Hessian-product kernels in ``logdet``.
+inverse and Hessian-product kernels in ``logdet``.  Each front is
+factored bordered by identities, so the one Cholesky call that gives
+the factor on the front also gives the inverse of its diagonal block,
+which the factor keeps for those kernels (``CholeskyFactor
+.front_inverses``); the completion sweep borders its clique blocks the
+same way.  ``padded`` appends the constant slots, 0, 1 and BORDER,
+that the bordered blocks' index maps read.
 """
 
 from __future__ import annotations
@@ -20,6 +26,22 @@ import numpy as np
 from .errors import NotPositiveDefinite
 
 PIVOT_RTOL = 1e-12  # pivot <= PIVOT_RTOL * max input diagonal fails
+
+# beta, the diagonal of the identity borders: the Cholesky factor of the
+# SPD [[R, I], [I, beta I]] is [[L, 0], [L^-T, L_2]] with L_2 L_2^T =
+# beta I - R^-1, so one call gives L and L^-1 whenever ||R^-1|| < beta.
+# ``cholesky_factorize`` and ``completion.completion_factors`` state why
+# that bound never decides a failure that the plain Cholesky of R would
+# not.
+BORDER = 2.0 ** 400
+
+
+def padded(values):
+    """[diag | offdiag] of a matrix on a pattern with the slots n + nnz,
+    n + nnz + 1 and n + nnz + 2 appended, holding 0, 1 and BORDER: the
+    pads that the index maps of ``chordal.CliquePlan`` and
+    ``chordal.CliqueTree`` read."""
+    return np.append(values, (0.0, 1.0, BORDER))
 
 
 class SparseSymPattern:
@@ -250,20 +272,34 @@ class CholeskyFactor:
     ``values`` holds [diag | offdiag] as in ``SparseSymMatrix``, with
     ``diag`` and ``offdiag`` views of its two parts.  The diagonal holds
     the actual (positive) pivot square roots; ``logdet`` caches
-    2*sum(log diag).  ``chordal.CliquePlan.factor_product`` forms
-    L L^T on the pattern, clique by clique.
+    2*sum(log diag).  ``front_inverses`` lists L_S'S'^-1 for each front
+    of the pattern's ``clique_tree``, in its order: ``cholesky_factorize``
+    passes the ones its bordered fronts give, and a factor built from
+    its values alone (``completion.completion_inverse_factor``) takes
+    them once, on first read.  ``chordal.CliquePlan.factor_product``
+    forms L L^T on the pattern, clique by clique.
     """
 
-    def __init__(self, pattern, values, logdet):
+    def __init__(self, pattern, values, logdet, front_inverses=None):
         self.pattern = pattern
         self.values = np.asarray(values, dtype=float)
         self.diag = self.values[:pattern.n]
         self.offdiag = self.values[pattern.n:]
         self.logdet = float(logdet)
+        if front_inverses is not None:
+            self.front_inverses = front_inverses
 
     @property
     def n(self):
         return self.pattern.n
+
+    @cached_property
+    def front_inverses(self):
+        """L_S'S'^-1 per front, inverted from the factor's values."""
+        tree = self.pattern.clique_tree
+        low = np.append(self.values, 0.0)[tree.gather]
+        return [np.linalg.inv(low[f.lo:f.lo + len(f.cols) ** 2].reshape(len(f.cols), -1))
+                for f in tree.fronts]
 
     def __repr__(self):
         return f"CholeskyFactor(n={self.n}, nnz={self.pattern.nnz})"
@@ -326,12 +362,28 @@ def cholesky_factorize(matrix):
 
     Multifrontal, over the fronts of the pattern's ``clique_tree``,
     children first.  A front gathers the columns S' of M on its rows C'
-    and adds its children's update matrices; one ``np.linalg.cholesky``
-    of its S' x S' block gives L there, one triangular solve gives L on
-    U' x S', and the update -L_U'S' L_U'S'^T goes to the parent.  The
-    blocks are scattered onto the pattern.  Raises NotPositiveDefinite
-    when a pivot is not above PIVOT_RTOL times the largest input
-    diagonal, and ValueError unless the pattern is elimination-closed.
+    as ``CliqueTree.border`` lays them out and adds its children's update
+    matrices, which gives its k x s block F; with beta = BORDER, one
+    ``np.linalg.cholesky`` of the bordered S' x S' block gives
+
+        [[F_S'S', .     ],  =  [[L_S'S',     0  ],  (.)^T,
+         [I,      beta I]]      [L_S'S'^-T,  L_2]]
+
+    so L_S'S' and L_S'S'^-1 (kept as ``front_inverses``) come from the
+    same call, L_U'S' = F_U'S' L_S'S'^-T is one product, and the update
+    -L_U'S' L_U'S'^T goes to the parent.  The blocks are scattered onto
+    the pattern.  Raises NotPositiveDefinite when a pivot of L_S'S' is
+    not above PIVOT_RTOL times the largest input diagonal, and
+    ValueError unless the pattern is elimination-closed.
+
+    The border's trailing block is L_2 L_2^T = beta I - F_S'S'^-1, so it
+    passes while ||F_S'S'^-1|| < beta = 2^400, about 2.6e120.  F_S'S' is
+    a Schur complement of a principal block of M, so for a positive
+    definite M, ||F_S'S'^-1|| <= 1 / lambda_min(M): the border can fail
+    only when lambda_min(M) < 2^-400, about 3.9e-121, past where any
+    such M is numerically singular.  Within that bound the factorization
+    fails where the plain Cholesky of each front with the same pivot
+    test does, up to the rounding of the update matrices.
 
     The pivot j that NotPositiveDefinite reports, found by bisection on
     the first read of its ``pivot`` or message, has an LDL^T pivot
@@ -345,42 +397,50 @@ def cholesky_factorize(matrix):
     tree = pat.clique_tree
     n = pat.n
     tol = PIVOT_RTOL * max(float(matrix.diag.max()), 0.0) if n else 0.0
-    buf = np.append(matrix.values, 0.0)[tree.gather]
+    buf = tree.border(matrix.values)
+    out = np.empty(len(tree.gather))
     fronts = tree.fronts
-    acc = [None] * len(fronts)          # each front's sum of its children's updates
-    for f, (cols, seps, lo, parent, upos) in enumerate(fronts):
+    acc = [None] * len(fronts)          # each front's sum of its children's updates, raveled
+    inverses = []
+    for f, (cols, seps, lo, parent, uflat) in enumerate(fronts):
         s = len(cols)
         k = s + len(seps)
-        blk = buf[lo:lo + k * s].reshape(k, s)
+        start = tree.border_starts[f]
+        blk = buf[start:start + 4 * s * s].reshape(2 * s, 2 * s)
+        off = buf[start + 4 * s * s:tree.border_starts[f + 1]].reshape(k - s, s)
         sub = acc[f]
         if sub is not None:
-            blk += sub[:, :s]
-        low = _passing_factor(blk[:s], tol)
+            sub = sub.reshape(k, k)
+            blk[:s, :s] += sub[:s, :s]
+            off += sub[s:, :s]
+        low = _passing_factor(blk, tol, s)
         if low is None:
-            raise NotPositiveDefinite(lambda: cols[_failing_pivot(blk[:s], tol)])
-        blk[:s] = low
+            raise NotPositiveDefinite(lambda: cols[_failing_pivot(blk[:s, :s], tol)])
+        out[lo:lo + s * s] = low[:s, :s].ravel()
+        inverses.append(low[s:, :s].T.copy())
         if k > s:
-            blk[s:] = np.linalg.solve(low, blk[s:].T).T
-            upd = -(blk[s:] @ blk[s:].T)
+            off = off @ low[s:, :s]         # L_U'S' = F_U'S' L_S'S'^-T
+            out[lo + s * s:lo + k * s] = off.ravel()
+            upd = -(off @ off.T)
             if sub is not None:
                 upd += sub[s:, s:]
             if acc[parent] is None:
-                kp = len(fronts[parent].cols) + len(fronts[parent].seps)
-                acc[parent] = np.zeros((kp, kp))
-            acc[parent][np.ix_(upos, upos)] += upd
+                acc[parent] = np.zeros((len(fronts[parent].cols) + len(fronts[parent].seps)) ** 2)
+            acc[parent][uflat] += upd.ravel()
         acc[f] = None
-    values = buf[tree.scatter]
-    return CholeskyFactor(pat, values, 2.0 * float(np.sum(np.log(values[:n]))))
+    values = out[tree.scatter]
+    return CholeskyFactor(pat, values, 2.0 * float(np.log(values[:n]).sum()), inverses)
 
 
-def _passing_factor(a, tol):
+def _passing_factor(a, tol, s=None):
     """Lower Cholesky factor of the square ``a`` (its lower triangle), or
-    None unless every pivot is above tol."""
+    None unless it exists and its first ``s`` pivots (all by default)
+    are above tol."""
     try:
         low = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         return None
-    return low if np.min(np.diagonal(low)) ** 2 > tol else None
+    return low if low.diagonal()[:s].min() ** 2 > tol else None
 
 
 def _failing_pivot(a, tol):

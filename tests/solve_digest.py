@@ -7,7 +7,9 @@ that a change leaves the solver's path where it was.
 Run it in two checkouts and ``diff`` the outputs, or ``--compare``
 them: that prints each solve whose status or iteration count changed,
 the largest relative difference in C.X and in b.y over the solves, and
-which of the three hashes and the digest differ.  Each solve prints one
+which of the three hashes and the digest differ, and exits with status 1
+when any solve changed status or iteration count (0 otherwise), so a
+script can gate on it.  Each solve prints one
 line, ``family i mode status iterations C.X b.y`` (objectives as repr),
 so a change that moves the path within a tolerance shows which solves
 moved and by how much; the last line, the digest, is equal only when
@@ -169,7 +171,7 @@ def compare(path_a, path_b, out=sys.stdout):
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--compare"] and len(sys.argv) == 4:
-        compare(*sys.argv[2:])
+        sys.exit(1 if compare(*sys.argv[2:]) else 0)
     elif len(sys.argv) == 1:
         print(digest())
     else:

@@ -5,19 +5,38 @@
 Each check runs at merge thresholds t = 1 (no merging), an intermediate
 t and t >= n (one front per connected component), on fresh random
 chordal patterns, since a pattern keeps the tree it built first.
+
+The factor and the completion sweep factor their blocks bordered by
+identities, which gives each block's factor L and its inverse in one
+Cholesky call; ``TestBorderedBlocks`` checks those inverses against
+long-double ones and checks that the border never decides a failure,
+and ``TestNoLuInverses`` that no kernel on the solve path falls back to
+an LU inverse or solve.
 """
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sparse_sdp import (NotPositiveDefinite, SparseSymMatrix, SparseSymPattern,
-                        cholesky_factorize, hess_vec, inverse_columns, sparse_inverse)
+from sparse_sdp import (Graph, NotCompletable, NotPositiveDefinite, SolverConfig,
+                        SparseSymMatrix, SparseSymPattern, cholesky_factorize,
+                        hess_vec, initial_point, inverse_columns, maxcut_sdp,
+                        random_graph, solve, solver, sparse_inverse)
 from sparse_sdp import chordal
+from sparse_sdp.bench import trial_seed
 from sparse_sdp.completion import completion_factors, completion_inverse_factor
+from sparse_sdp.sparsemat import BORDER, PIVOT_RTOL
 
 from conftest import (dense_mask, factor_to_dense, random_completable_partial,
                       random_filled_pattern, random_pd_on_pattern, reconstruct_dense,
-                      restrict_abs_error)
+                      restrict_abs_error, sparse_from_dense)
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_graphs", Path(__file__).resolve().parent.parent / "perfbench" / "graphs.py")
+graphs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(graphs)
 
 THRESHOLDS = [1, 6, 10_000]
 
@@ -49,9 +68,11 @@ class TestCliqueTree:
                 verts = np.concatenate((f.cols, f.seps))
                 assert np.all(np.diff(verts) > 0)
                 if f.parent >= 0:
-                    up = tree.fronts[f.parent]
-                    assert np.array_equal(np.concatenate((up.cols, up.seps))[f.upos],
-                                          f.seps)
+                    # uflat: U' x U' in the parent's C' x C' block, raveled
+                    up = np.concatenate((tree.fronts[f.parent].cols, tree.fronts[f.parent].seps))
+                    rows, cols = np.divmod(f.uflat.reshape(len(f.seps), -1), len(up))
+                    assert np.array_equal(up[rows], np.repeat(f.seps[:, None], len(f.seps), 1))
+                    assert np.array_equal(up[cols], np.repeat(f.seps[None, :], len(f.seps), 0))
                 else:
                     assert len(f.seps) == 0
 
@@ -142,3 +163,217 @@ class TestAgainstDense:
         with pytest.raises(NotPositiveDefinite) as info:
             cholesky_factorize(mat)
         assert info.value.pivot == 5
+
+
+SCALES = [1e-8, 1.0, 1e8]
+
+
+def long_double_lower_inverse(low):
+    """The inverse of the lower triangular ``low``, by forward
+    substitution in long double."""
+    low = np.asarray(low, dtype=np.longdouble)
+    inv = np.zeros_like(low)
+    for i in range(len(low)):
+        unit = np.zeros(len(low), dtype=np.longdouble)
+        unit[i] = 1
+        inv[i] = (unit - low[i, :i] @ inv[:i]) / low[i, i]
+    return inv
+
+
+def relative_error(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+def graded_pd_on_pattern(fill, rng):
+    """U diag(d) U^T for a unit lower U on the pattern, N(0, 1) below its
+    diagonal, and LDL^T pivots d = 10^(-10 u), u uniform: every pivot
+    passes the pivot test, while the front blocks reach condition
+    numbers near 1e14."""
+    n = fill.n
+    rows, cols = fill.slot_ends
+    low = np.eye(n)
+    low[rows[n:], cols[n:]] = rng.standard_normal(fill.nnz)
+    low *= 10.0 ** (-5 * rng.random(n))
+    return low @ low.T
+
+
+def unit_times_pivots(fill, rng, pivots):
+    """U diag(pivots) U^T for a unit lower U on the pattern, 0.4 N(0, 1)
+    below its diagonal."""
+    n = fill.n
+    rows, cols = fill.slot_ends
+    unit = np.eye(n)
+    unit[rows[n:], cols[n:]] = 0.4 * rng.standard_normal(fill.nnz)
+    return unit @ np.diag(pivots) @ unit.T
+
+
+def plain_cholesky_passes(dense, tol=PIVOT_RTOL):
+    """Whether the plain Cholesky of ``dense`` exists and its pivots are
+    above ``tol`` times its largest diagonal: the pivot test of every
+    front of ``cholesky_factorize`` at the default tol."""
+    try:
+        low = np.linalg.cholesky(dense)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.diagonal(low).min() ** 2 > tol * dense.diagonal().max())
+
+
+class TestBorderedBlocks:
+    def test_front_inverses_are_the_factor_blocks_inverses(self, merge_size):
+        rng = np.random.default_rng(10)
+        worst, conds = 0.0, []
+        for _ in range(30):
+            fill = random_filled_pattern(int(rng.integers(2, 30)), rng.random() * 0.5, rng)
+            dense = graded_pd_on_pattern(fill, rng)
+            for scale in SCALES:
+                factor = cholesky_factorize(sparse_from_dense(fill, scale * dense))
+                low = factor_to_dense(factor)
+                fronts = fill.clique_tree.fronts
+                assert len(factor.front_inverses) == len(fronts)
+                for front, inv in zip(fronts, factor.front_inverses):
+                    block = low[np.ix_(front.cols, front.cols)]
+                    worst = max(worst, relative_error(inv, long_double_lower_inverse(block)))
+                    conds.append(np.linalg.cond(block) ** 2)
+        assert worst <= 1e-12
+        assert max(conds) > 1e13
+
+    def test_inverse_rows_are_the_clique_factors_inverses(self):
+        rng = np.random.default_rng(11)
+        worst, conds = 0.0, []
+        for _ in range(30):
+            n = int(rng.integers(2, 30))
+            fill = random_filled_pattern(n, rng.random() * 0.5, rng)
+            basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            dense = basis @ np.diag(np.logspace(0, -14, n)) @ basis.T
+            for scale in SCALES:
+                xbar = sparse_from_dense(fill, scale * dense)
+                factors = completion_factors(xbar)
+                plan = fill.clique_plan
+                for border, rows, (_, residual) in zip(plan.borders, factors.inverse_rows,
+                                                       plan.buckets):
+                    # the clique factors L_r: the leading blocks of the same call
+                    k = residual.shape[1]
+                    chol = np.linalg.cholesky(border(xbar.values))[:, :k, :k]
+                    for low, t, mask in zip(chol, rows, residual):
+                        want = np.where(mask[:, None], long_double_lower_inverse(low), 0.0)
+                        worst = max(worst, relative_error(t, want))
+                        conds.append(np.linalg.cond(low) ** 2)
+        assert worst <= 1e-12
+        assert max(conds) > 1e13
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_factor_fails_exactly_where_the_plain_pivot_test_does(self, merge_size, scale):
+        rng = np.random.default_rng(12)
+        for trial in range(60):
+            n = int(rng.integers(2, 16))
+            fill = random_filled_pattern(n, rng.random() * 0.6, rng)
+            # one pivot just above or just below the test, or negative; a
+            # pivot that small moves no diagonal, and so not the test
+            pivots = 0.5 + 1.5 * rng.random(n)
+            j = int(rng.integers(n))
+            pivots[j] = 0.0
+            tol = PIVOT_RTOL * unit_times_pivots(fill, np.random.default_rng(trial),
+                                                 pivots).diagonal().max()
+            pivots[j] = (2.0 * tol, 0.5 * tol, -1.0)[trial % 3]
+            dense = unit_times_pivots(fill, np.random.default_rng(trial), pivots)
+            passes = plain_cholesky_passes(dense)
+            assert passes == (trial % 3 == 0)
+            mat = sparse_from_dense(fill, scale * dense)
+            if passes:
+                assert len(cholesky_factorize(mat).front_inverses) == len(fill.clique_tree.fronts)
+            else:
+                with pytest.raises(NotPositiveDefinite) as info:
+                    cholesky_factorize(mat)
+                assert info.value.pivot == j
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_completion_fails_exactly_where_a_plain_clique_factor_does(self, scale):
+        rng = np.random.default_rng(13)
+        for trial in range(60):
+            n = int(rng.integers(2, 16))
+            xbar, dense = random_completable_partial(n, rng.random() * 0.6, rng)
+            # shift the diagonal so that the smallest eigenvalue over the
+            # clique blocks sits just above or just below 0
+            cliques = xbar.pattern.cliques.cliques
+            margin = (1e-9, -1e-9)[trial % 2]
+            low = min(np.linalg.eigvalsh(dense[np.ix_(c, c)])[0] for c in cliques)
+            dense = dense - (low - margin) * np.eye(n)
+            plain = [plain_cholesky_passes(dense[np.ix_(c, c)], tol=0.0) for c in cliques]
+            assert all(plain) == (margin > 0)
+            partial = sparse_from_dense(xbar.pattern, scale * dense)
+            if all(plain):
+                completion_factors(partial)
+            else:
+                with pytest.raises(NotCompletable):
+                    completion_factors(partial)
+
+    def test_border_fails_only_past_its_stated_bound(self):
+        # the border of a clique block R passes while ||R^-1|| < BORDER:
+        # R = diag(1, lam) passes at lam = 4 / BORDER and fails at
+        # lam = 1 / (4 BORDER), where the plain Cholesky passes
+        pat = SparseSymPattern(2, [(0, 1)])
+        for lam, passes in ((4.0 / BORDER, True), (0.25 / BORDER, False)):
+            xbar = SparseSymMatrix(pat, [1.0, lam, 0.0])
+            np.linalg.cholesky(xbar.to_dense())
+            if passes:
+                completion_factors(xbar)
+            else:
+                with pytest.raises(NotCompletable):
+                    completion_factors(xbar)
+
+
+def benchmark_problem(family):
+    seed = trial_seed(3, 0)
+    if family == "random":
+        return maxcut_sdp(random_graph(35, 105, seed))
+    if family == "banded":
+        return maxcut_sdp(Graph(*graphs.banded_graph(60, 3, seed)))
+    return maxcut_sdp(Graph(*graphs.odd_torus_graph(5, 7, seed, max_weight=2)))
+
+
+class TestNoLuInverses:
+    @pytest.mark.parametrize("family", ["random", "banded", "torus"])
+    def test_solve_path_kernels_call_no_lu_inverse_or_solve(self, family, monkeypatch):
+        # the dual factor, the selected inverse, the completion sweep and
+        # the inverse of a dual factor take every triangular inverse from
+        # the bordered Cholesky calls; a factor made from its values alone
+        # (that of the completion inverse) may invert its fronts once
+        problem = benchmark_problem(family)
+        x0, y0 = initial_point(problem)
+        inside, lu_calls, dual_factors, calls = [], [], [], {}
+
+        def counting(name, real):
+            def call(*args, **kwargs):
+                if inside:
+                    lu_calls.append((inside[-1], name))
+                return real(*args, **kwargs)
+            return call
+
+        def guarded(name, real, only=None):
+            def call(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                watch = only is None or any(args[0] is f for f in dual_factors)
+                if watch:
+                    inside.append(name)
+                try:
+                    out = real(*args, **kwargs)
+                finally:
+                    if watch:
+                        inside.pop()
+                if name == "cholesky_factorize":
+                    dual_factors.append(out)
+                return out
+            return call
+
+        for name in ("inv", "solve"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        for name in ("cholesky_factorize", "sparse_inverse", "completion_factors",
+                     "completion_inverse"):
+            monkeypatch.setattr(solver, name, guarded(name, getattr(solver, name)))
+        monkeypatch.setattr(solver, "inverse_columns",
+                            guarded("inverse_columns", solver.inverse_columns, only="dual"))
+        report = solve(problem, x0, y0, SolverConfig())
+        assert report.status == "converged"
+        assert lu_calls == []
+        assert set(calls) == {"cholesky_factorize", "sparse_inverse", "completion_factors",
+                              "completion_inverse", "inverse_columns"}

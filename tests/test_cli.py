@@ -219,6 +219,15 @@ class TestMaxcutCommand:
         assert rows and set(rows[0]) == {"iter", "gap", "phi", "newton_res_primal",
                                          "newton_res_dual", "descent_steps"}
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_edgeless_graph_prints_positive_zero(self, tmp_path, capsys, n):
+        # the primal value of an edgeless graph used to print as -0.0
+        path = tmp_path / "edgeless.txt"
+        path.write_text(f"{n} 0\n")
+        code, out, _ = run_cli(["maxcut", str(path)], capsys)
+        assert code == 0
+        assert "sdp primal value (max form): 0.0\n" in out
+        assert "best cut: 0.0 " in out
 
     def test_empty_graph_file_exit_one(self, tmp_path, capsys):
         path = tmp_path / "empty.txt"

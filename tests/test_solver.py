@@ -787,9 +787,11 @@ class TestCompletionSweep:
         primal = solver.PrimalHalf(x0)
         assert primal.inv is not None and primal.factor is not None
         # one batched call per bucket, none for a separator, and the
-        # factor of the completion inverse comes from the same sweep
+        # factor of the completion inverse comes from the same sweep: each
+        # k x k block is factored bordered, as [[R, I], [I, beta I]]
         buckets = problem.fill.clique_plan.buckets
-        assert [shape[1:] for shape in calls] == [gather.shape[1:] for gather, _ in buckets]
+        assert [shape[1:] for shape in calls] == \
+            [(2 * gather.shape[1], 2 * gather.shape[2]) for gather, _ in buckets]
         assert sum(shape[0] for shape in calls) == len(cs)
         # every clique is exactly one block: its vertices are the block's
         # diagonal slots below n, the pads read the slot past the storage

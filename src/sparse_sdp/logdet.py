@@ -11,8 +11,10 @@ none of them inverts a block: the factor of S brings its inverses from
 the bordered fronts of ``sparsemat.cholesky_factorize``, and the factor
 of the completion inverse (``completion.completion_inverse_factor``),
 which serves as well, inverts its fronts once, on first read.
-``hess_from_columns`` gives W Z W on the pattern from W held in full,
-by dense row dots; the solver takes every product it needs that way
+``hess_from_columns`` gives W Z W on the pattern from W held in full:
+W Z from one scaling of W's columns by Z's diagonal and a sorted sum
+over Z's off-diagonal entries, then one row dot of W per slot; the
+solver takes every product it needs that way
 (the Newton systems' columns, as in Fujisawa, Kojima and Nakata, Math.
 Prog. 79, 1997), and ``hess_vec`` is the product that needs no n x n
 storage (Andersen, Dahl and Vandenberghe, Optim. Methods Softw. 28,
@@ -24,6 +26,8 @@ from __future__ import annotations
 import numpy as np
 
 from .sparsemat import SparseSymMatrix
+
+HFC_BLOCK = 1 << 15     # products per block of ``hess_from_columns``
 
 
 def _front_blocks(factor):
@@ -114,45 +118,48 @@ def hess_from_columns(w, z):
     """Entries on Z's pattern of W Z W, from W held in full.
 
     ``w`` is the n x n symmetric W, e.g. ``inverse_columns(factor)``;
-    any other shape raises ValueError.  First
-    T = W Z, summed from Z's nonzero entries (O(n nnz(Z)) work, no dense
-    Z); then (W Z W)_ij = W[i, :] . T[j, :] for each diagonal and
-    off-diagonal slot.  Both steps run in blocks of at most
-    max(n^2, 2^15) products, so the storage beyond the result and Z's
-    entry lists is O(n^2), the size of ``w`` itself, and small problems
-    take one block.
+    any other shape raises ValueError.  First T = W Z by the class of
+    Z's entries: the diagonal scales W's columns, W diag(z), in one
+    pass, and each nonzero off-diagonal entry z (e_a e_b^T + e_b e_a^T)
+    adds z W[b, :] to column a of T and z W[a, :] to column b, summed
+    per column over the entries sorted by it (O(n nnz(Z)) work, no
+    dense Z).  Then (W Z W)_ij = W[i, :] . T[j, :] for each diagonal and
+    off-diagonal slot.  The off-diagonal sums and the row dots run in
+    blocks of at most max(n, 2^15) products, so the storage beyond T,
+    the result and Z's entry lists is O(n) and a temporary stays small
+    enough to be reused rather than mapped afresh.
     """
     pat = z.pattern
     n = pat.n
     if w.shape != (n, n):
         raise ValueError(f"W must be {n} x {n}, not {w.shape}")
     rows, cols = pat.slot_ends
-    nz = np.flatnonzero(z.values)
-    a, b = rows[nz], cols[nz]
+    t = w * z.diag
 
-    # rows of T^T: T^T[dst] += z W[src, :]^T over both orientations of
-    # each entry, grouped by dst so each block adds one sum per row
-    off = a != b
-    dst = np.concatenate((a, b[off]))
+    # columns of T: T[:, dst] += z W[src, :]^T over both orientations of
+    # each off-diagonal entry, grouped by dst so each block adds one sum
+    # per column
+    nz = n + np.flatnonzero(z.offdiag)
+    a, b = rows[nz], cols[nz]
+    dst = np.concatenate((a, b))
     order = np.argsort(dst, kind="stable")
     dst = dst[order]
-    src = np.concatenate((b, a[off]))[order]
-    val = np.concatenate((z.values[nz], z.values[nz][off]))[order]
-    block = max(n * n, 1 << 15)
-    tt = np.zeros((n, n))
-    step = block // max(n, 1)
+    src = np.concatenate((b, a))[order]
+    val = np.tile(z.values[nz], 2)[order]
+    step = max(HFC_BLOCK // max(n, 1), 1)
     for lo in range(0, len(dst), step):
         d = dst[lo:lo + step]
         first = np.ones(len(d), dtype=bool)
         np.not_equal(d[1:], d[:-1], out=first[1:])
         first = np.flatnonzero(first)
-        tt[d[first]] += np.add.reduceat(w.T[src[lo:lo + step]] * val[lo:lo + step, None],
-                                        first, axis=0)
+        part = w[src[lo:lo + step]]
+        part *= val[lo:lo + step, None]
+        t[:, d[first]] += np.add.reduceat(part, first, axis=0).T
 
     out = np.empty(n + pat.nnz)
     for lo in range(0, len(out), step):
-        out[lo:lo + step] = np.einsum("ij,ji->i", w[rows[lo:lo + step]],
-                                      tt[:, cols[lo:lo + step]])
+        out[lo:lo + step] = np.einsum("ij,ij->i", w[rows[lo:lo + step]],
+                                      t[cols[lo:lo + step]])
     return SparseSymMatrix(pat, out, check=False)
 
 

@@ -4,9 +4,11 @@ An `SdpProblem` owns the standard-form data (C, A_1..A_m, b), a
 fill-reducing ordering of the aggregate pattern of all data matrices, the
 chordal extension produced by symbolic factorization, which caches its
 cliques, their clique plan and their clique tree on first read, and one
-table of the constraint entries on that extension.  It assembles the
-m x m matrix A_p . (W A_q W) of a Newton system from W held in full,
-and the Gram matrix A_p . A_q as that matrix at W = I.
+table of the constraint entries on that extension, split once into its
+diagonal and off-diagonal entries.  The maps A and A* are one
+``np.bincount`` each over the table.  It assembles the m x m matrix
+A_p . (W A_q W) of a Newton system from W held in full, block by entry
+class, and the Gram matrix A_p . A_q as that matrix at W = I.
 All stored matrices live in the permuted (elimination) labels;
 `ordering` maps original labels to them.
 """
@@ -14,6 +16,7 @@ All stored matrices live in the permuted (elimination) labels;
 from __future__ import annotations
 
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,7 +87,10 @@ class SdpProblem:
         self._ent_val = val[order]
         self._ent_weight = np.where(rows == cols, 1.0, 2.0)[order] * self._ent_val
         self._ent_r, self._ent_s = (ends[self._ent_slot] for ends in fill.slot_ends)
-        self._ent_start = np.flatnonzero(np.diff(self._ent_own, prepend=-1))
+        # the table's diagonal (r = s) and off-diagonal entries, for the
+        # Newton matrix's blocks
+        self._diag, self._off = (_EntryClass.of(self, sub) for sub in
+                                 (self._ent_r == self._ent_s, self._ent_r != self._ent_s))
         self._gram_inv = None
 
     @cached_property
@@ -97,17 +103,18 @@ class SdpProblem:
         return [a.permuted(self.ordering) for a in self._data]
 
     def apply_map(self, w):
-        """(A_1.W, ..., A_m.W) for W supported on the fill pattern."""
-        out = np.zeros(self.m)
-        np.add.at(out, self._ent_own, w.values[self._ent_slot] * self._ent_weight)
-        return out
+        """(A_1.W, ..., A_m.W) for W supported on the fill pattern: one
+        ``np.bincount`` of W's entries times their weights by owner."""
+        return np.bincount(self._ent_own, w.values[self._ent_slot] * self._ent_weight,
+                           minlength=self.m)
 
     def adjoint_map(self, z):
-        """sum_p z_p A_p scattered onto the fill pattern."""
+        """sum_p z_p A_p on the fill pattern: one ``np.bincount`` of the
+        entries' values times z of their owner, by slot."""
         z = np.asarray(z, dtype=float)
-        out = SparseSymMatrix.zeros(self.fill)
-        np.add.at(out.values, self._ent_slot, z[self._ent_own] * self._ent_val)
-        return out
+        values = np.bincount(self._ent_slot, z[self._ent_own] * self._ent_val,
+                             minlength=self.n + self.fill.nnz)
+        return SparseSymMatrix(self.fill, values, check=False)
 
     def newton_matrix(self, w):
         """The m x m matrix M_pq = A_p . (W A_q W) for a symmetric W.
@@ -116,19 +123,31 @@ class SdpProblem:
         c (e_r e_s^T + e_s e_r^T), c half the entry's weight,
           M = P^T K P,
           K_ef = 2 c_e c_f (W_{s_e r_f} W_{s_f r_e} + W_{s_e s_f} W_{r_e r_f}),
-        where P sums the entries into their constraints.  For
-        unit-diagonal constraints (MAX-CUT) this is M = W o W.
+        where P sums the entries into their constraints.  K is built by
+        entry class, each block by one formula: between two diagonal
+        entries (r = s) it is w_e w_f W_{r_e r_f}^2, one gather of W, its
+        square and the weights w; every block that touches an
+        off-diagonal entry takes the general formula.  For unit-diagonal
+        constraints (MAX-CUT) M = W o W, the diagonal block alone.  No
+        block outlives the call.
         """
-        r, s = self._ent_r, self._ent_s
-        wsr = w[np.ix_(s, r)]
-        k = wsr * wsr.T + w[np.ix_(s, s)] * w[np.ix_(r, r)]
-        k *= np.outer(self._ent_weight, 0.5 * self._ent_weight)
-        out = np.zeros((self.m, self.m))
-        start = self._ent_start
-        if len(start):
-            own = self._ent_own[start]
-            out[np.ix_(own, own)] = np.add.reduceat(
-                np.add.reduceat(k, start, axis=0), start, axis=1)
+        diag, off = self._diag, self._off
+        k = w[np.ix_(diag.r, diag.r)]
+        k *= k
+        k *= diag.weight[:, None]
+        k *= diag.weight
+        k = _constraint_sums(k, diag.start, diag.start)
+        if len(diag.owner) == self.m:       # every constraint has a diagonal entry
+            out = k
+        else:
+            out = np.zeros((self.m, self.m))
+            out[np.ix_(diag.owner, diag.owner)] = k
+        if len(off.r):
+            mixed = _constraint_sums(_general_block(w, diag, off), diag.start, off.start)
+            out[np.ix_(diag.owner, off.owner)] += mixed
+            out[np.ix_(off.owner, diag.owner)] += mixed.T
+            out[np.ix_(off.owner, off.owner)] += _constraint_sums(
+                _general_block(w, off, off), off.start, off.start)
         return out
 
     def _gram_inverse(self):
@@ -168,6 +187,48 @@ class SdpProblem:
 
     def __repr__(self):
         return f"SdpProblem(n={self.n}, m={self.m}, nnz_fill={self.fill.nnz})"
+
+
+class _EntryClass(NamedTuple):
+    """One class of the entry table, still by constraint: the ends r, s
+    and weights of its entries, the first entry of each constraint's
+    group and that constraint."""
+
+    r: np.ndarray
+    s: np.ndarray
+    weight: np.ndarray
+    start: np.ndarray
+    owner: np.ndarray
+
+    @classmethod
+    def of(cls, problem, sub):
+        """The class of ``problem``'s entries where the mask ``sub`` holds."""
+        own = problem._ent_own[sub]
+        start = np.flatnonzero(np.diff(own, prepend=-1))
+        return cls(problem._ent_r[sub], problem._ent_s[sub],
+                   problem._ent_weight[sub], start, own[start])
+
+
+def _general_block(w, e, f):
+    """K_ef = 2 c_e c_f (W_{s_e r_f} W_{s_f r_e} + W_{s_e s_f} W_{r_e r_f})
+    for e over the entry class ``e`` and f over ``f``, c half the
+    weight."""
+    k = w[np.ix_(e.s, f.r)] * w[np.ix_(e.r, f.s)]
+    k += w[np.ix_(e.s, f.s)] * w[np.ix_(e.r, f.r)]
+    k *= e.weight[:, None]
+    k *= 0.5 * f.weight
+    return k
+
+
+def _constraint_sums(k, row_start, col_start):
+    """P^T k Q: the rows of ``k`` summed over the groups that begin at
+    ``row_start``, its columns over those at ``col_start``, skipping an
+    axis whose groups are single entries."""
+    if len(row_start) < k.shape[0]:
+        k = np.add.reduceat(k, row_start, axis=0)
+    if len(col_start) < k.shape[1]:
+        k = np.add.reduceat(k, col_start, axis=1)
+    return k
 
 
 def _spd_inverse(g):

@@ -120,11 +120,15 @@ def read_sdpa(path):
 
 
 def write_sdpa(path, c, constraints, b):
-    """Write a single-block .dat-s file (upper triangle entries)."""
+    """Write a single-block .dat-s file (upper triangle entries).
+
+    With no constraints the b line is ``{}``: a blank line would be
+    skipped on reading and the first entry taken for b.
+    """
     n = c.n
     with open(path, "w") as fh:
         fh.write(f"{len(constraints)}\n1\n{n}\n")
-        fh.write(" ".join(repr(float(v)) for v in b) + "\n")
+        fh.write((" ".join(repr(float(v)) for v in b) or "{}") + "\n")
         for t, mat in enumerate([c] + list(constraints)):
             # the diagonal, then the edges by (col, row): the storage order
             rows, cols = mat.pattern.slot_ends

@@ -11,14 +11,16 @@ reduce the potential
 Both Newton systems are solved exactly: their m x m matrix M is
 assembled once per system from W (S^-1 on the dual side, the completion
 X^ on the primal side) held in full, which batched forward and back
-solves on the sparse factor give, then factored once by a dense
+solves on the sparse factor give, by the class of the constraint
+entries (``SdpProblem.newton_matrix``), then factored once by a dense
 Cholesky, which is also its positive-definiteness check, and solved by
 blocked forward and back substitution through that factor.  Each solve
 reports its relative residual |M v - rhs| / |rhs|.  A factorization
 that fails raises NewtonBreakdown.  The same W turns the solution back
-into a matrix:
-the image W (sum v_p A_p) W on the fill pattern is dense row dots of W,
-with no sweep over the factor, and so is X^ M X^.
+into a matrix: the image W (sum v_p A_p) W on the fill pattern, and X^
+M X^, come from ``hess_from_columns``, which scales W's columns by the
+diagonal of the combination, adds its off-diagonal entries' columns of
+W, and takes one row dot of W per slot, with no sweep over the factor.
 
 An iterate is a dual half and a primal half with one interface: ``mat``
 is S, or X on F; ``logdet`` is ln det S, or ln det X^; ``inv`` is S^-1

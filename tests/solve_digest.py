@@ -25,7 +25,9 @@ read back through ``read_sdpa`` -- at ``trial_seed(3, 0..5)``, each in
 four- and two-direction mode.  The digest covers C, x0 and y0 of every
 problem; the outputs of ``cholesky_factorize``, ``sparse_inverse`` and
 ``hess_vec(factor, C, sinv)`` at the starting slack C - sum y0_p A_p,
-which covers ``hess_vec`` although no solve calls it; then each solve's
+which covers ``hess_vec`` although no solve calls it, and of what the
+directions call on that factor: W = ``inverse_columns(factor)``,
+``newton_matrix(W)`` and ``hess_from_columns(W, C)``; then each solve's
 iteration CSV and Gram vectors, or the message and partial CSV of an
 ``IterationLimit``.  The kernel hash covers those kernel outputs, the
 solve hash the rest, and the path hash the rest but the Gram vectors.
@@ -45,8 +47,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from sparse_sdp import (EliminationOrdering, Graph, IterationLimit,  # noqa: E402
-                        SdpProblem, SolverConfig, cholesky_factorize, hess_vec,
-                        initial_point, maxcut_sdp, random_graph, read_sdpa,
+                        SdpProblem, SolverConfig, cholesky_factorize,
+                        hess_from_columns, hess_vec, initial_point,
+                        inverse_columns, maxcut_sdp, random_graph, read_sdpa,
                         solve, sparse_inverse, write_sdpa)
 from sparse_sdp.bench import trial_seed  # noqa: E402
 from sparse_sdp.maxcut import gram_vectors  # noqa: E402
@@ -97,8 +100,10 @@ def digest(out=sys.stdout):
                 feed(part, solves, paths)
             factor = cholesky_factorize(problem.dual_slack(y0))
             sinv = sparse_inverse(factor)
+            w = inverse_columns(factor)
             for part in (factor.values, np.float64(factor.logdet), sinv.values,
-                         hess_vec(factor, problem.c, sinv).values):
+                         hess_vec(factor, problem.c, sinv).values, w,
+                         problem.newton_matrix(w), hess_from_columns(w, problem.c).values):
                 feed(part, kernels)
             for mode in ("four", "two"):
                 feed(f"{label} {mode}", solves, paths)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparse_sdp import logdet
 from sparse_sdp import (CholeskyFactor, SparseSymMatrix, SparseSymPattern,
                         cholesky_factorize, hess_from_columns, hess_vec, inverse_columns,
                         sparse_inverse)
@@ -163,25 +164,33 @@ class TestHessVec:
                 hess_vec(fac, on, sinv=off)
 
 
-def random_z_on(pattern, rng):
+def random_z_on(pattern, rng, kind="mixed"):
     """Random Z on ``pattern`` with about 70 % of its diagonal and
-    off-diagonal entries nonzero."""
+    off-diagonal entries nonzero, or of one class only: ``kind``
+    "diagonal" or "off-diagonal" zeroes the other class."""
     keep = rng.random(pattern.n + pattern.nnz) < 0.7
+    if kind == "diagonal":
+        keep[pattern.n:] = False
+    elif kind == "off-diagonal":
+        keep[:pattern.n] = False
     return SparseSymMatrix(pattern,
                            np.where(keep, rng.standard_normal(len(keep)), 0.0))
 
 
 class TestHessFromColumns:
+    # Z's diagonal entries scale W's columns, its off-diagonal ones go
+    # through the sorted sums, so each class is checked alone and mixed
+    @pytest.mark.parametrize("kind", ["mixed", "diagonal", "off-diagonal"])
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 24), density=st.floats(0.0, 0.7),
            seed=st.integers(0, 2**32 - 1))
-    def test_random_chordal_patterns_match_dense_and_hess_vec(self, n, density,
+    def test_random_chordal_patterns_match_dense_and_hess_vec(self, kind, n, density,
                                                               seed):
         rng = np.random.default_rng(seed)
         fill = random_filled_pattern(n, density, rng)
         mat, dense = random_pd_on_pattern(fill, rng)
         fac = cholesky_factorize(mat)
-        z = random_z_on(fill, rng)
+        z = random_z_on(fill, rng, kind)
         out = hess_from_columns(inverse_columns(fac), z)
         dinv = np.linalg.inv(dense)
         target = dinv @ z.to_dense() @ dinv
@@ -189,6 +198,22 @@ class TestHessFromColumns:
         assert restrict_abs_error(target, out) <= 1e-12 * scale
         want = hess_vec(fac, z, sinv=sparse_inverse(fac))
         assert np.abs(out.values - want.values).max() <= 1e-12 * scale
+
+    def test_sums_split_over_blocks(self, monkeypatch):
+        # one product per block splits every column's sum over blocks
+        rng = np.random.default_rng(46)
+        fill = random_filled_pattern(14, 0.5, rng)
+        mat, dense = random_pd_on_pattern(fill, rng)
+        w = inverse_columns(cholesky_factorize(mat))
+        z = random_z_on(fill, rng)
+        whole = hess_from_columns(w, z).values
+        monkeypatch.setattr(logdet, "HFC_BLOCK", 1)
+        split = hess_from_columns(w, z)
+        dinv = np.linalg.inv(dense)
+        target = dinv @ z.to_dense() @ dinv
+        scale = np.abs(target).max()
+        assert restrict_abs_error(target, split) <= 1e-12 * scale
+        assert np.abs(split.values - whole).max() <= 1e-13 * scale
 
     def test_wrong_shape_columns_raise(self):
         fill = SparseSymPattern(3, [(0, 1), (1, 2)])

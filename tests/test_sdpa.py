@@ -40,6 +40,15 @@ class TestRoundtrip:
             assert np.allclose(a.to_dense(), ref.to_dense())
         assert np.allclose(b2, np.ones(6))
 
+    def test_no_constraints(self, tmp_path):
+        # the b line of m = 0 must survive reading, which skips blank lines
+        c = SparseSymMatrix(SparseSymPattern(3, [(2, 0)]), [1.0, 2.0, 3.0, 0.5])
+        path = tmp_path / "free.dat-s"
+        write_sdpa(path, c, [], np.zeros(0))
+        c2, a2, b2 = read_sdpa(path)
+        assert np.array_equal(c2.to_dense(), c.to_dense())
+        assert a2 == [] and b2.shape == (0,)
+
     def test_comments_and_braces_tolerated(self, tmp_path):
         path = tmp_path / "inst.dat-s"
         path.write_text(

@@ -16,7 +16,7 @@ from sparse_sdp.solver import EXTRA_ITERS
 
 from conftest import (dense_mask, dense_reference_directions,
                       problem_dense_data, random_generic_sdp, reconstruct_dense,
-                      restrict_abs_error)
+                      restrict_abs_error, sparse_from_dense)
 
 
 def make_state(problem, gamma=None):
@@ -102,7 +102,15 @@ class TestProblemInvariants:
         assert np.array_equal(problem._ent_weight, times * val)
         assert np.array_equal(problem._ent_r, r)
         assert np.array_equal(problem._ent_s, s)
-        assert np.array_equal(own[problem._ent_start], np.arange(problem.m))
+        # the diagonal and the off-diagonal class split the table, each in
+        # its order, with one group per constraint that has entries there
+        for (cr, cs, cw, start, owner), sub in zip((problem._diag, problem._off),
+                                                   (r == s, r != s)):
+            assert np.array_equal(cr, r[sub]) and np.array_equal(cs, s[sub])
+            assert np.array_equal(cw, (times * val)[sub])
+            assert np.array_equal(owner, np.unique(own[sub]))
+            assert np.array_equal(owner, own[sub][start])
+        assert problem._off.owner.size > 0
 
 
 class TestApplyMap:
@@ -116,18 +124,22 @@ class TestApplyMap:
         w = SparseSymMatrix.identity(problem.fill)
         assert np.allclose(problem.apply_map(w), 1.0)
 
-    def test_random_problem_against_dense(self):
+    @pytest.mark.parametrize("which", ["maxcut", "mixed classes"])
+    def test_random_problem_against_dense(self, which):
         rng = np.random.default_rng(40)
-        problem = maxcut_sdp(random_graph(6, 9, seed=3))
+        problem = maxcut_sdp(random_graph(6, 9, seed=3)) if which == "maxcut" \
+            else mixed_class_problem()
         c_dense, a_dense, _ = problem_dense_data(problem)
         w = SparseSymMatrix(problem.fill, rng.standard_normal(problem.n + problem.fill.nnz))
         wd = w.to_dense()
         expected = [float(np.sum(a * wd)) for a in a_dense]
         assert np.allclose(problem.apply_map(w), expected, atol=1e-12)
 
-    def test_adjoint_consistency(self):
+    @pytest.mark.parametrize("which", ["maxcut", "mixed classes"])
+    def test_adjoint_consistency(self, which):
         rng = np.random.default_rng(41)
-        problem = maxcut_sdp(random_graph(7, 10, seed=5))
+        problem = maxcut_sdp(random_graph(7, 10, seed=5)) if which == "maxcut" \
+            else mixed_class_problem()
         z = rng.standard_normal(problem.m)
         w = SparseSymMatrix(problem.fill, rng.standard_normal(problem.n + problem.fill.nnz))
         lhs = float(z @ problem.apply_map(w))
@@ -338,6 +350,28 @@ def generic_problem(rng):
     return state, off_entries
 
 
+def mixed_class_problem():
+    """6 x 6 problem whose constraints mix the diagonal and off-diagonal
+    entry classes: A_0 has two diagonal entries and an off-diagonal one,
+    A_2 no diagonal entry, A_3 no off-diagonal one, and slots (2, 2) and
+    (3, 1) each hold entries of two constraints, so G is not diagonal."""
+    n = 6
+    entries = [{(0, 0): 1.5, (2, 2): 0.7, (3, 1): 0.4},
+               {(2, 2): 1.0, (4, 3): -0.3, (5, 2): 0.8},
+               {(5, 0): 0.6, (1, 0): -0.2},
+               {(4, 4): 1.2, (5, 5): 0.9},
+               {(3, 1): 1.1}]
+    constraints = []
+    for ent in entries:
+        dense = np.zeros((n, n))
+        for (i, j), v in ent.items():
+            dense[i, j] = dense[j, i] = v
+        edges = [key for key in ent if key[0] != key[1]]
+        constraints.append(sparse_from_dense(SparseSymPattern(n, edges), dense))
+    c = SparseSymMatrix.identity(SparseSymPattern(n, [(i, i - 1) for i in range(1, n)]))
+    return SdpProblem(c, constraints, np.array([a.diag.sum() for a in constraints]))
+
+
 class TestHalfContract:
     """Both halves answer to ``mat``, ``logdet``, ``inv`` and ``factor``:
     S or X on F, ln det S or ln det X^, S^-1 on F or X^-1, and the factor
@@ -378,6 +412,24 @@ class TestNewtonMatrix:
         # away from X = I, where X^ A_p X^ would hide primal-side errors
         assert np.abs(state.primal.mat.offdiag).max() > 1e-2
         self.check(state)
+
+    @pytest.mark.parametrize("which", ["mixed classes", "generic", "maxcut"])
+    def test_against_the_dense_oracle(self, which):
+        # M_pq = A_p . (W A_q W) for a W that is not any iterate's
+        if which == "mixed classes":
+            problem = mixed_class_problem()
+            assert len(np.unique(problem._ent_slot)) < len(problem._ent_slot)
+        elif which == "generic":
+            problem = generic_problem(np.random.default_rng(44))[0].problem
+        else:
+            problem = maxcut_sdp(random_graph(9, 14, seed=4))
+        n = problem.n
+        g = np.random.default_rng(47).standard_normal((n, n))
+        w = g @ g.T / n + np.eye(n)
+        dense = [a.to_dense() for a in problem.constraints]
+        want = np.array([[np.sum(ap * (w @ aq @ w)) for aq in dense] for ap in dense])
+        got = problem.newton_matrix(w)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_maxcut_is_the_hadamard_square(self):
         # constraint p is e_v e_v^T for v = perm[p] in the elimination labels
@@ -425,6 +477,32 @@ class TestNewtonMatrix:
         assert calls == []
 
 
+class TestGenericSolvesCertified:
+    """Full solves of random generic SDPs, whose constraints carry
+    off-diagonal entries, certified apart from the solver: the dense
+    completion X^ and S(y) are PSD, A(X^) = b, and C.X^ - b.y is the
+    reported gap."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n,m", [(12, 6), (20, 10), (30, 15)])
+    def test_solve_is_certified(self, n, m, seed):
+        problem = SdpProblem(*random_generic_sdp(n, m, np.random.default_rng(seed)))
+        report = solve(problem, *_generic_initial_point(problem), SolverConfig())
+        assert report.status == "converged"
+        assert report.gap <= SolverConfig().gap_tol
+        xhat = reconstruct_dense(report.state.primal.mat)
+        y = report.state.dual.y
+        c = problem.c.to_dense()
+        a = [ap.to_dense() for ap in problem.constraints]
+        s = c - sum(yp * ap for yp, ap in zip(y, a))
+        for mat in (xhat, s):
+            eig = np.linalg.eigvalsh(mat)
+            assert eig[0] >= -1e-12 * eig[-1]
+        assert np.abs([np.sum(ap * xhat) for ap in a] - problem.b).max() <= 1e-8
+        gap = np.sum(c * xhat) - problem.b @ y
+        assert gap == pytest.approx(report.gap, rel=1e-8, abs=1e-12)
+
+
 class TestProjection:
     def test_generic_constraints_against_dense_least_squares(self):
         problems = [generic_problem(np.random.default_rng(44))[0].problem]
@@ -456,6 +534,12 @@ class TestProjection:
             want = dense @ dense.T
             got = np.linalg.inv(problem._gram_inverse())
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        # the general path, with slots shared in both entry classes
+        problem = mixed_class_problem()
+        dense = np.array([a.to_dense().ravel() for a in problem.constraints])
+        want = dense @ dense.T
+        got = np.linalg.inv(problem._gram_inverse())
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
         problem = maxcut_sdp(random_graph(9, 14, seed=4))
         assert np.array_equal(problem._gram_inverse(), np.eye(problem.n))
 

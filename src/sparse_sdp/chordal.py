@@ -17,9 +17,10 @@ of the primal partial matrix factors each bucket's blocks bordered by
 identities, which gives their factors and the factors' inverses in one
 call, and the dual residual's L L^T reads the same blocks.  Its
 ``clique_tree`` (a ``CliqueTree``) merges the same cliques into the
-dense fronts that the factor and inverse kernels run on, and says how
-``sparsemat.cholesky_factorize`` borders each front.  Both index maps
-read the constant slots that ``sparsemat.padded`` appends.
+dense fronts that the factor and inverse kernels run on.  Each holds
+one index map into [diag | offdiag] with constant slots appended
+(``sparsemat.padded``); a bordered block is a copy of the constant
+template ``sparsemat.bordered`` with the block written in.
 """
 
 from __future__ import annotations
@@ -163,21 +164,17 @@ class CliquePlan:
     block is X_{U_r,U_r}.  The blocks are grouped into the buckets that
     ``bucket_sizes`` picks, and a block of size k_r in a bucket of size k
     is padded to k x k after S_r: its pad diagonal reads the slot ``one``
-    and every other pad entry the slot ``zero``, two of the slots that
+    and every other pad entry the slot ``zero``, the two slots that
     ``sparsemat.padded`` appends to [diag | offdiag].  A padded block is
     blockdiag(R_r, I), whose Cholesky factor is blockdiag(L_r, I), so one
-    batched call per bucket factors or multiplies all its blocks.
+    batched call per bucket factors or multiplies all its blocks; the
+    completion sweep borders them in copies of ``sparsemat.bordered(k)``.
 
     ``buckets`` holds one ``(gather, residual)`` per bucket, by increasing
     size k: the (N, k, k) slots of its blocks (in increasing r) and the
-    (N, k) mask of the S_r positions, False at the pads.  ``borders``
-    holds a ``PaddedGather`` per bucket of the same blocks bordered, as
-    the (N, 2k, 2k) stack of [[R, I], [I, beta I]], beta the slot after
-    ``one`` (``sparsemat.BORDER``): their factors are [[L, 0],
-    [L^-T, .]], so one batched Cholesky gives each bucket's factors and
-    their inverses.  A block's place in the buckets is its stack
-    position.  ``pivots`` indexes the S_r
-    positions in the concatenated diagonals of the stacks.  ``scatter``
+    (N, k) mask of the S_r positions, False at the pads.  A block's
+    place in the buckets is its stack position.  ``pivots`` indexes the
+    S_r positions in the concatenated diagonals of the stacks.  ``scatter``
     lists the slots of the blocks' upper triangles in stack order, with
     every pad entry sent to the dump slot ``zero``.  ``factor_masks``
     picks from each stack the entries on and left of the diagonal in the
@@ -196,10 +193,9 @@ class CliquePlan:
         end = np.cumsum(sizes)
         self.zero = pattern.n + pattern.nnz
         self.one = self.zero + 1
-        beta = self.zero + 2
         tops = bucket_sizes(sizes)
         bucket = np.searchsorted(tops, sizes)
-        self.buckets, self.borders, self.factor_masks = [], [], []
+        self.buckets, self.factor_masks = [], []
         tri_slots, pivots = [], []
         for b, k in enumerate(tops):
             members = np.flatnonzero(bucket == b)
@@ -214,11 +210,6 @@ class CliquePlan:
                               np.where(np.eye(k, dtype=bool), self.one, self.zero))
             residual = real & (pos >= nsep[members, None])
             self.buckets.append((gather, residual))
-            border = np.full((len(members), 2 * k, 2 * k), self.zero)
-            border[:, :k, :k] = gather
-            border[:, k + pos, pos] = self.one
-            border[:, k + pos, k + pos] = beta
-            self.borders.append(PaddedGather(border, self.zero))
             self.factor_masks.append(residual[:, :, None] & np.tri(k, dtype=bool))
             tri_slots.append(np.minimum(gather[_upper(k)], self.zero).ravel())
             pivots.append(residual.ravel())
@@ -266,25 +257,6 @@ def bucket_sizes(sizes):
     return tops[::-1]
 
 
-class PaddedGather:
-    """An array laid out by ``index``, slots of [diag | offdiag] of a
-    matrix with ``n_slots`` of them followed by the constant slots that
-    ``sparsemat.padded`` appends.  The constants are read once into
-    ``template``; a call copies it and gathers only the positions ``at``
-    that read the matrix, from its ``slots``, so a block made mostly of
-    its border, or of the zeros off a sparse pattern, costs a copy."""
-
-    def __init__(self, index, n_slots):
-        self.template = padded(np.zeros(n_slots))[index]
-        self.at = np.flatnonzero(index < n_slots)
-        self.slots = index.ravel()[self.at]
-
-    def __call__(self, values):
-        out = self.template.copy()
-        out.reshape(-1)[self.at] = values[self.slots]
-        return out
-
-
 class Front(NamedTuple):
     """One dense front of a ``CliqueTree``: the columns ``cols`` = S' of
     the factor and the separator ``seps`` = U', each ascending, so the
@@ -316,11 +288,8 @@ class CliqueTree:
     with one zero slot n + nnz appended: the entries of C' x S' on and
     below the diagonal that lie on the pattern, and the zero slot for
     the rest.  ``scatter`` is its inverse on the pattern, the buffer
-    position of each slot.  ``border`` (a ``PaddedGather``) reads, for
-    each front, the 2s x 2s block [[F_S'S', 0], [I, beta I]] and then the
-    |U'| x s block F_U'S', row by row, F the front's k x s block and beta
-    ``sparsemat.BORDER``; front f's part starts at ``border_starts[f]``.
-    Raises ValueError unless the pattern is elimination-closed.
+    position of each slot.  Raises ValueError unless the pattern is
+    elimination-closed.
     """
 
     def __init__(self, pattern):
@@ -349,8 +318,8 @@ class CliqueTree:
 
         verts = [np.concatenate((np.sort(np.concatenate(cols[r])), seq.separators[r]))
                  for r in keep]
-        pad = n + pattern.nnz           # then the slots of 1 and of beta
-        self.fronts, gather, border, lo = [], [np.zeros(0, dtype=np.int64)], [], 0
+        pad = n + pattern.nnz
+        self.fronts, gather, lo = [], [np.zeros(0, dtype=np.int64)], 0
         for r, c in zip(keep, verts):
             u = seq.separators[r]
             k, s = len(c), len(c) - len(u)
@@ -361,16 +330,8 @@ class CliqueTree:
             slots = pattern.slots(c[:, None], c[:s], missing=pad)
             block = np.where(np.tri(k, s, dtype=bool), slots, pad)
             gather.append(block.ravel())
-            bordered = np.full((2 * s, 2 * s), pad)
-            bordered[:s, :s] = block[:s]
-            bordered[s + np.arange(s), np.arange(s)] = pad + 1
-            bordered[s + np.arange(s), s + np.arange(s)] = pad + 2
-            border.append(np.concatenate((bordered.ravel(), block[s:].ravel())))
             lo += k * s
         self.gather = np.concatenate(gather)
-        self.border = PaddedGather(np.concatenate([np.zeros(0, dtype=np.int64), *border]),
-                                   pad)
-        self.border_starts = np.cumsum([0] + [len(b) for b in border]).tolist()
         self.scatter = np.empty(pad, dtype=np.int64)
         on = self.gather < pad
         self.scatter[self.gather[on]] = np.flatnonzero(on)

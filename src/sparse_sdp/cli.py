@@ -130,9 +130,9 @@ def cmd_solve(args):
     problem = SdpProblem(c, constraints, b)
     x0, y0 = _generic_initial_point(problem)
     report = solve(problem, x0, y0, _config(args))
-    stem = Path(args.path).stem
-    csv_path = args.out_csv or f"{stem}_iterations.csv"
-    json_path = args.out_json or f"{stem}_summary.json"
+    path = Path(args.path)
+    csv_path = args.out_csv or path.with_name(f"{path.stem}_iterations.csv")
+    json_path = args.out_json or path.with_name(f"{path.stem}_summary.json")
     report.write_csv(csv_path)
     report.write_summary(json_path)
     print(f"status: {report.status}")
@@ -152,7 +152,7 @@ def _generic_initial_point(problem):
         pass
     x0 = SparseSymMatrix.identity(problem.fill)
     resid = problem.apply_map(x0) - problem.b
-    if np.max(np.abs(resid)) > FEAS_TOL:
+    if np.abs(resid).max(initial=0.0) > FEAS_TOL:
         raise InfeasibleStart(
             "no built-in initial point: identity is not primal feasible")
     y0 = np.zeros(problem.m)

@@ -18,12 +18,13 @@ Semidefinite Optimization, 2015, section 10),
 and the rows of T_r are the columns S_r of the Cholesky factor L of
 X^-1.  The log-determinant, the inverse and its factor all read that
 sweep.  The plan pads the blocks into a few size buckets, each block to
-blockdiag(R_r, I), whose factor is blockdiag(L_r, I), and borders each
-padded block as [[R_r, I], [I, beta I]], whose factor is [[L_r, 0],
-[L_r^-T, .]]: one batched Cholesky call per bucket gives the L_r and
-the L_r^-1 that T_r is read from, and the inverse is scattered by the
-plan's ``gram_sum``, the helper that also forms L L^T for the dual
-residual.  The ``logdet`` kernels read L on the pattern's
+blockdiag(R_r, I), whose factor is blockdiag(L_r, I), and the sweep
+writes each padded block into a copy of the template
+``sparsemat.bordered(k)``, which gives [[R_r, .], [I, beta I]], whose
+factor is [[L_r, 0], [L_r^-T, .]]: one batched Cholesky call per bucket
+gives the L_r and the L_r^-1 that T_r is read from, and the inverse is
+scattered by the plan's ``gram_sum``, the helper that also forms L L^T
+for the dual residual.  The ``logdet`` kernels read L on the pattern's
 ``clique_tree``: X^ in full (``inverse_columns``), its Gram vectors
 L^-1 (``lower_inverse``, as L^-T L^-1 = X^) and, with the partial
 matrix as the selected inverse, X^ Z X^ on the pattern (``hess_vec``).
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotCompletable
-from .sparsemat import CholeskyFactor, SparseSymPattern
+from .sparsemat import CholeskyFactor, SparseSymPattern, bordered, padded
 
 
 @dataclass
@@ -61,7 +62,9 @@ class CompletionFactors:
 def completion_factors(xbar):
     """Gather and factor each clique block of the partial ``xbar`` once,
     bordered, by one batched Cholesky call per bucket of its pattern's
-    ``clique_plan``.
+    ``clique_plan``: each bucket's (N, 2k, 2k) stack is filled from
+    ``sparsemat.bordered(k)``, with the padded blocks in the leading
+    k x k blocks.
 
     Raises NotCompletable unless every clique block is positive definite,
     which on a chordal pattern is exactly when a positive definite
@@ -72,13 +75,17 @@ def completion_factors(xbar):
     and so is numerically singular, can fail by its border alone.
     """
     plan = xbar.pattern.clique_plan
+    values = padded(xbar.values)
     diagonals, rows = [], []
-    for border, (_, residual) in zip(plan.borders, plan.buckets):
+    for gather, residual in plan.buckets:
+        k = residual.shape[1]
+        stack = np.empty((len(gather), 2 * k, 2 * k))
+        stack[:] = bordered(k)
+        stack[:, :k, :k] = values[gather]
         try:
-            low = np.linalg.cholesky(border(xbar.values))
+            low = np.linalg.cholesky(stack)
         except np.linalg.LinAlgError as exc:
             raise NotCompletable("a clique block is not positive definite") from exc
-        k = residual.shape[1]
         diagonals.append(np.diagonal(low, axis1=1, axis2=2)[:, :k].ravel())
         rows.append(np.where(residual[:, :, None], np.swapaxes(low[:, k:, :k], 1, 2), 0.0))
     return CompletionFactors(xbar.pattern, np.concatenate(diagonals)[plan.pivots], rows)

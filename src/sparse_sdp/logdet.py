@@ -6,11 +6,12 @@ gradient of ln det S there), ``inverse_columns`` gives S^-1 in full,
 S^-1 Z S^-1 (the log-det Hessian applied to Z, up to sign) as the
 tangent of the factor and of the selected inverse.  All of them run on
 the dense fronts of the pattern's ``clique_tree``, as the factor does,
-and read the factor's values and its ``front_inverses`` L_S'S'^-1, so
-none of them inverts a block: the factor of S brings its inverses from
-the bordered fronts of ``sparsemat.cholesky_factorize``, and the factor
-of the completion inverse (``completion.completion_inverse_factor``),
-which serves as well, inverts its fronts once, on first read.
+and read the factor's front ``blocks`` and its ``front_inverses``
+L_S'S'^-1, so none of them gathers the factor or inverts a block: the
+factor of S brings both from the bordered fronts of
+``sparsemat.cholesky_factorize``, and the factor of the completion
+inverse (``completion.completion_inverse_factor``), which serves as
+well, gathers and inverts its fronts once, on first read.
 ``hess_from_columns`` gives W Z W on the pattern from W held in full:
 W Z from one scaling of W's columns by Z's diagonal and a sorted sum
 over Z's off-diagonal entries, then one row dot of W per slot; the
@@ -30,13 +31,6 @@ from .sparsemat import SparseSymMatrix
 HFC_BLOCK = 1 << 15     # products per block of ``hess_from_columns``
 
 
-def _front_blocks(factor):
-    """The factor's k x s blocks over the fronts of its pattern's
-    ``clique_tree``, in one flat buffer laid out as ``gather`` says."""
-    tree = factor.pattern.clique_tree
-    return tree, np.append(factor.values, 0.0)[tree.gather]
-
-
 def sparse_inverse(factor):
     """Entries on the fill pattern of the inverse of the factored matrix.
 
@@ -51,7 +45,7 @@ def sparse_inverse(factor):
     storage is the sum of k^2 over the fronts, never n x n.  Raises
     ValueError when the pattern is not elimination-closed.
     """
-    tree, low = _front_blocks(factor)
+    tree, low = factor.pattern.clique_tree, factor.blocks
     out = np.empty_like(low)
     blocks = [None] * len(tree.fronts)
     for f in reversed(range(len(tree.fronts))):
@@ -82,7 +76,7 @@ def lower_inverse(factor):
     those.  Returns V with each front's (S', U', L_U'S', L_S'S'^-1), for
     ``inverse_columns``.
     """
-    tree, low = _front_blocks(factor)
+    tree, low = factor.pattern.clique_tree, factor.blocks
     v = np.eye(factor.n)
     steps = []
     for (cols, seps, lo, *_), inv in zip(tree.fronts, factor.front_inverses):
@@ -177,15 +171,15 @@ def hess_vec(factor, z, sinv):
 
     Phi the lower triangle with its diagonal halved; then parents first,
     that of ``sparse_inverse``, with W_U'U' read from ``sinv``.  Beside
-    two copies of the factor's blocks it stores 2 sum k^2 at most.
-    Raises ValueError when Z or ``sinv`` lies on another pattern than
-    the factor or the pattern is not elimination-closed.
+    the factor's blocks and one buffer of their size it stores 2 sum k^2
+    at most.  Raises ValueError when Z or ``sinv`` lies on another
+    pattern than the factor or the pattern is not elimination-closed.
     """
     pat = factor.pattern
     for arg, what in ((z, "Z"), (sinv, "sinv")):
         if arg.pattern is not pat and arg.pattern != pat:
             raise ValueError(f"{what} must lie on the factor's pattern")
-    tree, low = _front_blocks(factor)
+    tree, low = pat.clique_tree, factor.blocks
     inverses = factor.front_inverses
     buf = np.append(z.values, 0.0)[tree.gather]     # dA, then dL, then -dW
     acc = [np.zeros((len(f.cols) + len(f.seps),) * 2) for f in tree.fronts]  # sums of dU'

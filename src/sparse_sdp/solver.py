@@ -625,16 +625,14 @@ def solve(problem, x0, y0, cfg=None, observer=None):
         try:
             choice = potential_minimize(state, primal, dual)
         except NoDecrease:
+            stalled, why = True, "no feasible potential-reducing step"
+        else:
+            stalled = choice.trial is None or state.phi - choice.phi < STALL_DECREASE
+            why = f"potential decrease below {STALL_DECREASE} at gap {state.gap:.3e}"
+        if stalled:
             if converged_at is not None or state.gap <= cfg.gap_tol:
                 return finish("converged")
-            raise IterationLimit("no feasible potential-reducing step",
-                                 finish("stalled"))
-        if choice.trial is None or state.phi - choice.phi < STALL_DECREASE:
-            if converged_at is not None or state.gap <= cfg.gap_tol:
-                return finish("converged")
-            raise IterationLimit(
-                f"potential decrease below {STALL_DECREASE} at gap "
-                f"{state.gap:.3e}", finish("stalled"))
+            raise IterationLimit(why, finish("stalled"))
         state = choice.trial
         pres, dres = state.residuals()
         record = IterationRecord(it, state.gap, state.phi, primal.newton_res,

@@ -7,18 +7,19 @@ diagonal, compressed-column style.  All indices are 0-based.
 pattern's merged ``clique_tree`` (Vandenberghe & Andersen, *Chordal
 Graphs and Semidefinite Optimization*, 2015, section 9), as are the
 inverse and Hessian-product kernels in ``logdet``.  Each front is
-factored bordered by identities, so the one Cholesky call that gives
-the factor on the front also gives the inverse of its diagonal block,
-which the factor keeps for those kernels (``CholeskyFactor
-.front_inverses``); the completion sweep borders its clique blocks the
-same way.  ``padded`` appends the constant slots, 0, 1 and BORDER,
-that the bordered blocks' index maps read.
+factored bordered by identities, written into a copy of the template
+``bordered``, so the one Cholesky call that gives the factor on the
+front also gives the inverse of its diagonal block.  The factor keeps both for those
+kernels, its front blocks (``CholeskyFactor.blocks``) and those
+inverses (``front_inverses``); the completion sweep borders its clique
+blocks the same way.  ``padded`` appends the constant slots, 0 and 1,
+that the clique plan's index maps read.
 """
 
 from __future__ import annotations
 
 import heapq
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -37,11 +38,22 @@ BORDER = 2.0 ** 400
 
 
 def padded(values):
-    """[diag | offdiag] of a matrix on a pattern with the slots n + nnz,
-    n + nnz + 1 and n + nnz + 2 appended, holding 0, 1 and BORDER: the
-    pads that the index maps of ``chordal.CliquePlan`` and
-    ``chordal.CliqueTree`` read."""
-    return np.append(values, (0.0, 1.0, BORDER))
+    """[diag | offdiag] of a matrix on a pattern with the slots n + nnz
+    and n + nnz + 1 appended, holding 0 and 1: the pads that the index
+    maps of ``chordal.CliquePlan`` read."""
+    return np.concatenate((values, (0.0, 1.0)))
+
+
+@lru_cache(maxsize=None)
+def bordered(k):
+    """The 2k x 2k template [[0, 0], [I, BORDER I]] of a bordered k x k
+    block, whose leading block the caller fills in a copy (shared
+    between callers, so read-only)."""
+    out = np.zeros((2 * k, 2 * k))
+    out[k:, :k] = np.eye(k)
+    out[k:, k:] = BORDER * np.eye(k)
+    out.flags.writeable = False
+    return out
 
 
 class SparseSymPattern:
@@ -269,22 +281,25 @@ class EliminationOrdering:
 class CholeskyFactor:
     """Lower-triangular Cholesky factor on an elimination-closed pattern.
 
-    ``values`` holds [diag | offdiag] as in ``SparseSymMatrix``, with
-    ``diag`` and ``offdiag`` views of its two parts.  The diagonal holds
-    the actual (positive) pivot square roots; ``logdet`` caches
-    2*sum(log diag).  ``front_inverses`` lists L_S'S'^-1 for each front
-    of the pattern's ``clique_tree``, in its order: ``cholesky_factorize``
-    passes the ones its bordered fronts give, and a factor built from
-    its values alone (``completion.completion_inverse_factor``) takes
-    them once, on first read.  ``chordal.CliquePlan.factor_product``
-    forms L L^T on the pattern, clique by clique.
+    It has two layouts: ``values``, [diag | offdiag] as in
+    ``SparseSymMatrix`` (``diag`` and ``offdiag`` view its parts), and
+    ``blocks``, the k x s front blocks of the pattern's ``clique_tree``
+    laid out by its ``gather``, which the ``logdet`` kernels read.  It is
+    built from either one (``cholesky_factorize`` passes its blocks) and
+    derives the other on first read.  The diagonal holds the actual
+    (positive) pivot square roots; ``logdet`` caches 2*sum(log diag).
+    ``front_inverses`` lists L_S'S'^-1 per front, in the tree's order:
+    ``cholesky_factorize`` passes the ones its bordered fronts give, and
+    any other factor inverts its blocks once, on first read.
+    ``chordal.CliquePlan.factor_product`` forms L L^T on the pattern.
     """
 
-    def __init__(self, pattern, values, logdet, front_inverses=None):
+    def __init__(self, pattern, values, logdet, front_inverses=None, blocks=None):
         self.pattern = pattern
-        self.values = np.asarray(values, dtype=float)
-        self.diag = self.values[:pattern.n]
-        self.offdiag = self.values[pattern.n:]
+        if values is not None:
+            self.values = np.asarray(values, dtype=float)
+        if blocks is not None:
+            self.blocks = blocks
         self.logdet = float(logdet)
         if front_inverses is not None:
             self.front_inverses = front_inverses
@@ -293,13 +308,30 @@ class CholeskyFactor:
     def n(self):
         return self.pattern.n
 
+    @property
+    def diag(self):
+        return self.values[:self.n]
+
+    @property
+    def offdiag(self):
+        return self.values[self.n:]
+
+    @cached_property
+    def values(self):
+        """[diag | offdiag], scattered from ``blocks``."""
+        return self.blocks[self.pattern.clique_tree.scatter]
+
+    @cached_property
+    def blocks(self):
+        """The fronts' k x s blocks, gathered from ``values``."""
+        return np.append(self.values, 0.0)[self.pattern.clique_tree.gather]
+
     @cached_property
     def front_inverses(self):
-        """L_S'S'^-1 per front, inverted from the factor's values."""
-        tree = self.pattern.clique_tree
-        low = np.append(self.values, 0.0)[tree.gather]
-        return [np.linalg.inv(low[f.lo:f.lo + len(f.cols) ** 2].reshape(len(f.cols), -1))
-                for f in tree.fronts]
+        """L_S'S'^-1 per front, inverted from the factor's blocks."""
+        blocks = self.blocks
+        return [np.linalg.inv(blocks[f.lo:f.lo + len(f.cols) ** 2].reshape(len(f.cols), -1))
+                for f in self.pattern.clique_tree.fronts]
 
     def __repr__(self):
         return f"CholeskyFactor(n={self.n}, nnz={self.pattern.nnz})"
@@ -361,20 +393,22 @@ def cholesky_factorize(matrix):
     """Sparse Cholesky M = L L^T on M's own (elimination-closed) pattern.
 
     Multifrontal, over the fronts of the pattern's ``clique_tree``,
-    children first.  A front gathers the columns S' of M on its rows C'
-    as ``CliqueTree.border`` lays them out and adds its children's update
-    matrices, which gives its k x s block F; with beta = BORDER, one
-    ``np.linalg.cholesky`` of the bordered S' x S' block gives
+    children first.  The fronts' blocks are gathered by the tree's
+    ``gather``, and a front adds its children's update matrices to its
+    block, which gives its k x s block F; with beta = BORDER, one
+    ``np.linalg.cholesky`` of the S' x S' block written into a copy of
+    ``bordered(s)`` gives
 
         [[F_S'S', .     ],  =  [[L_S'S',     0  ],  (.)^T,
          [I,      beta I]]      [L_S'S'^-T,  L_2]]
 
     so L_S'S' and L_S'S'^-1 (kept as ``front_inverses``) come from the
     same call, L_U'S' = F_U'S' L_S'S'^-T is one product, and the update
-    -L_U'S' L_U'S'^T goes to the parent.  The blocks are scattered onto
-    the pattern.  Raises NotPositiveDefinite when a pivot of L_S'S' is
-    not above PIVOT_RTOL times the largest input diagonal, and
-    ValueError unless the pattern is elimination-closed.
+    -L_U'S' L_U'S'^T goes to the parent.  Each front's L overwrites its
+    F, and the factor keeps that buffer as its ``blocks``.  Raises
+    NotPositiveDefinite when a pivot of L_S'S' is not above PIVOT_RTOL
+    times the largest input diagonal, and ValueError unless the pattern
+    is elimination-closed.
 
     The border's trailing block is L_2 L_2^T = beta I - F_S'S'^-1, so it
     passes while ||F_S'S'^-1|| < beta = 2^400, about 2.6e120.  F_S'S' is
@@ -397,30 +431,28 @@ def cholesky_factorize(matrix):
     tree = pat.clique_tree
     n = pat.n
     tol = PIVOT_RTOL * max(float(matrix.diag.max()), 0.0) if n else 0.0
-    buf = tree.border(matrix.values)
-    out = np.empty(len(tree.gather))
+    blocks = np.append(matrix.values, 0.0)[tree.gather]     # F, then L
     fronts = tree.fronts
     acc = [None] * len(fronts)          # each front's sum of its children's updates, raveled
     inverses = []
     for f, (cols, seps, lo, parent, uflat) in enumerate(fronts):
         s = len(cols)
         k = s + len(seps)
-        start = tree.border_starts[f]
-        blk = buf[start:start + 4 * s * s].reshape(2 * s, 2 * s)
-        off = buf[start + 4 * s * s:tree.border_starts[f + 1]].reshape(k - s, s)
+        front = blocks[lo:lo + k * s].reshape(k, s)
+        blk = bordered(s).copy()
+        blk[:s, :s] = front[:s]
         sub = acc[f]
         if sub is not None:
             sub = sub.reshape(k, k)
             blk[:s, :s] += sub[:s, :s]
-            off += sub[s:, :s]
+            front[s:] += sub[s:, :s]
         low = _passing_factor(blk, tol, s)
         if low is None:
             raise NotPositiveDefinite(lambda: cols[_failing_pivot(blk[:s, :s], tol)])
-        out[lo:lo + s * s] = low[:s, :s].ravel()
+        front[:s] = low[:s, :s]
         inverses.append(low[s:, :s].T.copy())
         if k > s:
-            off = off @ low[s:, :s]         # L_U'S' = F_U'S' L_S'S'^-T
-            out[lo + s * s:lo + k * s] = off.ravel()
+            off = front[s:] = front[s:] @ low[s:, :s]     # L_U'S' = F_U'S' L_S'S'^-T
             upd = -(off @ off.T)
             if sub is not None:
                 upd += sub[s:, s:]
@@ -428,8 +460,8 @@ def cholesky_factorize(matrix):
                 acc[parent] = np.zeros((len(fronts[parent].cols) + len(fronts[parent].seps)) ** 2)
             acc[parent][uflat] += upd.ravel()
         acc[f] = None
-    values = out[tree.scatter]
-    return CholeskyFactor(pat, values, 2.0 * float(np.log(values[:n]).sum()), inverses)
+    logdet = 2.0 * float(np.log(blocks[tree.scatter[:n]]).sum())   # pivots in label order
+    return CholeskyFactor(pat, None, logdet, inverses, blocks=blocks)
 
 
 def _passing_factor(a, tol, s=None):

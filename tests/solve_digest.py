@@ -27,7 +27,10 @@ problem; the outputs of ``cholesky_factorize``, ``sparse_inverse`` and
 ``hess_vec(factor, C, sinv)`` at the starting slack C - sum y0_p A_p,
 which covers ``hess_vec`` although no solve calls it, and of what the
 directions call on that factor: W = ``inverse_columns(factor)``,
-``newton_matrix(W)`` and ``hess_from_columns(W, C)``; then each solve's
+``newton_matrix(W)`` and ``hess_from_columns(W, C)``; the outputs of
+``inverse_columns`` and ``lower_inverse`` on the factor of the
+completion inverse at x0, which the primal direction and the Gram
+vectors read; then each solve's
 iteration CSV and Gram vectors, or the message and partial CSV of an
 ``IterationLimit``.  The kernel hash covers those kernel outputs, the
 solve hash the rest, and the path hash the rest but the Gram vectors.
@@ -52,6 +55,9 @@ from sparse_sdp import (EliminationOrdering, Graph, IterationLimit,  # noqa: E40
                         inverse_columns, maxcut_sdp, random_graph, read_sdpa,
                         solve, sparse_inverse, write_sdpa)
 from sparse_sdp.bench import trial_seed  # noqa: E402
+from sparse_sdp.completion import (completion_factors,  # noqa: E402
+                                   completion_inverse_factor)
+from sparse_sdp.logdet import lower_inverse  # noqa: E402
 from sparse_sdp.maxcut import gram_vectors  # noqa: E402
 
 _spec = importlib.util.spec_from_file_location("perfbench_graphs",
@@ -104,6 +110,9 @@ def digest(out=sys.stdout):
             for part in (factor.values, np.float64(factor.logdet), sinv.values,
                          hess_vec(factor, problem.c, sinv).values, w,
                          problem.newton_matrix(w), hess_from_columns(w, problem.c).values):
+                feed(part, kernels)
+            primal = completion_inverse_factor(completion_factors(x0))
+            for part in (inverse_columns(primal), lower_inverse(primal)[0]):
                 feed(part, kernels)
             for mode in ("four", "two"):
                 feed(f"{label} {mode}", solves, paths)

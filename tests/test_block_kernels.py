@@ -9,9 +9,11 @@ chordal patterns, since a pattern keeps the tree it built first.
 The factor and the completion sweep factor their blocks bordered by
 identities, which gives each block's factor L and its inverse in one
 Cholesky call; ``TestBorderedBlocks`` checks those inverses against
-long-double ones and checks that the border never decides a failure,
-and ``TestNoLuInverses`` that no kernel on the solve path falls back to
-an LU inverse or solve.
+long-double ones and checks that the border never decides a failure.
+``TestFactorLayouts`` checks that a factor's two layouts, the front
+blocks that ``cholesky_factorize`` keeps and the [diag | offdiag]
+values, feed the kernels the same bits, and ``TestNoLuInverses`` that
+no kernel on the solve path falls back to an LU inverse or solve.
 """
 
 import importlib.util
@@ -20,14 +22,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparse_sdp import (Graph, NotCompletable, NotPositiveDefinite, SolverConfig,
-                        SparseSymMatrix, SparseSymPattern, cholesky_factorize,
-                        hess_vec, initial_point, inverse_columns, maxcut_sdp,
-                        random_graph, solve, solver, sparse_inverse)
+from sparse_sdp import (CholeskyFactor, Graph, NotCompletable, NotPositiveDefinite,
+                        SolverConfig, SparseSymMatrix, SparseSymPattern,
+                        cholesky_factorize, hess_vec, initial_point, inverse_columns,
+                        maxcut_sdp, random_graph, solve, solver, sparse_inverse)
 from sparse_sdp import chordal
 from sparse_sdp.bench import trial_seed
 from sparse_sdp.completion import completion_factors, completion_inverse_factor
-from sparse_sdp.sparsemat import BORDER, PIVOT_RTOL
+from sparse_sdp.logdet import lower_inverse
+from sparse_sdp.sparsemat import BORDER, PIVOT_RTOL, bordered, padded
 
 from conftest import (dense_mask, factor_to_dense, random_completable_partial,
                       random_filled_pattern, random_pd_on_pattern, reconstruct_dense,
@@ -165,6 +168,25 @@ class TestAgainstDense:
         assert info.value.pivot == 5
 
 
+class TestFactorLayouts:
+    def test_blocks_and_values_give_the_kernels_the_same_bits(self, merge_size):
+        # the kept blocks hold what the fronts computed off the pattern,
+        # where blocks gathered from the values hold 0
+        for rng, fill in random_cases(14):
+            mat, _ = random_pd_on_pattern(fill, rng)
+            kept = cholesky_factorize(mat)
+            rebuilt = CholeskyFactor(fill, kept.values, kept.logdet, kept.front_inverses)
+            assert rebuilt.blocks.tobytes() == kept.blocks.tobytes()
+            z = SparseSymMatrix(fill, rng.standard_normal(fill.n + fill.nnz))
+            outputs = []
+            for factor in (kept, rebuilt):
+                sinv = sparse_inverse(factor)
+                outputs.append([sinv.values, lower_inverse(factor)[0],
+                                inverse_columns(factor), hess_vec(factor, z, sinv).values])
+            for a, b in zip(*outputs):
+                assert a.tobytes() == b.tobytes()
+
+
 SCALES = [1e-8, 1.0, 1e8]
 
 
@@ -248,12 +270,13 @@ class TestBorderedBlocks:
             for scale in SCALES:
                 xbar = sparse_from_dense(fill, scale * dense)
                 factors = completion_factors(xbar)
-                plan = fill.clique_plan
-                for border, rows, (_, residual) in zip(plan.borders, factors.inverse_rows,
-                                                       plan.buckets):
+                for rows, (gather, residual) in zip(factors.inverse_rows,
+                                                    fill.clique_plan.buckets):
                     # the clique factors L_r: the leading blocks of the same call
                     k = residual.shape[1]
-                    chol = np.linalg.cholesky(border(xbar.values))[:, :k, :k]
+                    stack = np.tile(bordered(k), (len(gather), 1, 1))
+                    stack[:, :k, :k] = padded(xbar.values)[gather]
+                    chol = np.linalg.cholesky(stack)[:, :k, :k]
                     for low, t, mask in zip(chol, rows, residual):
                         want = np.where(mask[:, None], long_double_lower_inverse(low), 0.0)
                         worst = max(worst, relative_error(t, want))

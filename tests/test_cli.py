@@ -161,6 +161,35 @@ class TestSolveCommand:
         summary = json.loads((tmp_path / "generic_summary.json").read_text())
         assert summary["objective_primal"] == pytest.approx(7.5, abs=1e-3)
 
+    def test_no_constraints(self, tmp_path, capsys, monkeypatch):
+        # m = 0, written with the b line {}: the start check reads an
+        # empty residual
+        from sparse_sdp import write_sdpa
+        from sparse_sdp.sparsemat import SparseSymMatrix, SparseSymPattern
+        monkeypatch.chdir(tmp_path)
+        c = SparseSymMatrix(SparseSymPattern(2, [(0, 1)]), [2.0, 1.0, 0.5])
+        path = tmp_path / "free.dat-s"
+        write_sdpa(path, c, [], [])
+        assert path.read_text().splitlines()[3] == "{}"
+        code, out, err = run_cli(["solve", str(path)], capsys)
+        assert (code, err) == (0, "")
+        assert "status: converged" in out
+        summary = json.loads((tmp_path / "free_summary.json").read_text())
+        assert summary["status"] == "converged"
+
+    def test_default_outputs_land_next_to_the_input(self, tmp_path, capsys, monkeypatch):
+        inputs, run = tmp_path / "in", tmp_path / "run"
+        inputs.mkdir()
+        run.mkdir()
+        path, _, _ = maxcut_file(inputs, random_graph(4, 5, seed=5))
+        monkeypatch.chdir(run)
+        code, out, _ = run_cli(["solve", os.path.join("..", "in", path.name)], capsys)
+        assert code == 0
+        stem = path.name.split(".")[0]
+        assert sorted(p.name for p in inputs.iterdir()) == sorted(
+            [path.name, f"{stem}_iterations.csv", f"{stem}_summary.json"])
+        assert list(run.iterdir()) == []
+
 
 class TestMaxcutCommand:
     def test_single_edge_file(self, tmp_path, capsys):

@@ -5,14 +5,14 @@ import pytest
 
 from sparse_sdp import chordal, logdet, solver
 from sparse_sdp import (Direction, EliminationOrdering, InfeasibleStart,
-                        IterateState, IterationLimit, SdpProblem, SolverConfig,
-                        SparseSymMatrix, SparseSymPattern, completion_factors,
+                        IterateState, IterationLimit, NoDecrease, SdpProblem,
+                        SolverConfig, SparseSymMatrix, SparseSymPattern, completion_factors,
                         conjugate_gradient, dual_direction, hess_vec, inner_product,
                         inverse_columns, maximal_cliques, potential_minimize,
                         primal_direction, solve)
 from sparse_sdp.cli import _generic_initial_point
 from sparse_sdp.maxcut import Graph, initial_point, maxcut_sdp, random_graph
-from sparse_sdp.solver import EXTRA_ITERS
+from sparse_sdp.solver import EXTRA_ITERS, STALL_DECREASE
 
 from conftest import (dense_mask, dense_reference_directions,
                       problem_dense_data, random_generic_sdp, reconstruct_dense,
@@ -934,6 +934,57 @@ class TestSolve:
         assert info.value.report is not None
         assert info.value.report.iterations == 2
         assert info.value.report.status == "iteration_limit"
+
+    @staticmethod
+    def no_step(kind):
+        """``potential_minimize`` finding no step, in one of its three ways."""
+        real = solver.potential_minimize
+
+        def search(state, primal, dual):
+            if kind == "no_decrease":
+                raise NoDecrease("no start point")
+            choice = real(state, primal, dual)
+            if kind == "zero_point":
+                choice.trial = None
+            else:
+                choice.phi = state.phi - 0.5 * STALL_DECREASE
+            return choice
+        return search
+
+    @pytest.mark.parametrize("kind, message", [
+        ("no_decrease", "no feasible potential-reducing step"),
+        ("zero_point", "potential decrease below 1e-12 at gap "),
+        ("small_decrease", "potential decrease below 1e-12 at gap "),
+    ])
+    def test_no_step_stalls_above_gap_tol(self, monkeypatch, kind, message):
+        problem = maxcut_sdp(random_graph(5, 7, seed=24))
+        x0, y0 = initial_point(problem)
+        monkeypatch.setattr(solver, "potential_minimize", self.no_step(kind))
+        with pytest.raises(IterationLimit, match=message) as info:
+            solve(problem, x0, y0, SolverConfig())
+        assert info.value.report.status == "stalled"
+        assert info.value.report.iterations == 0
+
+    @pytest.mark.parametrize("kind", ["no_decrease", "zero_point", "small_decrease"])
+    def test_no_step_converges_below_gap_tol(self, monkeypatch, kind):
+        problem = maxcut_sdp(random_graph(5, 7, seed=24))
+        x0, y0 = initial_point(problem)
+        monkeypatch.setattr(solver, "potential_minimize", self.no_step(kind))
+        report = solve(problem, x0, y0, SolverConfig(gap_tol=1e6))
+        assert (report.status, report.iterations) == ("converged", 0)
+
+    def test_nan_potential_decrease_is_no_stall(self, monkeypatch):
+        problem = maxcut_sdp(random_graph(5, 7, seed=24))
+        x0, y0 = initial_point(problem)
+        want = solve(problem, x0, y0, SolverConfig()).csv_text()
+        real = solver.potential_minimize
+
+        def nan_phi(*args):
+            choice = real(*args)
+            choice.phi = math.nan
+            return choice
+        monkeypatch.setattr(solver, "potential_minimize", nan_phi)
+        assert solve(problem, x0, y0, SolverConfig()).csv_text() == want
 
     def test_observer_sees_every_record(self):
         problem = maxcut_sdp(random_graph(5, 7, seed=21))

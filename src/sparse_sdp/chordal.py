@@ -9,18 +9,18 @@ tree, as in Vandenberghe & Andersen, *Chordal Graphs and Semidefinite
 Optimization* (2015), section 4: with higher(v) the neighbours of v above
 v, the parent of v is the lowest vertex of higher(v).  A pattern caches
 its cliques and, on first read, the two structures built from them.
-Its ``clique_plan`` (a ``CliquePlan``) says where each clique block
-C_r x C_r sits in the [diag | offdiag] storage of a matrix on the
-pattern, padded with an identity into a few size buckets, so a sweep
-over the cliques is one batched numpy call per bucket: the completion
-of the primal partial matrix factors each bucket's blocks bordered by
-identities, which gives their factors and the factors' inverses in one
-call, and the dual residual's L L^T reads the same blocks.  Its
-``clique_tree`` (a ``CliqueTree``) merges the same cliques into the
-dense fronts that the factor and inverse kernels run on.  Each holds
-one index map into [diag | offdiag] with constant slots appended
-(``sparsemat.padded``); a bordered block is a copy of the constant
-template ``sparsemat.bordered`` with the block written in.
+Its ``clique_tree`` (a ``CliqueTree``) merges the cliques into the dense
+fronts that the factor and inverse kernels run on, laid out in one flat
+buffer, the layout of every ``CholeskyFactor``.  Its ``clique_plan`` (a
+``CliquePlan``) says where each clique block C_r x C_r sits in the
+[diag | offdiag] storage of a matrix on the pattern, padded with an
+identity into a few size buckets (the slots that ``padded`` appends),
+and where the blocks' columns S_r of a factor sit in the tree's buffer,
+so a sweep over the cliques is one batched numpy call per bucket: the
+completion of the primal partial matrix factors each bucket's blocks
+bordered by identities (in copies of ``sparsemat.bordered``), which
+gives their factors and the factors' inverses in one call, and the dual
+residual's L L^T reads the factor's columns S_r from its buffer.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotChordal, RipFailure
-from .sparsemat import SparseSymMatrix, padded
+from .sparsemat import SparseSymMatrix
 
 # t: a child clique joins its parent while |S_child| + |C_parent| <= t.  At
 # 48 the benchmark patterns (n = 35 to 60) are one or two fronts, and a
@@ -153,6 +153,13 @@ def rip_order(cliques, n=None):
         separators=np.split(sep, np.cumsum(np.subtract(sizes, residual_sizes))[:-1]))
 
 
+def padded(values):
+    """[diag | offdiag] of a matrix on a pattern with the slots n + nnz
+    and n + nnz + 1 appended, holding 0 and 1: the pads ``zero`` and
+    ``one`` that the index maps of a ``CliquePlan`` read."""
+    return np.concatenate((values, (0.0, 1.0)))
+
+
 class CliquePlan:
     """Where the clique blocks of a matrix on ``pattern`` sit in its
     ``values`` = [diag | offdiag], padded into a few size buckets.
@@ -165,7 +172,7 @@ class CliquePlan:
     ``bucket_sizes`` picks, and a block of size k_r in a bucket of size k
     is padded to k x k after S_r: its pad diagonal reads the slot ``one``
     and every other pad entry the slot ``zero``, the two slots that
-    ``sparsemat.padded`` appends to [diag | offdiag].  A padded block is
+    ``padded`` appends to [diag | offdiag].  A padded block is
     blockdiag(R_r, I), whose Cholesky factor is blockdiag(L_r, I), so one
     batched call per bucket factors or multiplies all its blocks; the
     completion sweep borders them in copies of ``sparsemat.bordered(k)``.
@@ -180,7 +187,8 @@ class CliquePlan:
     picks from each stack the entries on and left of the diagonal in the
     S_r rows: row j holds column j of a lower factor on the pattern, whose
     rows lie in C_r, because every S_r of ``maximal_cliques`` lies below
-    its U_r.  ``factor_slots`` lists their slots in stack order.
+    its U_r.  ``factor_slots[b]`` lists, in stack order, where bucket b's
+    entries lie in a ``CholeskyFactor``'s ``blocks``.
     """
 
     def __init__(self, pattern):
@@ -195,7 +203,7 @@ class CliquePlan:
         self.one = self.zero + 1
         tops = bucket_sizes(sizes)
         bucket = np.searchsorted(tops, sizes)
-        self.buckets, self.factor_masks = [], []
+        self.buckets, self.factor_masks, self.factor_slots = [], [], []
         tri_slots, pivots = [], []
         for b, k in enumerate(tops):
             members = np.flatnonzero(bucket == b)
@@ -210,13 +218,13 @@ class CliquePlan:
                               np.where(np.eye(k, dtype=bool), self.one, self.zero))
             residual = real & (pos >= nsep[members, None])
             self.buckets.append((gather, residual))
-            self.factor_masks.append(residual[:, :, None] & np.tri(k, dtype=bool))
+            mask = residual[:, :, None] & np.tri(k, dtype=bool)
+            self.factor_masks.append(mask)
+            self.factor_slots.append(pattern.clique_tree.scatter[gather[mask]])
             tri_slots.append(np.minimum(gather[_upper(k)], self.zero).ravel())
             pivots.append(residual.ravel())
         self.scatter = np.concatenate(tri_slots)
         self.pivots = np.flatnonzero(np.concatenate(pivots))
-        self.factor_slots = np.concatenate(
-            [gather[mask] for (gather, _), mask in zip(self.buckets, self.factor_masks)])
 
     def gram_sum(self, pattern, stacks):
         """The sum of B_r^T B_r over the cliques, on the plan's ``pattern``,
@@ -229,11 +237,12 @@ class CliquePlan:
 
     def factor_product(self, factor):
         """L L^T on the pattern for a lower ``factor`` L on it: the
-        ``gram_sum`` of L's columns S_r, gathered by ``factor_masks``."""
-        values = padded(factor.values)
-        return self.gram_sum(factor.pattern,
-                             [np.where(mask, values[gather], 0.0)
-                              for (gather, _), mask in zip(self.buckets, self.factor_masks)])
+        ``gram_sum`` of L's columns S_r, read from its ``blocks`` at
+        ``factor_slots`` into the ``factor_masks``."""
+        stacks = [np.zeros(mask.shape) for mask in self.factor_masks]
+        for stack, mask, pos in zip(stacks, self.factor_masks, self.factor_slots):
+            stack[mask] = factor.blocks[pos]
+        return self.gram_sum(factor.pattern, stacks)
 
 
 def bucket_sizes(sizes):
@@ -260,14 +269,12 @@ def bucket_sizes(sizes):
 class Front(NamedTuple):
     """One dense front of a ``CliqueTree``: the columns ``cols`` = S' of
     the factor and the separator ``seps`` = U', each ascending, so the
-    front's vertices C' = S' then U' ascend too.  Its k x s block (rows
-    C', columns S') starts at ``lo`` in the tree's flat buffer; ``parent``
-    is the parent front (-1 at a root) and ``uflat`` the positions of
-    U' x U' in the parent's C' x C' block, raveled."""
+    front's vertices C' = S' then U' ascend too.  ``parent`` is the
+    parent front (-1 at a root) and ``uflat`` the positions of U' x U' in
+    the parent's C' x C' block, raveled."""
 
     cols: np.ndarray
     seps: np.ndarray
-    lo: int
     parent: int
     uflat: np.ndarray
 
@@ -283,13 +290,14 @@ class CliqueTree:
     changes the fronts' shapes: column j of a factor on the pattern has
     its rows in the C' of the front holding j, and it is 0 on the rows
     the merge added (the pattern is elimination-closed).  ``fronts``
-    lists the ``Front``s, every child before its parent.  ``gather``
-    reads the fronts' k x s blocks, row by row, from [diag | offdiag]
-    with one zero slot n + nnz appended: the entries of C' x S' on and
-    below the diagonal that lie on the pattern, and the zero slot for
-    the rest.  ``scatter`` is its inverse on the pattern, the buffer
-    position of each slot.  Raises ValueError unless the pattern is
-    elimination-closed.
+    lists the ``Front``s, every child before its parent.  The tree's flat
+    buffer holds their k x s blocks (rows C', columns S') row by row, in
+    that order, and ``split`` views it front by front.  ``gather`` reads
+    the buffer from [diag | offdiag] with one zero slot n + nnz appended:
+    the entries of C' x S' on and below the diagonal that lie on the
+    pattern, and the zero slot for the rest.  ``scatter`` is its inverse
+    on the pattern, the buffer position of each slot.  Raises ValueError
+    unless the pattern is elimination-closed.
     """
 
     def __init__(self, pattern):
@@ -319,23 +327,28 @@ class CliqueTree:
         verts = [np.concatenate((np.sort(np.concatenate(cols[r])), seq.separators[r]))
                  for r in keep]
         pad = n + pattern.nnz
-        self.fronts, gather, lo = [], [np.zeros(0, dtype=np.int64)], 0
+        self.fronts, gather = [], [np.zeros(0, dtype=np.int64)]
         for r, c in zip(keep, verts):
             u = seq.separators[r]
             k, s = len(c), len(c) - len(u)
             p = front_of[into[parent[r]]] if len(u) else -1
             upos = np.searchsorted(verts[p], u) if len(u) else u
             uflat = (upos[:, None] * len(verts[p]) + upos).ravel()
-            self.fronts.append(Front(c[:s], u, lo, p, uflat))
+            self.fronts.append(Front(c[:s], u, p, uflat))
             slots = pattern.slots(c[:, None], c[:s], missing=pad)
-            block = np.where(np.tri(k, s, dtype=bool), slots, pad)
-            gather.append(block.ravel())
-            lo += k * s
+            gather.append(np.where(np.tri(k, s, dtype=bool), slots, pad).ravel())
+        self._ends = np.cumsum([len(g) for g in gather]).tolist()
         self.gather = np.concatenate(gather)
         self.scatter = np.empty(pad, dtype=np.int64)
         on = self.gather < pad
         self.scatter[self.gather[on]] = np.flatnonzero(on)
         self.gather.flags.writeable = self.scatter.flags.writeable = False
+
+    def split(self, buf):
+        """Views of the fronts' k x s blocks in ``buf``, a flat buffer laid
+        out as the tree's, in the order of ``fronts``."""
+        return [buf[lo:hi].reshape(-1, len(f.cols))
+                for f, lo, hi in zip(self.fronts, self._ends, self._ends[1:])]
 
 
 @lru_cache(maxsize=None)

@@ -24,8 +24,9 @@ writes each padded block into a copy of the template
 factor is [[L_r, 0], [L_r^-T, .]]: one batched Cholesky call per bucket
 gives the L_r and the L_r^-1 that T_r is read from, and the inverse is
 scattered by the plan's ``gram_sum``, the helper that also forms L L^T
-for the dual residual.  The ``logdet`` kernels read L on the pattern's
-``clique_tree``: X^ in full (``inverse_columns``), its Gram vectors
+for the dual residual.  The factor L of the inverse is written into
+the front buffer of the pattern's ``clique_tree``, where the ``logdet``
+kernels read it: X^ in full (``inverse_columns``), its Gram vectors
 L^-1 (``lower_inverse``, as L^-T L^-1 = X^) and, with the partial
 matrix as the selected inverse, X^ Z X^ on the pattern (``hess_vec``).
 """
@@ -38,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotCompletable
-from .sparsemat import CholeskyFactor, SparseSymPattern, bordered, padded
+from .chordal import padded
+from .sparsemat import CholeskyFactor, SparseSymPattern, bordered
 
 
 @dataclass
@@ -112,13 +114,15 @@ def completion_inverse_factor(factors):
     Column j, for j in S_r, is row j of T_r on and left of its diagonal,
     which in the separator-first order are the entries at j and at the
     higher labels of C_r: Dempster's L_{alpha j} = -X_{alpha alpha}^-1
-    X_{alpha j}, alpha = C_r above j, up to the pivot scaling.
+    X_{alpha j}, alpha = C_r above j, up to the pivot scaling.  They go
+    into the front buffer at the plan's ``factor_slots``.
     """
-    plan, pat = factors.plan, factors.pattern
-    values = np.zeros(pat.n + pat.nnz)
-    values[plan.factor_slots] = np.concatenate(
-        [t[mask] for t, mask in zip(factors.inverse_rows, plan.factor_masks)])
-    return CholeskyFactor(pat, values, 2.0 * float(np.sum(np.log(values[:pat.n]))))
+    plan, tree = factors.plan, factors.pattern.clique_tree
+    blocks = np.zeros(len(tree.gather))
+    for t, mask, pos in zip(factors.inverse_rows, plan.factor_masks, plan.factor_slots):
+        blocks[pos] = t[mask]
+    logdet = 2.0 * float(np.sum(np.log(blocks[tree.scatter[:factors.pattern.n]])))
+    return CholeskyFactor(factors.pattern, blocks, logdet)
 
 
 def banded_pattern(n, bandwidth):

@@ -5,13 +5,14 @@ gradient of ln det S there), ``inverse_columns`` gives S^-1 in full,
 ``lower_inverse`` L^-1, and ``hess_vec`` the entries on the pattern of
 S^-1 Z S^-1 (the log-det Hessian applied to Z, up to sign) as the
 tangent of the factor and of the selected inverse.  All of them run on
-the dense fronts of the pattern's ``clique_tree``, as the factor does,
-and read the factor's front ``blocks`` and its ``front_inverses``
-L_S'S'^-1, so none of them gathers the factor or inverts a block: the
+the dense fronts of the pattern's ``clique_tree``, as the factor does:
+they read the factor's ``fronts`` and its ``front_inverses`` L_S'S'^-1,
+and write their own buffers front by front through the tree's
+``split``, so none of them gathers the factor or inverts a block.  The
 factor of S brings both from the bordered fronts of
-``sparsemat.cholesky_factorize``, and the factor of the completion
-inverse (``completion.completion_inverse_factor``), which serves as
-well, gathers and inverts its fronts once, on first read.
+``sparsemat.cholesky_factorize``; the factor of the completion inverse
+(``completion.completion_inverse_factor``), which serves as well,
+inverts its fronts once, on first read.
 ``hess_from_columns`` gives W Z W on the pattern from W held in full:
 W Z from one scaling of W's columns by Z's diagonal and a sorted sum
 over Z's off-diagonal entries, then one row dot of W per slot; the
@@ -45,14 +46,14 @@ def sparse_inverse(factor):
     storage is the sum of k^2 over the fronts, never n x n.  Raises
     ValueError when the pattern is not elimination-closed.
     """
-    tree, low = factor.pattern.clique_tree, factor.blocks
-    out = np.empty_like(low)
+    tree = factor.pattern.clique_tree
+    out = np.empty_like(factor.blocks)
+    outs = tree.split(out)
     blocks = [None] * len(tree.fronts)
     for f in reversed(range(len(tree.fronts))):
-        cols, seps, lo, parent, uflat = tree.fronts[f]
-        s = len(cols)
-        k = s + len(seps)
-        blk = low[lo:lo + k * s].reshape(k, s)
+        _, _, parent, uflat = tree.fronts[f]
+        blk = factor.fronts[f]
+        k, s = blk.shape
         inv = factor.front_inverses[f]
         w = np.empty((k, k))
         w[:s, :s] = inv.T @ inv
@@ -63,7 +64,7 @@ def sparse_inverse(factor):
             w[:s, s:] = w[s:, :s].T
             w[:s, :s] -= b.T @ w[s:, :s]
         blocks[f] = w
-        out[lo:lo + k * s] = w[:, :s].ravel()
+        outs[f][:] = w[:, :s]
     return SparseSymMatrix(factor.pattern, out[tree.scatter], check=False)
 
 
@@ -73,37 +74,34 @@ def lower_inverse(factor):
     Solves L V = I one block of rows per front of the pattern's
     ``clique_tree``, children first: rows S' become L_S'S'^-1 (from
     ``front_inverses``) times themselves and rows U' lose L_U'S' times
-    those.  Returns V with each front's (S', U', L_U'S', L_S'S'^-1), for
-    ``inverse_columns``.
+    those.
     """
-    tree, low = factor.pattern.clique_tree, factor.blocks
+    tree = factor.pattern.clique_tree
     v = np.eye(factor.n)
-    steps = []
-    for (cols, seps, lo, *_), inv in zip(tree.fronts, factor.front_inverses):
-        s = len(cols)
-        blk = low[lo:lo + (s + len(seps)) * s].reshape(-1, s)
+    for (cols, seps, *_), blk, inv in zip(tree.fronts, factor.fronts, factor.front_inverses):
         rows = inv @ v[cols]
         v[cols] = rows
         if len(seps):
-            v[seps] -= blk[s:] @ rows
-        steps.append((cols, seps, blk[s:], inv))
-    return v, steps
+            v[seps] -= blk[len(cols):] @ rows
+    return v
 
 
 def inverse_columns(factor):
     """The inverse of the factored matrix L L^T, in full.
 
     Solves L L^T W = I for all n right-hand sides at once: forward by
-    ``lower_inverse``, then back, parents first, rows S' become
-    L_S'S'^-T (rows S' - L_U'S'^T rows U').  Any lower factor on the
-    pattern will do, that of S or of the completion inverse.  The result,
-    a dense n x n array, is the only storage beyond the factor's blocks.
+    ``lower_inverse``, then back over the pattern's ``clique_tree``,
+    parents first, rows S' become L_S'S'^-T (rows S' - L_U'S'^T rows U').
+    Any lower factor on the pattern will do, that of S or of the
+    completion inverse.  The result, a dense n x n array, is the only
+    storage beyond the factor's blocks.
     """
-    w, steps = lower_inverse(factor)
-    for cols, seps, off, inv in reversed(steps):
+    w = lower_inverse(factor)
+    fronts = zip(factor.pattern.clique_tree.fronts, factor.fronts, factor.front_inverses)
+    for (cols, seps, *_), blk, inv in reversed(list(fronts)):
         rows = w[cols]
         if len(seps):
-            rows -= off.T @ w[seps]
+            rows -= blk[len(cols):].T @ w[seps]
         w[cols] = inv.T @ rows
     return w
 
@@ -179,15 +177,14 @@ def hess_vec(factor, z, sinv):
     for arg, what in ((z, "Z"), (sinv, "sinv")):
         if arg.pattern is not pat and arg.pattern != pat:
             raise ValueError(f"{what} must lie on the factor's pattern")
-    tree, low = pat.clique_tree, factor.blocks
-    inverses = factor.front_inverses
+    tree = pat.clique_tree
+    low, inverses = factor.fronts, factor.front_inverses
     buf = np.append(z.values, 0.0)[tree.gather]     # dA, then dL, then -dW
-    acc = [np.zeros((len(f.cols) + len(f.seps),) * 2) for f in tree.fronts]  # sums of dU'
-    for f, (cols, seps, lo, parent, uflat) in enumerate(tree.fronts):
-        s = len(cols)
-        k = s + len(seps)
-        blk = low[lo:lo + k * s].reshape(k, s)
-        d = buf[lo:lo + k * s].reshape(k, s)
+    bufs = tree.split(buf)
+    acc = [np.zeros((len(blk),) * 2) for blk in low]      # sums of dU'
+    for f, (_, _, parent, uflat) in enumerate(tree.fronts):
+        blk, d = low[f], bufs[f]
+        k, s = blk.shape
         d += acc[f][:, :s]
         inv = inverses[f]
         phi = np.tril(inv @ (np.tril(d[:s]) + np.tril(d[:s], -1).T) @ inv.T)
@@ -201,11 +198,9 @@ def hess_vec(factor, z, sinv):
 
     blocks = [None] * len(tree.fronts)      # each front's dW on C' x C'
     for f in reversed(range(len(tree.fronts))):
-        cols, seps, lo, parent, uflat = tree.fronts[f]
-        s = len(cols)
-        k = s + len(seps)
-        blk = low[lo:lo + k * s].reshape(k, s)
-        d = buf[lo:lo + k * s].reshape(k, s)
+        _, seps, parent, uflat = tree.fronts[f]
+        blk, d = low[f], bufs[f]
+        k, s = blk.shape
         inv = inverses[f]
         dinv = -(inv @ d[:s] @ inv)
         dw = blocks[f] = np.empty((k, k))

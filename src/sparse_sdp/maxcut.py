@@ -195,8 +195,7 @@ def hyperplane_rounding(vectors, graph, trials=100, seed=0, sdp_bound=None):
 def gram_vectors(problem, state):
     """Columns of V (one per original vertex) with V^T V the completion:
     V = L^-1 for the factor L of its inverse, as L^-T L^-1 = X^."""
-    v, _ = lower_inverse(state.primal.factor)
-    return v[:, problem.ordering.perm]
+    return lower_inverse(state.primal.factor)[:, problem.ordering.perm]
 
 
 def solve_maxcut(graph, cfg=None, trials=100, seed=0):

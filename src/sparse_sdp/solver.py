@@ -398,8 +398,6 @@ class StepChoice:
 
     @property
     def mean_steps(self):
-        if not self.steps_per_start:
-            return 0.0
         return sum(self.steps_per_start) / len(self.steps_per_start)
 
 
@@ -468,9 +466,7 @@ def potential_minimize(state, primal, dual):
                     - inner_product(x_inv, d.dx)
                 g[2 + t] = scale * inner_product(trial.primal.mat, d.ds) \
                     - inner_product(s_inv, d.ds)
-        mask = np.zeros(4)
-        mask[active] = 1.0
-        return g * mask
+        return g
 
     terminals = []
     steps_per_start = []

@@ -9,11 +9,10 @@ Graphs and Semidefinite Optimization*, 2015, section 9), as are the
 inverse and Hessian-product kernels in ``logdet``.  Each front is
 factored bordered by identities, written into a copy of the template
 ``bordered``, so the one Cholesky call that gives the factor on the
-front also gives the inverse of its diagonal block.  The factor keeps both for those
-kernels, its front blocks (``CholeskyFactor.blocks``) and those
-inverses (``front_inverses``); the completion sweep borders its clique
-blocks the same way.  ``padded`` appends the constant slots, 0 and 1,
-that the clique plan's index maps read.
+front also gives the inverse of its diagonal block.  The factor keeps
+both for those kernels: the tree's flat buffer of its fronts
+(``CholeskyFactor.blocks``) and those inverses (``front_inverses``);
+the completion sweep borders its clique blocks the same way.
 """
 
 from __future__ import annotations
@@ -35,13 +34,6 @@ PIVOT_RTOL = 1e-12  # pivot <= PIVOT_RTOL * max input diagonal fails
 # that bound never decides a failure that the plain Cholesky of R would
 # not.
 BORDER = 2.0 ** 400
-
-
-def padded(values):
-    """[diag | offdiag] of a matrix on a pattern with the slots n + nnz
-    and n + nnz + 1 appended, holding 0 and 1: the pads that the index
-    maps of ``chordal.CliquePlan`` read."""
-    return np.concatenate((values, (0.0, 1.0)))
 
 
 @lru_cache(maxsize=None)
@@ -281,25 +273,20 @@ class EliminationOrdering:
 class CholeskyFactor:
     """Lower-triangular Cholesky factor on an elimination-closed pattern.
 
-    It has two layouts: ``values``, [diag | offdiag] as in
-    ``SparseSymMatrix`` (``diag`` and ``offdiag`` view its parts), and
-    ``blocks``, the k x s front blocks of the pattern's ``clique_tree``
-    laid out by its ``gather``, which the ``logdet`` kernels read.  It is
-    built from either one (``cholesky_factorize`` passes its blocks) and
-    derives the other on first read.  The diagonal holds the actual
+    ``blocks`` is the flat buffer of the pattern's ``clique_tree``, its
+    fronts' k x s blocks laid out by the tree's ``gather``, and ``fronts``
+    views it front by front; the entry in slot j of [diag | offdiag] is
+    ``blocks[clique_tree.scatter[j]]``.  The diagonal holds the actual
     (positive) pivot square roots; ``logdet`` caches 2*sum(log diag).
     ``front_inverses`` lists L_S'S'^-1 per front, in the tree's order:
     ``cholesky_factorize`` passes the ones its bordered fronts give, and
-    any other factor inverts its blocks once, on first read.
+    any other factor inverts its fronts once, on first read.
     ``chordal.CliquePlan.factor_product`` forms L L^T on the pattern.
     """
 
-    def __init__(self, pattern, values, logdet, front_inverses=None, blocks=None):
+    def __init__(self, pattern, blocks, logdet, front_inverses=None):
         self.pattern = pattern
-        if values is not None:
-            self.values = np.asarray(values, dtype=float)
-        if blocks is not None:
-            self.blocks = blocks
+        self.blocks = blocks
         self.logdet = float(logdet)
         if front_inverses is not None:
             self.front_inverses = front_inverses
@@ -308,30 +295,15 @@ class CholeskyFactor:
     def n(self):
         return self.pattern.n
 
-    @property
-    def diag(self):
-        return self.values[:self.n]
-
-    @property
-    def offdiag(self):
-        return self.values[self.n:]
-
     @cached_property
-    def values(self):
-        """[diag | offdiag], scattered from ``blocks``."""
-        return self.blocks[self.pattern.clique_tree.scatter]
-
-    @cached_property
-    def blocks(self):
-        """The fronts' k x s blocks, gathered from ``values``."""
-        return np.append(self.values, 0.0)[self.pattern.clique_tree.gather]
+    def fronts(self):
+        """Each front's k x s block, a view of ``blocks``."""
+        return self.pattern.clique_tree.split(self.blocks)
 
     @cached_property
     def front_inverses(self):
-        """L_S'S'^-1 per front, inverted from the factor's blocks."""
-        blocks = self.blocks
-        return [np.linalg.inv(blocks[f.lo:f.lo + len(f.cols) ** 2].reshape(len(f.cols), -1))
-                for f in self.pattern.clique_tree.fronts]
+        """L_S'S'^-1 per front, inverted from the factor's fronts."""
+        return [np.linalg.inv(front[:front.shape[1]]) for front in self.fronts]
 
     def __repr__(self):
         return f"CholeskyFactor(n={self.n}, nnz={self.pattern.nnz})"
@@ -394,8 +366,9 @@ def cholesky_factorize(matrix):
 
     Multifrontal, over the fronts of the pattern's ``clique_tree``,
     children first.  The fronts' blocks are gathered by the tree's
-    ``gather``, and a front adds its children's update matrices to its
-    block, which gives its k x s block F; with beta = BORDER, one
+    ``gather`` into its flat buffer, and a front adds its children's
+    update matrices to its block, which gives its k x s block F; with
+    beta = BORDER, one
     ``np.linalg.cholesky`` of the S' x S' block written into a copy of
     ``bordered(s)`` gives
 
@@ -405,10 +378,10 @@ def cholesky_factorize(matrix):
     so L_S'S' and L_S'S'^-1 (kept as ``front_inverses``) come from the
     same call, L_U'S' = F_U'S' L_S'S'^-T is one product, and the update
     -L_U'S' L_U'S'^T goes to the parent.  Each front's L overwrites its
-    F, and the factor keeps that buffer as its ``blocks``.  Raises
-    NotPositiveDefinite when a pivot of L_S'S' is not above PIVOT_RTOL
-    times the largest input diagonal, and ValueError unless the pattern
-    is elimination-closed.
+    F, and the factor keeps that buffer and its views, ``blocks`` and
+    ``fronts``.  Raises NotPositiveDefinite when a pivot of L_S'S' is not
+    above PIVOT_RTOL times the largest input diagonal, and ValueError
+    unless the pattern is elimination-closed.
 
     The border's trailing block is L_2 L_2^T = beta I - F_S'S'^-1, so it
     passes while ||F_S'S'^-1|| < beta = 2^400, about 2.6e120.  F_S'S' is
@@ -432,13 +405,11 @@ def cholesky_factorize(matrix):
     n = pat.n
     tol = PIVOT_RTOL * max(float(matrix.diag.max()), 0.0) if n else 0.0
     blocks = np.append(matrix.values, 0.0)[tree.gather]     # F, then L
-    fronts = tree.fronts
+    fronts = tree.split(blocks)
     acc = [None] * len(fronts)          # each front's sum of its children's updates, raveled
     inverses = []
-    for f, (cols, seps, lo, parent, uflat) in enumerate(fronts):
-        s = len(cols)
-        k = s + len(seps)
-        front = blocks[lo:lo + k * s].reshape(k, s)
+    for f, ((cols, _, parent, uflat), front) in enumerate(zip(tree.fronts, fronts)):
+        k, s = front.shape
         blk = bordered(s).copy()
         blk[:s, :s] = front[:s]
         sub = acc[f]
@@ -457,11 +428,13 @@ def cholesky_factorize(matrix):
             if sub is not None:
                 upd += sub[s:, s:]
             if acc[parent] is None:
-                acc[parent] = np.zeros((len(fronts[parent].cols) + len(fronts[parent].seps)) ** 2)
+                acc[parent] = np.zeros(len(fronts[parent]) ** 2)
             acc[parent][uflat] += upd.ravel()
         acc[f] = None
     logdet = 2.0 * float(np.log(blocks[tree.scatter[:n]]).sum())   # pivots in label order
-    return CholeskyFactor(pat, None, logdet, inverses, blocks=blocks)
+    factor = CholeskyFactor(pat, blocks, logdet, inverses)
+    factor.fronts = fronts
+    return factor
 
 
 def _passing_factor(a, tol, s=None):

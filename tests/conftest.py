@@ -5,8 +5,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from sparse_sdp import (SparseSymMatrix, SparseSymPattern, min_degree_ordering,
-                        symbolic_factorize)
+from sparse_sdp import (CholeskyFactor, SparseSymMatrix, SparseSymPattern,
+                        min_degree_ordering, symbolic_factorize)
 
 
 def random_pattern(n, density, rng):
@@ -142,11 +142,22 @@ def dense_mask(pattern):
     return mask
 
 
+def factor_entries(factor):
+    """A CholeskyFactor's entries in the slots [diag | offdiag]."""
+    return factor.blocks[factor.pattern.clique_tree.scatter]
+
+
+def factor_on(pattern, values):
+    """The CholeskyFactor with the entries ``values`` in the slots
+    [diag | offdiag] of ``pattern`` (logdet 0)."""
+    return CholeskyFactor(pattern, np.append(values, 0.0)[pattern.clique_tree.gather], 0.0)
+
+
 def factor_to_dense(factor):
     """Dense lower-triangular copy of a CholeskyFactor."""
     rows, cols = factor.pattern.slot_ends
     out = np.zeros((factor.n, factor.n))
-    out[rows, cols] = factor.values
+    out[rows, cols] = factor_entries(factor)
     return out
 
 

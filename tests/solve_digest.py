@@ -23,8 +23,10 @@ the three benchmark families -- random_graph(35, 105), banded_graph(60, 3)
 and the 5x7 odd torus with weights 1-2, the torus written as .dat-s and
 read back through ``read_sdpa`` -- at ``trial_seed(3, 0..5)``, each in
 four- and two-direction mode.  The digest covers C, x0 and y0 of every
-problem; the outputs of ``cholesky_factorize``, ``sparse_inverse`` and
-``hess_vec(factor, C, sinv)`` at the starting slack C - sum y0_p A_p,
+problem; the outputs of ``cholesky_factorize`` (its entries in slot
+order, ``blocks[clique_tree.scatter]``, and its log-det),
+``sparse_inverse`` and ``hess_vec(factor, C, sinv)`` at the starting
+slack C - sum y0_p A_p,
 which covers ``hess_vec`` although no solve calls it, and of what the
 directions call on that factor: W = ``inverse_columns(factor)``,
 ``newton_matrix(W)`` and ``hess_from_columns(W, C)``; the outputs of
@@ -107,12 +109,13 @@ def digest(out=sys.stdout):
             factor = cholesky_factorize(problem.dual_slack(y0))
             sinv = sparse_inverse(factor)
             w = inverse_columns(factor)
-            for part in (factor.values, np.float64(factor.logdet), sinv.values,
+            entries = factor.blocks[factor.pattern.clique_tree.scatter]
+            for part in (entries, np.float64(factor.logdet), sinv.values,
                          hess_vec(factor, problem.c, sinv).values, w,
                          problem.newton_matrix(w), hess_from_columns(w, problem.c).values):
                 feed(part, kernels)
             primal = completion_inverse_factor(completion_factors(x0))
-            for part in (inverse_columns(primal), lower_inverse(primal)[0]):
+            for part in (inverse_columns(primal), lower_inverse(primal)):
                 feed(part, kernels)
             for mode in ("four", "two"):
                 feed(f"{label} {mode}", solves, paths)

@@ -10,10 +10,8 @@ The factor and the completion sweep factor their blocks bordered by
 identities, which gives each block's factor L and its inverse in one
 Cholesky call; ``TestBorderedBlocks`` checks those inverses against
 long-double ones and checks that the border never decides a failure.
-``TestFactorLayouts`` checks that a factor's two layouts, the front
-blocks that ``cholesky_factorize`` keeps and the [diag | offdiag]
-values, feed the kernels the same bits, and ``TestNoLuInverses`` that
-no kernel on the solve path falls back to an LU inverse or solve.
+``TestNoLuInverses`` checks that no kernel on the solve path falls back
+to an LU inverse or solve.
 """
 
 import importlib.util
@@ -30,9 +28,10 @@ from sparse_sdp import chordal
 from sparse_sdp.bench import trial_seed
 from sparse_sdp.completion import completion_factors, completion_inverse_factor
 from sparse_sdp.logdet import lower_inverse
-from sparse_sdp.sparsemat import BORDER, PIVOT_RTOL, bordered, padded
+from sparse_sdp.chordal import padded
+from sparse_sdp.sparsemat import BORDER, PIVOT_RTOL, bordered
 
-from conftest import (dense_mask, factor_to_dense, random_completable_partial,
+from conftest import (dense_mask, factor_entries, factor_to_dense, random_completable_partial,
                       random_filled_pattern, random_pd_on_pattern, reconstruct_dense,
                       restrict_abs_error, sparse_from_dense)
 
@@ -108,6 +107,9 @@ class TestAgainstDense:
             assert np.abs(low - ref).max() <= 1e-10 * max(np.abs(ref).max(), 1.0)
             off = ~dense_mask(fill) & np.tri(fill.n, dtype=bool)
             assert np.abs(ref[off]).max(initial=0.0) <= 1e-12 * scale
+            # the buffer holds exact zeros at the front positions off the
+            # pattern, as the completion-inverse factor's zeroed buffer does
+            assert np.all(factor.blocks[fill.clique_tree.gather == fill.n + fill.nnz] == 0.0)
             assert factor.logdet == pytest.approx(np.linalg.slogdet(dense)[1],
                                                   abs=1e-10 * max(fill.n, 1))
 
@@ -170,18 +172,20 @@ class TestAgainstDense:
 
 class TestFactorLayouts:
     def test_blocks_and_values_give_the_kernels_the_same_bits(self, merge_size):
-        # the kept blocks hold what the fronts computed off the pattern,
-        # where blocks gathered from the values hold 0
+        # the factor's buffer holds exact zeros off the pattern, so the
+        # buffer gathered back from its slot-order values is the same
         for rng, fill in random_cases(14):
             mat, _ = random_pd_on_pattern(fill, rng)
             kept = cholesky_factorize(mat)
-            rebuilt = CholeskyFactor(fill, kept.values, kept.logdet, kept.front_inverses)
+            values = np.append(factor_entries(kept), 0.0)
+            rebuilt = CholeskyFactor(fill, values[fill.clique_tree.gather], kept.logdet,
+                                     kept.front_inverses)
             assert rebuilt.blocks.tobytes() == kept.blocks.tobytes()
             z = SparseSymMatrix(fill, rng.standard_normal(fill.n + fill.nnz))
             outputs = []
             for factor in (kept, rebuilt):
                 sinv = sparse_inverse(factor)
-                outputs.append([sinv.values, lower_inverse(factor)[0],
+                outputs.append([sinv.values, lower_inverse(factor),
                                 inverse_columns(factor), hess_vec(factor, z, sinv).values])
             for a, b in zip(*outputs):
                 assert a.tobytes() == b.tobytes()

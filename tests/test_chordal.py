@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparse_sdp import (CholeskyFactor, EliminationOrdering, NotChordal,
-                        RipFailure, SparseSymPattern, maximal_cliques,
-                        rip_order, symbolic_factorize)
+from sparse_sdp import (EliminationOrdering, NotChordal, RipFailure,
+                        SparseSymPattern, chordal, maximal_cliques, rip_order,
+                        symbolic_factorize)
 
-from conftest import (brute_force_cliques, clique_cover_edges,
+from conftest import (brute_force_cliques, clique_cover_edges, factor_on,
                       factor_to_dense, random_filled_pattern, random_pattern,
                       sparse_from_dense)
 
@@ -183,7 +183,7 @@ class TestRandomChordalInvariants:
 
 
 class TestCliquePlan:
-    """The plan of the maximal cliques reads every slot of a lower factor
+    """The plan of the maximal cliques reads every entry of a lower factor
     on the pattern, and forms its L L^T clique by clique."""
 
     @settings(max_examples=100, deadline=None)
@@ -194,17 +194,23 @@ class TestCliquePlan:
         fill = random_filled_pattern(n, density, rng)
         values = rng.standard_normal(n + fill.nnz)
         values[:n] = rng.random(n) + 0.5
-        factor = CholeskyFactor(fill, values, 0.0)
+        factor = factor_on(fill, values)
         ldense = factor_to_dense(factor)
         want = sparse_from_dense(fill, ldense @ ldense.T).values
         got = fill.clique_plan.factor_product(factor)
         assert got.pattern is fill
         assert np.abs(got.values - want).max() <= 1e-14 * np.abs(want).max()
 
+    @pytest.mark.parametrize("merge_size", [1, 6, 10_000])
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(1, 24), density=st.floats(0.0, 0.6),
            seed=st.integers(0, 2**32 - 1))
-    def test_factor_slots_are_a_permutation_of_the_storage(self, n, density, seed):
+    def test_factor_slots_are_a_permutation_of_the_storage(self, merge_size, n,
+                                                           density, seed):
+        # the positions of a factor's entries in the clique tree's buffer,
+        # at merge thresholds from none to one front per component
         fill = random_filled_pattern(n, density, np.random.default_rng(seed))
-        slots = fill.clique_plan.factor_slots
-        assert np.array_equal(np.sort(slots), np.arange(n + fill.nnz))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chordal, "MERGE_SIZE", merge_size)
+            slots = np.concatenate(fill.clique_plan.factor_slots)
+        assert np.array_equal(np.sort(slots), np.sort(fill.clique_tree.scatter))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparse_sdp import (CholeskyFactor, NotCompletable, SparseSymMatrix,
+from sparse_sdp import (NotCompletable, SparseSymMatrix,
                         SparseSymPattern, banded_pattern, chordal,
                         cholesky_factorize, completion_factors,
                         completion_inverse, completion_inverse_factor, hess_vec,
@@ -14,8 +14,9 @@ from sparse_sdp import (CholeskyFactor, NotCompletable, SparseSymMatrix,
 from sparse_sdp.bench import random_banded_partial, trial_seed
 from sparse_sdp.logdet import lower_inverse
 
-from conftest import (dense_mask, factor_to_dense, random_completable_partial,
-                      reconstruct_dense, restrict_abs_error, sparse_from_dense)
+from conftest import (dense_mask, factor_entries, factor_on, factor_to_dense,
+                      random_completable_partial, reconstruct_dense, restrict_abs_error,
+                      sparse_from_dense)
 
 
 def tridiagonal_example():
@@ -33,7 +34,7 @@ def gram_vectors_of(xbar):
     """V = L^-1 for L the factor of the completion inverse, as
     ``maxcut.gram_vectors`` takes it: its columns are Gram vectors of
     the completion."""
-    return lower_inverse(completion_inverse_factor(completion_factors(xbar)))[0]
+    return lower_inverse(completion_inverse_factor(completion_factors(xbar)))
 
 
 def per_clique_completion(xbar):
@@ -348,7 +349,7 @@ def sweep_results(xbar, lower):
     and L L^T for the lower factor values ``lower``, through its plan."""
     factors = completion_factors(xbar)
     product = xbar.pattern.clique_plan.factor_product(
-        CholeskyFactor(xbar.pattern, lower, 0.0))
+        factor_on(xbar.pattern, lower))
     return (logdet_completion(factors), completion_inverse(factors),
             completion_inverse_factor(factors), product)
 
@@ -363,7 +364,7 @@ def check_bucketings(xbar, rng, calls=(0, 50, chordal.BUCKET_CALL, 1e12)):
     scale = max(np.abs(inv).max(), 1.0)
     lower = rng.standard_normal(n + nnz)
     lower[:n] = rng.random(n) + 0.5
-    ldense = factor_to_dense(CholeskyFactor(xbar.pattern, lower, 0.0))
+    ldense = factor_to_dense(factor_on(xbar.pattern, lower))
     llt = ldense @ ldense.T
     per_size, tops = None, []
     for call in calls:
@@ -376,21 +377,22 @@ def check_bucketings(xbar, rng, calls=(0, 50, chordal.BUCKET_CALL, 1e12)):
         if call == 1e12:
             assert tops[-1] == [sizes[-1]]
         assert sum(len(gather) for gather, _ in plan.buckets) == len(x.pattern.cliques)
-        assert np.array_equal(np.sort(plan.factor_slots), np.arange(n + nnz))
-        logdet, xinv, factor, product = got = sweep_results(x, lower)
+        assert np.array_equal(np.sort(np.concatenate(plan.factor_slots)),
+                              np.sort(x.pattern.clique_tree.scatter))
+        logdet, xinv, factor, product = sweep_results(x, lower)
         assert logdet == pytest.approx(np.linalg.slogdet(xhat)[1], abs=1e-9)
         assert restrict_abs_error(inv, xinv) <= 1e-10 * scale
         fdense = factor_to_dense(factor)
         assert restrict_abs_error(inv, sparse_from_dense(x.pattern, fdense @ fdense.T)) \
             <= 1e-10 * scale
         assert restrict_abs_error(llt, product) <= 1e-13 * np.abs(llt).max()
+        got = (logdet, xinv.values, factor_entries(factor), product.values)
         if per_size is None:
             per_size = got
             continue
         assert logdet == pytest.approx(per_size[0], rel=1e-12, abs=1e-12)
         for mine, theirs in zip(got[1:], per_size[1:]):
-            assert np.abs(mine.values - theirs.values).max() \
-                <= 1e-12 * np.abs(theirs.values).max()
+            assert np.abs(mine - theirs).max() <= 1e-12 * np.abs(theirs).max()
     return tops
 
 
@@ -467,7 +469,8 @@ class TestCompletionInverseFactor:
         got = completion_inverse_factor(factors)
         want = cholesky_factorize(completion_inverse(factors))
         assert got.pattern is want.pattern
-        assert np.abs(got.values - want.values).max() <= 1e-12 * np.abs(want.values).max()
+        got_entries, want_entries = factor_entries(got), factor_entries(want)
+        assert np.abs(got_entries - want_entries).max() <= 1e-12 * np.abs(want_entries).max()
         assert got.logdet == pytest.approx(-logdet_completion(factors), rel=1e-12, abs=1e-12)
         # the Hessian product on it, with X-bar as the selected inverse
         z = SparseSymMatrix(xbar.pattern, rng.standard_normal(n + xbar.pattern.nnz))

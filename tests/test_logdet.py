@@ -325,7 +325,7 @@ class TestMemoryFootprint:
         mat.diag[:] += 3.0
         fac = cholesky_factorize(mat)
         z = SparseSymMatrix(xbar.pattern, np.ones(600 + xbar.pattern.nnz))
-        factor_bytes = (fac.diag.nbytes + fac.offdiag.nbytes
+        factor_bytes = (8 * (fac.n + fac.pattern.nnz)
                         + fac.pattern.rows.nbytes + fac.pattern.col_ptr.nbytes)
         budget = 40 * factor_bytes + 262144
         tracemalloc.start()

@@ -14,7 +14,7 @@ from sparse_sdp.cli import _generic_initial_point
 from sparse_sdp.maxcut import Graph, initial_point, maxcut_sdp, random_graph
 from sparse_sdp.solver import EXTRA_ITERS, STALL_DECREASE
 
-from conftest import (dense_mask, dense_reference_directions,
+from conftest import (dense_mask, dense_reference_directions, factor_entries,
                       problem_dense_data, random_generic_sdp, reconstruct_dense,
                       restrict_abs_error, sparse_from_dense)
 
@@ -1010,9 +1010,10 @@ class TestSolve:
         assert state.residuals()[1] <= 1e-12
         factor = state.dual.factor
         slot = 0 if where == "diagonal" else \
-            problem.n + int(np.argmax(np.abs(factor.offdiag)))
-        assert factor.values[slot] != 0.0
-        factor.values[slot] *= 1.001
+            problem.n + int(np.argmax(np.abs(factor_entries(factor)[problem.n:])))
+        at = factor.pattern.clique_tree.scatter[slot]
+        assert factor.blocks[at] != 0.0
+        factor.blocks[at] *= 1.001
         assert state.residuals()[1] > 1e-8
 
     def test_csv_and_summary_roundtrip(self, tmp_path):

@@ -46,14 +46,18 @@ def run_solver_trial(args):
 
 
 def parse_sizes(text):
-    """'5:7,10:16' -> [(5, 7), (10, 16)]."""
+    """'5:7,10:16' -> [(5, 7), (10, 16)]; ValueError names a chunk that is
+    not two integers n:m."""
     pairs = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
-        n_str, m_str = chunk.split(":")
-        pairs.append((int(n_str), int(m_str)))
+        try:
+            n_str, m_str = chunk.split(":")
+            pairs.append((int(n_str), int(m_str)))
+        except ValueError:
+            raise ValueError(f"bad size {chunk!r}, expected n:m") from None
     if not pairs:
         raise ValueError("no sizes given")
     return pairs

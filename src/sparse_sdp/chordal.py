@@ -35,10 +35,25 @@ from .errors import NotChordal, RipFailure
 from .sparsemat import SparseSymMatrix
 
 # t: a child clique joins its parent while |S_child| + |C_parent| <= t.  At
-# 48 the benchmark patterns (n = 35 to 60) are one or two fronts, and a
-# merged front's dense products stay below 64 x 64 x 64, where OpenBLAS
-# starts threads.
+# 48 the benchmark patterns (n = 35 to 60) are one or two fronts.  A
+# front of s columns is factored as one 2s x 2s bordered Cholesky call, so
+# at s <= 48 the calls reach 96 x 96 (random 35 and torus 5 x 7: one
+# 35-column front, a 70 x 70 call).
 MERGE_SIZE = 48
+
+# The fill floor: a child also joins its parent only while the merged front
+# keeps at least this share of pattern entries (see ``CliqueTree``).  The
+# near-dense fill of the random and torus benchmarks, random 100 and torus
+# 15 x 15 and 31 x 31 keeps the trees of the size rule alone; banded fill,
+# a few entries per column, stops merging before its fronts are mostly
+# zeros (banded 60: a 46-column front at 12 % became 37 and 23 columns).
+# Solve CPU seconds by floor, medians of 3 alternating rounds (2-vCPU VM):
+#   floor         0      0.1    0.125  0.15   0.175  0.2    0.25
+#   banded 60     0.0549 0.0552 0.0550 0.0484 0.0476 0.0506 0.0497
+#   banded 240    0.345  0.354  0.341  0.336  0.328  0.334  0.341
+# 0.15 to 0.19 is one plateau within noise; 0.15, its low end, changes the
+# fewest trees.
+MERGE_FILL = 0.15
 
 # The cost of one batched numpy call (Cholesky, inverse or product) over a
 # stack of clique blocks, in units of the k^3 work per k x k block: the
@@ -285,19 +300,22 @@ class CliqueTree:
 
     The cliques are ``pattern.cliques``, split by ``rip_order``.
     In that order (every child before its parent) a child is merged into
-    its parent while |S_child| + |C_parent| <= MERGE_SIZE; the merged
-    clique is C_parent with S_child added to its residual.  Merging only
-    changes the fronts' shapes: column j of a factor on the pattern has
-    its rows in the C' of the front holding j, and it is 0 on the rows
-    the merge added (the pattern is elimination-closed).  ``fronts``
-    lists the ``Front``s, every child before its parent.  The tree's flat
-    buffer holds their k x s blocks (rows C', columns S') row by row, in
-    that order, and ``split`` views it front by front.  ``gather`` reads
-    the buffer from [diag | offdiag] with one zero slot n + nnz appended:
-    the entries of C' x S' on and below the diagonal that lie on the
-    pattern, and the zero slot for the rest.  ``scatter`` is its inverse
-    on the pattern, the buffer position of each slot.  Raises ValueError
-    unless the pattern is elimination-closed.
+    its parent while |S_child| + |C_parent| <= MERGE_SIZE and the merged
+    front stays at least MERGE_FILL dense: its k x s block on and below
+    the diagonal, s k - s (s - 1) / 2 entries, holds that share of
+    pattern entries, 1 + |column j| for each of its columns j.  The
+    merged clique is C_parent with S_child added to its residual.
+    Merging only changes the fronts' shapes: column j of a factor on the
+    pattern has its rows in the C' of the front holding j, and it is 0 on
+    the rows the merge added (the pattern is elimination-closed).
+    ``fronts`` lists the ``Front``s, every child before its parent.  The
+    tree's flat buffer holds their k x s blocks (rows C', columns S') row
+    by row, in that order, and ``split`` views it front by front.
+    ``gather`` reads the buffer from [diag | offdiag] with one zero slot
+    n + nnz appended: the entries of C' x S' on and below the diagonal
+    that lie on the pattern, and the zero slot for the rest.  ``scatter``
+    is its inverse on the pattern, the buffer position of each slot.
+    Raises ValueError unless the pattern is elimination-closed.
     """
 
     def __init__(self, pattern):
@@ -312,13 +330,21 @@ class CliqueTree:
         parent = [int(home[u[0]]) if len(u) else -1 for u in seq.separators]
         size = [len(c) for c in seq.cliques]
         cols = [[s] for s in seq.residuals]
+        # the pattern entries in each front's k x s block: 1 + |column j| per column j
+        held = np.bincount(home, weights=np.diff(pattern.col_ptr) + 1.0,
+                           minlength=len(seq)).tolist()
         into = list(range(len(seq)))
         for r, p in enumerate(parent):
-            ns = size[r] - len(seq.separators[r])
-            if p >= 0 and ns + size[p] <= MERGE_SIZE:
-                into[r] = p
-                size[p] += ns
-                cols[p] += cols[r]
+            if p < 0:
+                continue
+            k = size[r] - len(seq.separators[r]) + size[p]     # the merged front's C'
+            s = k - len(seq.separators[p])                      # and S'
+            if k > MERGE_SIZE or held[r] + held[p] < MERGE_FILL * (s * k - s * (s - 1) // 2):
+                continue
+            into[r] = p
+            size[p] = k
+            held[p] += held[r]
+            cols[p] += cols[r]
         for r in reversed(range(len(seq))):     # a parent comes after its child
             into[r] = into[into[r]]
         keep = [r for r in range(len(seq)) if into[r] == r]

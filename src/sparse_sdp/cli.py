@@ -228,15 +228,15 @@ def cmd_bench_directions(args):
 def _parse_sweep(text, default):
     if not text:
         return default
-    parts = [int(v) for v in text.split(":")]
-    if len(parts) == 2:
-        lo, hi, step = parts[0], parts[1], 1
-    elif len(parts) == 3:
-        lo, hi, step = parts
-    else:
-        raise ValueError(f"bad sweep {text!r}, expected lo:hi[:step]")
+    try:
+        lo, hi, *step = map(int, text.split(":"))
+        step, = step or [1]
+    except ValueError:
+        raise ValueError(f"bad sweep {text!r}, expected lo:hi[:step]") from None
     if step < 1:
         raise ValueError(f"bad sweep {text!r}, step must be at least 1")
+    if hi < lo:
+        raise ValueError(f"bad sweep {text!r}, hi must be at least lo")
     return list(range(lo, hi + 1, step))
 
 

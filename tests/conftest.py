@@ -286,3 +286,17 @@ def break_newton_matrix_at(monkeypatch, iteration):
 
     monkeypatch.setattr(solver, "potential_minimize", counted_search)
     monkeypatch.setattr(SdpProblem, "newton_matrix", newton_matrix)
+
+
+def front_density(pattern, front):
+    """The share of pattern entries in the front's k x s block on and
+    below the diagonal."""
+    s, k = len(front.cols), len(front.cols) + len(front.seps)
+    held = sum(1 + len(pattern.column_rows(j)) for j in front.cols.tolist())
+    return held / (s * k - s * (s - 1) // 2)
+
+
+def is_merged(pattern, front):
+    """Whether the front holds the columns of more than one clique."""
+    return tuple(front.cols.tolist()) not in {tuple(s.tolist())
+                                              for s in pattern.cliques.residuals}

@@ -6,8 +6,10 @@ that a change leaves the solver's path where it was.
 
 Run it in two checkouts and ``diff`` the outputs, or ``--compare``
 them: that prints each solve whose status or iteration count changed,
-the largest relative difference in C.X and in b.y over the solves, and
-which of the three hashes and the digest differ, and exits with status 1
+the largest relative difference in C.X and in b.y over the solves and
+then per family (random, banded, torus), so a change meant to move one
+family shows the others at exactly 0, and which of the three hashes and
+the digest differ, and exits with status 1
 when any solve changed status or iteration count (0 otherwise), so a
 script can gate on it.  Each solve prints one
 line, ``family i mode status iterations C.X b.y`` (objectives as repr),
@@ -161,6 +163,7 @@ def compare(path_a, path_b, out=sys.stdout):
     b, hash_b = _read(path_b)
     changed = 0
     worst = {"C.X": (0.0, None), "b.y": (0.0, None)}
+    family = {}         # family -> the largest relative C.X and b.y differences
     for label in list(a) + [label for label in b if label not in a]:
         if label not in a or label not in b:
             changed += 1
@@ -171,15 +174,20 @@ def compare(path_a, path_b, out=sys.stdout):
             changed += 1
             print(f"changed: {label}: {status_a} {iters_a} -> {status_b} {iters_b}",
                   file=out)
-        for name, x, y in zip(worst, obj_a, obj_b):
-            rel = abs(y - x) / max(abs(x), abs(y), sys.float_info.min)
+        rels = [abs(y - x) / max(abs(x), abs(y), sys.float_info.min)
+                for x, y in zip(obj_a, obj_b)]
+        for name, rel in zip(worst, rels):
             if rel > worst[name][0]:
                 worst[name] = (rel, label)
+        fam = label.split()[0]
+        family[fam] = [max(pair) for pair in zip(family.get(fam, (0.0, 0.0)), rels)]
     print(f"{changed} of {len(set(a) | set(b))} solves changed status or iterations",
           file=out)
     for name, (rel, label) in worst.items():
         print(f"max relative difference in {name}: {rel:.3e}"
               + (f" ({label})" if label else ""), file=out)
+    for name, (cx, by) in family.items():
+        print(f"{name}: max relative difference in C.X {cx:.3e}, in b.y {by:.3e}", file=out)
     for name in ("kernels", "solves", "paths", "digest"):
         same = hash_a.get(name) == hash_b.get(name)
         print(f"{name} {'equal' if same else 'differ'}", file=out)

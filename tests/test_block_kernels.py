@@ -3,8 +3,12 @@
 ``cholesky_factorize``, ``sparse_inverse``, ``inverse_columns`` and
 ``hess_vec`` run on the dense fronts of ``SparseSymPattern.clique_tree``.
 Each check runs at merge thresholds t = 1 (no merging), an intermediate
-t and t >= n (one front per connected component), on fresh random
-chordal patterns, since a pattern keeps the tree it built first.
+t and t >= n (one front per connected component at fill floor 0), and
+the tree and oracle checks also at fill floors from none to one that
+blocks every merge, on fresh random chordal patterns, since a pattern
+keeps the tree it built first.  ``TestMergeFloor`` checks that the
+default floor leaves the near-dense benchmark trees as the size rule
+builds them and stops the banded ones.
 
 The factor and the completion sweep factor their blocks bordered by
 identities, which gives each block's factor L and its inverse in one
@@ -31,9 +35,9 @@ from sparse_sdp.logdet import lower_inverse
 from sparse_sdp.chordal import padded
 from sparse_sdp.sparsemat import BORDER, PIVOT_RTOL, bordered
 
-from conftest import (dense_mask, factor_entries, factor_to_dense, random_completable_partial,
-                      random_filled_pattern, random_pd_on_pattern, reconstruct_dense,
-                      restrict_abs_error, sparse_from_dense)
+from conftest import (dense_mask, factor_entries, factor_to_dense, front_density, is_merged,
+                      random_completable_partial, random_filled_pattern, random_pd_on_pattern,
+                      reconstruct_dense, restrict_abs_error, sparse_from_dense)
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_graphs", Path(__file__).resolve().parent.parent / "perfbench" / "graphs.py")
@@ -41,11 +45,20 @@ graphs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(graphs)
 
 THRESHOLDS = [1, 6, 10_000]
+# fill floors: the size rule alone, the default, one that splits about a
+# third of the random trees at t >= n, and one that blocks every merge
+FLOORS = [0.0, chordal.MERGE_FILL, 0.5, 2.0]
 
 
 @pytest.fixture(params=THRESHOLDS, ids=lambda t: f"t{t}")
 def merge_size(request, monkeypatch):
     monkeypatch.setattr(chordal, "MERGE_SIZE", request.param)
+    return request.param
+
+
+@pytest.fixture(params=FLOORS, ids=lambda f: f"f{f:g}")
+def merge_fill(request, monkeypatch):
+    monkeypatch.setattr(chordal, "MERGE_FILL", request.param)
     return request.param
 
 
@@ -57,7 +70,7 @@ def random_cases(seed, count=40, nmax=30):
 
 
 class TestCliqueTree:
-    def test_fronts_partition_the_columns_and_cover_every_slot(self, merge_size):
+    def test_fronts_partition_the_columns_and_cover_every_slot(self, merge_size, merge_fill):
         for _, fill in random_cases(1):
             tree = fill.clique_tree
             cols = np.concatenate([f.cols for f in tree.fronts])
@@ -78,17 +91,19 @@ class TestCliqueTree:
                 else:
                     assert len(f.seps) == 0
 
-    def test_threshold_sets_the_front_count(self, merge_size):
+    def test_threshold_sets_the_front_count(self, merge_size, merge_fill):
         for _, fill in random_cases(2):
             cliques = chordal.maximal_cliques(fill)
             tree = fill.clique_tree
             roots = sum(f.parent < 0 for f in tree.fronts)
-            if merge_size == 1:
+            if merge_size == 1 or merge_fill > 1:
                 assert len(tree.fronts) == len(cliques)
-            elif merge_size >= fill.n:
+            elif merge_size >= fill.n and merge_fill == 0:
                 assert len(tree.fronts) == roots
             merged = [len(f.cols) + len(f.seps) for f in tree.fronts]
             assert all(k <= max(merge_size, max(map(len, cliques))) for k in merged)
+            assert all(front_density(fill, f) >= merge_fill
+                       for f in tree.fronts if is_merged(fill, f))
 
     def test_unclosed_pattern_rejected(self):
         with pytest.raises(ValueError, match="elimination-closed"):
@@ -96,7 +111,7 @@ class TestCliqueTree:
 
 
 class TestAgainstDense:
-    def test_factor_is_the_dense_factor_and_zero_off_the_pattern(self, merge_size):
+    def test_factor_is_the_dense_factor_and_zero_off_the_pattern(self, merge_size, merge_fill):
         for rng, fill in random_cases(3):
             mat, dense = random_pd_on_pattern(fill, rng)
             factor = cholesky_factorize(mat)
@@ -113,21 +128,21 @@ class TestAgainstDense:
             assert factor.logdet == pytest.approx(np.linalg.slogdet(dense)[1],
                                                   abs=1e-10 * max(fill.n, 1))
 
-    def test_sparse_inverse_is_the_inverse_on_the_pattern(self, merge_size):
+    def test_sparse_inverse_is_the_inverse_on_the_pattern(self, merge_size, merge_fill):
         for rng, fill in random_cases(4):
             mat, dense = random_pd_on_pattern(fill, rng)
             ref = np.linalg.inv(dense)
             w = sparse_inverse(cholesky_factorize(mat))
             assert restrict_abs_error(ref, w) <= 1e-10 * max(np.abs(ref).max(), 1.0)
 
-    def test_inverse_columns_on_the_dual_factor(self, merge_size):
+    def test_inverse_columns_on_the_dual_factor(self, merge_size, merge_fill):
         for rng, fill in random_cases(5):
             mat, dense = random_pd_on_pattern(fill, rng)
             ref = np.linalg.inv(dense)
             w = inverse_columns(cholesky_factorize(mat))
             assert np.abs(w - ref).max() <= 1e-10 * max(np.abs(ref).max(), 1.0)
 
-    def test_inverse_columns_on_the_completion_inverse_factor(self, merge_size):
+    def test_inverse_columns_on_the_completion_inverse_factor(self, merge_size, merge_fill):
         rng = np.random.default_rng(6)
         for _ in range(40):
             n = int(rng.integers(1, 30))
@@ -137,7 +152,7 @@ class TestAgainstDense:
             w = inverse_columns(completion_inverse_factor(factors))
             assert np.abs(w - xhat).max() <= 1e-9 * max(np.abs(xhat).max(), 1.0)
 
-    def test_hess_vec_on_the_dual_factor(self, merge_size):
+    def test_hess_vec_on_the_dual_factor(self, merge_size, merge_fill):
         # W Z W on the pattern, W = S^-1, from the selected inverse
         for rng, fill in random_cases(8):
             mat, dense = random_pd_on_pattern(fill, rng)
@@ -148,7 +163,7 @@ class TestAgainstDense:
             got = hess_vec(factor, z, sparse_inverse(factor))
             assert restrict_abs_error(want, got) <= 1e-10 * max(np.abs(want).max(), 1.0)
 
-    def test_hess_vec_on_the_completion_inverse_factor(self, merge_size):
+    def test_hess_vec_on_the_completion_inverse_factor(self, merge_size, merge_fill):
         # W Z W on the pattern, W = X^ the completion, from the partial X
         rng = np.random.default_rng(9)
         for _ in range(40):
@@ -161,7 +176,7 @@ class TestAgainstDense:
             got = hess_vec(completion_inverse_factor(factors), z, xbar)
             assert restrict_abs_error(want, got) <= 1e-9 * max(np.abs(want).max(), 1.0)
 
-    def test_indefinite_matrix_raises_at_every_threshold(self, merge_size):
+    def test_indefinite_matrix_raises_at_every_threshold(self, merge_size, merge_fill):
         fill = random_filled_pattern(12, 0.4, np.random.default_rng(7))
         mat = SparseSymMatrix.identity(fill)
         mat.diag[5] = -1.0
@@ -171,7 +186,7 @@ class TestAgainstDense:
 
 
 class TestFactorLayouts:
-    def test_blocks_and_values_give_the_kernels_the_same_bits(self, merge_size):
+    def test_blocks_and_values_give_the_kernels_the_same_bits(self, merge_size, merge_fill):
         # the factor's buffer holds exact zeros off the pattern, so the
         # buffer gathered back from its slot-order values is the same
         for rng, fill in random_cases(14):
@@ -349,13 +364,44 @@ class TestBorderedBlocks:
                     completion_factors(xbar)
 
 
-def benchmark_problem(family):
-    seed = trial_seed(3, 0)
+def benchmark_problem(family, index=0):
+    seed = trial_seed(3, index)
     if family == "random":
         return maxcut_sdp(random_graph(35, 105, seed))
     if family == "banded":
         return maxcut_sdp(Graph(*graphs.banded_graph(60, 3, seed)))
     return maxcut_sdp(Graph(*graphs.odd_torus_graph(5, 7, seed, max_weight=2)))
+
+
+def front_sets(tree):
+    return [(f.cols.tolist(), f.seps.tolist(), f.parent) for f in tree.fronts]
+
+
+class TestMergeFloor:
+    @pytest.mark.parametrize("index", range(6))
+    @pytest.mark.parametrize("family", ["random", "torus"])
+    def test_dense_benchmark_trees_are_the_size_rule_trees(self, family, index,
+                                                           monkeypatch):
+        # the floor leaves the trees of the near-dense benchmark patterns
+        # as the size rule alone builds them
+        fill = benchmark_problem(family, index).fill
+        default = chordal.CliqueTree(fill)
+        monkeypatch.setattr(chordal, "MERGE_FILL", 0.0)
+        assert front_sets(default) == front_sets(chordal.CliqueTree(fill))
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_banded_fronts_stop_at_the_floor(self, index, monkeypatch):
+        # banded fill is a few entries per column, so the size rule alone
+        # merges it into fronts that are mostly zeros
+        fill, floor = benchmark_problem("banded", index).fill, chordal.MERGE_FILL
+        default = chordal.CliqueTree(fill)
+        assert all(front_density(fill, f) >= floor
+                   for f in default.fronts if is_merged(fill, f))
+        monkeypatch.setattr(chordal, "MERGE_FILL", 0.0)
+        size_only = chordal.CliqueTree(fill)
+        assert min(front_density(fill, f) for f in size_only.fronts) < floor
+        widest = [max(len(f.cols) for f in t.fronts) for t in (default, size_only)]
+        assert widest[0] < widest[1]
 
 
 class TestNoLuInverses:

@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparse_sdp import (EliminationOrdering, NotChordal, RipFailure,
-                        SparseSymPattern, chordal, maximal_cliques, rip_order,
-                        symbolic_factorize)
+                        SparseSymPattern, chordal, maximal_cliques, min_degree_ordering,
+                        rip_order, symbolic_factorize)
 
 from conftest import (brute_force_cliques, clique_cover_edges, factor_on,
-                      factor_to_dense, random_filled_pattern, random_pattern,
-                      sparse_from_dense)
+                      factor_to_dense, front_density, is_merged, random_filled_pattern,
+                      random_pattern, sparse_from_dense)
 
 
 FILLED_4CYCLE = [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)]
@@ -214,3 +214,86 @@ class TestCliquePlan:
             mp.setattr(chordal, "MERGE_SIZE", merge_size)
             slots = np.concatenate(fill.clique_plan.factor_slots)
         assert np.array_equal(np.sort(slots), np.sort(fill.clique_tree.scatter))
+
+
+def merge_rule_fronts(pattern, t, floor):
+    """The column sets of the fronts, from the merge rule's statement: in
+    running-intersection order, a child clique joins its parent's front
+    while the merged front has at most t vertices and at least the share
+    ``floor`` of pattern entries in its k x s block on and below the
+    diagonal.  At floor 0 it is the size rule alone."""
+    seq = pattern.cliques
+    home = {v: r for r, s in enumerate(seq.residuals) for v in s.tolist()}
+    cols = [s.tolist() for s in seq.residuals]
+    into = list(range(len(seq)))
+    for r, u in enumerate(seq.separators):
+        if not len(u):
+            continue
+        p = home[int(u[0])]
+        merged = cols[p] + cols[r]
+        s, k = len(merged), len(merged) + len(seq.separators[p])
+        held = sum(1 + len(pattern.column_rows(j)) for j in merged)
+        if k <= t and held >= floor * (s * k - s * (s - 1) // 2):
+            into[r], cols[p] = p, merged
+    return sorted(sorted(cols[r]) for r in range(len(seq)) if into[r] == r)
+
+
+def banded_filled_pattern(n, density, rng):
+    """A path plus random edges within bandwidth 3, filled: a few entries
+    per column, the fill on which the size rule alone merges fronts that
+    are mostly zeros."""
+    edges = [(j, j + 1) for j in range(n - 1)]
+    edges += [(j, i) for j in range(n) for i in range(j + 2, min(j + 4, n))
+              if rng.random() < density]
+    pat = SparseSymPattern(n, edges)
+    return symbolic_factorize(pat, min_degree_ordering(pat))
+
+
+@st.composite
+def filled_patterns(draw):
+    """A random filled pattern on up to 40 vertices, or a banded one on up to 80."""
+    banded = draw(st.booleans())
+    n = draw(st.integers(1, 80 if banded else 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    make = banded_filled_pattern if banded else random_filled_pattern
+    return make(n, draw(st.floats(0.0, 0.4)), rng)
+
+
+class TestMergeRule:
+    """The fill floor on random filled patterns, and on banded ones, which
+    the default floor splits: the trees are those of the rule's statement,
+    at 0 the size rule alone, and at the default every merged front
+    keeps the floor."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(fill=filled_patterns(), merge_size=st.sampled_from([6, 16, chordal.MERGE_SIZE]))
+    def test_floor_zero_is_the_size_rule(self, fill, merge_size):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chordal, "MERGE_SIZE", merge_size)
+            mp.setattr(chordal, "MERGE_FILL", 0.0)
+            tree = chordal.CliqueTree(fill)
+        assert sorted(f.cols.tolist() for f in tree.fronts) == \
+            merge_rule_fronts(fill, merge_size, 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(fill=filled_patterns())
+    def test_merged_fronts_keep_the_default_floor(self, fill):
+        tree = chordal.CliqueTree(fill)
+        assert sorted(f.cols.tolist() for f in tree.fronts) == \
+            merge_rule_fronts(fill, chordal.MERGE_SIZE, chordal.MERGE_FILL)
+        for f in tree.fronts:
+            if is_merged(fill, f):
+                assert front_density(fill, f) >= chordal.MERGE_FILL
+
+    def test_density_is_over_the_columns_block_not_the_square(self):
+        # clique {0, 1} below {1, ..., 13}, whose separator {2, ..., 13}
+        # lies in the root {2, ..., 14}: merged, the child's front has
+        # columns {0, 1} and 14 vertices, 15 pattern entries in its 27-entry
+        # k x s block (0.56), though its 14 x 14 lower triangle has 105
+        # entries (0.14, below the floor)
+        edges = [(0, 1)] + [(1, j) for j in range(2, 14)]
+        edges += [(i, j) for i in range(2, 15) for j in range(2, i)]
+        fill = SparseSymPattern(15, edges)
+        assert merge_rule_fronts(fill, chordal.MERGE_SIZE, chordal.MERGE_FILL) == [list(range(15))]
+        assert [f.cols.tolist() for f in chordal.CliqueTree(fill).fronts] == [list(range(15))]
+

@@ -363,6 +363,30 @@ class TestBenchCommands:
         assert code == 1
         assert err.startswith("error:") and flag in err and not out.exists()
 
+    @pytest.mark.parametrize("sweep, why", [
+        ("5:3", "hi must be at least lo"),
+        ("6", "expected lo:hi[:step]"),
+        ("6:x", "expected lo:hi[:step]"),
+    ])
+    def test_banded_reversed_or_malformed_range_exit_one(self, tmp_path, capsys, sweep, why):
+        # a reversed range wrote a header-only CSV and exited 0
+        out = tmp_path / "band.csv"
+        code, _, err = run_cli(["bench-banded", "--range", sweep, "--reps", "2",
+                                "-o", str(out)], capsys)
+        assert code == 1
+        assert err == f"error: bad sweep {sweep!r}, {why}\n" and not out.exists()
+
+    @pytest.mark.parametrize("command", ["bench-table1", "bench-directions"])
+    @pytest.mark.parametrize("sizes, chunk", [("5", "5"), ("4:4,5:6:7", "5:6:7"),
+                                              ("4:x", "4:x")])
+    def test_bad_size_chunk_is_named(self, tmp_path, capsys, command, sizes, chunk):
+        # "5" printed "not enough values to unpack (expected 2, got 1)"
+        out = tmp_path / "t.csv"
+        code, _, err = run_cli([command, "--sizes", sizes, "--trials", "1",
+                                "-o", str(out)], capsys)
+        assert code == 1
+        assert err == f"error: bad size {chunk!r}, expected n:m\n" and not out.exists()
+
     def test_banded_fix_diff_columns(self, tmp_path, capsys):
         out = tmp_path / "band2.csv"
         code, _, _ = run_cli(["bench-banded", "--mode", "fix-diff",

@@ -33,7 +33,21 @@ def test_same_solves_exit_zero(tmp_path):
         "0 of 2 solves changed status or iterations",
         "max relative difference in C.X: 9.524e-12 (random 0 four)",
         "max relative difference in b.y: 0.000e+00",
+        "random: max relative difference in C.X 9.524e-12, in b.y 0.000e+00",
+        "banded: max relative difference in C.X 0.000e+00, in b.y 0.000e+00",
         "kernels equal", "solves equal", "paths equal", "digest equal"]
+
+
+def test_each_family_reports_its_own_drift(tmp_path):
+    # a change that moves one family leaves the others at exactly 0
+    done = compare(tmp_path, PARENT.replace("-12.25 -12.25", "-12.25 -12.2500000049")
+                   .replace("kernels aa", "kernels ab"))
+    assert done.returncode == 0
+    lines = done.stdout.splitlines()
+    assert "random: max relative difference in C.X 0.000e+00, in b.y 0.000e+00" in lines
+    assert "banded: max relative difference in C.X 0.000e+00, in b.y 4.000e-10" in lines
+    assert "max relative difference in b.y: 4.000e-10 (banded 0 two)" in lines
+    assert "kernels differ" in lines
 
 
 @pytest.mark.parametrize("change", [
@@ -44,5 +58,5 @@ def test_same_solves_exit_zero(tmp_path):
 def test_changed_solve_exits_one(tmp_path, change):
     done = compare(tmp_path, change)
     assert done.returncode == 1
-    assert done.stdout.splitlines()[-7].endswith("solves changed status or iterations")
-    assert not done.stdout.startswith("0 of")
+    assert any(line.endswith(" solves changed status or iterations")
+               and not line.startswith("0 of") for line in done.stdout.splitlines())

@@ -14,9 +14,9 @@ factor of S brings both from the bordered fronts of
 (``completion.completion_inverse_factor``), which serves as well,
 inverts its fronts once, on first read.
 ``hess_from_columns`` gives W Z W on the pattern from W held in full:
-W Z from one scaling of W's columns by Z's diagonal and a sorted sum
-over Z's off-diagonal entries, then one row dot of W per slot; the
-solver takes every product it needs that way
+W Z from one scaling of W's columns by Z's diagonal and two dense
+products per front for its off-diagonal entries, then one row dot of W
+per slot; the solver takes every product it needs that way
 (the Newton systems' columns, as in Fujisawa, Kojima and Nakata, Math.
 Prog. 79, 1997), and ``hess_vec`` is the product that needs no n x n
 storage (Andersen, Dahl and Vandenberghe, Optim. Methods Softw. 28,
@@ -110,44 +110,36 @@ def hess_from_columns(w, z):
     """Entries on Z's pattern of W Z W, from W held in full.
 
     ``w`` is the n x n symmetric W, e.g. ``inverse_columns(factor)``;
-    any other shape raises ValueError.  First T = W Z by the class of
-    Z's entries: the diagonal scales W's columns, W diag(z), in one
-    pass, and each nonzero off-diagonal entry z (e_a e_b^T + e_b e_a^T)
-    adds z W[b, :] to column a of T and z W[a, :] to column b, summed
-    per column over the entries sorted by it (O(n nnz(Z)) work, no
-    dense Z).  Then (W Z W)_ij = W[i, :] . T[j, :] for each diagonal and
-    off-diagonal slot.  The off-diagonal sums and the row dots run in
-    blocks of at most max(n, 2^15) products, so the storage beyond T,
-    the result and Z's entry lists is O(n) and a temporary stays small
-    enough to be reused rather than mapped afresh.
+    another shape raises ValueError, and so does Z off an
+    elimination-closed pattern.  T = W Z: Z's diagonal scales W's
+    columns in one pass, and its off-diagonal entries, read per front of
+    the pattern's ``clique_tree`` as k x s blocks (``gather``, diagonal
+    zeroed), give U = Z_off W by two dense products per front, parents
+    first (the S' partition U's rows): U[S'] = [Z_S'S', Z_S'U'] W[C'],
+    U[U'] += Z_U'S' W[S'].  T = W diag(z) + U^T.  Then (W Z W)_ij =
+    W[i, :] . T[j, :] per slot, in reused blocks of at most max(n, 2^15)
+    products.  Beside T and the result it holds U (n x n) and one
+    front's k rows of W at a time; a diagonal Z needs neither.
     """
     pat = z.pattern
     n = pat.n
     if w.shape != (n, n):
         raise ValueError(f"W must be {n} x {n}, not {w.shape}")
+    tree = pat.clique_tree
     rows, cols = pat.slot_ends
     t = w * z.diag
-
-    # columns of T: T[:, dst] += z W[src, :]^T over both orientations of
-    # each off-diagonal entry, grouped by dst so each block adds one sum
-    # per column
-    nz = n + np.flatnonzero(z.offdiag)
-    a, b = rows[nz], cols[nz]
-    dst = np.concatenate((a, b))
-    order = np.argsort(dst, kind="stable")
-    dst = dst[order]
-    src = np.concatenate((b, a))[order]
-    val = np.tile(z.values[nz], 2)[order]
+    if z.offdiag.any():
+        u = np.empty((n, n))
+        off = np.concatenate((np.zeros(n), z.offdiag, (0.0,)))[tree.gather]
+        for (fcols, seps, *_), blk in zip(reversed(tree.fronts), reversed(tree.split(off))):
+            s = len(fcols)
+            blk[:s] += blk[:s].T.copy()
+            wc = w[np.concatenate((fcols, seps))]
+            u[fcols] = blk.T @ wc
+            if len(seps):
+                u[seps] += blk[s:] @ wc[:s]
+        t += u.T
     step = max(HFC_BLOCK // max(n, 1), 1)
-    for lo in range(0, len(dst), step):
-        d = dst[lo:lo + step]
-        first = np.ones(len(d), dtype=bool)
-        np.not_equal(d[1:], d[:-1], out=first[1:])
-        first = np.flatnonzero(first)
-        part = w[src[lo:lo + step]]
-        part *= val[lo:lo + step, None]
-        t[:, d[first]] += np.add.reduceat(part, first, axis=0).T
-
     out = np.empty(n + pat.nnz)
     for lo in range(0, len(out), step):
         out[lo:lo + step] = np.einsum("ij,ij->i", w[rows[lo:lo + step]],

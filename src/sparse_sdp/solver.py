@@ -13,14 +13,15 @@ assembled once per system from W (S^-1 on the dual side, the completion
 X^ on the primal side) held in full, which batched forward and back
 solves on the sparse factor give, by the class of the constraint
 entries (``SdpProblem.newton_matrix``), then factored once by a dense
-Cholesky, which is also its positive-definiteness check, and solved by
-blocked forward and back substitution through that factor.  Each solve
+Cholesky, which is also its positive-definiteness check (and, bordered
+by the right-hand side, the forward substitution while M is one block),
+and solved by blocked substitution through that factor.  Each solve
 reports its relative residual |M v - rhs| / |rhs|.  A factorization
 that fails raises NewtonBreakdown.  The same W turns the solution back
 into a matrix: the image W (sum v_p A_p) W on the fill pattern, and X^
 M X^, come from ``hess_from_columns``, which scales W's columns by the
-diagonal of the combination, adds its off-diagonal entries' columns of
-W, and takes one row dot of W per slot, with no sweep over the factor.
+diagonal of the combination, takes two dense products per front for its
+off-diagonal entries, and one row dot of W per slot.
 
 An iterate is a dual half and a primal half with one interface: ``mat``
 is S, or X on F; ``logdet`` is ln det S, or ln det X^; ``inv`` is S^-1
@@ -48,7 +49,7 @@ from .completion import (completion_factors, completion_inverse,
 from .errors import (InfeasibleStart, IterationLimit, NewtonBreakdown,
                      NoDecrease, NotCompletable, NotPositiveDefinite)
 from .logdet import hess_from_columns, inverse_columns, sparse_inverse
-from .sparsemat import SparseSymMatrix, cholesky_factorize, inner_product
+from .sparsemat import BORDER, SparseSymMatrix, cholesky_factorize, inner_product
 
 FEAS_TOL = 1e-8          # strict-feasibility residual bound at entry
 STALL_DECREASE = 1e-12   # potential decrease below this counts as stalled
@@ -284,31 +285,38 @@ def _factor_solve(mat, rhs, side):
     """v with M v = rhs for M = ``mat``, and its relative residual
     |M v - rhs| / |rhs| (0 for rhs = 0).
 
-    One dense Cholesky M = L L^T, which is also the positive-definiteness
-    check: a failure raises NewtonBreakdown naming ``side``.  Then forward
-    and back substitution through L in blocks of SUBST_BLOCK rows: each
-    block takes the part of the blocks already solved by one
-    matrix-vector product, then solves its diagonal block.  Only those
-    blocks go to ``np.linalg.solve``, so once m exceeds SUBST_BLOCK no
-    full LU of the factor is paid.
+    One dense Cholesky M = L L^T is also the positive-definiteness
+    check: a failure raises NewtonBreakdown naming ``side``.  For m <=
+    SUBST_BLOCK it factors [[M, r], [r^T, BORDER]], r = rhs scaled by a
+    power of two to a norm in [1/2, 1), whose last row holds L^-1 r, so
+    the call substitutes forward too; the border fails only when
+    |L^-1 r|^2 >= 2^400, which needs lambda_min(M) < 2^-400.  A larger M
+    (where the (m + 1)-row call was the slower, from m ~ 200) is factored
+    alone and substituted forward as the back substitution always is, by
+    blocks of SUBST_BLOCK rows: a matrix-vector product with the solved
+    part, then one small ``np.linalg.solve``, never an LU of all of L.
     """
+    m = len(rhs)
+    norm = float(np.linalg.norm(rhs))
+    exp, border, whole = math.frexp(norm)[1], m <= SUBST_BLOCK, mat
+    if border:
+        whole = np.empty((m + 1, m + 1))
+        whole[:m, :m], whole[m, m] = mat, BORDER
+        whole[m, :m] = whole[:m, m] = np.ldexp(rhs, -exp)
     try:
-        low = np.linalg.cholesky(mat)
+        low = np.linalg.cholesky(whole)
     except np.linalg.LinAlgError:
         raise NewtonBreakdown(f"{side} Newton matrix is not positive definite") from None
-    m = len(rhs)
-    starts = range(0, m, SUBST_BLOCK)
-    u = np.zeros(m)
-    for i0 in starts:
+    u = np.ldexp(low[m, :m], exp) if border else np.zeros(m)
+    for i0 in () if border else range(0, m, SUBST_BLOCK):
         i1 = min(i0 + SUBST_BLOCK, m)
         u[i0:i1] = np.linalg.solve(low[i0:i1, i0:i1],
                                    rhs[i0:i1] - low[i0:i1, :i0] @ u[:i0])
     v = np.zeros(m)
-    for i0 in reversed(starts):
+    for i0 in reversed(range(0, m, SUBST_BLOCK)):
         i1 = min(i0 + SUBST_BLOCK, m)
         v[i0:i1] = np.linalg.solve(low[i0:i1, i0:i1].T,
-                                   u[i0:i1] - low[i1:, i0:i1].T @ v[i1:])
-    norm = float(np.linalg.norm(rhs))
+                                   u[i0:i1] - low[i1:m, i0:i1].T @ v[i1:])
     res = float(np.linalg.norm(mat @ v - rhs)) / norm if norm else 0.0
     return v, res
 

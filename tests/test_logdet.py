@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparse_sdp import logdet
+from sparse_sdp import chordal, logdet
 from sparse_sdp import (CholeskyFactor, SparseSymMatrix, SparseSymPattern,
                         cholesky_factorize, hess_from_columns, hess_vec, inverse_columns,
                         sparse_inverse)
@@ -179,15 +179,21 @@ def random_z_on(pattern, rng, kind="mixed"):
 
 class TestHessFromColumns:
     # Z's diagonal entries scale W's columns, its off-diagonal ones go
-    # through the sorted sums, so each class is checked alone and mixed
+    # front by front through U = Z W, so each class is checked alone and
+    # mixed, on the default trees and on trees that a small merge cap
+    # keeps apart, where most fronts have a separator (k > s)
+    @pytest.mark.parametrize("merge_size", [chordal.MERGE_SIZE, 6, 1])
     @pytest.mark.parametrize("kind", ["mixed", "diagonal", "off-diagonal"])
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 24), density=st.floats(0.0, 0.7),
            seed=st.integers(0, 2**32 - 1))
-    def test_random_chordal_patterns_match_dense_and_hess_vec(self, kind, n, density,
-                                                              seed):
+    def test_random_chordal_patterns_match_dense_and_hess_vec(self, kind, merge_size, n,
+                                                              density, seed):
         rng = np.random.default_rng(seed)
         fill = random_filled_pattern(n, density, rng)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chordal, "MERGE_SIZE", merge_size)
+            fill.clique_tree        # built, and cached, under this cap
         mat, dense = random_pd_on_pattern(fill, rng)
         fac = cholesky_factorize(mat)
         z = random_z_on(fill, rng, kind)
@@ -199,8 +205,46 @@ class TestHessFromColumns:
         want = hess_vec(fac, z, sinv=sparse_inverse(fac))
         assert np.abs(out.values - want.values).max() <= 1e-12 * scale
 
+    @pytest.mark.parametrize("kind", ["mixed", "off-diagonal"])
+    def test_chain_of_fronts_matches_dense(self, kind, monkeypatch):
+        # the path 0-1-...-11 at cap 1: eleven fronts {i, i+1}, each but
+        # the root with a one-vertex separator
+        monkeypatch.setattr(chordal, "MERGE_SIZE", 1)
+        fill = SparseSymPattern(12, [(i, i + 1) for i in range(11)])
+        fronts = fill.clique_tree.fronts
+        assert len(fronts) == 11 and sum(len(f.seps) for f in fronts) == 10
+        rng = np.random.default_rng(7)
+        mat, dense = random_pd_on_pattern(fill, rng)
+        z = random_z_on(fill, rng, kind)
+        out = hess_from_columns(inverse_columns(cholesky_factorize(mat)), z)
+        dinv = np.linalg.inv(dense)
+        target = dinv @ z.to_dense() @ dinv
+        assert restrict_abs_error(target, out) <= 1e-13 * np.abs(target).max()
+
+    def test_diagonal_z_is_the_column_scaling_exactly(self):
+        # a diagonal Z takes no off-diagonal work: T = W diag(z), then the
+        # blocked slot dots, bit for bit
+        rng = np.random.default_rng(12)
+        fill = random_filled_pattern(30, 0.3, rng)
+        mat, _ = random_pd_on_pattern(fill, rng)
+        w = inverse_columns(cholesky_factorize(mat))
+        z = random_z_on(fill, rng, "diagonal")
+        rows, cols = fill.slot_ends
+        t = w * z.diag
+        step = max(logdet.HFC_BLOCK // fill.n, 1)
+        want = np.concatenate([np.einsum("ij,ij->i", w[rows[lo:lo + step]],
+                                         t[cols[lo:lo + step]])
+                               for lo in range(0, fill.n + fill.nnz, step)])
+        assert np.array_equal(hess_from_columns(w, z).values, want)
+
+    @pytest.mark.parametrize("values", [[1.0, 1.0, 1.0, 0.5, 0.5],
+                                        [1.0, 2.0, 3.0, 0.0, 0.0]])
+    def test_z_off_an_elimination_closed_pattern_raises(self, values):
+        with pytest.raises(ValueError, match="elimination-closed"):
+            hess_from_columns(np.eye(3), SparseSymMatrix(UNCLOSED, values))
+
     def test_sums_split_over_blocks(self, monkeypatch):
-        # one product per block splits every column's sum over blocks
+        # one slot per block of the row dots gives the same image
         rng = np.random.default_rng(46)
         fill = random_filled_pattern(14, 0.5, rng)
         mat, dense = random_pd_on_pattern(fill, rng)

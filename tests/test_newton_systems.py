@@ -1,5 +1,6 @@
-"""The exact Newton solve: one Cholesky of M, blocked substitution through
-its factor, the typed breakdown, and the solves it keeps from stalling."""
+"""The exact Newton solve: one Cholesky of M (bordered by the right-hand
+side while M is one block), blocked substitution through its factor, the
+typed breakdown, and the solves it keeps from stalling."""
 
 import importlib.util
 import math
@@ -45,31 +46,61 @@ class TestFactorSolve:
         assert res == pytest.approx(recomputed, rel=1e-12, abs=0.0)
 
     def test_zero_rhs_has_zero_residual(self):
-        v, res = solver._factor_solve(2.0 * np.eye(3), np.zeros(3), "dual")
-        assert not v.any() and res == 0.0
+        # the bordered factor at m <= SUBST_BLOCK, the blocked pass above
+        for m in (3, 100):
+            v, res = solver._factor_solve(2.0 * np.eye(m), np.zeros(m), "dual")
+            assert v.shape == (m,) and not v.any() and res == 0.0
+
+    @pytest.mark.parametrize("m", [5, 100])
+    @pytest.mark.parametrize("size", [1e100, 1e-300])
+    def test_extreme_rhs_solves_without_breakdown(self, m, size):
+        # |L^-1 rhs|^2 ~ 1e200 would fail a border of 2^400 ~ 2.6e120 if
+        # the border row were not scaled by a power of two to a norm below
+        # 1; 1e-300 takes a scaling by about 2^996 up
+        rng = np.random.default_rng(m)
+        g = rng.standard_normal((m, m))
+        mat = g @ g.T / m + np.eye(m)
+        rhs = size * rng.standard_normal(m)
+        v, res = solver._factor_solve(mat, rhs, "dual")
+        want = np.linalg.solve(mat, rhs)
+        assert np.linalg.norm(v - want) <= 1e-12 * np.linalg.norm(want)
+        assert res <= 1e-14
 
     def test_indefinite_matrix_names_its_side(self):
         with pytest.raises(NewtonBreakdown, match="dual Newton matrix"):
             solver._factor_solve(np.diag([1.0, -1.0]), np.ones(2), "dual")
+        # on both sides of SUBST_BLOCK, the last pivot failing
+        for m, side in ((64, "primal"), (65, "dual"), (130, "primal")):
+            mat = np.eye(m)
+            mat[m - 1, m - 1] = -1e-3
+            with pytest.raises(NewtonBreakdown, match=f"^{side} Newton matrix is not"):
+                solver._factor_solve(mat, np.ones(m), side)
 
     def test_one_cholesky_and_only_block_sized_solves(self, monkeypatch):
-        # m = 130 spans three substitution blocks: 64, 64 and 2 rows
-        problem, x0, y0 = banded(130, trial_seed(3, 0))
-        m = problem.m
-        w = inverse_columns(solver.DualHalf(problem, y0).factor)
-        factored, solved = [], []
+        # m = 60: one bordered call [[M, r], [r^T, beta]] does the forward
+        # pass, so the one solve is the back pass's single block; m = 130
+        # is factored alone and spans three substitution blocks (64, 64
+        # and 2 rows) in each pass
         cholesky, linsolve = np.linalg.cholesky, np.linalg.solve
-        monkeypatch.setattr(np.linalg, "cholesky",
-                            lambda a: factored.append(a.shape) or cholesky(a))
-        monkeypatch.setattr(np.linalg, "solve",
-                            lambda a, b: solved.append(a.shape) or linsolve(a, b))
-        rhs = problem.apply_map(x0)
-        v, res, _, _ = solver._newton_system(problem, w, rhs, "dual")
-        assert factored == [(m, m)]
-        assert solved == [(64, 64), (64, 64), (2, 2), (2, 2), (64, 64), (64, 64)]
-        assert res <= 1e-12
-        assert np.allclose(v, np.linalg.solve(problem.newton_matrix(w), rhs),
-                           rtol=1e-10, atol=0.0)
+        for n, shapes, solves in ((60, [(61, 61)], [(60, 60)]),
+                                  (130, [(130, 130)],
+                                   [(64, 64), (64, 64), (2, 2), (2, 2), (64, 64), (64, 64)])):
+            problem, x0, y0 = banded(n, trial_seed(3, 0))
+            w = inverse_columns(solver.DualHalf(problem, y0).factor)
+            factored, solved = [], []
+            monkeypatch.setattr(np.linalg, "cholesky",
+                                lambda a: factored.append(a.shape) or cholesky(a))
+            monkeypatch.setattr(np.linalg, "solve",
+                                lambda a, b: solved.append(a.shape) or linsolve(a, b))
+            rhs = problem.apply_map(x0)
+            v, res, _, _ = solver._newton_system(problem, w, rhs, "dual")
+            monkeypatch.undo()
+            assert problem.m == n
+            assert factored == shapes
+            assert solved == solves
+            assert res <= 1e-12
+            assert np.allclose(v, np.linalg.solve(problem.newton_matrix(w), rhs),
+                               rtol=1e-10, atol=0.0)
 
 
 class TestBreakdown:

@@ -25,9 +25,8 @@ def trial_seed(master, index):
                .generate_state(1)[0])
 
 
-def run_solver_trial(args):
+def run_solver_trial(n, m, seed, direction_mode, gamma, gap_tol):
     """One random MAX-CUT solve; returns its timing and iteration stats."""
-    n, m, seed, direction_mode, gamma, gap_tol = args
     graph = random_graph(n, m, seed)
     problem = maxcut_sdp(graph)
     x0, y0 = initial_point(problem)
@@ -67,9 +66,8 @@ def run_table_of_iterations(sizes, trials, seed, gamma=None, gap_tol=1e-3):
     """Mean solve statistics per (n, m) size with the four-direction solver."""
     rows = []
     for n, m in sizes:
-        jobs = [(n, m, trial_seed(seed, 1_000_000 * n + 1_000 * m + t), "four",
-                 gamma, gap_tol) for t in range(trials)]
-        stats = [run_solver_trial(j) for j in jobs]
+        stats = [run_solver_trial(n, m, trial_seed(seed, 1_000_000 * n + 1_000 * m + t),
+                                  "four", gamma, gap_tol) for t in range(trials)]
         rows.append({
             "n": n,
             "m": m,
@@ -90,8 +88,7 @@ def run_direction_comparison(sizes, trials, seed, gamma=None, gap_tol=1e-3):
         seeds = [trial_seed(seed, 1_000_000 * n + 1_000 * m + t)
                  for t in range(trials)]
         for mode in ("four", "two"):
-            jobs = [(n, m, s, mode, gamma, gap_tol) for s in seeds]
-            stats = [run_solver_trial(j) for j in jobs]
+            stats = [run_solver_trial(n, m, s, mode, gamma, gap_tol) for s in seeds]
             rows.append({
                 "mode": mode,
                 "n": n,

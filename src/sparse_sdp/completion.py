@@ -115,14 +115,14 @@ def completion_inverse_factor(factors):
     which in the separator-first order are the entries at j and at the
     higher labels of C_r: Dempster's L_{alpha j} = -X_{alpha alpha}^-1
     X_{alpha j}, alpha = C_r above j, up to the pivot scaling.  They go
-    into the front buffer at the plan's ``factor_slots``.
+    into the front buffer at the plan's ``factor_slots``; the solve takes
+    ln det X^ from ``logdet_completion``, not from this factor.
     """
     plan, tree = factors.plan, factors.pattern.clique_tree
     blocks = np.zeros(len(tree.gather))
     for t, mask, pos in zip(factors.inverse_rows, plan.factor_masks, plan.factor_slots):
         blocks[pos] = t[mask]
-    logdet = 2.0 * float(np.sum(np.log(blocks[tree.scatter[:factors.pattern.n]])))
-    return CholeskyFactor(factors.pattern, blocks, logdet)
+    return CholeskyFactor(factors.pattern, blocks)
 
 
 def banded_pattern(n, bandwidth):

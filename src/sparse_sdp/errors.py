@@ -6,29 +6,9 @@ class SparseSdpError(Exception):
 
 
 class NotPositiveDefinite(SparseSdpError):
-    """A Cholesky pivot was not strictly positive.
-
-    ``pivot`` is the 0-based index of the offending pivot: its LDL^T pivot
-    fails the test, and every pivot below it in the elimination tree
-    passes (``sparsemat.cholesky_factorize``).  Line searches catch this
-    to reject trial points that left the cone, and never read ``pivot``,
-    so the constructor takes either the index or a function of no
-    arguments that finds it; the function runs on the first read of
-    ``pivot`` or of the message that names it.
-    """
-
-    def __init__(self, pivot, message=None):
-        super().__init__()
-        self._pivot, self._message = pivot, message
-
-    @property
-    def pivot(self):
-        if callable(self._pivot):
-            self._pivot = self._pivot()
-        return int(self._pivot)
-
-    def __str__(self):
-        return self._message or f"pivot {self.pivot} is not strictly positive"
+    """A Cholesky pivot was not above ``PIVOT_RTOL`` times the largest
+    diagonal entry (``sparsemat.cholesky_factorize``).  Line searches
+    catch it to reject trial points that left the cone."""
 
 
 class NotChordal(SparseSdpError):

@@ -8,6 +8,7 @@ form with C = -Laplacian/4 and one unit-diagonal constraint per vertex.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,7 @@ class Graph:
         seen = set()
         norm = []
         for e in self.edges:
-            i, j = int(e[0]), int(e[1])
+            i, j = _integer(e[0], "vertex label"), _integer(e[1], "vertex label")
             w = float(e[2]) if len(e) > 2 else 1.0
             _add_edge(seen, i, j, w, range(self.n))
             norm.append((min(i, j), max(i, j), w))
@@ -41,6 +42,13 @@ class Graph:
     @property
     def m(self):
         return len(self.edges)
+
+
+def _integer(value, what):
+    """``value`` as an int; ValueError naming it unless it is a whole number."""
+    if isinstance(value, numbers.Real) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _add_edge(seen, i, j, w, labels):
@@ -170,11 +178,11 @@ def hyperplane_rounding(vectors, graph, trials=100, seed=0, sdp_bound=None):
 
     ``vectors`` has one column per vertex (in graph labels) with
     V^T V equal to the solved primal matrix.  Deterministic per seed.
-    Raises ValueError for fewer than one trial.
+    Raises ValueError unless ``trials`` is an integer of at least 1.
     """
-    runs = int(trials)
+    runs = _integer(trials, "trials")
     if runs < 1:
-        raise ValueError(f"trials must be at least 1, got {runs}")
+        raise ValueError(f"trials must be at least 1, got {trials!r}")
     rng = np.random.default_rng(seed)
     proj = rng.standard_normal((runs, graph.n)) @ vectors    # one row per trial
     sides = np.where(proj >= 0.0, 1, -1).astype(np.int8)

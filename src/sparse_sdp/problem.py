@@ -34,7 +34,7 @@ class SdpProblem:
     ``fill.clique_plan``.
     """
 
-    def __init__(self, c, constraints, b, ordering=None):
+    def __init__(self, c, constraints, b):
         b = np.asarray(b, dtype=float)
         m = len(constraints)
         if b.shape != (m,):
@@ -49,8 +49,7 @@ class SdpProblem:
         agg = SparseSymPattern(n, np.concatenate([
             np.column_stack(mat.pattern.slot_ends)[n:]
             for mat in (c, *(a for a in constraints if a.pattern.nnz))]))
-        if ordering is None:
-            ordering = min_degree_ordering(agg)
+        ordering = min_degree_ordering(agg)
         fill = symbolic_factorize(agg, ordering)
 
         self.n = n

@@ -2,7 +2,9 @@
 
 Layout: optional comment lines ('*' or '"'), then the number of
 constraints m, the number of blocks (must be 1 here), the block size
-line, the right-hand-side vector, and one entry per line as
+line (each of these three opens with its one integer; the text after
+it is ignored, as in ``3 = mDIM``), the right-hand-side vector, and one
+entry per line as
 
     matno blockno i j value
 
@@ -35,32 +37,29 @@ def read_sdpa(path):
     if len(body) < 4:
         raise SdpaParseError(len(raw) or 1, "file ends before the header is complete")
 
-    def ints(text, no, count):
-        parts = text.translate(_PUNCT).split()
-        try:
-            vals = [int(p) for p in parts]
-        except ValueError:
-            raise SdpaParseError(no, f"expected integers, got {text!r}") from None
-        if count is not None and len(vals) != count:
-            raise SdpaParseError(no, f"expected {count} integer(s), got {len(vals)}")
-        return vals
+    def header_int(no, text):
+        vals = []
+        for part in text.translate(_PUNCT).split():
+            try:
+                vals.append(int(part))
+            except ValueError:
+                break
+        if len(vals) != 1:
+            raise SdpaParseError(no, f"expected one leading integer, got {text!r}")
+        return vals[0]
 
-    no_m, text_m = body[0]
-    m = ints(text_m, no_m, 1)[0]
+    (no_m, text_m), (no_nb, text_nb), (no_bs, text_bs) = body[:3]
+    m = header_int(no_m, text_m)
     if m < 0:
         raise SdpaParseError(no_m, "negative constraint count")
-    no_nb, text_nb = body[1]
-    nblocks = ints(text_nb, no_nb, 1)[0]
+    nblocks = header_int(no_nb, text_nb)
     if nblocks != 1:
         raise SdpaParseError(no_nb, f"only a single block is supported, got {nblocks}")
-    no_bs, text_bs = body[2]
-    sizes = ints(text_bs, no_bs, None)
-    if len(sizes) != 1:
-        raise SdpaParseError(no_bs, "block size line must hold exactly one size")
-    n = abs(sizes[0])
+    size = header_int(no_bs, text_bs)
+    n = abs(size)
     if n < 1:
         raise SdpaParseError(no_bs, "block size must be nonzero")
-    diagonal = sizes[0] < 0              # SDPA's negative size: a diagonal block
+    diagonal = size < 0                  # SDPA's negative size: a diagonal block
     no_b, text_b = body[3]
     parts = text_b.translate(_PUNCT).split()
     try:
@@ -95,7 +94,7 @@ def read_sdpa(path):
             raise SdpaParseError(no, f"entry ({i},{j}) outside block of size {n}")
         if diagonal and i != j:
             raise SdpaParseError(no, f"off-diagonal entry ({i},{j}) in diagonal "
-                                 f"block of size {sizes[0]}")
+                                 f"block of size {size}")
         key = (max(i, j) - 1, min(i, j) - 1)
         if key in entries[mat]:          # a zero value also counts as given
             raise SdpaParseError(no, f"duplicate entry ({i},{j})")

@@ -66,8 +66,8 @@ class SolverConfig:
     ``gamma`` weights the potential, rho = n + gamma*sqrt(n); None
     resolves to sqrt(n) at solve time.  The solve converges once the
     duality gap S.X drops below ``gap_tol``.  ``max_main_iters`` bounds
-    the main loop.  ``gamma`` and ``gap_tol`` must be positive and
-    finite, and ``max_main_iters`` an int of at least 1.  The Newton
+    the main loop.  ``gamma`` and ``gap_tol`` must be positive finite
+    reals and ``max_main_iters`` an int >= 1 (a bool is neither).  The Newton
     systems are solved exactly, so they have no knobs.  ``direction_mode``
     "four" searches over both Newton directions and their companions,
     "two" over the primal direction and its companion only.
@@ -90,7 +90,8 @@ class SolverConfig:
 
 
 def _positive_finite(value):
-    return math.isfinite(value) and value > 0
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0)
 
 
 def _positive_int(value):

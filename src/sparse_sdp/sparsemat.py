@@ -9,10 +9,10 @@ Graphs and Semidefinite Optimization*, 2015, section 9), as are the
 inverse and Hessian-product kernels in ``logdet``.  Each front is
 factored bordered by identities, written into a copy of the template
 ``bordered``, so the one Cholesky call that gives the factor on the
-front also gives the inverse of its diagonal block.  The factor keeps
-both for those kernels: the tree's flat buffer of its fronts
-(``CholeskyFactor.blocks``) and those inverses (``front_inverses``);
-the completion sweep borders its clique blocks the same way.
+front also gives the inverse of its diagonal block.  A factor is its
+pattern and the tree's flat buffer of its fronts (``CholeskyFactor.blocks``);
+``cholesky_factorize`` also hands it those inverses (``front_inverses``).
+The completion sweep borders its clique blocks the same way.
 """
 
 from __future__ import annotations
@@ -63,12 +63,17 @@ class SparseSymPattern:
     """
 
     def __init__(self, n, edges=()):
-        """``edges``: an (E, 2) array of vertex pairs, either orientation,
-        duplicates allowed."""
+        """``edges``: an (E, 2) array of integral vertex pairs, either
+        orientation, duplicates allowed."""
         n = int(n)
         if n < 0:
             raise ValueError("n must be nonnegative")
-        ends = np.asarray(edges, dtype=np.int64)
+        ends = np.asarray(edges)
+        if ends.dtype.kind == "f" and ends.size:
+            whole = np.isfinite(ends) & (np.trunc(ends) == ends)
+            if not whole.all():
+                raise ValueError(f"edge end {ends[~whole][0]} is not an integer")
+        ends = ends.astype(np.int64, copy=False)
         if ends.shape == (0,):
             ends = ends.reshape(0, 2)
         if ends.ndim != 2 or ends.shape[1] != 2:
@@ -277,19 +282,16 @@ class CholeskyFactor:
     fronts' k x s blocks laid out by the tree's ``gather``, and ``fronts``
     views it front by front; the entry in slot j of [diag | offdiag] is
     ``blocks[clique_tree.scatter[j]]``.  The diagonal holds the actual
-    (positive) pivot square roots; ``logdet`` caches 2*sum(log diag).
+    (positive) pivot square roots, and ``logdet`` is 2*sum(log diag).
     ``front_inverses`` lists L_S'S'^-1 per front, in the tree's order:
-    ``cholesky_factorize`` passes the ones its bordered fronts give, and
-    any other factor inverts its fronts once, on first read.
+    ``cholesky_factorize`` hands over the ones its bordered fronts give,
+    and any other factor inverts its fronts once, on first read.
     ``chordal.CliquePlan.factor_product`` forms L L^T on the pattern.
     """
 
-    def __init__(self, pattern, blocks, logdet, front_inverses=None):
+    def __init__(self, pattern, blocks):
         self.pattern = pattern
         self.blocks = blocks
-        self.logdet = float(logdet)
-        if front_inverses is not None:
-            self.front_inverses = front_inverses
 
     @property
     def n(self):
@@ -304,6 +306,11 @@ class CholeskyFactor:
     def front_inverses(self):
         """L_S'S'^-1 per front, inverted from the factor's fronts."""
         return [np.linalg.inv(front[:front.shape[1]]) for front in self.fronts]
+
+    @cached_property
+    def logdet(self):
+        """ln det L L^T: twice the sum of the log pivots, in label order."""
+        return 2.0 * float(np.log(self.blocks[self.pattern.clique_tree.scatter[:self.n]]).sum())
 
     def __repr__(self):
         return f"CholeskyFactor(n={self.n}, nnz={self.pattern.nnz})"
@@ -379,9 +386,9 @@ def cholesky_factorize(matrix):
     same call, L_U'S' = F_U'S' L_S'S'^-T is one product, and the update
     -L_U'S' L_U'S'^T goes to the parent.  Each front's L overwrites its
     F, and the factor keeps that buffer and its views, ``blocks`` and
-    ``fronts``.  Raises NotPositiveDefinite when a pivot of L_S'S' is not
-    above PIVOT_RTOL times the largest input diagonal, and ValueError
-    unless the pattern is elimination-closed.
+    ``fronts``.  Raises NotPositiveDefinite when a squared pivot of L_S'S'
+    is not above PIVOT_RTOL times the largest input diagonal, and
+    ValueError unless the pattern is elimination-closed.
 
     The border's trailing block is L_2 L_2^T = beta I - F_S'S'^-1, so it
     passes while ||F_S'S'^-1|| < beta = 2^400, about 2.6e120.  F_S'S' is
@@ -391,24 +398,14 @@ def cholesky_factorize(matrix):
     such M is numerically singular.  Within that bound the factorization
     fails where the plain Cholesky of each front with the same pivot
     test does, up to the rounding of the update matrices.
-
-    The pivot j that NotPositiveDefinite reports, found by bisection on
-    the first read of its ``pivot`` or message, has an LDL^T pivot
-    d_j <= PIVOT_RTOL * max(max_i M_ii, 0), and every descendant of j in
-    the elimination tree has d above that.  d_j is a Schur complement of
-    M on j and its descendants, so it is the pivot j of the dense
-    unpivoted LDL^T of M in the order 0..n-1 (which may fail earlier, at
-    a pivot outside j's subtree).
     """
-    pat = matrix.pattern
-    tree = pat.clique_tree
-    n = pat.n
-    tol = PIVOT_RTOL * max(float(matrix.diag.max()), 0.0) if n else 0.0
+    tree = matrix.pattern.clique_tree
+    tol = PIVOT_RTOL * float(matrix.diag.max(initial=0.0))
     blocks = np.append(matrix.values, 0.0)[tree.gather]     # F, then L
     fronts = tree.split(blocks)
     acc = [None] * len(fronts)          # each front's sum of its children's updates, raveled
     inverses = []
-    for f, ((cols, _, parent, uflat), front) in enumerate(zip(tree.fronts, fronts)):
+    for f, ((_, _, parent, uflat), front) in enumerate(zip(tree.fronts, fronts)):
         k, s = front.shape
         blk = bordered(s).copy()
         blk[:s, :s] = front[:s]
@@ -417,9 +414,13 @@ def cholesky_factorize(matrix):
             sub = sub.reshape(k, k)
             blk[:s, :s] += sub[:s, :s]
             front[s:] += sub[s:, :s]
-        low = _passing_factor(blk, tol, s)
-        if low is None:
-            raise NotPositiveDefinite(lambda: cols[_failing_pivot(blk[:s, :s], tol)])
+        try:
+            low = np.linalg.cholesky(blk)
+            passes = low.diagonal()[:s].min() ** 2 > tol
+        except np.linalg.LinAlgError:
+            passes = False
+        if not passes:
+            raise NotPositiveDefinite("the matrix is not numerically positive definite")
         front[:s] = low[:s, :s]
         inverses.append(low[s:, :s].T.copy())
         if k > s:
@@ -431,35 +432,9 @@ def cholesky_factorize(matrix):
                 acc[parent] = np.zeros(len(fronts[parent]) ** 2)
             acc[parent][uflat] += upd.ravel()
         acc[f] = None
-    logdet = 2.0 * float(np.log(blocks[tree.scatter[:n]]).sum())   # pivots in label order
-    factor = CholeskyFactor(pat, blocks, logdet, inverses)
-    factor.fronts = fronts
+    factor = CholeskyFactor(matrix.pattern, blocks)
+    factor.fronts, factor.front_inverses = fronts, inverses
     return factor
-
-
-def _passing_factor(a, tol, s=None):
-    """Lower Cholesky factor of the square ``a`` (its lower triangle), or
-    None unless it exists and its first ``s`` pivots (all by default)
-    are above tol."""
-    try:
-        low = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return None
-    return low if low.diagonal()[:s].min() ** 2 > tol else None
-
-
-def _failing_pivot(a, tol):
-    """Position of the first pivot <= tol of the unpivoted LDL^T of the
-    square ``a`` (its lower triangle), which must have one: bisection over
-    the leading blocks that ``_passing_factor`` passes."""
-    good, bad = 0, len(a)               # leading block sizes that pass and fail
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        if _passing_factor(a[:mid, :mid], tol) is None:
-            bad = mid
-        else:
-            good = mid
-    return good
 
 
 def inner_product(a, b):

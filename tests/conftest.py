@@ -149,8 +149,8 @@ def factor_entries(factor):
 
 def factor_on(pattern, values):
     """The CholeskyFactor with the entries ``values`` in the slots
-    [diag | offdiag] of ``pattern`` (logdet 0)."""
-    return CholeskyFactor(pattern, np.append(values, 0.0)[pattern.clique_tree.gather], 0.0)
+    [diag | offdiag] of ``pattern``."""
+    return CholeskyFactor(pattern, np.append(values, 0.0)[pattern.clique_tree.gather])
 
 
 def factor_to_dense(factor):

@@ -180,9 +180,8 @@ class TestAgainstDense:
         fill = random_filled_pattern(12, 0.4, np.random.default_rng(7))
         mat = SparseSymMatrix.identity(fill)
         mat.diag[5] = -1.0
-        with pytest.raises(NotPositiveDefinite) as info:
+        with pytest.raises(NotPositiveDefinite):
             cholesky_factorize(mat)
-        assert info.value.pivot == 5
 
 
 class TestFactorLayouts:
@@ -193,9 +192,10 @@ class TestFactorLayouts:
             mat, _ = random_pd_on_pattern(fill, rng)
             kept = cholesky_factorize(mat)
             values = np.append(factor_entries(kept), 0.0)
-            rebuilt = CholeskyFactor(fill, values[fill.clique_tree.gather], kept.logdet,
-                                     kept.front_inverses)
+            rebuilt = CholeskyFactor(fill, values[fill.clique_tree.gather])
+            rebuilt.front_inverses = kept.front_inverses
             assert rebuilt.blocks.tobytes() == kept.blocks.tobytes()
+            assert rebuilt.logdet == kept.logdet
             z = SparseSymMatrix(fill, rng.standard_normal(fill.n + fill.nnz))
             outputs = []
             for factor in (kept, rebuilt):
@@ -324,9 +324,8 @@ class TestBorderedBlocks:
             if passes:
                 assert len(cholesky_factorize(mat).front_inverses) == len(fill.clique_tree.fronts)
             else:
-                with pytest.raises(NotPositiveDefinite) as info:
+                with pytest.raises(NotPositiveDefinite):
                     cholesky_factorize(mat)
-                assert info.value.pivot == j
 
     @pytest.mark.parametrize("scale", SCALES)
     def test_completion_fails_exactly_where_a_plain_clique_factor_does(self, scale):

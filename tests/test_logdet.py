@@ -45,7 +45,7 @@ class TestSparseInverse:
         assert w.diag[0] == pytest.approx(0.25, abs=1e-14)
 
     def test_missing_fill_slot_rejected(self):
-        fac = CholeskyFactor(UNCLOSED, [1.0, 1.0, 1.0, 0.5, 0.5], 0.0)
+        fac = CholeskyFactor(UNCLOSED, [1.0, 1.0, 1.0, 0.5, 0.5])
         with pytest.raises(ValueError, match="elimination-closed"):
             sparse_inverse(fac)
 
@@ -145,7 +145,7 @@ class TestHessVec:
         assert restrict_abs_error(dense, out) < 1e-12
 
     def test_missing_fill_slot_rejected(self):
-        fac = CholeskyFactor(UNCLOSED, [1.0, 1.0, 1.0, 0.5, 0.5], 0.0)
+        fac = CholeskyFactor(UNCLOSED, [1.0, 1.0, 1.0, 0.5, 0.5])
         eye = SparseSymMatrix.identity(UNCLOSED)
         with pytest.raises(ValueError, match="elimination-closed"):
             hess_vec(fac, eye, sinv=eye)

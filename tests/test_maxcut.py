@@ -31,6 +31,16 @@ class TestGraph:
         with pytest.raises(ValueError, match="not finite and positive"):
             Graph(3, [(0, 1, 1.0), (1, 2, w)])
 
+    @pytest.mark.parametrize("edge, shown", [((0.5, 2.7, 1.0), "0.5"), ((0, 2.7), "2.7"),
+                                             ((0, float("nan")), "nan"), (("0", 1), "'0'")])
+    def test_rejects_labels_that_are_not_integers(self, edge, shown):
+        # (0.5, 2.7) was truncated to the edge (0, 2)
+        with pytest.raises(ValueError, match=f"vertex label must be an integer, got {shown}$"):
+            Graph(3, [edge])
+
+    def test_integral_float_labels_are_taken(self):
+        assert Graph(3, [(0.0, np.float64(2.0))]).edges == [(0, 2, 1.0)]
+
     def test_default_weight(self):
         g = Graph(3, [(0, 1)])
         assert g.edges == [(0, 1, 1.0)]
@@ -262,6 +272,12 @@ class TestHyperplaneRounding:
     @pytest.mark.parametrize("trials", [0, -5])
     def test_rejects_fewer_than_one_trial(self, trials):
         with pytest.raises(ValueError, match="trials"):
+            hyperplane_rounding(np.eye(3), Graph(3, [(0, 1, 1.0)]), trials=trials)
+
+    @pytest.mark.parametrize("trials", [2.5, 0.9, float("inf")])
+    def test_rejects_trials_that_are_not_integers(self, trials):
+        # 2.5 ran 2 trials, and 0.9 reported "got 0"
+        with pytest.raises(ValueError, match=f"trials must be an integer, got {trials}$"):
             hyperplane_rounding(np.eye(3), Graph(3, [(0, 1, 1.0)]), trials=trials)
 
     def test_deterministic_per_seed(self):

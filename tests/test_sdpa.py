@@ -62,6 +62,24 @@ class TestRoundtrip:
         assert entry(c, 0, 1) == 0.25
         assert a[0].diag[0] == 1.0 and a[1].diag[1] == 1.0
 
+    def test_manual_example_with_header_tails(self, tmp_path):
+        # the SDPA manual's example1.dat-s names each header count after it
+        entries = ("0 1 1 1 -11\n0 1 2 2 23\n1 1 1 1 10\n1 1 1 2 4\n"
+                   "2 1 2 2 -8\n3 1 1 2 -8\n3 1 2 2 -2\n")
+        inline = tmp_path / "example1.dat-s"
+        inline.write_text('"Example 1: mDim = 3, nBLOCK = 1, {2}"\n'
+                          "   3  =  mDIM\n   1  =  nBOLCK\n   2  =  bLOCKsTRUCT\n"
+                          "{48, -8, 20}\n" + entries)
+        stripped = tmp_path / "stripped.dat-s"
+        stripped.write_text("3\n1\n2\n48 -8 20\n" + entries)
+        (c, a, b), (c2, a2, b2) = read_sdpa(inline), read_sdpa(stripped)
+        assert np.array_equal(b, [48.0, -8.0, 20.0]) and np.array_equal(b, b2)
+        assert len(a) == len(a2) == 3
+        for got, want in zip([c, *a], [c2, *a2]):
+            assert got.pattern == want.pattern
+            assert np.array_equal(got.values, want.values)
+        assert np.array_equal(c.to_dense(), [[-11.0, 0.0], [0.0, 23.0]])
+
     def test_matrices_without_off_diagonal_entries_share_one_pattern(self, tmp_path):
         path, _, _ = maxcut_file(tmp_path, random_graph(6, 9, seed=31))
         c, a, _ = read_sdpa(path)
@@ -77,6 +95,16 @@ class TestParseErrors:
         with pytest.raises(SdpaParseError) as info:
             read_sdpa(path)
         assert info.value.line == 2
+
+    @pytest.mark.parametrize("header, line", [
+        ("mDIM\n1\n2\n", 1), ("1\n= nBLOCK\n2\n", 2), ("1\n1\n{}\n", 3),
+        ("1 2 = mDIM\n1\n2\n", 1)])
+    def test_header_line_without_one_leading_integer_names_line(self, tmp_path, header, line):
+        path = tmp_path / "head.dat-s"
+        path.write_text(header + "1.0\n0 1 1 1 1.0\n")
+        with pytest.raises(SdpaParseError) as info:
+            read_sdpa(path)
+        assert info.value.line == line
 
     def test_malformed_entry_names_line(self, tmp_path):
         path = tmp_path / "bad.dat-s"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sparse_sdp import chordal, logdet, solver
-from sparse_sdp import (Direction, EliminationOrdering, InfeasibleStart,
+from sparse_sdp import (Direction, InfeasibleStart,
                         IterateState, IterationLimit, NoDecrease, SdpProblem,
                         SolverConfig, SparseSymMatrix, SparseSymPattern, completion_factors,
                         conjugate_gradient, dual_direction, hess_vec, inner_product,
@@ -202,7 +202,6 @@ class TestPotential:
     def test_tridiagonal_worked_value(self):
         # X tridiagonal (diag 2, offdiag 1) against S = I at gamma = 1:
         # gap = trace = 6 and the completion log-det is 2 ln 3 - ln 2
-        from sparse_sdp import EliminationOrdering, SdpProblem
         pat = SparseSymPattern(3, [(0, 1), (1, 2)])
         c = SparseSymMatrix.zeros(pat)
         constraints = []
@@ -210,8 +209,7 @@ class TestPotential:
             d = np.zeros(3)
             d[p] = 1.0
             constraints.append(SparseSymMatrix(SparseSymPattern(3), d))
-        problem = SdpProblem(c, constraints, np.ones(3),
-                             ordering=EliminationOrdering(np.arange(3)))
+        problem = SdpProblem(c, constraints, np.ones(3))
         xbar = SparseSymMatrix(problem.fill, [2.0, 2.0, 2.0, 1.0, 1.0])
         # X is not primal feasible for b = 1, so build the state directly
         # rather than through the validating IterateState.create
@@ -223,9 +221,10 @@ class TestPotential:
 
 class TestSolverConfig:
     @pytest.mark.parametrize("field", ["gamma", "gap_tol"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0, True, "1"])
     def test_gamma_and_tolerances_must_be_positive_and_finite(self, field, value):
-        # gamma=nan ran all 200 iterations and gap_tol=nan stalled
+        # gamma=nan ran all 200 iterations and gap_tol=nan stalled; True
+        # was taken for 1.0, and "1" raised TypeError from math.isfinite
         with pytest.raises(ValueError, match="finite"):
             SolverConfig(**{field: value})
 
@@ -242,7 +241,7 @@ class TestSolverConfig:
 
     # conjugate_gradient's knobs were the SolverConfig fields cg_rel_tol
     # and cg_max_iter while the solve ran CG; it keeps their range checks
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0, True, "1"])
     def test_cg_rel_tol_must_be_positive_and_finite(self, value):
         # rel_tol=nan ran silently to the iteration cap
         with pytest.raises(ValueError, match="finite"):
@@ -449,8 +448,7 @@ class TestNewtonMatrix:
     def test_no_constraints(self):
         pat = SparseSymPattern(4, [(0, 1), (2, 3)])
         c = SparseSymMatrix(pat, [2.0] * 4 + [0.5] * 2)
-        problem = SdpProblem(c, [], np.zeros(0),
-                             ordering=EliminationOrdering(np.arange(4)))
+        problem = SdpProblem(c, [], np.zeros(0))
         state = bare_state(problem, SparseSymMatrix.identity(problem.fill),
                            np.zeros(0), rho=6.0)
         for half in (state.dual, state.primal):
@@ -565,8 +563,7 @@ class TestProjection:
         pat = SparseSymPattern(3, [(0, 1), (1, 2)])
         c = SparseSymMatrix(pat, [2.0] * 3 + [0.5] * 2)
         a = SparseSymMatrix(SparseSymPattern(3, [(0, 1)]), [1.0, 0.0, 2.0, 0.5])
-        problem = SdpProblem(c, [a, a], np.ones(2),
-                             ordering=EliminationOrdering(np.arange(3)))
+        problem = SdpProblem(c, [a, a], np.ones(2))
         with pytest.raises(ValueError, match="linearly dependent"):
             problem.project_out_constraints(SparseSymMatrix.identity(problem.fill))
 
